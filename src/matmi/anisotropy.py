@@ -60,15 +60,17 @@ class AnisotropyFamily:
 
     # -- vectorized evaluation ------------------------------------------
 
-    def _check_range(self, ts):
+    def _check_range(self, ts, where="sample"):
+        """Raise ValueError naming the first entry of ts (a `where`,
+        e.g. a vertex or cell) outside the admissible interval."""
         lo, hi = self.t_range
         eps = 1e-12 * max(1.0, abs(lo), abs(hi))
         bad = np.where((ts < lo - eps) | (ts > hi + eps))[0]
         if bad.size:
             i = int(bad[0])
             raise ValueError(
-                "parameter value t=%g at sample %d outside admissible "
-                "range [%g, %g]" % (ts[i], i, lo, hi))
+                "parameter value t=%g at %s %d outside admissible "
+                "range [%g, %g]" % (ts[i], where, i, lo, hi))
 
     def poly_coeffs(self, xs):
         """(N, M, 3, 3) polynomial coefficients at the points xs."""

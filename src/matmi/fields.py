@@ -6,6 +6,7 @@ import scipy.sparse as sp
 __all__ = [
     "NodalField",
     "CellField",
+    "assemble_p1",
     "mass_matrix",
     "l2_norm_nodal",
     "l2_norm_cell",
@@ -59,17 +60,31 @@ class CellField:
         return CellField(self.mesh, self.values.copy())
 
 
+def assemble_p1(mesh, local, extra=None):
+    """CSR (nv, nv) matrix summing per-cell local P1 matrices.
+
+    local : (nc, nloc, nloc) array; entry [c, i, j] couples vertices
+    cells[c, i] and cells[c, j].  extra : optional COO triplets
+    (rows, cols, vals) appended after the cell entries.
+    """
+    nloc = mesh.dim + 1
+    rows = np.repeat(mesh.cells, nloc, axis=1).ravel()
+    cols = np.tile(mesh.cells, (1, nloc)).ravel()
+    vals = local.ravel()
+    if extra is not None:
+        rows = np.concatenate([rows, extra[0]])
+        cols = np.concatenate([cols, extra[1]])
+        vals = np.concatenate([vals, extra[2]])
+    nv = mesh.num_vertices
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
+
+
 def mass_matrix(mesh):
     """Consistent P1 mass matrix (CSR)."""
     nloc = mesh.dim + 1
     # local P1 mass on a simplex: vol/((d+1)(d+2)) * (1 + delta_ij)
     local = (np.ones((nloc, nloc)) + np.eye(nloc)) / ((nloc) * (nloc + 1))
-    rows = np.repeat(mesh.cells, nloc, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, nloc)).ravel()
-    vals = (mesh.cell_volumes[:, None, None] * local[None, :, :]).ravel()
-    M = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(mesh.num_vertices, mesh.num_vertices))
-    return M.tocsr()
+    return assemble_p1(mesh, mesh.cell_volumes[:, None, None] * local)
 
 
 def l2_norm_nodal(mesh, values, M=None):

@@ -10,9 +10,8 @@ E = Etilde + grad u (per cell, exact P1 gradient).
 """
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fields import CellField, NodalField, mass_matrix
+from .fields import CellField, NodalField, assemble_p1, mass_matrix
 
 __all__ = [
     "SparseSystem",
@@ -55,53 +54,33 @@ def etilde(x):
     return out[0] if single else out
 
 
-def _gamma_cell_values(mesh, family, gamma):
-    """Centroid parameter values, with range checking on the raw dofs."""
-    lo, hi = family.t_range
-    eps = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if isinstance(gamma, NodalField):
-        bad = np.where((gamma.values < lo - eps) | (gamma.values > hi + eps))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                "gamma value %g at vertex %d outside admissible range "
-                "[%g, %g]" % (gamma.values[i], i, lo, hi))
-        return gamma.cell_means()
-    bad = np.where((gamma.values < lo - eps) | (gamma.values > hi + eps))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            "gamma value %g at cell %d outside admissible range [%g, %g]"
-            % (gamma.values[i], i, lo, hi))
-    return gamma.values
-
-
 def conductivity_blocks(mesh, family, gamma):
     """In-plane conductivity matrix per cell, shape (nc, dim, dim).
 
-    Evaluates A at cell centroids (one-point quadrature) and keeps the
-    upper-left dim x dim block; this is exact for the in-plane action of
-    every builtin family because A couples the z-axis only diagonally.
+    The raw dofs of gamma (vertex or cell values) are range-checked,
+    then A is evaluated at cell centroids (one-point quadrature) and the
+    upper-left dim x dim block kept; this is exact for the in-plane
+    action of every builtin family because A couples the z-axis only
+    diagonally.
     """
-    gc = _gamma_cell_values(mesh, family, gamma)
+    nodal = isinstance(gamma, NodalField)
+    family._check_range(gamma.values, "vertex" if nodal else "cell")
+    gc = gamma.cell_means() if nodal else gamma.values
     xs = np.zeros((mesh.num_cells, 3))
     xs[:, :mesh.dim] = mesh.cell_centroids
     A = family.eval_many(xs, gc, check_range=False)
     return A[:, :mesh.dim, :mesh.dim]
 
 
+def _stiffness(mesh, B):
+    g = mesh.cell_grads                       # (nc, nloc, dim)
+    return assemble_p1(mesh, np.einsum("c,cid,cde,cje->cij",
+                                       mesh.cell_volumes, g, B, g))
+
+
 def assemble_stiffness(mesh, family, gamma):
     """Stiffness matrix K_ij = int A(x, gamma) grad phi_j . grad phi_i dx."""
-    B = conductivity_blocks(mesh, family, gamma)
-    g = mesh.cell_grads                       # (nc, nloc, dim)
-    vol = mesh.cell_volumes
-    ke = np.einsum("c,cid,cde,cje->cij", vol, g, B, g)
-    nloc = mesh.dim + 1
-    rows = np.repeat(mesh.cells, nloc, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, nloc)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)),
-                      shape=(mesh.num_vertices, mesh.num_vertices))
-    return K.tocsr()
+    return _stiffness(mesh, conductivity_blocks(mesh, family, gamma))
 
 
 def assemble(mesh, family, gamma):
@@ -110,8 +89,8 @@ def assemble(mesh, family, gamma):
     rhs_i = -int A(x, gamma) Etilde . grad phi_i dx, evaluated with the
     same centroid quadrature as the stiffness matrix.
     """
-    K = assemble_stiffness(mesh, family, gamma)
     B = conductivity_blocks(mesh, family, gamma)
+    K = _stiffness(mesh, B)
     et = etilde(mesh.cell_centroids)[:, :mesh.dim]
     q = np.einsum("cde,ce->cd", B, et)        # A Etilde per cell, in-plane
     contrib = -np.einsum("c,cid,cd->ci", mesh.cell_volumes,

@@ -2,7 +2,7 @@
 
 Each preset bundles a conductivity family, a closed-form target
 parameter gamma*, and desk-scale defaults (mesh resolution, iteration
-count, transport solver).  Presets 1-5 are 2D on the unit square;
+count, parameter range).  Presets 1-5 are 2D on the unit square;
 preset 6 is 3D on the unit cube with a spherical inclusion.
 """
 
@@ -65,14 +65,13 @@ class ExperimentPreset:
     """A named reconstruction benchmark with its defaults."""
 
     def __init__(self, name, family_name, gamma_star, resolution, iterations,
-                 solver, lam, t_range, dim=2, description="",
+                 lam, t_range, dim=2, description="",
                  config_defaults=None):
         self.name = name
         self.family_name = family_name
         self.gamma_star = gamma_star
         self.resolution = int(resolution)
         self.iterations = int(iterations)
-        self.solver = solver
         self.lam = float(lam)
         self.t_range = (float(t_range[0]), float(t_range[1]))
         self.dim = int(dim)
@@ -86,26 +85,26 @@ class ExperimentPreset:
 
 PRESETS = {
     "example1": ExperimentPreset(
-        "example1", "D1", _gaussian_bump, 48, 10, "lsq", 4.0, (0.5, 2.5),
+        "example1", "D1", _gaussian_bump, 48, 10, 4.0, (0.5, 2.5),
         description="isotropic in-plane, Gaussian bump target"),
     "example2": ExperimentPreset(
-        "example2", "D2", _two_gaussians, 48, 10, "lsq", 100.0, (-0.5, 1.6),
+        "example2", "D2", _two_gaussians, 48, 10, 100.0, (-0.5, 1.6),
         description="quadratic diagonal, two-Gaussian target",
         config_defaults={"picard.adaptive": False, "picard.alpha": 4e-3,
                          "picard.max_outer": 200,
                          "picard.accept_last": True}),
     "example3": ExperimentPreset(
-        "example3", "D3", _cosine_rings, 64, 10, "lsq", 100.0, (-0.5, 2.5),
+        "example3", "D3", _cosine_rings, 64, 10, 100.0, (-0.5, 2.5),
         description="nonlinear off-diagonal, oscillatory ring target"),
     "example4": ExperimentPreset(
-        "example4", "D4", _tent_profile, 48, 10, "lsq", 4.0, (0.5, 2.5),
+        "example4", "D4", _tent_profile, 48, 10, 4.0, (0.5, 2.5),
         description="rational off-diagonal, piecewise-affine target"),
     "example5": ExperimentPreset(
-        "example5", "D5", _sine_product, 48, 10, "lsq", 100.0, (-0.5, 2.4),
+        "example5", "D5", _sine_product, 48, 10, 100.0, (-0.5, 2.4),
         description="spatially varying off-diagonal, sine-product target"),
     "example6": ExperimentPreset(
-        "example6", "D6", _spherical_inclusion, 16, 10, "lsq", 4.0,
-        (0.5, 2.5), dim=3,
+        "example6", "D6", _spherical_inclusion, 16, 10, 4.0, (0.5, 2.5),
+        dim=3,
         description="3D spatially varying family, spherical inclusion",
         config_defaults={"picard.adaptive": False}),
 }

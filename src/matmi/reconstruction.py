@@ -1,9 +1,10 @@
 """The outer fixed-point reconstruction loop.
 
 Each iteration alternates (i) a Neumann field solve for the current
-iterate, (ii) an inflow-boundary classification, (iii) a transport solve
-for the updated parameter, and (iv) a projection onto the admissible
-box with the boundary trace reset to the known target values.
+iterate, (ii) an inflow-boundary classification, (iii) a least-squares
+transport solve for the updated parameter, and (iv) a projection onto
+the admissible box with the boundary trace reset to the known target
+values.
 """
 
 import time
@@ -11,14 +12,12 @@ import time
 import numpy as np
 
 from .anisotropy import builtin
-from .fields import (NodalField, cell_to_nodal, interpolate_nodal,
-                     l2_norm_nodal, mass_matrix)
+from .fields import NodalField, interpolate_nodal, l2_norm_nodal, mass_matrix
 from .functional import load_functional_data, synthesize
 from .mesh import build_unit_cube, build_unit_square
 from .neumann import SolverError, solve_field
 from .transport import (PicardOptions, TransportError, TransportProblem,
-                        _h1_matrix, solve_linear_dg, solve_nonlinear,
-                        solve_nonlinear_dg, solve_nonlinear_ls)
+                        _h1_matrix, solve_nonlinear_ls)
 
 __all__ = [
     "AdmissibleSet",
@@ -29,9 +28,6 @@ __all__ = [
     "project",
     "reconstruct",
 ]
-
-SOLVERS = ("dg0", "picard", "lsq")
-
 
 class ConfigError(ValueError):
     """Invalid reconstruction configuration."""
@@ -160,7 +156,6 @@ _DEFAULTS = {
     "dim": 2,
     "n": 32,
     "iterations": 10,
-    "solver": None,
     "refine": 1,
     "lambda": 4.0,
     "tol_inflow": 1e-12,
@@ -171,7 +166,6 @@ _DEFAULTS = {
     "picard.max_outer": 50,
     "picard.rel_tol": 1e-6,
     "picard.damping": 1.0,
-    "picard.supg": 1.0,
     "picard.alpha": 1e-2,
     "picard.adaptive": True,
     "picard.accept_last": False,
@@ -179,17 +173,16 @@ _DEFAULTS = {
 
 _INT_KEYS = {"dim", "n", "iterations", "refine", "picard.max_outer"}
 _FLOAT_KEYS = {"lambda", "tol_inflow", "t_lo", "t_hi", "boundary_value",
-               "picard.rel_tol", "picard.damping", "picard.supg",
-               "picard.alpha"}
+               "picard.rel_tol", "picard.damping", "picard.alpha"}
 _BOOL_KEYS = {"picard.adaptive", "picard.accept_last"}
 
 
 class ReconConfig:
     """Flat key=value reconstruction configuration.
 
-    Recognized keys: preset, family, dim, n, iterations, solver, refine,
-    lambda, tol_inflow, t_lo, t_hi, data, boundary_value, and the
-    picard.* solver controls.  Preset values fill any key left unset.
+    Recognized keys: preset, family, dim, n, iterations, refine, lambda,
+    tol_inflow, t_lo, t_hi, data, boundary_value, and the picard.*
+    transport-solver controls.  Preset values fill any key left unset.
     """
 
     def __init__(self, **kwargs):
@@ -203,9 +196,6 @@ class ReconConfig:
             explicit.add(key)
         self.values = values
         self.explicit = explicit
-        if values["solver"] is not None and values["solver"] not in SOLVERS:
-            raise ConfigError("unknown solver %r; choose from %s"
-                              % (values["solver"], ", ".join(SOLVERS)))
 
     def __getitem__(self, key):
         return self.values[key]
@@ -267,8 +257,8 @@ class ReconConfig:
             p = get_preset(out["preset"])
             fills = {"family": p.family_name, "dim": p.dim,
                      "n": p.resolution, "iterations": p.iterations,
-                     "solver": p.solver, "lambda": p.lam,
-                     "t_lo": p.t_range[0], "t_hi": p.t_range[1]}
+                     "lambda": p.lam, "t_lo": p.t_range[0],
+                     "t_hi": p.t_range[1]}
             fills.update(p.config_defaults)
             for key, val in fills.items():
                 if key not in self.explicit:
@@ -281,8 +271,6 @@ class ReconConfig:
             if out["data"] is None:
                 raise ConfigError("custom configs need a data file (the "
                                   "target is otherwise unknown)")
-        if out["solver"] is None:
-            out["solver"] = "dg0" if out["family"] == "D1" else "lsq"
         if out["n"] < 2:
             raise ConfigError("mesh resolution n must be >= 2")
         if out["iterations"] < 1:
@@ -296,23 +284,7 @@ def _picard_options(cfg):
     return PicardOptions(max_outer=cfg["picard.max_outer"],
                          rel_tol=cfg["picard.rel_tol"],
                          damping=cfg["picard.damping"],
-                         accept_last=cfg["picard.accept_last"],
-                         supg=cfg["picard.supg"])
-
-
-def _transport_update(solver, problem, opts, alpha, anchor):
-    if solver == "dg0":
-        try:
-            sol = solve_linear_dg(problem)
-            sol.picard_history = []
-        except TransportError:
-            sol = solve_nonlinear_dg(problem, opts)
-        return NodalField(problem.mesh, cell_to_nodal(sol)), sol.picard_history
-    if solver == "picard":
-        sol = solve_nonlinear(problem, opts)
-        return sol, sol.picard_history
-    sol = solve_nonlinear_ls(problem, opts, alpha=alpha, anchor=anchor)
-    return sol, sol.picard_history
+                         accept_last=cfg["picard.accept_last"])
 
 
 # regularization multipliers and step dampings tried per outer iteration
@@ -323,7 +295,7 @@ _STEP_DAMPINGS = (1.0, 0.5)
 
 def _adaptive_ls_update(problem, opts, alpha, anchor, admissible,
                         boundary_values, residual_fn, res_prev):
-    """Residual-guided step selection for the least-squares solver.
+    """Residual-guided step selection for the least-squares update.
 
     Solves the transport update for a few regularization weights around
     `alpha`, forms full and half steps of each, and keeps the candidate
@@ -335,8 +307,7 @@ def _adaptive_ls_update(problem, opts, alpha, anchor, admissible,
     """
     gamma = problem.gamma_ref
     inner = PicardOptions(max_outer=opts.max_outer, rel_tol=opts.rel_tol,
-                          damping=opts.damping, accept_last=True,
-                          supg=opts.supg)
+                          damping=opts.damping, accept_last=True)
     best = None
     failures = []
     for mult in _ALPHA_MULTIPLIERS:
@@ -406,7 +377,7 @@ def reconstruct(config):
         return l2_norm_nodal(mesh, gamma.values - target.values,
                              M) / target_norm
 
-    adaptive = cfg["solver"] == "lsq" and cfg["picard.adaptive"]
+    adaptive = cfg["picard.adaptive"]
     H = _h1_matrix(mesh) if adaptive else None
 
     def residual(gamma):
@@ -443,8 +414,9 @@ def reconstruct(config):
                     gamma = cand
                     res_h1, res_l2 = res
             else:
-                half, changes = _transport_update(cfg["solver"], problem,
-                                                  opts, alpha, gamma0)
+                half = solve_nonlinear_ls(problem, opts, alpha=alpha,
+                                          anchor=gamma0)
+                changes = half.picard_history
                 gamma = project(half, admissible, boundary_values)
                 res_h1, res_l2 = residual(gamma)
             trace.picard_changes.append(list(changes))

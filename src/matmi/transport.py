@@ -1,25 +1,28 @@
 """Stationary transport solvers for the conductivity update step.
 
 The update equation is div(A(x, gamma) w) = F with w = E x B0 and the
-trace of gamma prescribed on the inflow boundary.  Two discretizations:
+trace of gamma prescribed on the inflow boundary.  The reconstruction
+loop has one update, `solve_nonlinear_ls`: continuous P1 with a Picard
+(frozen-coefficient) outer loop whose every step solves the frozen flux
+equation in regularized least squares.
 
-* DG0 with upwinded face fluxes, for families whose in-plane action is
-  linear in the parameter (the isotropic-in-plane case);
-* continuous P1 with a Picard (frozen-coefficient) outer loop and
-  streamline-upwind stabilization, for nonlinear families.
+The flux is assembled in conservative form.  Each entry of A is split
+as polynomial-in-t plus remainder; freezing all but one power of the
+parameter makes the flux linear in the unknown while keeping the
+previous iterate in the remaining slots, so a fixed point of the loop
+satisfies the unfrozen discrete equation exactly.
 
-The P1 scheme is assembled in conservative (flux) form.  Each entry of
-A is split as polynomial-in-t plus remainder; freezing all but one
-power of the parameter makes the flux linear in the unknown while
-keeping the previous iterate in the remaining slots, so a fixed point
-of the loop satisfies the unfrozen discrete equation exactly.
+`solve_linear_dg` (DG0 with upwinded face fluxes, for families linear
+in the parameter) and the coefficient expansions serve as independent
+checks: an exact transport oracle and the product-rule cross-check of
+the hand-expanded divergence.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import (CellField, NodalField, cell_to_nodal, l2_norm_cell,
+from .fields import (CellField, NodalField, assemble_p1, cell_to_nodal,
                      l2_norm_nodal, mass_matrix)
 from .functional import cross_b0
 from .mesh import classify_inflow
@@ -29,12 +32,11 @@ __all__ = [
     "PicardOptions",
     "TransportError",
     "solve_linear_dg",
-    "solve_nonlinear",
-    "solve_nonlinear_dg",
     "solve_nonlinear_ls",
     "expand_coefficients",
     "ExpandedCoefficients",
     "closed_form_coefficients",
+    "closed_form_divergence",
     "recover_field_gradients",
 ]
 
@@ -51,20 +53,17 @@ class PicardOptions:
     """Controls for the frozen-coefficient outer loop."""
 
     def __init__(self, max_outer=50, rel_tol=1e-8, damping=1.0,
-                 accept_last=False, supg=1.0):
+                 accept_last=False):
         if max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         if not 0.0 < rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
         if not 0.0 < damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if supg < 0.0:
-            raise ValueError("supg scale must be >= 0")
         self.max_outer = int(max_outer)
         self.rel_tol = float(rel_tol)
         self.damping = float(damping)
         self.accept_last = bool(accept_last)
-        self.supg = float(supg)
 
 
 class TransportProblem:
@@ -138,13 +137,11 @@ def _poly_split_blocks(family, mesh, gamma_c):
 
 # -- DG0 upwind ---------------------------------------------------------
 
-def solve_linear_dg(problem, split=None, stagnation_rel=0.05):
+def solve_linear_dg(problem, stagnation_rel=0.05):
     """DG0 upwind solve of div(gamma * G w + H w) = F.
 
-    Without `split` the flux factors come from the family itself, which
-    must then be linear in the parameter (polynomial degree <= 1 in t,
-    no remainder).  `split` may supply frozen per-cell factors (G, H),
-    each (nc, 3, 3), e.g. from a Picard linearization.
+    The flux factors G, H come from the family itself, which must be
+    linear in the parameter (polynomial degree <= 1 in t, no remainder).
 
     Cells whose advective throughput is below stagnation_rel times the
     median (e.g. at interior stagnation points of the rotational field,
@@ -153,16 +150,13 @@ def solve_linear_dg(problem, split=None, stagnation_rel=0.05):
     """
     mesh, family = problem.mesh, problem.family
     xs = _centroid_xs(mesh)
-    if split is None:
-        P = family.poly_coeffs(xs)
-        if P.shape[1] > 2 or family.rational(xs[:1], np.array([1.0])).any():
-            raise TransportError(
-                "family %r is nonlinear in the parameter; use solve_nonlinear"
-                % family.name)
-        G = P[:, 1] if P.shape[1] == 2 else np.zeros((mesh.num_cells, 3, 3))
-        H = P[:, 0]
-    else:
-        G, H = split
+    P = family.poly_coeffs(xs)
+    if P.shape[1] > 2 or family.rational(xs[:1], np.array([1.0])).any():
+        raise TransportError(
+            "family %r is nonlinear in the parameter; use solve_nonlinear_ls"
+            % family.name)
+    G = P[:, 1] if P.shape[1] == 2 else np.zeros((mesh.num_cells, 3, 3))
+    H = P[:, 0]
     w3 = cross_b0(problem.E.values)               # (nc, 3)
     w = w3[:, :mesh.dim]
     g = np.einsum("cij,cj->ci", G, w3)[:, :mesh.dim]
@@ -249,46 +243,6 @@ def solve_linear_dg(problem, split=None, stagnation_rel=0.05):
     return CellField(mesh, sol)
 
 
-def solve_nonlinear_dg(problem, opts=None):
-    """Picard iteration on the frozen-flux DG0 upwind discretization.
-
-    Freezes the nonlinear coefficient slots at the current cell values
-    (same split as the P1 route) and re-solves the linear DG0 system
-    until the relative L2 change drops below rel_tol.  Returns a
-    CellField; raises TransportError with the change history otherwise.
-    """
-    if opts is None:
-        opts = PicardOptions()
-    mesh = problem.mesh
-    lo, hi = problem.family.t_range
-    gamma_c = problem.gamma_ref_cells().copy()
-    history = []
-    for _ in range(opts.max_outer):
-        # Coefficients are frozen at the clamped iterate so an overshoot
-        # cannot feed back into the linearization.
-        split = _poly_split_blocks(problem.family, mesh,
-                                   np.clip(gamma_c, lo, hi))
-        new_c = solve_linear_dg(problem, split=split).values
-        if not np.all(np.isfinite(new_c)):
-            raise TransportError("DG0 Picard solve produced non-finite "
-                                 "values", history)
-        new_c = opts.damping * new_c + (1.0 - opts.damping) * gamma_c
-        change = l2_norm_cell(mesh, new_c - gamma_c)
-        scale = max(l2_norm_cell(mesh, gamma_c), 1e-30)
-        history.append(change / scale)
-        gamma_c = new_c
-        if history[-1] <= opts.rel_tol:
-            break
-    else:
-        if not opts.accept_last:
-            raise TransportError(
-                "DG0 Picard loop did not converge in %d iterations (last "
-                "change %.3g)" % (opts.max_outer, history[-1]), history)
-    out = CellField(mesh, gamma_c)
-    out.picard_history = history
-    return out
-
-
 # -- gradient recovery and coefficient expansion ------------------------
 
 def recover_field_gradients(mesh, E):
@@ -365,16 +319,6 @@ class ExpandedCoefficients:
             out += self.d_poly[:, m] * tp
             tp = tp * gamma_c
         return out + self.reaction_remainder(gamma_c)
-
-    def frozen_reaction(self, gamma_c):
-        """Picard reaction coefficient: all powers of gamma beyond the
-        first frozen at gamma_c, i.e. sum_{m>=1} d_m gamma_c^(m-1)."""
-        out = np.zeros_like(gamma_c)
-        tp = np.ones_like(gamma_c)
-        for m in range(1, self.d_poly.shape[1]):
-            out += self.d_poly[:, m] * tp
-            tp = tp * gamma_c
-        return out
 
     def divergence(self, gamma_c, grad_gamma):
         """Generic product-rule value of div(A(gamma) w) per cell."""
@@ -489,8 +433,6 @@ def _flux_operator(problem, gamma_bar_c):
     hdphi = np.einsum("cid,cd->ci", mesh.cell_grads, h)
     ke = -(vol[:, None, None] * gdphi[:, :, None]) \
         * np.full((1, 1, nloc), 1.0 / nloc)
-    rows = np.repeat(mesh.cells, nloc, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, nloc)).ravel()
     c = np.zeros(nv)
     np.add.at(c, mesh.cells.ravel(), (-vol[:, None] * hdphi).ravel())
 
@@ -504,11 +446,9 @@ def _flux_operator(problem, gamma_bar_c):
             bcol.extend(cell_vs.tolist())
             bval.extend([gn / (mesh.dim * nloc)] * nloc)
         c[f.vertices] += hn / mesh.dim
-    L = sp.coo_matrix(
-        (np.concatenate([ke.ravel(), np.array(bval)]),
-         (np.concatenate([rows, np.array(brow, dtype=int)]),
-          np.concatenate([cols, np.array(bcol, dtype=int)]))),
-        shape=(nv, nv)).tocsr()
+    L = assemble_p1(mesh, ke, extra=(np.array(brow, dtype=int),
+                                     np.array(bcol, dtype=int),
+                                     np.array(bval)))
     return L, c
 
 
@@ -516,12 +456,7 @@ def _h1_matrix(mesh):
     """Unit-coefficient stiffness plus mass (an H1 inner product)."""
     g = mesh.cell_grads
     ke = np.einsum("c,cid,cjd->cij", mesh.cell_volumes, g, g)
-    nloc = mesh.dim + 1
-    rows = np.repeat(mesh.cells, nloc, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, nloc)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)),
-                      shape=(mesh.num_vertices, mesh.num_vertices)).tocsr()
-    return K + mass_matrix(mesh)
+    return assemble_p1(mesh, ke) + mass_matrix(mesh)
 
 
 def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
@@ -598,118 +533,3 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     out = NodalField(mesh, gamma)
     out.picard_history = history
     return out
-
-
-# -- stabilized P1 Picard solver ----------------------------------------
-
-def _assemble_picard(problem, coeffs, gamma_bar, inflow_vertices,
-                     inflow_vals, F_cells, supg_scale=1.0):
-    """One frozen-coefficient linear system (conservative + SUPG)."""
-    mesh = problem.mesh
-    nloc = mesh.dim + 1
-    nv = mesh.num_vertices
-    vol = mesh.cell_volumes
-    lo, hi = problem.family.t_range
-    gbar_c = np.clip(gamma_bar.cell_means(), lo, hi)
-
-    G, H = _poly_split_blocks(problem.family, mesh, gbar_c)
-    w3 = coeffs.w3
-    g = np.einsum("cij,cj->ci", G, w3)[:, :mesh.dim]
-    h = np.einsum("cij,cj->ci", H, w3)[:, :mesh.dim]
-
-    gdphi = np.einsum("cid,cd->ci", mesh.cell_grads, g)   # (nc, nloc)
-
-    # Galerkin, conservative: -int gamma g . grad(phi_i), gamma P1
-    ke = -(vol[:, None, None] * gdphi[:, :, None]
-           * np.full((1, 1, nloc), 1.0 / nloc))
-    rhs = problem.data.p1_weak.astype(float).copy()
-    hdphi = np.einsum("cid,cd->ci", mesh.cell_grads, h)
-    rhs_cells = vol[:, None] * hdphi
-
-    # SUPG: tau (g . grad phi_i) [g . grad gamma + rho gamma_mean - s]
-    rho = coeffs.frozen_reaction(gbar_c)
-    kappa = coeffs.d_poly[:, 0] + coeffs.reaction_remainder(gbar_c)
-    gnorm = np.linalg.norm(g, axis=1)
-    tau = supg_scale * np.where(
-        gnorm > 1e-14,
-        mesh.cell_diameters / (2.0 * np.maximum(gnorm, 1e-300)), 0.0)
-    tv = tau * vol
-    ke += tv[:, None, None] * gdphi[:, :, None] * (
-        gdphi[:, None, :] + rho[:, None, None] / nloc)
-    rhs_cells += (tv * (F_cells - kappa))[:, None] * gdphi
-
-    rows = np.repeat(mesh.cells, nloc, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, nloc)).ravel()
-    A = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv)).tolil()
-    np.add.at(rhs, mesh.cells.ravel(), rhs_cells.ravel())
-
-    # Boundary flux term over all boundary facets.  The flux trace is
-    # evaluated with gamma at the cell mean (the same one-point rule the
-    # flux-form data uses), keeping the scheme exactly consistent with
-    # data generated on this mesh.
-    for f in mesh.boundary_facets:
-        gn = float(np.dot(g[f.cell], f.normal)) * f.measure
-        hn = float(np.dot(h[f.cell], f.normal)) * f.measure
-        cell_vs = mesh.cells[f.cell]
-        for v in f.vertices:
-            A[int(v), cell_vs] = (np.asarray(A[int(v), cell_vs].todense()).ravel()
-                                  + gn / (mesh.dim * nloc))
-        rhs[f.vertices] -= hn / mesh.dim
-
-    # strong inflow rows
-    for v, val in zip(inflow_vertices, inflow_vals):
-        A.rows[v] = [int(v)]
-        A.data[v] = [1.0]
-        rhs[v] = val
-    return A.tocsr(), rhs
-
-
-def solve_nonlinear(problem, opts=None):
-    """Picard iteration on the frozen-coefficient P1 SUPG discretization.
-
-    Returns the NodalField solution; raises TransportError with the
-    change history on non-convergence unless opts.accept_last is set.
-    """
-    if opts is None:
-        opts = PicardOptions()
-    mesh = problem.mesh
-    coeffs = expand_coefficients(problem.family, problem.E, mesh)
-
-    inflow = problem.inflow_facets()
-    iv = sorted({int(v) for i in inflow
-                 for v in mesh.boundary_facets[i].vertices})
-    iv = np.array(iv, dtype=int)
-    ivals = (np.asarray(problem.inflow_values(mesh.vertices[iv]),
-                        dtype=float).ravel()
-             if iv.size else np.zeros(0))
-
-    F_cells = problem.data.nodal_projection.cell_means()
-    if isinstance(problem.gamma_ref, NodalField):
-        gamma = problem.gamma_ref.copy()
-    else:
-        gamma = NodalField(mesh, cell_to_nodal(problem.gamma_ref))
-
-    M = mass_matrix(mesh)
-    history = []
-    for _ in range(opts.max_outer):
-        A, rhs = _assemble_picard(problem, coeffs, gamma, iv, ivals, F_cells,
-                                  supg_scale=opts.supg)
-        new_vals = spla.spsolve(A.tocsc(), rhs)
-        if not np.all(np.isfinite(new_vals)):
-            raise TransportError("Picard linear solve produced non-finite "
-                                 "values", history)
-        new_vals = opts.damping * new_vals \
-            + (1.0 - opts.damping) * gamma.values
-        change = l2_norm_nodal(mesh, new_vals - gamma.values, M)
-        scale = max(l2_norm_nodal(mesh, gamma.values, M), 1e-30)
-        history.append(change / scale)
-        gamma = NodalField(mesh, new_vals)
-        if history[-1] <= opts.rel_tol:
-            break
-    else:
-        if not opts.accept_last:
-            raise TransportError(
-                "Picard loop did not converge in %d iterations (last "
-                "change %.3g)" % (opts.max_outer, history[-1]), history)
-    gamma.picard_history = history
-    return gamma

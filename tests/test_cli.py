@@ -1,8 +1,12 @@
 import os
+import re
 
 import pytest
 
+from matmi import (get_preset, interpolate_nodal, save_functional_data,
+                   synthesize)
 from matmi.cli import EXIT_CONFIG, EXIT_OK, main
+from matmi.mesh import build_unit_square
 
 
 def _run(tmp_path, *extra):
@@ -84,3 +88,24 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
                  "--iterations", "2"])
     assert code == EXIT_OK
     assert os.path.exists(str(tmp_path / "envout" / "example1" / "trace.csv"))
+
+
+def test_custom_data_run_lowers_residual(tmp_path, capsys):
+    # a D1 config without a preset, on data loaded from a file: the run
+    # must not raise the data residual it is meant to reduce
+    preset = get_preset("example1")
+    mesh = build_unit_square(12)
+    data = synthesize(preset.family(),
+                      interpolate_nodal(mesh, preset.gamma_star), mesh)
+    save_functional_data(data, str(tmp_path / "data.bin"))
+    cfg = tmp_path / "custom.txt"
+    cfg.write_text("family = D1\ndata = %s\nn = 12\nt_lo = 0.5\n"
+                   "t_hi = 2.5\niterations = 3\n" % (tmp_path / "data.bin"))
+    out = str(tmp_path / "artifacts")
+    code = main(["run", "--config", str(cfg), "--out", out])
+    assert code == EXIT_OK
+    initial = float(re.search(r"final data residual: \S+ \(initial (\S+)\)",
+                              capsys.readouterr().out).group(1))
+    rows = open(os.path.join(out, "custom", "trace.csv")).read().split()
+    final = float(rows[-1].split(",")[2])
+    assert final <= initial

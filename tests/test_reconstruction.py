@@ -53,8 +53,14 @@ def test_config_rejects_unknown_key():
 
 
 def test_config_rejects_unknown_solver():
-    with pytest.raises(ConfigError, match="unknown solver"):
-        ReconConfig(solver="newton")
+    # the transport update is always least squares; the keys that once
+    # chose between discretizations are gone
+    with pytest.raises(ConfigError, match="unknown config key 'solver'"):
+        ReconConfig(solver="lsq")
+    with pytest.raises(ConfigError, match="unknown config key 'picard.supg'"):
+        ReconConfig(**{"picard.supg": 1.0})
+    with pytest.raises(ConfigError, match="unknown config key"):
+        ReconConfig.from_text("preset = example1\npicard.supg = 1.0\n")
 
 
 def test_config_from_text_types_and_errors():
@@ -108,9 +114,9 @@ def test_resolve_validates_ranges():
 def test_preset_fills_only_unset_keys():
     r = ReconConfig(preset="example1").resolve()
     assert r["family"] == "D1"
-    assert r["solver"] == "lsq"
-    assert ReconConfig(preset="example1", solver="dg0").resolve()["solver"] \
-        == "dg0"
+    assert r["lambda"] == 4.0
+    over = ReconConfig(preset="example1", **{"lambda": 2.0}).resolve()
+    assert over["lambda"] == 2.0
     assert callable(r["gamma_star"])
 
 
