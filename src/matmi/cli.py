@@ -14,7 +14,7 @@ import numpy as np
 
 from .anisotropy import builtin, check_admissibility
 from .fields import (NodalField, interpolate_nodal, l2_norm_cell,
-                     l2_norm_nodal, level_set_centroid, mass_matrix)
+                     level_set_centroid, mass_matrix)
 from .functional import (load_functional_data, save_functional_data,
                          synthesize, write_nodal_csv)
 from .mesh import build_unit_cube, build_unit_square

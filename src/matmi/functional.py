@@ -103,9 +103,9 @@ def weak_p1_from_flux(mesh, q):
     r = np.zeros(mesh.num_vertices)
     np.add.at(r, mesh.cells.ravel(), contrib.ravel())
     share = 1.0 / mesh.dim                    # int_f phi_i ds = |f|/dim
-    for f in mesh.boundary_facets:
-        qn = float(np.dot(q[f.cell], f.normal))
-        r[f.vertices] += qn * f.measure * share
+    fc, fv, fn, fm = mesh.facet_arrays
+    qn = np.einsum("fd,fd->f", q[fc], fn)
+    np.add.at(r, fv.ravel(), np.repeat(qn * fm * share, mesh.dim))
     return r
 
 

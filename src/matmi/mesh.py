@@ -6,6 +6,7 @@ from lower-left to upper-right), the unit cube into 6*n^3 tetrahedra via
 the standard six-tetrahedra subdivision of each grid cube.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -172,6 +173,16 @@ class Mesh:
         if np.dot(normal, mid - self.cell_centroids[cell]) < 0.0:
             normal = -normal
         return normal, measure, mid
+
+    @functools.cached_property
+    def facet_arrays(self):
+        """Boundary facets as arrays (cells, vertices, normals, measures),
+        in `boundary_facets` order; gathered on first use."""
+        bf = self.boundary_facets
+        return (np.array([f.cell for f in bf], dtype=int),
+                np.array([f.vertices for f in bf], dtype=int),
+                np.array([f.normal for f in bf]),
+                np.array([f.measure for f in bf]))
 
     def content_hash(self):
         """SHA-256 over vertex coordinates and connectivity."""

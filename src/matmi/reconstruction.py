@@ -378,7 +378,7 @@ def reconstruct(config):
                              M) / target_norm
 
     adaptive = cfg["picard.adaptive"]
-    H = _h1_matrix(mesh) if adaptive else None
+    H = _h1_matrix(mesh, M)
 
     def residual(gamma):
         """(selection norm, reported L2 norm) of the forward data misfit."""
@@ -386,7 +386,7 @@ def reconstruct(config):
         diff = (forward.nodal_projection.values
                 - data.nodal_projection.values)
         l2 = l2_norm_nodal(mesh, diff, M)
-        h1 = float(np.sqrt(diff @ (H @ diff))) if H is not None else l2
+        h1 = float(np.sqrt(diff @ (H @ diff))) if adaptive else l2
         return h1, l2
 
     gamma = project(gamma0, admissible, boundary_values)
@@ -405,7 +405,8 @@ def reconstruct(config):
             _, E = solve_field(mesh, family, gamma, jacobi=True, M=M)
             problem = TransportProblem(mesh, family, E, data,
                                        boundary_values, gamma_ref=gamma,
-                                       tol_inflow=cfg["tol_inflow"])
+                                       tol_inflow=cfg["tol_inflow"],
+                                       mass=M, h1=H)
             if adaptive:
                 cand, alpha, changes, res = _adaptive_ls_update(
                     problem, opts, alpha, gamma0, admissible,

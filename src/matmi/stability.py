@@ -12,8 +12,7 @@ to the continuum.
 
 import numpy as np
 
-from .fields import (NodalField, interpolate_nodal, l2_norm_cell,
-                     l2_norm_nodal, mass_matrix)
+from .fields import NodalField, l2_norm_cell, l2_norm_nodal, mass_matrix
 from .functional import synthesize
 from .neumann import solve_field
 

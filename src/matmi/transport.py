@@ -84,10 +84,16 @@ class TransportProblem:
         inflow classification (defaults to 1 everywhere).
     tol_inflow : float
         Characteristic-facet tolerance for the inflow classification.
+    mass, h1 : sparse matrix or None
+        The mesh's P1 mass matrix and H1 matrix (`_h1_matrix`), when the
+        caller already holds them; built on first use otherwise.
+
+    The velocity inputs (family, E, gamma_ref) are fixed once the inflow
+    facets have been computed: the facet set is cached per tolerance.
     """
 
     def __init__(self, mesh, family, E, data, inflow_values, gamma_ref=None,
-                 tol_inflow=1e-12):
+                 tol_inflow=1e-12, mass=None, h1=None):
         self.mesh = mesh
         self.family = family
         self.E = E
@@ -97,6 +103,21 @@ class TransportProblem:
             gamma_ref = NodalField(mesh, np.ones(mesh.num_vertices))
         self.gamma_ref = gamma_ref
         self.tol_inflow = float(tol_inflow)
+        self._mass = mass
+        self._h1 = h1
+        self._inflow = None
+
+    @property
+    def mass(self):
+        if self._mass is None:
+            self._mass = mass_matrix(self.mesh)
+        return self._mass
+
+    @property
+    def h1(self):
+        if self._h1 is None:
+            self._h1 = _h1_matrix(self.mesh, self.mass)
+        return self._h1
 
     def gamma_ref_cells(self):
         if isinstance(self.gamma_ref, NodalField):
@@ -105,10 +126,13 @@ class TransportProblem:
 
     def inflow_facets(self):
         """Facets of the inflow boundary for velocity A(gamma_ref) w."""
-        from .functional import flux_field
-        v = flux_field(self.mesh, self.family, self.gamma_ref_cells(), self.E)
-        return classify_inflow(self.mesh, CellField(self.mesh, v),
-                               self.tol_inflow)
+        if self._inflow is None or self._inflow[0] != self.tol_inflow:
+            from .functional import flux_field
+            v = flux_field(self.mesh, self.family, self.gamma_ref_cells(),
+                           self.E)
+            self._inflow = (self.tol_inflow, classify_inflow(
+                self.mesh, CellField(self.mesh, v), self.tol_inflow))
+        return self._inflow[1]
 
 
 def _centroid_xs(mesh):
@@ -436,27 +460,74 @@ def _flux_operator(problem, gamma_bar_c):
     c = np.zeros(nv)
     np.add.at(c, mesh.cells.ravel(), (-vol[:, None] * hdphi).ravel())
 
-    brow, bcol, bval = [], [], []
-    for f in mesh.boundary_facets:
-        gn = float(np.dot(g[f.cell], f.normal)) * f.measure
-        hn = float(np.dot(h[f.cell], f.normal)) * f.measure
-        cell_vs = mesh.cells[f.cell]
-        for v in f.vertices:
-            brow.extend([int(v)] * nloc)
-            bcol.extend(cell_vs.tolist())
-            bval.extend([gn / (mesh.dim * nloc)] * nloc)
-        c[f.vertices] += hn / mesh.dim
-    L = assemble_p1(mesh, ke, extra=(np.array(brow, dtype=int),
-                                     np.array(bcol, dtype=int),
-                                     np.array(bval)))
+    # boundary term: facet f couples each of its vertices with every
+    # vertex of its cell, facet by facet and vertex by vertex
+    fc, fv, fn, fm = mesh.facet_arrays
+    gn = np.einsum("fd,fd->f", g[fc], fn) * fm
+    hn = np.einsum("fd,fd->f", h[fc], fn) * fm
+    brow = np.repeat(fv, nloc, axis=1).ravel()
+    bcol = np.tile(mesh.cells[fc], (1, mesh.dim)).ravel()
+    bval = np.repeat(gn / (mesh.dim * nloc), mesh.dim * nloc)
+    np.add.at(c, fv.ravel(), np.repeat(hn / mesh.dim, mesh.dim))
+    L = assemble_p1(mesh, ke, extra=(brow, bcol, bval))
     return L, c
 
 
-def _h1_matrix(mesh):
-    """Unit-coefficient stiffness plus mass (an H1 inner product)."""
+def _h1_matrix(mesh, M):
+    """Unit-coefficient stiffness plus the mass matrix M (an H1 inner
+    product)."""
     g = mesh.cell_grads
     ke = np.einsum("c,cid,cjd->cij", mesh.cell_volumes, g, g)
-    return assemble_p1(mesh, ke) + mass_matrix(mesh)
+    return assemble_p1(mesh, ke) + M
+
+
+# CG controls for the inner Picard steps after the first: the frozen
+# coefficients move little from step to step, so an earlier step's
+# factor is a near-exact preconditioner.
+_PCG_RTOL = 1e-10
+_PCG_MAXITER = 50
+
+
+def _ls_system(problem, gamma, free, ivals, anchor, alpha):
+    """Free block and right-hand side of the regularized normal equations
+    L^T L + s R, frozen at the iterate gamma (inflow values eliminated).
+
+    Kept in its own scope so that L, N and A are released before the
+    caller solves the step while holding a factorization.
+    """
+    mesh = problem.mesh
+    lo, hi = problem.family.t_range
+    gbar_c = np.clip(NodalField(mesh, gamma).cell_means(), lo, hi)
+    L, c = _flux_operator(problem, gbar_c)
+    b = problem.data.p1_weak - c
+    N = (L.T @ L).tocsr()
+    R = problem.h1
+    scale = alpha * N.diagonal().mean() / R.diagonal().mean()
+    A = N + scale * R
+    rhs = L.T @ b + scale * (R @ anchor)
+    Af = A[free]
+    return Af[:, free], rhs[free] - Af[:, ~free] @ ivals
+
+
+def _factor(Aff, history):
+    """Sparse LU of the symmetric positive definite free block, with a
+    symmetric ordering and no pivoting (safe for SPD matrices)."""
+    try:
+        return spla.splu(Aff.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise TransportError("least-squares factorization failed: %s" % exc,
+                             history)
+
+
+def _pcg(Aff, rhs_f, x0, lu):
+    """CG on Aff x = rhs_f from x0, preconditioned by the factor lu;
+    the solution, or None if it did not converge within the cap."""
+    prec = spla.LinearOperator(Aff.shape, matvec=lu.solve)
+    x, info = spla.cg(Aff, rhs_f, x0=x0, rtol=_PCG_RTOL,
+                      maxiter=_PCG_MAXITER, M=prec)
+    return x if info == 0 else None
 
 
 def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
@@ -471,12 +542,16 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     damps the near-null-space components that arise on closed
     streamlines of the rotational field.  The inner loop only updates
     the frozen coefficients, so it converges at the Picard rate.
+
+    The first step factors its system; later steps run CG warm-started
+    from the current iterate and preconditioned with the latest factor,
+    to a relative residual of _PCG_RTOL, and factor their own system if
+    CG has not converged within _PCG_MAXITER iterations.
     """
     if opts is None:
         opts = PicardOptions()
     mesh = problem.mesh
     nv = mesh.num_vertices
-    lo, hi = problem.family.t_range
 
     inflow = problem.inflow_facets()
     iv = sorted({int(v) for i in inflow
@@ -488,8 +563,7 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
                         dtype=float).ravel()
              if iv.size else np.zeros(0))
 
-    R = _h1_matrix(mesh)
-    M = mass_matrix(mesh)
+    M = problem.mass
     if isinstance(problem.gamma_ref, NodalField):
         gamma = problem.gamma_ref.values.copy()
     else:
@@ -502,18 +576,17 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
         anchor[iv] = ivals
 
     history = []
+    lu = None
     for _ in range(opts.max_outer):
-        gbar_c = np.clip(NodalField(mesh, gamma).cell_means(), lo, hi)
-        L, c = _flux_operator(problem, gbar_c)
-        b = problem.data.p1_weak - c
-        N = (L.T @ L).tocsr()
-        scale = alpha * N.diagonal().mean() / R.diagonal().mean()
-        A = N + scale * R
-        rhs = L.T @ b + scale * (R @ anchor)
-        Aff = A[free][:, free]
-        rhs_f = rhs[free] - A[free][:, ~free] @ ivals
+        Aff, rhs_f = _ls_system(problem, gamma, free, ivals, anchor, alpha)
+        x = None if lu is None else _pcg(Aff, rhs_f, gamma[free], lu)
+        if x is None:
+            lu = None               # release the old factor first
+            lu = _factor(Aff, history)
+            x = lu.solve(rhs_f)
+        del Aff, rhs_f
         new_vals = gamma.copy()
-        new_vals[free] = spla.spsolve(Aff.tocsc(), rhs_f)
+        new_vals[free] = x
         if not np.all(np.isfinite(new_vals)):
             raise TransportError("least-squares Picard produced non-finite "
                                  "values", history)

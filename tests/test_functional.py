@@ -5,8 +5,8 @@ from matmi.anisotropy import builtin
 from matmi.fields import interpolate_nodal, l2_norm_nodal, mass_matrix
 from matmi.functional import (cross_b0, eval_p1, load_functional_data,
                               save_functional_data, synthesize,
-                              write_nodal_csv)
-from matmi.mesh import build_unit_square
+                              weak_p1_from_flux, write_nodal_csv)
+from matmi.mesh import build_unit_cube, build_unit_square
 
 D1 = builtin("D1").with_t_range(0.25, 4.0)
 
@@ -104,3 +104,20 @@ def test_write_nodal_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,value"
     assert len(lines) == 1 + mesh.num_vertices
+
+
+@pytest.mark.parametrize("builder, n", [(build_unit_square, 9),
+                                        (build_unit_cube, 4)])
+def test_weak_p1_boundary_term_matches_facet_loop(builder, n):
+    # the vectorised boundary term adds the same products in the same
+    # order as the per-facet loop, so the weak vector is bit-identical
+    mesh = builder(n)
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((mesh.num_cells, mesh.dim))
+    ref = -np.einsum("c,cid,cd->ci", mesh.cell_volumes, mesh.cell_grads, q)
+    r = np.zeros(mesh.num_vertices)
+    np.add.at(r, mesh.cells.ravel(), ref.ravel())
+    for f in mesh.boundary_facets:
+        qn = float(np.dot(q[f.cell], f.normal))
+        r[f.vertices] += qn * f.measure * (1.0 / mesh.dim)
+    assert np.array_equal(weak_p1_from_flux(mesh, q), r)

@@ -137,3 +137,29 @@ def test_trace_csv_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == "iteration,error_L2,residual,ratio"
+
+
+def test_per_call_invariants_are_built_once(monkeypatch):
+    # the inflow facets are classified once per outer iteration (not once
+    # per candidate weight), and the mass and H1 matrices that reconstruct
+    # holds are reused by every transport solve
+    from matmi import reconstruction as rc
+    from matmi import transport as tr
+    calls = {"classify_inflow": 0, "_h1_matrix": 0, "mass_matrix": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tr, "classify_inflow",
+                        counting("classify_inflow", tr.classify_inflow))
+    h1 = counting("_h1_matrix", tr._h1_matrix)
+    monkeypatch.setattr(tr, "_h1_matrix", h1)
+    monkeypatch.setattr(rc, "_h1_matrix", h1)
+    monkeypatch.setattr(tr, "mass_matrix",
+                        counting("mass_matrix", tr.mass_matrix))
+    trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=2))
+    assert len(trace.iterates) == 2
+    assert calls == {"classify_inflow": 2, "_h1_matrix": 1, "mass_matrix": 0}

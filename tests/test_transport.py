@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from matmi import transport as tr
 from matmi.anisotropy import builtin
 from matmi.fields import (CellField, NodalField, interpolate_nodal,
-                          l2_norm_nodal)
+                          l2_norm_nodal, mass_matrix)
 from matmi.functional import synthesize
-from matmi.mesh import build_unit_square
+from matmi.mesh import build_unit_cube, build_unit_square
 from matmi.neumann import solve_field
+from matmi.presets import get_preset
 
 
 def _uniform_advection_problem(n):
@@ -134,3 +136,144 @@ def test_picard_options_validation():
         tr.PicardOptions(rel_tol=2.0)
     with pytest.raises(ValueError):
         tr.PicardOptions(damping=0.0)
+
+
+def _flux_operator_loop(problem, gamma_bar_c):
+    """_flux_operator with its boundary term assembled facet by facet."""
+    mesh = problem.mesh
+    nloc = mesh.dim + 1
+    vol = mesh.cell_volumes
+    G, H = tr._poly_split_blocks(problem.family, mesh, gamma_bar_c)
+    w3 = tr.cross_b0(problem.E.values)
+    g = np.einsum("cij,cj->ci", G, w3)[:, :mesh.dim]
+    h = np.einsum("cij,cj->ci", H, w3)[:, :mesh.dim]
+    gdphi = np.einsum("cid,cd->ci", mesh.cell_grads, g)
+    hdphi = np.einsum("cid,cd->ci", mesh.cell_grads, h)
+    ke = -(vol[:, None, None] * gdphi[:, :, None]) \
+        * np.full((1, 1, nloc), 1.0 / nloc)
+    c = np.zeros(mesh.num_vertices)
+    np.add.at(c, mesh.cells.ravel(), (-vol[:, None] * hdphi).ravel())
+    brow, bcol, bval = [], [], []
+    for f in mesh.boundary_facets:
+        gn = float(np.dot(g[f.cell], f.normal)) * f.measure
+        hn = float(np.dot(h[f.cell], f.normal)) * f.measure
+        for v in f.vertices:
+            brow.extend([int(v)] * nloc)
+            bcol.extend(mesh.cells[f.cell].tolist())
+            bval.extend([gn / (mesh.dim * nloc)] * nloc)
+        c[f.vertices] += hn / mesh.dim
+    L = tr.assemble_p1(mesh, ke, extra=(np.array(brow, dtype=int),
+                                        np.array(bcol, dtype=int),
+                                        np.array(bval)))
+    return L, c
+
+
+@pytest.mark.parametrize("builder, n, preset",
+                         [(build_unit_square, 9, "example4"),
+                          (build_unit_cube, 4, "example6")])
+def test_flux_operator_matches_facet_loop(builder, n, preset):
+    # the vectorised boundary term keeps the loop's triplet order and
+    # arithmetic, so the operator and its gamma-free part are bit-identical
+    p = get_preset(preset)
+    mesh = builder(n)
+    fam = p.family()
+    gs = interpolate_nodal(mesh, p.gamma_star)
+    _, E = solve_field(mesh, fam, gs, jacobi=True)
+    prob = tr.TransportProblem(mesh, fam, E, None, p.gamma_star)
+    gbar = np.clip(gs.cell_means(), *fam.t_range)
+    L, c = tr._flux_operator(prob, gbar)
+    L_ref, c_ref = _flux_operator_loop(prob, gbar)
+    assert np.array_equal(L.indptr, L_ref.indptr)
+    assert np.array_equal(L.indices, L_ref.indices)
+    assert np.array_equal(L.data, L_ref.data)
+    assert np.array_equal(c, c_ref)
+
+
+def _d4_case(n=16):
+    """First LSQ update of example4 on a coarse mesh: a nonlinear family
+    whose inner Picard loop takes several steps."""
+    p = get_preset("example4")
+    mesh = build_unit_square(n)
+    fam = p.family()
+    ones = NodalField(mesh, np.ones(mesh.num_vertices))
+    data = synthesize(fam, p.gamma_star, mesh, jacobi=True)
+    _, E = solve_field(mesh, fam, ones, jacobi=True)
+    prob = tr.TransportProblem(mesh, fam, E, data, p.gamma_star,
+                               gamma_ref=ones)
+    opts = tr.PicardOptions(max_outer=40, rel_tol=1e-9, accept_last=True)
+    return prob, opts, ones
+
+
+def _reference_ls(prob, opts, alpha, anchor):
+    """The least-squares Picard loop with a direct spsolve per step."""
+    mesh = prob.mesh
+    iv = np.array(sorted({int(v) for i in prob.inflow_facets()
+                          for v in mesh.boundary_facets[i].vertices}),
+                  dtype=int)
+    free = np.ones(mesh.num_vertices, dtype=bool)
+    free[iv] = False
+    ivals = np.asarray(prob.inflow_values(mesh.vertices[iv]), dtype=float)
+    gamma = prob.gamma_ref.values.copy()
+    gamma[iv] = ivals
+    anc = anchor.values.copy()
+    anc[iv] = ivals
+    M = mass_matrix(mesh)
+    steps = 0
+    for _ in range(opts.max_outer):
+        Aff, rhs_f = tr._ls_system(prob, gamma, free, ivals, anc, alpha)
+        new = gamma.copy()
+        new[free] = spla.spsolve(Aff.tocsc(), rhs_f)
+        change = (l2_norm_nodal(mesh, new - gamma, M)
+                  / l2_norm_nodal(mesh, gamma, M))
+        gamma = new
+        steps += 1
+        if change <= opts.rel_tol:
+            break
+    return gamma, steps
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    real = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(tr.spla, "splu", counting)
+    return calls
+
+
+def _assert_matches_reference(sol, ref, steps):
+    assert len(sol.picard_history) == steps
+    assert np.abs(sol.values - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+def test_lagged_factor_matches_direct_picard(monkeypatch):
+    prob, opts, ones = _d4_case()
+    ref, steps = _reference_ls(prob, opts, 1e-2, ones)
+    assert steps >= 4
+    splu_calls = _count_splu(monkeypatch)
+    sol = tr.solve_nonlinear_ls(prob, opts, alpha=1e-2, anchor=ones)
+    _assert_matches_reference(sol, ref, steps)
+    # later steps reuse an earlier factor instead of factoring their own
+    assert len(splu_calls) < steps
+
+
+def test_refactors_when_pcg_gives_up(monkeypatch):
+    prob, opts, ones = _d4_case()
+    ref, steps = _reference_ls(prob, opts, 1e-2, ones)
+    splu_calls = _count_splu(monkeypatch)
+    monkeypatch.setattr(tr, "_pcg", lambda *args: None)
+    sol = tr.solve_nonlinear_ls(prob, opts, alpha=1e-2, anchor=ones)
+    _assert_matches_reference(sol, ref, steps)
+    assert len(splu_calls) == steps
+
+
+def test_factorization_failure_is_a_transport_error(monkeypatch):
+    prob, opts, ones = _d4_case(n=8)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(tr.spla, "splu", singular)
+    with pytest.raises(tr.TransportError, match="factorization failed"):
+        tr.solve_nonlinear_ls(prob, opts, alpha=1e-2, anchor=ones)
