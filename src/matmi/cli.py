@@ -187,7 +187,7 @@ def _verify_preset(name, outdir):
     energy_ok = True
     worst = 0.0
     for it in trace.iterates:
-        u, _ = solve_field(mesh, family, it, jacobi=True, M=M)
+        u, _ = solve_field(mesh, family, it, M=M)
         gn = l2_norm_cell(mesh, u.cell_gradients())
         worst = max(worst, gn / (lam_est * et_norm))
         energy_ok = energy_ok and gn <= lam_est * et_norm
@@ -196,7 +196,7 @@ def _verify_preset(name, outdir):
 
     target_field = interpolate_nodal(mesh, preset.gamma_star)
     try:
-        data = synthesize(family, target_field, mesh, jacobi=True, M=M)
+        data = synthesize(family, target_field, mesh, M=M)
         path = os.path.join(outdir, "data.bin")
         save_functional_data(data, path)
         load_functional_data(mesh, path)

@@ -145,14 +145,16 @@ def level_set_centroid(field, level):
 def interpolate_nodal(mesh, func):
     """NodalField from a function of the coordinates.
 
-    `func` receives an (nv, dim) array and returns (nv,) values, or is
-    applied pointwise if that fails.
+    `func` receives an (nv, dim) array and returns (nv,) values.  It is
+    applied point by point instead if the vectorised call returns another
+    shape or raises what a pointwise-only callable raises on an array
+    (TypeError, IndexError or ValueError); any other error propagates.
     """
     x = mesh.vertices
     try:
         vals = np.asarray(func(x), dtype=float)
-        if vals.shape != (mesh.num_vertices,):
-            raise ValueError
-    except Exception:
+    except (TypeError, IndexError, ValueError):
+        vals = None
+    if vals is None or vals.shape != (mesh.num_vertices,):
         vals = np.array([func(p) for p in x], dtype=float)
     return NodalField(mesh, vals)

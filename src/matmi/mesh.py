@@ -191,12 +191,16 @@ class Mesh:
         h.update(np.ascontiguousarray(self.cells.astype(np.int64)).tobytes())
         return h.hexdigest()
 
+    @functools.cached_property
+    def _boundary_vertices(self):
+        out = np.unique(self.facet_arrays[1])
+        out.flags.writeable = False
+        return out
+
     def boundary_vertex_indices(self):
-        """Sorted array of vertex indices lying on the boundary."""
-        out = set()
-        for f in self.boundary_facets:
-            out.update(int(v) for v in f.vertices)
-        return np.array(sorted(out), dtype=int)
+        """Sorted read-only array of vertex indices lying on the boundary;
+        computed once per mesh."""
+        return self._boundary_vertices
 
 
 def build_unit_square(n):

@@ -10,6 +10,7 @@ E = Etilde + grad u (per cell, exact P1 gradient).
 """
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .fields import CellField, NodalField, assemble_p1, mass_matrix
 
@@ -74,8 +75,8 @@ def conductivity_blocks(mesh, family, gamma):
 
 def _stiffness(mesh, B):
     g = mesh.cell_grads                       # (nc, nloc, dim)
-    return assemble_p1(mesh, np.einsum("c,cid,cde,cje->cij",
-                                       mesh.cell_volumes, g, B, g))
+    vg = g * mesh.cell_volumes[:, None, None]
+    return assemble_p1(mesh, vg @ B @ g.transpose(0, 2, 1))
 
 
 def assemble_stiffness(mesh, family, gamma):
@@ -123,13 +124,28 @@ def load_vector(mesh, f):
     return b
 
 
-def solve_mean_zero(system, tol=1e-10, max_iter=None, jacobi=False):
+def _pinned_factor(K, history):
+    """Sparse LU of K[1:, 1:] (vertex 0 pinned), which is symmetric
+    positive definite: symmetric ordering, no pivoting."""
+    try:
+        return spla.splu(K[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SolverError("factorization of the pinned Neumann system "
+                          "failed: %s" % exc, history)
+
+
+def solve_mean_zero(system, tol=1e-10, max_iter=None):
     """Conjugate gradients on the singular Neumann system.
 
     The constant null-space mode is projected out of the residual at
     every iteration; the returned vector has zero Euclidean mean over the
-    vertices.  Raises SolverError (with the residual history) on
-    non-convergence.
+    vertices.  CG is preconditioned with a sparse factor of the system
+    with vertex 0 pinned, deflated; on mean-zero vectors that is the
+    exact inverse, so CG stops after one or two iterations.  The factor
+    lives only for this call.  Raises SolverError (with the residual
+    history) on non-convergence or a failed factorization.
     """
     K = system.matrix
     n = K.shape[0]
@@ -145,21 +161,19 @@ def solve_mean_zero(system, tol=1e-10, max_iter=None, jacobi=False):
     if bnorm == 0.0:
         return np.zeros(n), [0.0]
 
-    if jacobi:
-        dinv = 1.0 / K.diagonal()
+    history = [1.0]
+    lu = _pinned_factor(K, history)
 
-        def precond(r):
-            return deflate(dinv * r)
-    else:
-        def precond(r):
-            return r
+    def precond(r):
+        z = np.zeros(n)
+        z[1:] = lu.solve(r[1:])
+        return deflate(z)
 
     x = np.zeros(n)
     r = b.copy()
     z = precond(r)
     p = z.copy()
     rz = r @ z
-    history = [1.0]
     for _ in range(max_iter):
         Kp = deflate(K @ p)
         alpha = rz / (p @ Kp)
@@ -174,6 +188,7 @@ def solve_mean_zero(system, tol=1e-10, max_iter=None, jacobi=False):
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
+    del lu            # the traceback of the error keeps this frame alive
     raise SolverError(
         "CG did not reach tol=%g in %d iterations (residual %.3g)"
         % (tol, max_iter, history[-1]), history)
@@ -186,16 +201,14 @@ def electric_field(mesh, u):
     return CellField(mesh, E)
 
 
-def solve_field(mesh, family, gamma, tol=1e-10, max_iter=None, jacobi=False,
-                M=None):
+def solve_field(mesh, family, gamma, tol=1e-10, max_iter=None, M=None):
     """Assemble and solve the Neumann problem; return (u, E).
 
     The potential u is normalized to zero L2 mean using the mass matrix
     (pass a prebuilt one in M to avoid reassembly).
     """
     system = assemble(mesh, family, gamma)
-    vals, _ = solve_mean_zero(system, tol=tol, max_iter=max_iter,
-                              jacobi=jacobi)
+    vals, _ = solve_mean_zero(system, tol=tol, max_iter=max_iter)
     if M is None:
         M = mass_matrix(mesh)
     vol = mesh.cell_volumes.sum()

@@ -352,8 +352,7 @@ def reconstruct(config):
     gamma_star_fn = cfg["gamma_star"]
     if gamma_star_fn is not None:
         target = interpolate_nodal(mesh, gamma_star_fn)
-        data = synthesize(family, target, mesh, refine=cfg["refine"],
-                          jacobi=True, M=M)
+        data = synthesize(family, target, mesh, refine=cfg["refine"], M=M)
         boundary_values = gamma_star_fn
     else:
         target = None
@@ -382,7 +381,7 @@ def reconstruct(config):
 
     def residual(gamma):
         """(selection norm, reported L2 norm) of the forward data misfit."""
-        forward = synthesize(family, gamma, mesh, jacobi=True, M=M)
+        forward = synthesize(family, gamma, mesh, M=M)
         diff = (forward.nodal_projection.values
                 - data.nodal_projection.values)
         l2 = l2_norm_nodal(mesh, diff, M)
@@ -402,7 +401,7 @@ def reconstruct(config):
     for _ in range(cfg["iterations"]):
         t0 = time.perf_counter()
         try:
-            _, E = solve_field(mesh, family, gamma, jacobi=True, M=M)
+            _, E = solve_field(mesh, family, gamma, M=M)
             problem = TransportProblem(mesh, family, E, data,
                                        boundary_values, gamma_ref=gamma,
                                        tol_inflow=cfg["tol_inflow"],

@@ -100,7 +100,7 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None,
     M = mass_matrix(mesh)
     bidx = mesh.boundary_vertex_indices()
     report = StabilityReport(mesh.n, "data")
-    base_data = synthesize(family, base_gamma, mesh, jacobi=True, M=M)
+    base_data = synthesize(family, base_gamma, mesh, M=M)
     base_proj = base_data.nodal_projection.values
     for i, delta in enumerate(perturbations):
         label = labels[i] if labels is not None else "pair%02d" % i
@@ -113,8 +113,7 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None,
             report.skip(label, "perturbed parameter leaves the family "
                                "range [%g, %g]" % family.t_range)
             continue
-        pert_data = synthesize(family, NodalField(mesh, pvals), mesh,
-                               jacobi=True, M=M)
+        pert_data = synthesize(family, NodalField(mesh, pvals), mesh, M=M)
         norm_dg = l2_norm_nodal(mesh, dvals, M)
         norm_df = l2_norm_nodal(
             mesh, pert_data.nodal_projection.values - base_proj, M)
@@ -139,8 +138,8 @@ def field_difference_sweep(family, pairs, mesh, labels=None):
             report.skip(label, "parameter leaves the family range "
                                "[%g, %g]" % family.t_range)
             continue
-        _, E1 = solve_field(mesh, family, g1, jacobi=True, M=M)
-        _, E2 = solve_field(mesh, family, g2, jacobi=True, M=M)
+        _, E1 = solve_field(mesh, family, g1, M=M)
+        _, E2 = solve_field(mesh, family, g2, M=M)
         dvals = g1.values - g2.values
         norm_dg = l2_norm_nodal(mesh, dvals, M)
         norm_de = l2_norm_cell(mesh, E1.values - E2.values)

@@ -42,6 +42,18 @@ def test_interpolate_and_cell_means():
     assert np.allclose(f.cell_means(), want, atol=1e-12)
 
 
+def test_interpolate_falls_back_to_pointwise_only_on_array_errors():
+    mesh = build_unit_square(3)
+    f = interpolate_nodal(mesh, lambda p: 1 + p[0])
+    assert np.allclose(f.values, 1 + mesh.vertices[:, 0])
+
+    def broken(p):
+        raise RuntimeError("bug in a vectorised callable")
+
+    with pytest.raises(RuntimeError, match="vectorised"):
+        interpolate_nodal(mesh, broken)
+
+
 def test_cell_gradients_of_interpolant():
     mesh = build_unit_square(5)
     f = interpolate_nodal(mesh, lambda p: 4 * p[:, 0] - p[:, 1])

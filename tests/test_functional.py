@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from matmi import functional
 from matmi.anisotropy import builtin
 from matmi.fields import interpolate_nodal, l2_norm_nodal, mass_matrix
 from matmi.functional import (cross_b0, eval_p1, load_functional_data,
                               save_functional_data, synthesize,
                               weak_p1_from_flux, write_nodal_csv)
 from matmi.mesh import build_unit_cube, build_unit_square
+from matmi.neumann import SolverError
 
 D1 = builtin("D1").with_t_range(0.25, 4.0)
 
@@ -121,3 +124,31 @@ def test_weak_p1_boundary_term_matches_facet_loop(builder, n):
         qn = float(np.dot(q[f.cell], f.normal))
         r[f.vertices] += qn * f.measure * (1.0 / mesh.dim)
     assert np.array_equal(weak_p1_from_flux(mesh, q), r)
+
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_mass_projection_matches_direct_solve(refine, monkeypatch):
+    solves = []
+    mass_solve = functional._mass_solve
+
+    def recording(M, rhs):
+        x = mass_solve(M, rhs)
+        solves.append((M, rhs, x))
+        return x
+
+    monkeypatch.setattr(functional, "_mass_solve", recording)
+    mesh = build_unit_square(10)
+    data = synthesize(D1, _gamma, mesh, refine=refine)
+    [(M, rhs, x)] = solves
+    assert M.shape[0] == (10 * refine + 1) ** 2
+    if refine == 1:
+        assert np.array_equal(data.nodal_projection.values, x)
+    ref = spla.spsolve(M.tocsc(), rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_unconverged_mass_projection_is_solver_error(monkeypatch):
+    monkeypatch.setattr(functional, "_MASS_MAXITER", 2)
+    with pytest.raises(SolverError, match="mass-matrix CG"):
+        synthesize(D1, _gamma, build_unit_square(8))

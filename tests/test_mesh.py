@@ -59,6 +59,21 @@ def test_boundary_vertex_indices_match_coordinates():
     assert len(bidx) == 4 * 4
 
 
+@pytest.mark.parametrize("builder, n", [(build_unit_square, 7),
+                                        (build_unit_cube, 3)])
+def test_boundary_vertex_indices_match_facet_loop(builder, n):
+    mesh = builder(n)
+    ref = set()
+    for f in mesh.boundary_facets:
+        ref.update(int(v) for v in f.vertices)
+    want = np.array(sorted(ref), dtype=int)
+    bidx = mesh.boundary_vertex_indices()
+    assert np.array_equal(bidx, want) and bidx.dtype == want.dtype
+    assert mesh.boundary_vertex_indices() is bidx
+    with pytest.raises(ValueError):
+        bidx[0] = 0
+
+
 def test_gradients_reproduce_linear_functions():
     mesh = build_unit_square(3)
     # a P1 gradient of an affine function is exact on every cell

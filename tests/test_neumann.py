@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from matmi import neumann
 from matmi.anisotropy import builtin
 from matmi.fields import interpolate_nodal, l2_norm_cell, l2_norm_nodal
 from matmi.functional import cross_b0
-from matmi.mesh import build_unit_square
+from matmi.mesh import build_unit_cube, build_unit_square
 from matmi.neumann import (SolverError, assemble, etilde, electric_field,
                            export_matrix_market, load_vector,
                            solve_mean_zero, solve_field)
+from matmi.presets import get_preset
 
 D1 = builtin("D1").with_t_range(0.25, 4.0)
 
@@ -56,12 +59,37 @@ def test_manufactured_solution_second_order():
     assert order >= 1.9
 
 
-def test_jacobi_preconditioner_agrees():
-    mesh = build_unit_square(10)
-    gamma = interpolate_nodal(mesh, lambda p: 1.0 + 0.5 * p[:, 0])
-    u_plain, _ = solve_field(mesh, D1, gamma, tol=1e-12)
-    u_jac, _ = solve_field(mesh, D1, gamma, tol=1e-12, jacobi=True)
-    assert np.allclose(u_plain.values, u_jac.values, atol=1e-8)
+def _pinned_reference(system):
+    """Mean-zero solution by a direct solve with vertex 0 pinned."""
+    K, b = system.matrix, system.rhs - system.rhs.mean()
+    x = np.zeros(K.shape[0])
+    x[1:] = spla.spsolve(K[1:, 1:].tocsc(), b[1:])
+    return x - x.mean()
+
+
+@pytest.mark.parametrize("builder, n, preset",
+                         [(build_unit_square, 12, "example4"),
+                          (build_unit_cube, 5, "example6")])
+def test_solve_matches_pinned_direct_solve(builder, n, preset):
+    p = get_preset(preset)
+    mesh = builder(n)
+    system = assemble(mesh, p.family(), interpolate_nodal(mesh, p.gamma_star))
+    vals, history = solve_mean_zero(system, tol=1e-10)
+    ref = _pinned_reference(system)
+    assert np.linalg.norm(vals - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the pinned factor is an exact preconditioner: a weak one would
+    # need tens to hundreds of iterations here
+    assert len(history) - 1 <= 3
+
+
+def test_failed_factorization_is_solver_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(neumann.spla, "splu", singular)
+    mesh = build_unit_square(4)
+    with pytest.raises(SolverError, match="exactly singular"):
+        solve_field(mesh, D1, _ones(mesh))
 
 
 def test_electric_field_composition():
@@ -103,8 +131,10 @@ def test_solver_error_carries_history():
     mesh = build_unit_square(8)
     system = assemble(mesh, D1, _ones(mesh))
     system.rhs = load_vector(mesh, lambda p: p[:, 0])
+    # the pinned-factor preconditioner meets any reachable tolerance
+    # within two iterations, so only tol=0 still fails
     with pytest.raises(SolverError) as err:
-        solve_mean_zero(system, tol=1e-14, max_iter=2)
+        solve_mean_zero(system, tol=0.0, max_iter=2)
     assert len(err.value.residuals) > 0
 
 

@@ -178,7 +178,7 @@ def test_flux_operator_matches_facet_loop(builder, n, preset):
     mesh = builder(n)
     fam = p.family()
     gs = interpolate_nodal(mesh, p.gamma_star)
-    _, E = solve_field(mesh, fam, gs, jacobi=True)
+    _, E = solve_field(mesh, fam, gs)
     prob = tr.TransportProblem(mesh, fam, E, None, p.gamma_star)
     gbar = np.clip(gs.cell_means(), *fam.t_range)
     L, c = tr._flux_operator(prob, gbar)
@@ -196,8 +196,8 @@ def _d4_case(n=16):
     mesh = build_unit_square(n)
     fam = p.family()
     ones = NodalField(mesh, np.ones(mesh.num_vertices))
-    data = synthesize(fam, p.gamma_star, mesh, jacobi=True)
-    _, E = solve_field(mesh, fam, ones, jacobi=True)
+    data = synthesize(fam, p.gamma_star, mesh)
+    _, E = solve_field(mesh, fam, ones)
     prob = tr.TransportProblem(mesh, fam, E, data, p.gamma_star,
                                gamma_ref=ones)
     opts = tr.PicardOptions(max_outer=40, rel_tol=1e-9, accept_last=True)
