@@ -108,6 +108,10 @@ def cmd_run(args):
               % (final, trace.initial_error))
     print("final data residual: %.6g (initial %.6g)"
           % (trace.data_residual[-1], trace.initial_residual))
+    if trace.stalled_at is not None:
+        print("stalled: iteration %d of %d rejected every candidate step; "
+              "later iterations repeat its iterate"
+              % (trace.stalled_at, len(trace.iterates)))
     return EXIT_OK
 
 

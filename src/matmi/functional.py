@@ -70,16 +70,21 @@ class FunctionalData:
         this mesh; None when restricted from a finer mesh.
     source_mesh_resolution : int
         Resolution of the mesh the data was generated on.
+    field : CellField or None
+        The electric field E of the Neumann solve when data was generated
+        on this mesh, so a caller need not solve for it again; None when
+        restricted from a finer mesh or loaded from a file (not stored).
     """
 
     def __init__(self, mesh, p1_weak, dg0_weak, nodal_projection, flux,
-                 source_mesh_resolution):
+                 source_mesh_resolution, field=None):
         self.mesh = mesh
         self.p1_weak = p1_weak
         self.dg0_weak = dg0_weak
         self.nodal_projection = nodal_projection
         self.flux = flux
         self.source_mesh_resolution = int(source_mesh_resolution)
+        self.field = field
 
     def boundary_flux_total(self):
         """Total weak integral of F (equals the boundary flux integral)."""
@@ -188,14 +193,16 @@ def _mass_solve(M, rhs):
     return x
 
 
-def synthesize(family, gamma_star, mesh, refine=1, solver_tol=1e-10, M=None):
+def synthesize(family, gamma_star, mesh, refine=1, solver_tol=1e-10, M=None,
+               factor=None):
     """Generate the weak acoustic-source data F(gamma_star) on `mesh`.
 
     gamma_star may be a NodalField on `mesh` or a callable of the vertex
     coordinates.  With refine > 1 the Neumann solve runs on a
     refine-times finer mesh and the nodal projection of F is restricted
     to `mesh` by P1 interpolation at the coarse vertices, avoiding the
-    inverse crime.
+    inverse crime.  `factor` is an optional neumann.NeumannFactor
+    shared with other solves.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
@@ -209,7 +216,8 @@ def synthesize(family, gamma_star, mesh, refine=1, solver_tol=1e-10, M=None):
             gamma = interpolate_nodal(mesh, gamma_star)
         else:
             gamma = gamma_star
-        u, E = solve_field(data_mesh, family, gamma, tol=solver_tol, M=M)
+        u, E = solve_field(data_mesh, family, gamma, tol=solver_tol, M=M,
+                           factor=factor)
         gc = gamma.cell_means() if isinstance(gamma, NodalField) \
             else gamma.values
         q = flux_field(data_mesh, family, gc, E)
@@ -217,7 +225,8 @@ def synthesize(family, gamma_star, mesh, refine=1, solver_tol=1e-10, M=None):
         p1 = weak_p1_from_flux(data_mesh, q)
         dg0 = weak_dg0_from_flux(data_mesh, q, w)
         proj = NodalField(mesh, _mass_solve(M, p1))
-        return FunctionalData(mesh, p1, dg0, proj, CellField(mesh, q), mesh.n)
+        return FunctionalData(mesh, p1, dg0, proj, CellField(mesh, q), mesh.n,
+                              field=E)
 
     builder = build_unit_square if mesh.dim == 2 else build_unit_cube
     fine = builder(mesh.n * refine)
@@ -227,7 +236,8 @@ def synthesize(family, gamma_star, mesh, refine=1, solver_tol=1e-10, M=None):
     else:
         gamma_f = NodalField(fine, eval_p1(gamma_star, fine.vertices))
     Mf = mass_matrix(fine)
-    u, E = solve_field(fine, family, gamma_f, tol=solver_tol, M=Mf)
+    u, E = solve_field(fine, family, gamma_f, tol=solver_tol, M=Mf,
+                       factor=factor)
     q = flux_field(fine, family, gamma_f.cell_means(), E)
     p1_f = weak_p1_from_flux(fine, q)
     proj_f = NodalField(fine, _mass_solve(Mf, p1_f))

@@ -17,10 +17,12 @@ from .fields import CellField, NodalField, assemble_p1, mass_matrix
 __all__ = [
     "SparseSystem",
     "SolverError",
+    "NeumannFactor",
     "etilde",
     "assemble",
     "assemble_stiffness",
     "load_vector",
+    "spd_factor",
     "solve_mean_zero",
     "electric_field",
     "solve_field",
@@ -124,45 +126,52 @@ def load_vector(mesh, f):
     return b
 
 
-def _pinned_factor(K, history):
-    """Sparse LU of K[1:, 1:] (vertex 0 pinned), which is symmetric
-    positive definite: symmetric ordering, no pivoting."""
-    try:
-        return spla.splu(K[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0,
-                         options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError("factorization of the pinned Neumann system "
-                          "failed: %s" % exc, history)
+def spd_factor(A):
+    """Sparse LU of a symmetric positive definite matrix: symmetric
+    ordering and no pivoting (safe for SPD).  Raises scipy's
+    RuntimeError on failure; callers turn it into their own error."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-def solve_mean_zero(system, tol=1e-10, max_iter=None):
-    """Conjugate gradients on the singular Neumann system.
+# CG iterations a lagged factor may take before the solve factors its own
+# matrix; about what one factorization costs in iterations.
+_LAG_MAXITER = 20
+# Relative residual a lagged-factor solve reaches, whatever looser tol
+# the caller asked for.  With its own factor, the single CG iteration of
+# a solve ends at 1e-15 to 5e-13; stopping a lagged solve at tol (1e-10)
+# instead would make results depend on which factor a holder kept, e.g.
+# a field sweep's ratio on the order of its pairs (by 1e-9 relative).
+# The two extra iterations this takes cost far less than a factor.
+_LAG_RTOL = 1e-13
 
-    The constant null-space mode is projected out of the residual at
-    every iteration; the returned vector has zero Euclidean mean over the
-    vertices.  CG is preconditioned with a sparse factor of the system
-    with vertex 0 pinned, deflated; on mean-zero vectors that is the
-    exact inverse, so CG stops after one or two iterations.  The factor
-    lives only for this call.  Raises SolverError (with the residual
-    history) on non-convergence or a failed factorization.
+
+class NeumannFactor:
+    """Holder for the sparse factor of a pinned Neumann matrix.
+
+    A caller that solves several nearby systems (the perturbed parameters
+    of a sweep) creates one holder and passes it to every solve.  The
+    first solve factors its matrix and leaves the factor here; later
+    solves use it as a lagged CG preconditioner and replace it only when
+    CG has not converged within _LAG_MAXITER iterations.  The factor
+    lives as long as the holder does.
     """
-    K = system.matrix
+
+    def __init__(self):
+        self.lu = None
+
+
+def _deflated_cg(K, b, e, lu, tol, max_iter, history):
+    """CG on the mean-zero subspace from zero, preconditioned with the
+    deflated factor lu of the pinned matrix (the exact inverse on
+    mean-zero vectors when lu is the factor of K).  Appends relative
+    residuals to history; returns the solution, or None when tol was not
+    reached within max_iter iterations."""
     n = K.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-    e = np.ones(n) / np.sqrt(n)
+    bnorm = np.linalg.norm(b)
 
     def deflate(v):
         return v - (e @ v) * e
-
-    b = deflate(system.rhs.astype(float))
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), [0.0]
-
-    history = [1.0]
-    lu = _pinned_factor(K, history)
 
     def precond(r):
         z = np.zeros(n)
@@ -183,12 +192,57 @@ def solve_mean_zero(system, tol=1e-10, max_iter=None):
         rel = np.linalg.norm(r) / bnorm
         history.append(rel)
         if rel <= tol:
-            return deflate(x), history
+            return deflate(x)
         z = precond(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    del lu            # the traceback of the error keeps this frame alive
+    return None
+
+
+def solve_mean_zero(system, tol=1e-10, max_iter=None, factor=None):
+    """Conjugate gradients on the singular Neumann system.
+
+    The constant null-space mode is projected out of the residual at
+    every iteration; the returned vector has zero Euclidean mean over the
+    vertices.  CG is preconditioned with a sparse factor of a system
+    with vertex 0 pinned, deflated.  `factor` is a NeumannFactor: when
+    it holds a factor of the right size, CG first runs with that lagged
+    factor (at most _LAG_MAXITER iterations, to a relative residual of
+    min(tol, _LAG_RTOL)); when it is empty or that attempt falls short,
+    the system's own matrix is factored, kept in the holder, and CG runs
+    again from zero (one or two iterations, since the factor is then
+    exact).  Without a holder the factor lives only for this call.
+    Raises SolverError (with the residual history of every attempt) on
+    non-convergence or a failed factorization.
+    """
+    K = system.matrix
+    n = K.shape[0]
+    if max_iter is None:
+        max_iter = 10 * n
+    e = np.ones(n) / np.sqrt(n)
+    b = system.rhs.astype(float)
+    b = b - (e @ b) * e
+    if np.linalg.norm(b) == 0.0:
+        return np.zeros(n), [0.0]
+
+    holder = factor if factor is not None else NeumannFactor()
+    history = [1.0]
+    if holder.lu is not None and holder.lu.shape == (n - 1, n - 1):
+        x = _deflated_cg(K, b, e, holder.lu, min(tol, _LAG_RTOL),
+                         min(max_iter, _LAG_MAXITER), history)
+        if x is not None:
+            return x, history
+    holder.lu = None              # release the old factor first
+    try:
+        holder.lu = spd_factor(K[1:, 1:])
+    except RuntimeError as exc:
+        raise SolverError("factorization of the pinned Neumann system "
+                          "failed: %s" % exc, history)
+    x = _deflated_cg(K, b, e, holder.lu, tol, max_iter, history)
+    if x is not None:
+        return x, history
+    holder.lu = None   # the traceback of the error keeps this frame alive
     raise SolverError(
         "CG did not reach tol=%g in %d iterations (residual %.3g)"
         % (tol, max_iter, history[-1]), history)
@@ -201,14 +255,18 @@ def electric_field(mesh, u):
     return CellField(mesh, E)
 
 
-def solve_field(mesh, family, gamma, tol=1e-10, max_iter=None, M=None):
+def solve_field(mesh, family, gamma, tol=1e-10, max_iter=None, M=None,
+                factor=None):
     """Assemble and solve the Neumann problem; return (u, E).
 
     The potential u is normalized to zero L2 mean using the mass matrix
-    (pass a prebuilt one in M to avoid reassembly).
+    (pass a prebuilt one in M to avoid reassembly).  `factor` is an
+    optional NeumannFactor shared with other solves (see
+    solve_mean_zero).
     """
     system = assemble(mesh, family, gamma)
-    vals, _ = solve_mean_zero(system, tol=tol, max_iter=max_iter)
+    vals, _ = solve_mean_zero(system, tol=tol, max_iter=max_iter,
+                              factor=factor)
     if M is None:
         M = mass_matrix(mesh)
     vol = mesh.cell_volumes.sum()

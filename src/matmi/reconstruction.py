@@ -15,7 +15,7 @@ from .anisotropy import builtin
 from .fields import NodalField, interpolate_nodal, l2_norm_nodal, mass_matrix
 from .functional import load_functional_data, synthesize
 from .mesh import build_unit_cube, build_unit_square
-from .neumann import SolverError, solve_field
+from .neumann import SolverError
 from .transport import (PicardOptions, TransportError, TransportProblem,
                         _h1_matrix, solve_nonlinear_ls)
 
@@ -118,6 +118,9 @@ class ReconTrace:
         self.constraint_log = []      # (grad ratio, alpha norm) per iter
         self.initial_error = float("nan")
         self.initial_residual = float("nan")
+        self.stalled_at = None        # first iteration (1-based) whose
+                                      # adaptive update rejected every
+                                      # candidate; later rows repeat it
 
     def ratios(self):
         """Error contraction factors e_k / e_{k-1} (first vs initial)."""
@@ -302,8 +305,8 @@ def _adaptive_ls_update(problem, opts, alpha, anchor, admissible,
     whose forward data residual is smallest.  A candidate is accepted
     only if it lowers the residual, so the outer loop is monotone in the
     (observable) data misfit even where the plain fixed-point map is
-    locally expansive.  Returns (gamma or None, alpha, history, residual
-    pair of the accepted candidate or None).
+    locally expansive.  Returns (gamma or None, alpha, history,
+    residual_fn result of the accepted candidate or None).
     """
     gamma = problem.gamma_ref
     inner = PicardOptions(max_outer=opts.max_outer, rel_tol=opts.rel_tol,
@@ -380,53 +383,60 @@ def reconstruct(config):
     H = _h1_matrix(mesh, M)
 
     def residual(gamma):
-        """(selection norm, reported L2 norm) of the forward data misfit."""
+        """(selection norm, reported L2 norm) of the forward data misfit,
+        and the field E of gamma that the forward solve computed."""
         forward = synthesize(family, gamma, mesh, M=M)
         diff = (forward.nodal_projection.values
                 - data.nodal_projection.values)
         l2 = l2_norm_nodal(mesh, diff, M)
         h1 = float(np.sqrt(diff @ (H @ diff))) if adaptive else l2
-        return h1, l2
+        return h1, l2, forward.field
 
     gamma = project(gamma0, admissible, boundary_values)
     trace.initial_error = rel_error(gamma)
     try:
-        res_h1, trace.initial_residual = residual(gamma)
+        res_h1, trace.initial_residual, E = residual(gamma)
     except (SolverError, ValueError) as exc:
         raise ReconError("forward solve for the initial residual failed: %s"
                          % exc, trace)
 
     alpha = cfg["picard.alpha"]
     res_l2 = trace.initial_residual
-    for _ in range(cfg["iterations"]):
+    for k in range(cfg["iterations"]):
         t0 = time.perf_counter()
-        try:
-            _, E = solve_field(mesh, family, gamma, M=M)
-            problem = TransportProblem(mesh, family, E, data,
-                                       boundary_values, gamma_ref=gamma,
-                                       tol_inflow=cfg["tol_inflow"],
-                                       mass=M, h1=H)
-            if adaptive:
-                cand, alpha, changes, res = _adaptive_ls_update(
-                    problem, opts, alpha, gamma0, admissible,
-                    boundary_values, residual, res_h1)
-                if cand is not None:
-                    gamma = cand
-                    res_h1, res_l2 = res
-            else:
-                half = solve_nonlinear_ls(problem, opts, alpha=alpha,
-                                          anchor=gamma0)
-                changes = half.picard_history
-                gamma = project(half, admissible, boundary_values)
-                res_h1, res_l2 = residual(gamma)
-            trace.picard_changes.append(list(changes))
-            trace.iterates.append(gamma)
-            trace.error_l2.append(rel_error(gamma))
-            trace.data_residual.append(res_l2)
-            trace.constraint_log.append(
-                admissible.constraint_values(gamma, M))
-            trace.seconds.append(time.perf_counter() - t0)
-        except (SolverError, TransportError, ValueError) as exc:
-            raise ReconError("iteration %d failed: %s"
-                             % (len(trace.iterates) + 1, exc), trace)
+        # Once the adaptive update has rejected every candidate, gamma,
+        # alpha and the residual are unchanged, so each later iteration
+        # would repeat that one exactly: its row is recorded again.
+        if trace.stalled_at is None:
+            try:
+                problem = TransportProblem(mesh, family, E, data,
+                                           boundary_values, gamma_ref=gamma,
+                                           tol_inflow=cfg["tol_inflow"],
+                                           mass=M, h1=H)
+                if adaptive:
+                    cand, alpha, changes, res = _adaptive_ls_update(
+                        problem, opts, alpha, gamma0, admissible,
+                        boundary_values, residual, res_h1)
+                    if cand is None:
+                        trace.stalled_at = k + 1
+                    else:
+                        gamma = cand
+                        res_h1, res_l2, E = res
+                else:
+                    half = solve_nonlinear_ls(problem, opts, alpha=alpha,
+                                              anchor=gamma0)
+                    changes = half.picard_history
+                    gamma = project(half, admissible, boundary_values)
+                    res_h1, res_l2, E = residual(gamma)
+                error = rel_error(gamma)
+                constraints = admissible.constraint_values(gamma, M)
+            except (SolverError, TransportError, ValueError) as exc:
+                raise ReconError("iteration %d failed: %s"
+                                 % (len(trace.iterates) + 1, exc), trace)
+        trace.picard_changes.append(list(changes))
+        trace.iterates.append(gamma)
+        trace.error_l2.append(error)
+        trace.data_residual.append(res_l2)
+        trace.constraint_log.append(constraints)
+        trace.seconds.append(time.perf_counter() - t0)
     return trace

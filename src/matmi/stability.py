@@ -14,7 +14,7 @@ import numpy as np
 
 from .fields import NodalField, l2_norm_cell, l2_norm_nodal, mass_matrix
 from .functional import synthesize
-from .neumann import solve_field
+from .neumann import NeumannFactor, solve_field
 
 __all__ = [
     "StabilityReport",
@@ -94,14 +94,17 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None,
     interior data for base_gamma and base_gamma + delta on the same
     mesh and tabulates ||delta|| / ||F_1 - F_2|| together with the
     gradient-condition value.  Perturbations that push the parameter
-    outside the family's range are skipped with a log entry.
+    outside the family's range are skipped with a log entry.  The field
+    solves share one lagged Neumann factor.
     """
     mesh = mesh if mesh is not None else base_gamma.mesh
     M = mass_matrix(mesh)
     bidx = mesh.boundary_vertex_indices()
     report = StabilityReport(mesh.n, "data")
-    base_data = synthesize(family, base_gamma, mesh, M=M)
-    base_proj = base_data.nodal_projection.values
+    factor = NeumannFactor()
+    # only projections are kept: no field or flux outlives its solve
+    base_proj = synthesize(family, base_gamma, mesh, M=M,
+                           factor=factor).nodal_projection.values
     for i, delta in enumerate(perturbations):
         label = labels[i] if labels is not None else "pair%02d" % i
         dvals = delta.values
@@ -113,10 +116,10 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None,
             report.skip(label, "perturbed parameter leaves the family "
                                "range [%g, %g]" % family.t_range)
             continue
-        pert_data = synthesize(family, NodalField(mesh, pvals), mesh, M=M)
+        pert_proj = synthesize(family, NodalField(mesh, pvals), mesh, M=M,
+                               factor=factor).nodal_projection.values
         norm_dg = l2_norm_nodal(mesh, dvals, M)
-        norm_df = l2_norm_nodal(
-            mesh, pert_data.nodal_projection.values - base_proj, M)
+        norm_df = l2_norm_nodal(mesh, pert_proj - base_proj, M)
         report.add_row(label, norm_dg, norm_df,
                        _grad_condition(mesh, dvals, norm_dg))
     return report
@@ -127,10 +130,15 @@ def field_difference_sweep(family, pairs, mesh, labels=None):
 
     For each pair (gamma_1, gamma_2), solves the Neumann problem for
     both parameters and tabulates ||E_1 - E_2|| / ||gamma_1 - gamma_2||.
-    The report's max_ratio() is the sweep's headline constant.
+    The report's max_ratio() is the sweep's headline constant.  The
+    solves share one lagged Neumann factor, and a second member that is
+    the same object as the previous pair's (pairs built as
+    (base + delta, base)) is solved once.
     """
     M = mass_matrix(mesh)
     report = StabilityReport(mesh.n, "field")
+    factor = NeumannFactor()
+    prev_g2 = prev_E2 = None          # only the last field is kept
     for i, (g1, g2) in enumerate(pairs):
         label = labels[i] if labels is not None else "pair%02d" % i
         if not (_in_range(g1.values, family)
@@ -138,8 +146,11 @@ def field_difference_sweep(family, pairs, mesh, labels=None):
             report.skip(label, "parameter leaves the family range "
                                "[%g, %g]" % family.t_range)
             continue
-        _, E1 = solve_field(mesh, family, g1, M=M)
-        _, E2 = solve_field(mesh, family, g2, M=M)
+        _, E1 = solve_field(mesh, family, g1, M=M, factor=factor)
+        if g2 is not prev_g2:
+            _, prev_E2 = solve_field(mesh, family, g2, M=M, factor=factor)
+            prev_g2 = g2
+        E2 = prev_E2
         dvals = g1.values - g2.values
         norm_dg = l2_norm_nodal(mesh, dvals, M)
         norm_de = l2_norm_cell(mesh, E1.values - E2.values)

@@ -26,6 +26,7 @@ from .fields import (CellField, NodalField, assemble_p1, cell_to_nodal,
                      l2_norm_nodal, mass_matrix)
 from .functional import cross_b0
 from .mesh import classify_inflow
+from .neumann import spd_factor
 
 __all__ = [
     "TransportProblem",
@@ -510,12 +511,9 @@ def _ls_system(problem, gamma, free, ivals, anchor, alpha):
 
 
 def _factor(Aff, history):
-    """Sparse LU of the symmetric positive definite free block, with a
-    symmetric ordering and no pivoting (safe for SPD matrices)."""
+    """Sparse LU of the symmetric positive definite free block."""
     try:
-        return spla.splu(Aff.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0,
-                         options=dict(SymmetricMode=True))
+        return spd_factor(Aff)
     except RuntimeError as exc:
         raise TransportError("least-squares factorization failed: %s" % exc,
                              history)

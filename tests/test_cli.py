@@ -25,6 +25,17 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert "final relative L2 error" in capsys.readouterr().out
 
 
+def test_run_reports_a_stall(tmp_path, capsys):
+    out = str(tmp_path / "artifacts")
+    assert main(["run", "--preset", "example1", "--out", out,
+                 "--n", "6", "--iterations", "4"]) == EXIT_OK
+    assert ("stalled: iteration 3 of 4 rejected every candidate step"
+            in capsys.readouterr().out)
+    code, _ = _run(tmp_path)
+    assert code == EXIT_OK
+    assert "stalled" not in capsys.readouterr().out
+
+
 def test_run_dump_fields_writes_iterates(tmp_path):
     code, outdir = _run(tmp_path, "--dump-fields")
     assert code == EXIT_OK

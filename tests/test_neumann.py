@@ -92,6 +92,73 @@ def test_failed_factorization_is_solver_error(monkeypatch):
         solve_field(mesh, D1, _ones(mesh))
 
 
+def _count_splu(monkeypatch):
+    calls = []
+    real = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(neumann.spla, "splu", counting)
+    return calls
+
+
+def _perturbed_systems(n=12, count=4):
+    """Neumann systems of D1 at gamma = 1 + delta_k for smooth bumps of
+    amplitude up to 0.2, nearby matrices as in a stability sweep."""
+    mesh = build_unit_square(n)
+    out = []
+    for k in range(count):
+        amp = 0.05 * (k + 1)
+        gamma = interpolate_nodal(
+            mesh, lambda p, a=amp: 1.0 + a * np.sin(np.pi * p[:, 0])
+            * np.sin(2 * np.pi * p[:, 1]))
+        out.append(assemble(mesh, D1, gamma))
+    return out
+
+
+def _assert_close(vals, ref):
+    assert np.linalg.norm(vals - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_shared_factor_matches_fresh_solves(monkeypatch):
+    systems = _perturbed_systems()
+    fresh = [solve_mean_zero(s)[0] for s in systems]
+    splu_calls = _count_splu(monkeypatch)
+    holder = neumann.NeumannFactor()
+    for s, ref in zip(systems, fresh):
+        vals, _ = solve_mean_zero(s, factor=holder)
+        _assert_close(vals, ref)
+    # the first solve factors; the others use its factor as preconditioner
+    assert len(splu_calls) == 1
+    assert holder.lu is not None
+
+
+def test_shared_factor_refactors_when_lagged_cg_gives_up(monkeypatch):
+    systems = _perturbed_systems()
+    fresh = [solve_mean_zero(s)[0] for s in systems]
+    splu_calls = _count_splu(monkeypatch)
+    monkeypatch.setattr(neumann, "_LAG_MAXITER", 1)
+    holder = neumann.NeumannFactor()
+    for s, ref in zip(systems, fresh):
+        vals, _ = solve_mean_zero(s, factor=holder)
+        _assert_close(vals, ref)
+    assert len(splu_calls) == len(systems)
+
+
+def test_failed_refactorization_is_solver_error(monkeypatch):
+    first, second = _perturbed_systems(count=2)
+    holder = neumann.NeumannFactor()
+    solve_mean_zero(first, factor=holder)
+    monkeypatch.setattr(neumann, "_LAG_MAXITER", 1)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(neumann.spla, "splu", singular)
+    with pytest.raises(SolverError, match="exactly singular"):
+        solve_mean_zero(second, factor=holder)
+
+
 def test_electric_field_composition():
     mesh = build_unit_square(6)
     u, E = solve_field(mesh, D1, _ones(mesh))

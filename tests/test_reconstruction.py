@@ -163,3 +163,48 @@ def test_per_call_invariants_are_built_once(monkeypatch):
     trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=2))
     assert len(trace.iterates) == 2
     assert calls == {"classify_inflow": 2, "_h1_matrix": 1, "mass_matrix": 0}
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_stalled_run_repeats_the_rejected_row(monkeypatch):
+    # example1 at n=6 rejects every candidate at iteration 3; the state is
+    # then unchanged, so later iterations record that row without solving
+    from matmi import reconstruction as rc
+    lsq = _counting(monkeypatch, rc, "solve_nonlinear_ls")
+    short = reconstruct(ReconConfig(preset="example1", n=6, iterations=3))
+    short_calls = len(lsq)
+    assert short.stalled_at == 3
+    assert short.picard_changes[2] == []
+    assert short.iterates[2] is short.iterates[1]
+    lsq.clear()
+    long = reconstruct(ReconConfig(preset="example1", n=6, iterations=6))
+    assert len(lsq) == short_calls
+    assert long.stalled_at == 3
+    assert long.error_l2[:3] == short.error_l2
+    assert long.data_residual[:3] == short.data_residual
+    for k in range(3, 6):
+        assert long.iterates[k] is long.iterates[2]
+        assert long.error_l2[k] == long.error_l2[2]
+        assert long.data_residual[k] == long.data_residual[2]
+        assert long.picard_changes[k] == []
+        assert long.constraint_log[k] == long.constraint_log[2]
+
+
+def test_accepted_iterate_field_is_not_solved_again(monkeypatch):
+    # one Neumann solve for the data, one per residual evaluation, and
+    # none for the field of an iterate whose residual was evaluated
+    from matmi import neumann
+    solves = _counting(monkeypatch, neumann, "solve_mean_zero")
+    trace = reconstruct(ReconConfig(preset="example2", n=8, iterations=3))
+    assert len(solves) == 1 + 1 + 3
+    assert trace.stalled_at is None

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from matmi import neumann, stability
 from matmi.anisotropy import builtin
 from matmi.fields import NodalField, interpolate_nodal
 from matmi.mesh import build_unit_square
@@ -74,6 +76,70 @@ def test_field_difference_sweep_symmetry():
     a = field_difference_sweep(D1, [(g1, g2)], mesh).rows[0]
     b = field_difference_sweep(D1, [(g2, g1)], mesh).rows[0]
     assert a["C_emp"] == pytest.approx(b["C_emp"], abs=1e-14)
+
+
+def _sweep_pair(monkeypatch, sweep):
+    """A sweep with its shared lagged factor, the same sweep with a fresh
+    factor per solve, and the number of factorizations of the first."""
+    calls = []
+    real = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(neumann.spla, "splu", counting)
+    shared = sweep()
+    count = len(calls)
+    monkeypatch.setattr(stability, "NeumannFactor", lambda: None)
+    return shared, sweep(), count
+
+
+def _assert_rows_match(a, b):
+    assert len(a.rows) == len(b.rows) > 0
+    for ra, rb in zip(a.rows, b.rows):
+        for key in ("norm_dgamma", "norm_ddata", "C_emp"):
+            assert ra[key] == pytest.approx(rb[key], rel=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["data", "field"])
+def test_sweep_shares_one_factor(kind, monkeypatch):
+    mesh = build_unit_square(12)
+    base = _base(mesh)
+    perts = [NodalField(mesh, f(mesh.vertices))
+             for f in smooth_perturbations(4, seed=1)]
+    pairs = [(NodalField(mesh, base.values + p.values), base)
+             for p in perts]
+    if kind == "data":
+        sweep = lambda: stability_sweep(D1, base, perts, mesh=mesh)
+    else:
+        sweep = lambda: field_difference_sweep(D1, pairs, mesh)
+    shared, fresh, factorizations = _sweep_pair(monkeypatch, sweep)
+    _assert_rows_match(shared, fresh)
+    assert factorizations == 1
+
+
+def test_field_sweep_solves_a_shared_pair_member_once(monkeypatch):
+    mesh = build_unit_square(8)
+    base = _base(mesh)
+    perts = [NodalField(mesh, f(mesh.vertices))
+             for f in smooth_perturbations(3, seed=4)]
+    solved = []
+    real = stability.solve_field
+
+    def recording(mesh, family, gamma, **kwargs):
+        solved.append(gamma)
+        return real(mesh, family, gamma, **kwargs)
+    monkeypatch.setattr(stability, "solve_field", recording)
+    shared = [(NodalField(mesh, base.values + p.values), base)
+              for p in perts]
+    field_difference_sweep(D1, shared, mesh)
+    assert sum(g is base for g in solved) == 1
+    assert len(solved) == len(perts) + 1
+    # equal values in distinct objects are solved for each pair
+    solved.clear()
+    field_difference_sweep(D1, [(g1, base.copy()) for g1, _ in shared],
+                           mesh)
+    assert len(solved) == 2 * len(perts)
 
 
 def test_report_csv_layout(tmp_path):
