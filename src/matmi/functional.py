@@ -113,9 +113,9 @@ def weak_p1_from_flux(mesh, q):
     r = np.zeros(mesh.num_vertices)
     np.add.at(r, mesh.cells.ravel(), contrib.ravel())
     share = 1.0 / mesh.dim                    # int_f phi_i ds = |f|/dim
-    fc, fv, fn, fm = mesh.facet_arrays
-    qn = np.einsum("fd,fd->f", q[fc], fn)
-    np.add.at(r, fv.ravel(), np.repeat(qn * fm * share, mesh.dim))
+    qn = np.einsum("fd,fd->f", q[mesh.facet_cells], mesh.facet_normals)
+    np.add.at(r, mesh.facet_vertices.ravel(),
+              np.repeat(qn * mesh.facet_measures * share, mesh.dim))
     return r
 
 
@@ -134,8 +134,9 @@ def weak_dg0_from_flux(mesh, q, w):
     qn = np.einsum("fd,fd->f", q_up, mesh.face_normals) * mesh.face_measures
     np.add.at(r, L, qn)
     np.add.at(r, R, -qn)
-    for f in mesh.boundary_facets:
-        r[f.cell] += float(np.dot(q[f.cell], f.normal)) * f.measure
+    fc = mesh.facet_cells
+    np.add.at(r, fc, np.einsum("fd,fd->f", q[fc], mesh.facet_normals)
+              * mesh.facet_measures)
     return r
 
 
@@ -152,31 +153,33 @@ def weak_dg0_from_nodal(mesh, F):
 
 
 def eval_p1(field, points):
-    """Evaluate a NodalField on a structured mesh at arbitrary points."""
+    """Evaluate a NodalField on a structured mesh at arbitrary points.
+
+    Each point is located among the cells of its grid box: the first
+    cell whose barycentric coordinates are all >= -1e-10 holds it.
+    """
     mesh = field.mesh
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = mesh.n
-    out = np.empty(pts.shape[0])
-    cells_per_box = 2 if mesh.dim == 2 else 6
-    for k, p in enumerate(pts):
-        idx = np.minimum((p * n).astype(int), n - 1)
-        if mesh.dim == 2:
-            box = (idx[0] * n + idx[1]) * 2
-        else:
-            box = ((idx[0] * n + idx[1]) * n + idx[2]) * 6
-        val = None
-        for c in range(box, box + cells_per_box):
-            x = mesh.vertices[mesh.cells[c]]
-            T = (x[1:] - x[0]).T
-            lam = np.linalg.solve(T, p - x[0])
-            bary = np.concatenate([[1.0 - lam.sum()], lam])
-            if np.all(bary >= -1e-10):
-                val = float(bary @ field.values[mesh.cells[c]])
-                break
-        if val is None:
-            raise ValueError("point %s not located in mesh" % (p,))
-        out[k] = val
-    return out
+    n, dim = mesh.n, mesh.dim
+    idx = np.minimum((pts * n).astype(int), n - 1)
+    box = idx[:, 0]
+    for d in range(1, dim):
+        box = box * n + idx[:, d]
+    per_box = 2 if dim == 2 else 6
+    cand = box[:, None] * per_box + np.arange(per_box)   # (np, per_box)
+    x = mesh.vertices[mesh.cells[cand]]       # (np, per_box, dim+1, dim)
+    T = np.swapaxes(x[:, :, 1:] - x[:, :, :1], 2, 3)
+    lam = np.linalg.solve(T, (pts[:, None] - x[:, :, 0])[..., None])[..., 0]
+    bary = np.concatenate([1.0 - lam.sum(axis=2, keepdims=True), lam], axis=2)
+    inside = np.all(bary >= -1e-10, axis=2)
+    located = inside.any(axis=1)
+    if not located.all():
+        raise ValueError("point %s not located in mesh"
+                         % (pts[np.argmin(located)],))
+    rows = np.arange(len(pts))
+    first = inside.argmax(axis=1)
+    vals = field.values[mesh.cells[cand[rows, first]]]
+    return (bary[rows, first][:, None, :] @ vals[:, :, None])[:, 0, 0]
 
 
 def _mass_solve(M, rhs):

@@ -1,9 +1,10 @@
 """Structured simplicial meshes of the unit square and unit cube.
 
-Meshes are immutable after construction: geometry arrays are computed once
-and cached.  The unit square is split into 2*n^2 triangles (diagonal fixed
-from lower-left to upper-right), the unit cube into 6*n^3 tetrahedra via
-the standard six-tetrahedra subdivision of each grid cube.
+Meshes are immutable after construction: every geometry array is built
+once, with whole-array operations, in `__init__`.  The unit square is
+split into 2*n^2 triangles (diagonal fixed from lower-left to
+upper-right), the unit cube into 6*n^3 tetrahedra via the standard
+six-tetrahedra subdivision of each grid cube.
 """
 
 import functools
@@ -13,41 +14,16 @@ import numpy as np
 
 __all__ = [
     "Mesh",
-    "BoundaryFacet",
     "build_unit_square",
     "build_unit_cube",
     "classify_inflow",
 ]
 
 
-class BoundaryFacet:
-    """One boundary facet: an edge (2D) or triangle (3D) of a single cell.
-
-    Attributes
-    ----------
-    cell : int
-        Index of the unique adjacent cell.
-    local_id : int
-        Local facet id in that cell (facet opposite local vertex `local_id`).
-    vertices : ndarray of int
-        Global vertex indices of the facet.
-    normal : ndarray
-        Outward unit normal.
-    measure : float
-        Length (2D) or area (3D).
-    midpoint : ndarray
-        Facet barycenter.
-    """
-
-    __slots__ = ("cell", "local_id", "vertices", "normal", "measure", "midpoint")
-
-    def __init__(self, cell, local_id, vertices, normal, measure, midpoint):
-        self.cell = int(cell)
-        self.local_id = int(local_id)
-        self.vertices = vertices
-        self.normal = normal
-        self.measure = float(measure)
-        self.midpoint = midpoint
+def _rowdot(a, b):
+    """Row-wise dot products of (N, d) arrays; batched matmul rounds each
+    row exactly as np.dot rounds one pair of vectors."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 class Mesh:
@@ -62,7 +38,22 @@ class Mesh:
     vertices : (nv, dim) float array
     cells : (nc, dim+1) int array
         Vertex indices, positively oriented.
-    boundary_facets : list of BoundaryFacet
+    cell_centroids, cell_volumes, cell_grads : cell geometry
+        (nc, dim), (nc,) and (nc, dim+1, dim) P1 basis gradients.
+    facet_cells : (nb,) int array
+        The unique adjacent cell of each boundary facet (an edge in 2D, a
+        triangle in 3D); the facet arrays share this order.
+    facet_vertices : (nb, dim) int array
+        Global vertex indices of each boundary facet, ascending.
+    facet_normals : (nb, dim) float array
+        Outward unit normals.
+    facet_measures, facet_midpoints : (nb,) and (nb, dim) float arrays
+        Length (2D) or area (3D), and barycenter.
+    face_left, face_right : (ni,) int arrays
+        The two cells of each interior face.
+    face_normals, face_measures : (ni, dim) and (ni,) float arrays
+        Unit normal pointing from the left cell into the right one, and
+        measure.
     """
 
     def __init__(self, dim, n, vertices, cells):
@@ -96,93 +87,54 @@ class Mesh:
         g = np.transpose(inv_e, (0, 2, 1))     # (nc, dim, dim): grad lambda_1..dim
         g0 = -g.sum(axis=1, keepdims=True)
         self.cell_grads = np.concatenate([g0, g], axis=1)  # (nc, dim+1, dim)
-        # cell diameter = longest edge
-        nloc = self.dim + 1
-        dmax = np.zeros(self.num_cells)
-        for i in range(nloc):
-            for j in range(i + 1, nloc):
-                d = np.linalg.norm(x[:, i, :] - x[:, j, :], axis=1)
-                dmax = np.maximum(dmax, d)
-        self.cell_diameters = dmax
 
     def _build_faces(self):
-        dim, cells = self.dim, self.cells
+        dim, nv = self.dim, self.num_vertices
         nloc = dim + 1
-        nc = self.num_cells
-        # facet j of a cell = all local vertices except j
+        if nv ** dim >= 2 ** 63:
+            raise ValueError("too many vertices for 64-bit facet keys")
+        # facet j of a cell = all local vertices except j; row c*nloc + j
         keep = [[k for k in range(nloc) if k != j] for j in range(nloc)]
-        fverts = np.stack([cells[:, k] for k in keep], axis=1)  # (nc, nloc, dim)
-        flat = fverts.reshape(nc * nloc, dim)
-        key = np.sort(flat, axis=1)
-        uniq, inv, counts = np.unique(key, axis=0, return_inverse=True,
-                                      return_counts=True)
-        owner_cell = np.repeat(np.arange(nc), nloc)
-        owner_local = np.tile(np.arange(nloc), nc)
-        order = np.argsort(inv, kind="stable")
+        verts = np.sort(self.cells[:, keep].reshape(-1, dim), axis=1)
+        key = verts[:, 0].astype(np.int64)
+        for k in range(1, dim):
+            key = key * nv + verts[:, k]
+        # facets in ascending vertex-tuple order; a stable sort keeps the
+        # lower cell of an interior face first
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        counts = np.diff(np.r_[start, key.size])
+        if np.any(counts > 2):
+            raise ValueError("facet shared by more than two cells")
+        bnd = order[start[counts == 1]]
+        self.facet_cells = bnd // nloc
+        self.facet_vertices = verts[bnd]
+        (self.facet_normals, self.facet_measures,
+         self.facet_midpoints) = self._facet_geometry(self.facet_vertices,
+                                                      self.facet_cells)
+        interior = start[counts == 2]
+        self.face_left = order[interior] // nloc
+        self.face_right = order[interior + 1] // nloc
+        self.face_normals, self.face_measures, _ = self._facet_geometry(
+            verts[order[interior]], self.face_left)
 
-        boundary = []
-        int_left, int_right = [], []
-        int_left_local = []
-        pos = 0
-        for f in range(len(uniq)):
-            c = counts[f]
-            idx = order[pos:pos + c]
-            pos += c
-            if c == 1:
-                boundary.append((owner_cell[idx[0]], owner_local[idx[0]], uniq[f]))
-            elif c == 2:
-                a, b = idx
-                int_left.append((owner_cell[a], owner_local[a]))
-                int_right.append(owner_cell[b])
-                int_left_local.append(uniq[f])
-            else:
-                raise ValueError("facet shared by more than two cells")
-
-        self.boundary_facets = []
-        for i, (c, loc, verts) in enumerate(boundary):
-            normal, measure, mid = self._facet_geometry(verts, c)
-            self.boundary_facets.append(
-                BoundaryFacet(c, loc, verts, normal, measure, mid))
-
-        # internal faces (used by the DG transport solver)
-        nf = len(int_left)
-        self.face_left = np.array([p[0] for p in int_left], dtype=int)
-        self.face_right = np.array(int_right, dtype=int)
-        self.face_normals = np.zeros((nf, dim))
-        self.face_measures = np.zeros(nf)
-        self.face_midpoints = np.zeros((nf, dim))
-        for i, verts in enumerate(int_left_local):
-            normal, measure, mid = self._facet_geometry(verts, self.face_left[i])
-            self.face_normals[i] = normal
-            self.face_measures[i] = measure
-            self.face_midpoints[i] = mid
-
-    def _facet_geometry(self, verts, cell):
-        """Unit normal (pointing away from `cell`), measure and midpoint."""
-        x = self.vertices[verts]
-        mid = x.mean(axis=0)
+    def _facet_geometry(self, verts, cells):
+        """Unit normals (pointing away from `cells`), measures and
+        midpoints of the facets with vertex rows `verts`."""
+        x = self.vertices[verts]               # (nf, dim, dim)
+        mid = x.mean(axis=1)
         if self.dim == 2:
-            t = x[1] - x[0]
-            normal = np.array([t[1], -t[0]])
-            measure = np.linalg.norm(t)
+            t = x[:, 1] - x[:, 0]
+            normal = np.stack([t[:, 1], -t[:, 0]], axis=1)
+            measure = np.sqrt(_rowdot(t, t))
         else:
-            t1, t2 = x[1] - x[0], x[2] - x[0]
-            normal = np.cross(t1, t2)
-            measure = 0.5 * np.linalg.norm(normal)
-        normal = normal / np.linalg.norm(normal)
-        if np.dot(normal, mid - self.cell_centroids[cell]) < 0.0:
-            normal = -normal
+            normal = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
+            measure = 0.5 * np.sqrt(_rowdot(normal, normal))
+        normal = normal / np.sqrt(_rowdot(normal, normal))[:, None]
+        inward = _rowdot(normal, mid - self.cell_centroids[cells]) < 0.0
+        normal[inward] = -normal[inward]
         return normal, measure, mid
-
-    @functools.cached_property
-    def facet_arrays(self):
-        """Boundary facets as arrays (cells, vertices, normals, measures),
-        in `boundary_facets` order; gathered on first use."""
-        bf = self.boundary_facets
-        return (np.array([f.cell for f in bf], dtype=int),
-                np.array([f.vertices for f in bf], dtype=int),
-                np.array([f.normal for f in bf]),
-                np.array([f.measure for f in bf]))
 
     def content_hash(self):
         """SHA-256 over vertex coordinates and connectivity."""
@@ -193,7 +145,7 @@ class Mesh:
 
     @functools.cached_property
     def _boundary_vertices(self):
-        out = np.unique(self.facet_arrays[1])
+        out = np.unique(self.facet_vertices)
         out.flags.writeable = False
         return out
 
@@ -201,6 +153,28 @@ class Mesh:
         """Sorted read-only array of vertex indices lying on the boundary;
         computed once per mesh."""
         return self._boundary_vertices
+
+
+def _grid_vertices(n, dim):
+    coords = np.linspace(0.0, 1.0, n + 1)
+    grids = np.meshgrid(*([coords] * dim), indexing="ij")
+    return np.column_stack([g.ravel() for g in grids])
+
+
+def _grid_cells(n, pattern):
+    """Cells of every grid box, boxes in row-major order: the corner
+    offsets `pattern`, an int array (cells per box, dim+1, dim), are
+    added to each box's lowest vertex."""
+    dim = pattern.shape[-1]
+    lowest = 0
+    for _ in range(dim):
+        lowest = np.add.outer(lowest * (n + 1), np.arange(n))
+    offsets = pattern @ (n + 1) ** np.arange(dim - 1, -1, -1)
+    return (lowest.reshape(-1, 1, 1) + offsets).reshape(-1, dim + 1)
+
+
+_SQUARE_PATTERN = np.array([[(0, 0), (1, 0), (1, 1)],
+                            [(0, 0), (1, 1), (0, 1)]])
 
 
 def build_unit_square(n):
@@ -212,23 +186,7 @@ def build_unit_square(n):
     n = int(n)
     if n < 1:
         raise ValueError("resolution n must be >= 1, got %d" % n)
-    coords = np.linspace(0.0, 1.0, n + 1)
-    X, Y = np.meshgrid(coords, coords, indexing="ij")
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return Mesh(2, n, vertices, np.array(cells, dtype=int))
+    return Mesh(2, n, _grid_vertices(n, 2), _grid_cells(n, _SQUARE_PATTERN))
 
 
 _CUBE_PERMUTATIONS = [
@@ -236,38 +194,32 @@ _CUBE_PERMUTATIONS = [
 ]
 
 
+def _cube_pattern():
+    """Corner offsets of the six tetrahedra of a grid cube: tetrahedron p
+    walks from the lowest corner along the axes in the order of
+    permutation p.  Odd permutations give negative orientation, so their
+    last two corners are swapped."""
+    tets = []
+    for perm in _CUBE_PERMUTATIONS:
+        p = np.zeros((4, 3), dtype=int)
+        for m, ax in enumerate(perm):
+            p[m + 1] = p[m]
+            p[m + 1, ax] += 1
+        if np.linalg.det(p[1:] - p[0]) < 0.0:
+            p[[2, 3]] = p[[3, 2]]
+        tets.append(p)
+    return np.array(tets)
+
+
+_CUBE_PATTERN = _cube_pattern()
+
+
 def build_unit_cube(n):
     """Structured tetrahedralization of [0,1]^3 with 6*n^3 cells."""
     n = int(n)
     if n < 1:
         raise ValueError("resolution n must be >= 1, got %d" % n)
-    coords = np.linspace(0.0, 1.0, n + 1)
-    X, Y, Z = np.meshgrid(coords, coords, coords, indexing="ij")
-    vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for perm in _CUBE_PERMUTATIONS:
-                    p = [base.copy()]
-                    cur = base.copy()
-                    for ax in perm:
-                        cur = cur.copy()
-                        cur[ax] += 1
-                        p.append(cur)
-                    tet = [vid(*q) for q in p]
-                    # odd permutations produce negative orientation
-                    e = np.array([vertices[tet[m]] - vertices[tet[0]]
-                                  for m in (1, 2, 3)])
-                    if np.linalg.det(e) < 0.0:
-                        tet[2], tet[3] = tet[3], tet[2]
-                    cells.append(tet)
-    return Mesh(3, n, vertices, np.array(cells, dtype=int))
+    return Mesh(3, n, _grid_vertices(n, 3), _grid_cells(n, _CUBE_PATTERN))
 
 
 def classify_inflow(mesh, v, tol=1e-12):
@@ -277,23 +229,21 @@ def classify_inflow(mesh, v, tol=1e-12):
     ----------
     v : CellField-like or callable
         Velocity.  A per-cell vector field is evaluated on the facet's
-        adjacent cell; a callable is evaluated at the facet midpoint.
+        adjacent cell; a callable receives the (nb, dim) facet midpoints
+        and returns one velocity row per facet.
     tol : float
         Facets with |v . nu| <= tol are characteristic, not inflow.
 
     Returns
     -------
-    set of int
-        Indices into ``mesh.boundary_facets``.
+    (k,) int array
+        Ascending indices into the mesh's boundary-facet arrays.
     """
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    inflow = set()
-    for i, f in enumerate(mesh.boundary_facets):
-        if callable(v):
-            vec = np.asarray(v(f.midpoint), dtype=float)
-        else:
-            vec = np.asarray(v.values[f.cell], dtype=float)
-        if np.dot(vec[:mesh.dim], f.normal) < -tol:
-            inflow.add(i)
-    return inflow
+    if callable(v):
+        vec = np.asarray(v(mesh.facet_midpoints), dtype=float)
+    else:
+        vec = np.asarray(v.values, dtype=float)[mesh.facet_cells]
+    vn = _rowdot(np.ascontiguousarray(vec[:, :mesh.dim]), mesh.facet_normals)
+    return np.flatnonzero(vn < -tol)

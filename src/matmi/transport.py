@@ -214,23 +214,22 @@ def solve_linear_dg(problem, stagnation_rel=0.05):
     np.add.at(rhs, L, -hn_up)
     np.add.at(rhs, R, hn_up)
 
+    # boundary facets: the inflow trace goes to the right-hand side, the
+    # outflow flux to the diagonal
     inflow = problem.inflow_facets()
-    brow, bcol, bval = [], [], []
-    for i, f in enumerate(mesh.boundary_facets):
-        gn = float(np.dot(g[f.cell], f.normal)) * f.measure
-        hn = float(np.dot(h[f.cell], f.normal)) * f.measure
-        if i in inflow:
-            gstar = float(np.asarray(
-                problem.inflow_values(f.midpoint[None, :])).ravel()[0])
-            rhs[f.cell] -= gn * gstar + hn
-        else:
-            brow.append(f.cell)
-            bcol.append(f.cell)
-            bval.append(gn)
-            rhs[f.cell] -= hn
-    rows.append(np.array(brow, dtype=int))
-    cols.append(np.array(bcol, dtype=int))
-    vals.append(np.array(bval, dtype=float))
+    fc, fn, fm = mesh.facet_cells, mesh.facet_normals, mesh.facet_measures
+    gn = np.einsum("fd,fd->f", g[fc], fn) * fm
+    hn = np.einsum("fd,fd->f", h[fc], fn) * fm
+    bdry = hn.copy()
+    if inflow.size:
+        bdry[inflow] += gn[inflow] * np.asarray(problem.inflow_values(
+            mesh.facet_midpoints[inflow]), dtype=float).ravel()
+    np.subtract.at(rhs, fc, bdry)
+    rest = np.ones(fc.size, dtype=bool)
+    rest[inflow] = False
+    rows.append(fc[rest])
+    cols.append(fc[rest])
+    vals.append(gn[rest])
 
     A = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
@@ -463,9 +462,9 @@ def _flux_operator(problem, gamma_bar_c):
 
     # boundary term: facet f couples each of its vertices with every
     # vertex of its cell, facet by facet and vertex by vertex
-    fc, fv, fn, fm = mesh.facet_arrays
-    gn = np.einsum("fd,fd->f", g[fc], fn) * fm
-    hn = np.einsum("fd,fd->f", h[fc], fn) * fm
+    fc, fv = mesh.facet_cells, mesh.facet_vertices
+    gn = np.einsum("fd,fd->f", g[fc], mesh.facet_normals) * mesh.facet_measures
+    hn = np.einsum("fd,fd->f", h[fc], mesh.facet_normals) * mesh.facet_measures
     brow = np.repeat(fv, nloc, axis=1).ravel()
     bcol = np.tile(mesh.cells[fc], (1, mesh.dim)).ravel()
     bval = np.repeat(gn / (mesh.dim * nloc), mesh.dim * nloc)
@@ -551,10 +550,7 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     mesh = problem.mesh
     nv = mesh.num_vertices
 
-    inflow = problem.inflow_facets()
-    iv = sorted({int(v) for i in inflow
-                 for v in mesh.boundary_facets[i].vertices})
-    iv = np.array(iv, dtype=int)
+    iv = np.unique(mesh.facet_vertices[problem.inflow_facets()])
     free = np.ones(nv, dtype=bool)
     free[iv] = False
     ivals = (np.asarray(problem.inflow_values(mesh.vertices[iv]),

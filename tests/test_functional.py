@@ -4,10 +4,12 @@ import scipy.sparse.linalg as spla
 
 from matmi import functional
 from matmi.anisotropy import builtin
-from matmi.fields import interpolate_nodal, l2_norm_nodal, mass_matrix
+from matmi.fields import (NodalField, interpolate_nodal, l2_norm_nodal,
+                          mass_matrix)
 from matmi.functional import (cross_b0, eval_p1, load_functional_data,
                               save_functional_data, synthesize,
-                              weak_p1_from_flux, write_nodal_csv)
+                              weak_dg0_from_flux, weak_p1_from_flux,
+                              write_nodal_csv)
 from matmi.mesh import build_unit_cube, build_unit_square
 from matmi.neumann import SolverError
 
@@ -99,6 +101,56 @@ def test_eval_p1_reproduces_linear_field():
     assert np.allclose(eval_p1(f, pts), want, atol=1e-12)
 
 
+def _eval_p1_loop(field, points):
+    """eval_p1 locating and evaluating one point at a time."""
+    mesh = field.mesh
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = mesh.n
+    out = np.empty(pts.shape[0])
+    cells_per_box = 2 if mesh.dim == 2 else 6
+    for k, p in enumerate(pts):
+        idx = np.minimum((p * n).astype(int), n - 1)
+        if mesh.dim == 2:
+            box = (idx[0] * n + idx[1]) * 2
+        else:
+            box = ((idx[0] * n + idx[1]) * n + idx[2]) * 6
+        val = None
+        for c in range(box, box + cells_per_box):
+            x = mesh.vertices[mesh.cells[c]]
+            T = (x[1:] - x[0]).T
+            lam = np.linalg.solve(T, p - x[0])
+            bary = np.concatenate([[1.0 - lam.sum()], lam])
+            if np.all(bary >= -1e-10):
+                val = float(bary @ field.values[mesh.cells[c]])
+                break
+        if val is None:
+            raise ValueError("point %s not located in mesh" % (p,))
+        out[k] = val
+    return out
+
+
+@pytest.mark.parametrize("builder, n", [(build_unit_square, 5),
+                                        (build_unit_cube, 3)])
+def test_eval_p1_matches_point_loop(builder, n):
+    # random points, grid vertices, and points on edges and faces shared
+    # by several cells, where the first candidate cell must win
+    mesh = builder(n)
+    rng = np.random.default_rng(5)
+    field = NodalField(mesh, rng.standard_normal(mesh.num_vertices))
+    x = mesh.vertices[mesh.cells]
+    nloc = mesh.dim + 1
+    shared = [0.5 * (x[:, i] + x[:, j])
+              for i in range(nloc) for j in range(i + 1, nloc)]
+    shared += [(x.sum(axis=1) - x[:, j]) / mesh.dim for j in range(nloc)]
+    pts = np.concatenate([rng.random((300, mesh.dim)), mesh.vertices]
+                         + shared)
+    assert np.array_equal(eval_p1(field, pts), _eval_p1_loop(field, pts))
+    outside = np.full((2, mesh.dim), 0.5)
+    outside[1, 0] = 1.5
+    with pytest.raises(ValueError, match="not located"):
+        eval_p1(field, outside)
+
+
 def test_write_nodal_csv(tmp_path):
     mesh = build_unit_square(2)
     f = interpolate_nodal(mesh, lambda p: p[:, 0])
@@ -120,10 +172,39 @@ def test_weak_p1_boundary_term_matches_facet_loop(builder, n):
     ref = -np.einsum("c,cid,cd->ci", mesh.cell_volumes, mesh.cell_grads, q)
     r = np.zeros(mesh.num_vertices)
     np.add.at(r, mesh.cells.ravel(), ref.ravel())
-    for f in mesh.boundary_facets:
-        qn = float(np.dot(q[f.cell], f.normal))
-        r[f.vertices] += qn * f.measure * (1.0 / mesh.dim)
+    for cell, verts, nrm, meas in zip(mesh.facet_cells, mesh.facet_vertices,
+                                      mesh.facet_normals,
+                                      mesh.facet_measures):
+        qn = float(np.dot(q[cell], nrm))
+        r[verts] += qn * meas * (1.0 / mesh.dim)
     assert np.array_equal(weak_p1_from_flux(mesh, q), r)
+
+
+def _weak_dg0_loop(mesh, q, w):
+    """weak_dg0_from_flux with its boundary term added facet by facet."""
+    r = np.zeros(mesh.num_cells)
+    L, R = mesh.face_left, mesh.face_right
+    vn = np.einsum("fd,fd->f", 0.5 * (w[L] + w[R]), mesh.face_normals)
+    q_up = np.where((vn >= 0.0)[:, None], q[L], q[R])
+    qn = np.einsum("fd,fd->f", q_up, mesh.face_normals) * mesh.face_measures
+    np.add.at(r, L, qn)
+    np.add.at(r, R, -qn)
+    for cell, nrm, meas in zip(mesh.facet_cells, mesh.facet_normals,
+                               mesh.facet_measures):
+        r[cell] += float(np.dot(q[cell], nrm)) * meas
+    return r
+
+
+@pytest.mark.parametrize("builder, n", [(build_unit_square, 9),
+                                        (build_unit_cube, 4)])
+def test_weak_dg0_boundary_term_matches_facet_loop(builder, n):
+    # one np.add.at adds the same products in the same order as the loop
+    mesh = builder(n)
+    rng = np.random.default_rng(4)
+    q = rng.standard_normal((mesh.num_cells, mesh.dim))
+    w = rng.standard_normal((mesh.num_cells, mesh.dim))
+    assert np.array_equal(weak_dg0_from_flux(mesh, q, w),
+                          _weak_dg0_loop(mesh, q, w))
 
 
 

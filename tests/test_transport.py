@@ -154,14 +154,16 @@ def _flux_operator_loop(problem, gamma_bar_c):
     c = np.zeros(mesh.num_vertices)
     np.add.at(c, mesh.cells.ravel(), (-vol[:, None] * hdphi).ravel())
     brow, bcol, bval = [], [], []
-    for f in mesh.boundary_facets:
-        gn = float(np.dot(g[f.cell], f.normal)) * f.measure
-        hn = float(np.dot(h[f.cell], f.normal)) * f.measure
-        for v in f.vertices:
+    for cell, verts, nrm, meas in zip(mesh.facet_cells, mesh.facet_vertices,
+                                      mesh.facet_normals,
+                                      mesh.facet_measures):
+        gn = float(np.dot(g[cell], nrm)) * meas
+        hn = float(np.dot(h[cell], nrm)) * meas
+        for v in verts:
             brow.extend([int(v)] * nloc)
-            bcol.extend(mesh.cells[f.cell].tolist())
+            bcol.extend(mesh.cells[cell].tolist())
             bval.extend([gn / (mesh.dim * nloc)] * nloc)
-        c[f.vertices] += hn / mesh.dim
+        c[verts] += hn / mesh.dim
     L = tr.assemble_p1(mesh, ke, extra=(np.array(brow, dtype=int),
                                         np.array(bcol, dtype=int),
                                         np.array(bval)))
@@ -208,7 +210,7 @@ def _reference_ls(prob, opts, alpha, anchor):
     """The least-squares Picard loop with a direct spsolve per step."""
     mesh = prob.mesh
     iv = np.array(sorted({int(v) for i in prob.inflow_facets()
-                          for v in mesh.boundary_facets[i].vertices}),
+                          for v in mesh.facet_vertices[i]}),
                   dtype=int)
     free = np.ones(mesh.num_vertices, dtype=bool)
     free[iv] = False
