@@ -107,9 +107,11 @@ class AnisotropyFamily:
             self._check_range(ts)
         P = self.poly_coeffs(xs)
         out = np.zeros((len(ts), 3, 3))
+        buf = np.empty_like(out)        # one temporary for every power
         tp = np.ones_like(ts)
         for m in range(P.shape[1]):
-            out += P[:, m] * tp[:, None, None]
+            np.multiply(P[:, m], tp[:, None, None], out=buf)
+            out += buf
             tp = tp * ts
         if self._rational_fn is not None:
             out += self._rational_fn(xs, ts)
@@ -123,9 +125,12 @@ class AnisotropyFamily:
             self._check_range(ts)
         P = self.poly_coeffs(xs)
         out = np.zeros((len(ts), 3, 3))
+        buf = np.empty_like(out)
         tp = np.ones_like(ts)
         for m in range(1, P.shape[1]):
-            out += m * P[:, m] * tp[:, None, None]
+            np.multiply(P[:, m], m, out=buf)
+            buf *= tp[:, None, None]
+            out += buf
             tp = tp * ts
         if self._rational_dt_fn is not None:
             out += self._rational_dt_fn(xs, ts)

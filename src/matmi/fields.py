@@ -60,23 +60,18 @@ class CellField:
         return CellField(self.mesh, self.values.copy())
 
 
-def assemble_p1(mesh, local, extra=None):
+def assemble_p1(mesh, local):
     """CSR (nv, nv) matrix summing per-cell local P1 matrices.
 
     local : (nc, nloc, nloc) array; entry [c, i, j] couples vertices
-    cells[c, i] and cells[c, j].  extra : optional COO triplets
-    (rows, cols, vals) appended after the cell entries.
+    cells[c, i] and cells[c, j].  The entries are summed into the mesh's
+    fixed pattern (`Mesh.p1_pattern`), whose index arrays every
+    assembled matrix shares read-only.
     """
-    nloc = mesh.dim + 1
-    rows = np.repeat(mesh.cells, nloc, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, nloc)).ravel()
-    vals = local.ravel()
-    if extra is not None:
-        rows = np.concatenate([rows, extra[0]])
-        cols = np.concatenate([cols, extra[1]])
-        vals = np.concatenate([vals, extra[2]])
+    indptr, indices, slot = mesh.p1_pattern
     nv = mesh.num_vertices
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
+    data = np.bincount(slot, local.ravel(), minlength=indices.size)
+    return sp.csr_matrix((data, indices, indptr), shape=(nv, nv))
 
 
 def mass_matrix(mesh):

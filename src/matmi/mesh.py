@@ -1,7 +1,8 @@
 """Structured simplicial meshes of the unit square and unit cube.
 
 Meshes are immutable after construction: every geometry array is built
-once, with whole-array operations, in `__init__`.  The unit square is
+once, with whole-array operations, in `__init__`, and the P1 matrix
+pattern once, on first use.  The unit square is
 split into 2*n^2 triangles (diagonal fixed from lower-left to
 upper-right), the unit cube into 6*n^3 tetrahedra via the standard
 six-tetrahedra subdivision of each grid cube.
@@ -11,6 +12,7 @@ import functools
 import hashlib
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -54,6 +56,9 @@ class Mesh:
     face_normals, face_measures : (ni, dim) and (ni,) float arrays
         Unit normal pointing from the left cell into the right one, and
         measure.
+    p1_pattern : (indptr, indices, slot)
+        CSR sparsity of the P1 matrices and the scatter of local
+        entries into it; built lazily (`fields.assemble_p1`).
     """
 
     def __init__(self, dim, n, vertices, cells):
@@ -153,6 +158,26 @@ class Mesh:
         """Sorted read-only array of vertex indices lying on the boundary;
         computed once per mesh."""
         return self._boundary_vertices
+
+    @functools.cached_property
+    def p1_pattern(self):
+        """CSR pattern shared by every P1 matrix on the mesh, built on
+        first use: read-only (indptr, indices, slot), where slot[(c*nloc
+        + i)*nloc + j] is the position in `indices` of the coupling of
+        vertex cells[c, i] with vertex cells[c, j]."""
+        nv, nloc = self.num_vertices, self.dim + 1
+        rows = np.repeat(self.cells, nloc, axis=1).ravel()
+        cols = np.tile(self.cells, (1, nloc)).ravel()
+        # canonical CSR: rows ascending, sorted unique columns in each row
+        pat = sp.coo_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
+                            shape=(nv, nv)).tocsr()
+        keys = np.repeat(np.arange(nv, dtype=np.int64) * nv,
+                         np.diff(pat.indptr)) + pat.indices
+        slot = np.searchsorted(keys, rows.astype(np.int64) * nv + cols)
+        out = (pat.indptr, pat.indices, slot.astype(np.int32))
+        for a in out:
+            a.flags.writeable = False
+        return out
 
 
 def _grid_vertices(n, dim):

@@ -18,6 +18,8 @@ checks: an exact transport oracle and the product-rule cross-check of
 the hand-expanded divergence.
 """
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -135,6 +137,26 @@ class TransportProblem:
                 self.mesh, CellField(self.mesh, v), self.tol_inflow))
         return self._inflow[1]
 
+    @functools.cached_property
+    def _flux_invariants(self):
+        return _flux_invariants(self.mesh, self.family, self.E)
+
+    def flux_split(self, gamma_c):
+        """Frozen flux split A(gamma_c) w = gamma_c * g + h per cell.
+
+        Returns the in-plane (g, h), each (nc, dim), with
+        g = sum_{m>=1} gamma_c^(m-1) P_m w and h = P_0 w + R(gamma_c) w,
+        R the family's non-polynomial remainder.
+        """
+        xs, w3, Pw = self._flux_invariants
+        g = np.zeros_like(Pw[0])
+        tp = np.ones_like(gamma_c)
+        for m in range(1, Pw.shape[0]):
+            g += tp[:, None] * Pw[m]
+            tp = tp * gamma_c
+        rat = self.family.rational(xs, gamma_c)[:, :self.mesh.dim]
+        return g, Pw[0] + np.einsum("cij,cj->ci", rat, w3)
+
 
 def _centroid_xs(mesh):
     xs = np.zeros((mesh.num_cells, 3))
@@ -142,22 +164,14 @@ def _centroid_xs(mesh):
     return xs
 
 
-def _poly_split_blocks(family, mesh, gamma_c):
-    """Frozen flux split A(gamma) ~ gamma * G + H per cell.
-
-    G = sum_{m>=1} P_m gamma_c^(m-1), H = P_0 + remainder(gamma_c), so
-    that gamma_c * G + H reproduces A(gamma_c) exactly.  Returns (G, H)
-    as (nc, 3, 3) arrays.
-    """
+def _flux_invariants(mesh, family, E):
+    """The parts of the flux split that do not depend on the parameter:
+    centroid points xs (nc, 3), w = E x B0 (nc, 3) and the in-plane
+    per-power flux vectors (P_m w)[:, :dim], shape (M, nc, dim)."""
     xs = _centroid_xs(mesh)
-    P = family.poly_coeffs(xs)                    # (nc, M, 3, 3)
-    G = np.zeros((mesh.num_cells, 3, 3))
-    tp = np.ones_like(gamma_c)
-    for m in range(1, P.shape[1]):
-        G += P[:, m] * tp[:, None, None]
-        tp = tp * gamma_c
-    H = P[:, 0] + family.rational(xs, gamma_c)
-    return G, H
+    w3 = cross_b0(E.values)
+    P = family.poly_coeffs(xs)[:, :, :mesh.dim]   # (nc, M, dim, 3)
+    return xs, w3, np.einsum("cmij,cj->mci", P, w3)
 
 
 # -- DG0 upwind ---------------------------------------------------------
@@ -174,18 +188,13 @@ def solve_linear_dg(problem, stagnation_rel=0.05):
     filled by averaging their face neighbors instead.
     """
     mesh, family = problem.mesh, problem.family
-    xs = _centroid_xs(mesh)
-    P = family.poly_coeffs(xs)
-    if P.shape[1] > 2 or family.rational(xs[:1], np.array([1.0])).any():
+    xs, w3, Pw = problem._flux_invariants
+    if Pw.shape[0] > 2 or family.rational(xs[:1], np.array([1.0])).any():
         raise TransportError(
             "family %r is nonlinear in the parameter; use solve_nonlinear_ls"
             % family.name)
-    G = P[:, 1] if P.shape[1] == 2 else np.zeros((mesh.num_cells, 3, 3))
-    H = P[:, 0]
-    w3 = cross_b0(problem.E.values)               # (nc, 3)
     w = w3[:, :mesh.dim]
-    g = np.einsum("cij,cj->ci", G, w3)[:, :mesh.dim]
-    h = np.einsum("cij,cj->ci", H, w3)[:, :mesh.dim]
+    g, h = problem.flux_split(np.zeros(mesh.num_cells))
 
     zero_vel = np.where(np.linalg.norm(g, axis=1) < 1e-14)[0]
     if zero_vel.size == mesh.num_cells:
@@ -445,32 +454,27 @@ def _flux_operator(problem, gamma_bar_c):
     same-mesh data exactly.  Returns (L, c) with c the gamma-free part.
     """
     mesh = problem.mesh
-    nloc = mesh.dim + 1
-    nv = mesh.num_vertices
+    dim, nloc = mesh.dim, mesh.dim + 1
     vol = mesh.cell_volumes
-    G, H = _poly_split_blocks(problem.family, mesh, gamma_bar_c)
-    w3 = cross_b0(problem.E.values)
-    g = np.einsum("cij,cj->ci", G, w3)[:, :mesh.dim]
-    h = np.einsum("cij,cj->ci", H, w3)[:, :mesh.dim]
+    g, h = problem.flux_split(gamma_bar_c)
 
     gdphi = np.einsum("cid,cd->ci", mesh.cell_grads, g)   # (nc, nloc)
     hdphi = np.einsum("cid,cd->ci", mesh.cell_grads, h)
     ke = -(vol[:, None, None] * gdphi[:, :, None]) \
         * np.full((1, 1, nloc), 1.0 / nloc)
-    c = np.zeros(nv)
+    c = np.zeros(mesh.num_vertices)
     np.add.at(c, mesh.cells.ravel(), (-vol[:, None] * hdphi).ravel())
 
-    # boundary term: facet f couples each of its vertices with every
-    # vertex of its cell, facet by facet and vertex by vertex
+    # boundary term: facet f adds gn_f / (dim * nloc) to the local rows of
+    # its dim vertices in its cell, facet by facet
     fc, fv = mesh.facet_cells, mesh.facet_vertices
     gn = np.einsum("fd,fd->f", g[fc], mesh.facet_normals) * mesh.facet_measures
     hn = np.einsum("fd,fd->f", h[fc], mesh.facet_normals) * mesh.facet_measures
-    brow = np.repeat(fv, nloc, axis=1).ravel()
-    bcol = np.tile(mesh.cells[fc], (1, mesh.dim)).ravel()
-    bval = np.repeat(gn / (mesh.dim * nloc), mesh.dim * nloc)
-    np.add.at(c, fv.ravel(), np.repeat(hn / mesh.dim, mesh.dim))
-    L = assemble_p1(mesh, ke, extra=(brow, bcol, bval))
-    return L, c
+    on_facet = (mesh.cells[fc][:, :, None] == fv[:, None, :]).any(axis=2)
+    np.add.at(ke, fc, on_facet[:, :, None]
+              * (gn / (dim * nloc))[:, None, None])
+    np.add.at(c, fv.ravel(), np.repeat(hn / dim, dim))
+    return assemble_p1(mesh, ke), c
 
 
 def _h1_matrix(mesh, M):
@@ -488,25 +492,43 @@ _PCG_RTOL = 1e-10
 _PCG_MAXITER = 50
 
 
-def _ls_system(problem, gamma, free, ivals, anchor, alpha):
-    """Free block and right-hand side of the regularized normal equations
-    L^T L + s R, frozen at the iterate gamma (inflow values eliminated).
-
-    Kept in its own scope so that L, N and A are released before the
-    caller solves the step while holding a factorization.
+def _ls_system(problem, gamma, pinned, anchor, alpha):
+    """One step of the regularized normal equations
+    (L^T L + scale R) x = L^T b + scale R anchor, frozen at the iterate
+    gamma, with the inflow values `pinned` (zero on the free unknowns)
+    moved to the right-hand side.  Returns (L, rhs, scale); the normal
+    matrix itself is formed only to be factored (`_normal_matrix`).
     """
     mesh = problem.mesh
     lo, hi = problem.family.t_range
     gbar_c = np.clip(NodalField(mesh, gamma).cell_means(), lo, hi)
     L, c = _flux_operator(problem, gbar_c)
-    b = problem.data.p1_weak - c
-    N = (L.T @ L).tocsr()
     R = problem.h1
-    scale = alpha * N.diagonal().mean() / R.diagonal().mean()
-    A = N + scale * R
-    rhs = L.T @ b + scale * (R @ anchor)
-    Af = A[free]
-    return Af[:, free], rhs[free] - Af[:, ~free] @ ivals
+    # diag(L^T L) holds the squared norms of the columns of L
+    diag_n = np.bincount(L.indices, L.data ** 2, minlength=mesh.num_vertices)
+    scale = alpha * diag_n.mean() / R.diagonal().mean()
+    rhs = (L.T @ (problem.data.p1_weak - c - L @ pinned)
+           + scale * (R @ (anchor - pinned)))
+    return L, rhs, scale
+
+
+def _normal_matrix(L, R, scale, free):
+    """Free block of L^T L + scale R as an explicit CSR matrix."""
+    A = (L.T @ L).tocsr() + scale * R
+    return A[free][:, free]
+
+
+def _normal_operator(L, R, scale, free):
+    """Free block of L^T L + scale R as a LinearOperator that applies L,
+    L^T and R to the free values scattered into a full vector."""
+    nf = np.count_nonzero(free)
+    LT = L.T
+
+    def matvec(x):
+        xh = np.zeros(L.shape[1])
+        xh[free] = np.ravel(x)
+        return (LT @ (L @ xh) + scale * (R @ xh))[free]
+    return spla.LinearOperator((nf, nf), matvec=matvec, dtype=float)
 
 
 def _factor(Aff, history):
@@ -540,10 +562,11 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     streamlines of the rotational field.  The inner loop only updates
     the frozen coefficients, so it converges at the Picard rate.
 
-    The first step factors its system; later steps run CG warm-started
-    from the current iterate and preconditioned with the latest factor,
-    to a relative residual of _PCG_RTOL, and factor their own system if
-    CG has not converged within _PCG_MAXITER iterations.
+    The first step forms its normal matrix and factors it; later steps
+    run CG warm-started from the current iterate and preconditioned with
+    the latest factor, to a relative residual of _PCG_RTOL, applying the
+    normal matrix through L and R without forming L^T L, and factor their
+    own system if CG has not converged within _PCG_MAXITER iterations.
     """
     if opts is None:
         opts = PicardOptions()
@@ -569,16 +592,20 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
         anchor = anchor.values.copy()
         anchor[iv] = ivals
 
+    R = problem.h1
+    pinned = np.zeros(nv)
+    pinned[iv] = ivals
     history = []
     lu = None
     for _ in range(opts.max_outer):
-        Aff, rhs_f = _ls_system(problem, gamma, free, ivals, anchor, alpha)
-        x = None if lu is None else _pcg(Aff, rhs_f, gamma[free], lu)
+        L, rhs, scale = _ls_system(problem, gamma, pinned, anchor, alpha)
+        rhs_f = rhs[free]
+        x = None if lu is None else _pcg(
+            _normal_operator(L, R, scale, free), rhs_f, gamma[free], lu)
         if x is None:
             lu = None               # release the old factor first
-            lu = _factor(Aff, history)
+            lu = _factor(_normal_matrix(L, R, scale, free), history)
             x = lu.solve(rhs_f)
-        del Aff, rhs_f
         new_vals = gamma.copy()
         new_vals[free] = x
         if not np.all(np.isfinite(new_vals)):

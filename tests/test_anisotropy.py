@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from matmi.anisotropy import (builtin, check_admissibility, eval_A,
-                              eval_dA_dt, polynomial_family)
+from matmi.anisotropy import (BUILTIN_NAMES, builtin, check_admissibility,
+                              eval_A, eval_dA_dt, polynomial_family)
 
 ORIGIN = np.zeros(3)
 
@@ -45,6 +45,30 @@ def test_d5_d6_spatial_off_diagonal():
     A6 = eval_A(builtin("D6"), x, t)
     assert A6[0, 1] == pytest.approx(
         0.25 * ((0.3 - 0.5) ** 2 + (0.7 - 0.5) ** 2) * t, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_many_evaluations_match_the_per_power_expression(name):
+    # the in-place accumulation rounds exactly as one temporary per power
+    fam = builtin(name)
+    rng = np.random.default_rng(7)
+    xs = np.column_stack([rng.random((200, 2)), np.zeros(200)])
+    ts = rng.uniform(*fam.t_range, 200)
+    P = fam.poly_coeffs(xs)
+    A = np.zeros((200, 3, 3))
+    dA = np.zeros((200, 3, 3))
+    tp = np.ones_like(ts)
+    for m in range(P.shape[1]):
+        A += P[:, m] * tp[:, None, None]
+        tp = tp * ts
+    tp = np.ones_like(ts)
+    for m in range(1, P.shape[1]):
+        dA += m * P[:, m] * tp[:, None, None]
+        tp = tp * ts
+    A += fam.rational(xs, ts)
+    dA += fam.rational_dt(xs, ts)
+    assert np.array_equal(fam.eval_many(xs, ts), A)
+    assert np.array_equal(fam.deriv_t_many(xs, ts), dA)
 
 
 def test_derivative_matches_difference_quotient():

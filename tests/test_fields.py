@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from matmi.fields import (CellField, NodalField, cell_to_nodal,
+from matmi.fields import (CellField, NodalField, assemble_p1, cell_to_nodal,
                           interpolate_nodal, l2_norm_cell, l2_norm_nodal,
                           level_set_centroid, mass_matrix, nodal_to_cell)
-from matmi.mesh import build_unit_cube, build_unit_square
+from matmi.mesh import Mesh, build_unit_cube, build_unit_square
 
 
 def test_nodal_field_shape_checked():
@@ -18,6 +19,44 @@ def test_mass_matrix_integrates_one():
     M = mass_matrix(mesh)
     ones = np.ones(mesh.num_vertices)
     assert ones @ (M @ ones) == pytest.approx(1.0, abs=1e-12)
+
+
+def _local_matrices(mesh, kind):
+    nloc = mesh.dim + 1
+    vol = mesh.cell_volumes[:, None, None]
+    if kind == "mass":
+        return vol * (np.ones((nloc, nloc)) + np.eye(nloc)) / (nloc * (nloc + 1))
+    if kind == "stiffness":
+        g = mesh.cell_grads
+        return vol * g @ g.transpose(0, 2, 1)
+    return np.random.default_rng(5).standard_normal((mesh.num_cells, nloc,
+                                                     nloc))
+
+
+@pytest.mark.parametrize("kind", ["mass", "stiffness", "random"])
+@pytest.mark.parametrize("builder, n, shuffle",
+                         [(build_unit_square, 6, False),
+                          (build_unit_square, 6, True),
+                          (build_unit_cube, 3, False),
+                          (build_unit_cube, 3, True)])
+def test_assemble_p1_matches_coo_conversion(builder, n, shuffle, kind):
+    # the fixed pattern gives the COO-to-CSR result; only the order in
+    # which duplicate entries are summed differs
+    mesh = builder(n)
+    if shuffle:
+        perm = np.random.default_rng(11).permutation(mesh.num_cells)
+        mesh = Mesh(mesh.dim, n, mesh.vertices, mesh.cells[perm])
+    local = _local_matrices(mesh, kind)
+    nloc, nv = mesh.dim + 1, mesh.num_vertices
+    rows = np.repeat(mesh.cells, nloc, axis=1).ravel()
+    cols = np.tile(mesh.cells, (1, nloc)).ravel()
+    ref = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    A = assemble_p1(mesh, local)
+    assert A.shape == (nv, nv)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.abs(A.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+    assert mesh.p1_pattern is mesh.p1_pattern
 
 
 def test_l2_norm_of_linear_function():

@@ -140,12 +140,14 @@ def test_trace_csv_is_deterministic(tmp_path):
 
 
 def test_per_call_invariants_are_built_once(monkeypatch):
-    # the inflow facets are classified once per outer iteration (not once
-    # per candidate weight), and the mass and H1 matrices that reconstruct
-    # holds are reused by every transport solve
+    # the inflow facets and the flux invariants are built once per outer
+    # iteration (not once per candidate weight), the mass and H1 matrices
+    # that reconstruct holds are reused by every transport solve, and the
+    # normal matrix is formed only on the steps that factor it
     from matmi import reconstruction as rc
     from matmi import transport as tr
-    calls = {"classify_inflow": 0, "_h1_matrix": 0, "mass_matrix": 0}
+    calls = {"classify_inflow": 0, "_h1_matrix": 0, "mass_matrix": 0,
+             "_flux_invariants": 0, "_normal_matrix": 0, "spd_factor": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -160,9 +162,14 @@ def test_per_call_invariants_are_built_once(monkeypatch):
     monkeypatch.setattr(rc, "_h1_matrix", h1)
     monkeypatch.setattr(tr, "mass_matrix",
                         counting("mass_matrix", tr.mass_matrix))
+    for name in ("_flux_invariants", "_normal_matrix", "spd_factor"):
+        monkeypatch.setattr(tr, name, counting(name, getattr(tr, name)))
     trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=2))
     assert len(trace.iterates) == 2
-    assert calls == {"classify_inflow": 2, "_h1_matrix": 1, "mass_matrix": 0}
+    factored = calls.pop("spd_factor")
+    assert factored >= 6
+    assert calls == {"classify_inflow": 2, "_h1_matrix": 1, "mass_matrix": 0,
+                     "_flux_invariants": 2, "_normal_matrix": factored}
 
 
 def _counting(monkeypatch, module, name):

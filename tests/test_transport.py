@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from matmi import transport as tr
-from matmi.anisotropy import builtin
+from matmi.anisotropy import BUILTIN_NAMES, builtin
 from matmi.fields import (CellField, NodalField, interpolate_nodal,
                           l2_norm_nodal, mass_matrix)
 from matmi.functional import synthesize
@@ -139,42 +139,35 @@ def test_picard_options_validation():
 
 
 def _flux_operator_loop(problem, gamma_bar_c):
-    """_flux_operator with its boundary term assembled facet by facet."""
+    """_flux_operator with its boundary term folded into the local
+    matrices facet by facet and vertex by vertex."""
     mesh = problem.mesh
     nloc = mesh.dim + 1
     vol = mesh.cell_volumes
-    G, H = tr._poly_split_blocks(problem.family, mesh, gamma_bar_c)
-    w3 = tr.cross_b0(problem.E.values)
-    g = np.einsum("cij,cj->ci", G, w3)[:, :mesh.dim]
-    h = np.einsum("cij,cj->ci", H, w3)[:, :mesh.dim]
+    g, h = problem.flux_split(gamma_bar_c)
     gdphi = np.einsum("cid,cd->ci", mesh.cell_grads, g)
     hdphi = np.einsum("cid,cd->ci", mesh.cell_grads, h)
     ke = -(vol[:, None, None] * gdphi[:, :, None]) \
         * np.full((1, 1, nloc), 1.0 / nloc)
     c = np.zeros(mesh.num_vertices)
     np.add.at(c, mesh.cells.ravel(), (-vol[:, None] * hdphi).ravel())
-    brow, bcol, bval = [], [], []
     for cell, verts, nrm, meas in zip(mesh.facet_cells, mesh.facet_vertices,
                                       mesh.facet_normals,
                                       mesh.facet_measures):
         gn = float(np.dot(g[cell], nrm)) * meas
         hn = float(np.dot(h[cell], nrm)) * meas
         for v in verts:
-            brow.extend([int(v)] * nloc)
-            bcol.extend(mesh.cells[cell].tolist())
-            bval.extend([gn / (mesh.dim * nloc)] * nloc)
+            i = mesh.cells[cell].tolist().index(int(v))
+            ke[cell, i, :] += gn / (mesh.dim * nloc)
         c[verts] += hn / mesh.dim
-    L = tr.assemble_p1(mesh, ke, extra=(np.array(brow, dtype=int),
-                                        np.array(bcol, dtype=int),
-                                        np.array(bval)))
-    return L, c
+    return tr.assemble_p1(mesh, ke), c
 
 
 @pytest.mark.parametrize("builder, n, preset",
                          [(build_unit_square, 9, "example4"),
                           (build_unit_cube, 4, "example6")])
 def test_flux_operator_matches_facet_loop(builder, n, preset):
-    # the vectorised boundary term keeps the loop's triplet order and
+    # the vectorised boundary term keeps the loop's facet order and
     # arithmetic, so the operator and its gamma-free part are bit-identical
     p = get_preset(preset)
     mesh = builder(n)
@@ -189,6 +182,22 @@ def test_flux_operator_matches_facet_loop(builder, n, preset):
     assert np.array_equal(L.indices, L_ref.indices)
     assert np.array_equal(L.data, L_ref.data)
     assert np.array_equal(c, c_ref)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_flux_split_reproduces_the_flux(name):
+    fam = builtin(name)
+    mesh = build_unit_square(6)
+    rng = np.random.default_rng(3)
+    E = CellField(mesh, rng.standard_normal((mesh.num_cells, 3)))
+    prob = tr.TransportProblem(mesh, fam, E, None, None)
+    gc = rng.uniform(*fam.t_range, mesh.num_cells)
+    g, h = prob.flux_split(gc)
+    xs = np.column_stack([mesh.cell_centroids, np.zeros(mesh.num_cells)])
+    want = np.einsum("cij,cj->ci", fam.eval_many(xs, gc),
+                     tr.cross_b0(E.values))[:, :2]
+    got = gc[:, None] * g + h
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _d4_case(n=16):
@@ -207,7 +216,9 @@ def _d4_case(n=16):
 
 
 def _reference_ls(prob, opts, alpha, anchor):
-    """The least-squares Picard loop with a direct spsolve per step."""
+    """The least-squares Picard loop with the normal matrix formed
+    explicitly, the inflow values eliminated from it, and a direct
+    spsolve per step."""
     mesh = prob.mesh
     iv = np.array(sorted({int(v) for i in prob.inflow_facets()
                           for v in mesh.facet_vertices[i]}),
@@ -220,11 +231,20 @@ def _reference_ls(prob, opts, alpha, anchor):
     anc = anchor.values.copy()
     anc[iv] = ivals
     M = mass_matrix(mesh)
+    R = prob.h1
     steps = 0
     for _ in range(opts.max_outer):
-        Aff, rhs_f = tr._ls_system(prob, gamma, free, ivals, anc, alpha)
+        gbar = np.clip(NodalField(mesh, gamma).cell_means(),
+                       *prob.family.t_range)
+        L, c = tr._flux_operator(prob, gbar)
+        N = (L.T @ L).tocsr()
+        scale = alpha * N.diagonal().mean() / R.diagonal().mean()
+        A = N + scale * R
+        rhs = L.T @ (prob.data.p1_weak - c) + scale * (R @ anc)
+        Af = A[free]
         new = gamma.copy()
-        new[free] = spla.spsolve(Aff.tocsc(), rhs_f)
+        new[free] = spla.spsolve(Af[:, free].tocsc(),
+                                 rhs[free] - Af[:, ~free] @ ivals)
         change = (l2_norm_nodal(mesh, new - gamma, M)
                   / l2_norm_nodal(mesh, gamma, M))
         gamma = new
@@ -258,6 +278,40 @@ def test_lagged_factor_matches_direct_picard(monkeypatch):
     sol = tr.solve_nonlinear_ls(prob, opts, alpha=1e-2, anchor=ones)
     _assert_matches_reference(sol, ref, steps)
     # later steps reuse an earlier factor instead of factoring their own
+    assert len(splu_calls) < steps
+
+
+def _with_inflow(prob):
+    """Declare every facet on x = 0 inflow (the flux classifies none)."""
+    facets = np.flatnonzero(prob.mesh.facet_normals[:, 0] < -0.5)
+    prob.inflow_facets = lambda: facets
+
+
+def test_normal_operator_matches_explicit_matrix():
+    prob, opts, ones = _d4_case()
+    _with_inflow(prob)
+    mesh = prob.mesh
+    iv = np.unique(mesh.facet_vertices[prob.inflow_facets()])
+    free = np.ones(mesh.num_vertices, dtype=bool)
+    free[iv] = False
+    assert 0 < iv.size < mesh.num_vertices
+    gbar = np.clip(ones.cell_means(), *prob.family.t_range)
+    L, _ = tr._flux_operator(prob, gbar)
+    Aff = tr._normal_matrix(L, prob.h1, 0.3, free)
+    op = tr._normal_operator(L, prob.h1, 0.3, free)
+    x = np.random.default_rng(2).standard_normal(np.count_nonzero(free))
+    want = Aff @ x
+    assert op.shape == Aff.shape
+    assert np.abs(op @ x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_inflow_elimination_matches_direct_picard(monkeypatch):
+    prob, opts, ones = _d4_case()
+    _with_inflow(prob)
+    ref, steps = _reference_ls(prob, opts, 1e-2, ones)
+    splu_calls = _count_splu(monkeypatch)
+    sol = tr.solve_nonlinear_ls(prob, opts, alpha=1e-2, anchor=ones)
+    _assert_matches_reference(sol, ref, steps)
     assert len(splu_calls) < steps
 
 
