@@ -58,6 +58,12 @@ class AnisotropyFamily:
                                 self._poly_grad_fn, self._rational_fn,
                                 self._rational_dt_fn, (lo, hi))
 
+    @property
+    def has_remainder(self):
+        """True if A has a non-polynomial remainder (`rational` is not
+        identically zero)."""
+        return self._rational_fn is not None
+
     # -- vectorized evaluation ------------------------------------------
 
     def _check_range(self, ts, where="sample"):

@@ -186,7 +186,8 @@ def _mass_solve(M, rhs):
     """Nodal values of the L2 projection with P1-weak vector rhs: M x = rhs
     by Jacobi-preconditioned CG, without a factor of M."""
     dinv = 1.0 / M.diagonal()
-    prec = spla.LinearOperator(M.shape, matvec=lambda r: dinv * r)
+    prec = spla.LinearOperator(M.shape, matvec=lambda r: dinv * r,
+                               dtype=float)
     x, info = spla.cg(M, rhs, rtol=_MASS_RTOL, maxiter=_MASS_MAXITER, M=prec)
     if info != 0:
         resid = np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs)

@@ -19,6 +19,7 @@ the hand-expanded divergence.
 """
 
 import functools
+from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,6 +155,8 @@ class TransportProblem:
         for m in range(1, Pw.shape[0]):
             g += tp[:, None] * Pw[m]
             tp = tp * gamma_c
+        if not self.family.has_remainder:
+            return g, Pw[0]
         rat = self.family.rational(xs, gamma_c)[:, :self.mesh.dim]
         return g, Pw[0] + np.einsum("cij,cj->ci", rat, w3)
 
@@ -171,7 +174,9 @@ def _flux_invariants(mesh, family, E):
     xs = _centroid_xs(mesh)
     w3 = cross_b0(E.values)
     P = family.poly_coeffs(xs)[:, :, :mesh.dim]   # (nc, M, dim, 3)
-    return xs, w3, np.einsum("cmij,cj->mci", P, w3)
+    Pw = np.einsum("cmij,cj->mci", P, w3)
+    Pw.flags.writeable = False      # flux_split hands out Pw[0] itself
+    return xs, w3, Pw
 
 
 # -- DG0 upwind ---------------------------------------------------------
@@ -188,8 +193,8 @@ def solve_linear_dg(problem, stagnation_rel=0.05):
     filled by averaging their face neighbors instead.
     """
     mesh, family = problem.mesh, problem.family
-    xs, w3, Pw = problem._flux_invariants
-    if Pw.shape[0] > 2 or family.rational(xs[:1], np.array([1.0])).any():
+    _, w3, Pw = problem._flux_invariants
+    if Pw.shape[0] > 2 or family.has_remainder:
         raise TransportError(
             "family %r is nonlinear in the parameter; use solve_nonlinear_ls"
             % family.name)
@@ -543,24 +548,63 @@ def _factor(Aff, history):
 def _pcg(Aff, rhs_f, x0, lu):
     """CG on Aff x = rhs_f from x0, preconditioned by the factor lu;
     the solution, or None if it did not converge within the cap."""
-    prec = spla.LinearOperator(Aff.shape, matvec=lu.solve)
+    prec = spla.LinearOperator(Aff.shape, matvec=lu.solve, dtype=float)
     x, info = spla.cg(Aff, rhs_f, x0=x0, rtol=_PCG_RTOL,
                       maxiter=_PCG_MAXITER, M=prec)
     return x if info == 0 else None
 
 
+# Anderson mixing of the inner Picard steps: the number of differences
+# kept, and the largest condition number of the difference matrix used.
+_AA_DEPTH = 3
+_AA_COND = 1e10
+
+
+def _anderson_step(fs, gs, t_range):
+    """Next iterate of the inner loop from the stored pairs (f_j, G_j),
+    oldest first, with G_j the plain step from x_j and f_j = G_j - x_j.
+
+    Anderson mixing, type II (Walker & Ni, SIAM J. Numer. Anal. 2011):
+    theta minimizes ||f_k - dF theta||_2 over the differences dF of
+    consecutive f, and the iterate is G_k - dG theta.  The plain step
+    G_k is returned instead when fewer than two pairs exist, when dF is
+    rank-deficient or its condition number exceeds _AA_COND, or when
+    the mixed values are non-finite or leave t_range.
+    """
+    plain = gs[-1]
+    if len(fs) < 2:
+        return plain
+    dF = np.diff(np.column_stack(fs), axis=1)
+    theta, _, rank, sv = np.linalg.lstsq(dF, fs[-1], rcond=None)
+    if rank < dF.shape[1] or sv[0] > _AA_COND * sv[-1]:
+        return plain
+    mixed = plain - np.diff(np.column_stack(gs), axis=1) @ theta
+    lo, hi = t_range
+    if not np.all((mixed >= lo) & (mixed <= hi)):   # also rejects NaN
+        return plain
+    return mixed
+
+
 def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     """Picard iteration solving the frozen flux equation in least squares.
 
-    Each step minimizes ||L(gamma_bar) gamma - b||^2 plus an H1 penalty
+    Each step G minimizes ||L(gamma_bar) gamma - b||^2 plus an H1 penalty
     alpha * ||gamma - anchor||_H1^2 (scaled to the normal matrix); the
-    anchor defaults to the incoming iterate but a fixed background field
-    keeps the outer loop's penalty stationary.  The inflow trace is
-    eliminated strongly.  The penalty vanishes when the outer loop has
-    converged, so the regularization does not bias the overall limit; it
-    damps the near-null-space components that arise on closed
-    streamlines of the rotational field.  The inner loop only updates
-    the frozen coefficients, so it converges at the Picard rate.
+    anchor defaults to the incoming iterate, and `reconstruct` passes
+    the fixed background field, so the penalty stays stationary across
+    the outer loop but pulls its limit toward that background.  It damps
+    the near-null-space components that arise on closed streamlines of
+    the rotational field.  The inflow trace is eliminated strongly.
+
+    The step G only updates the frozen coefficients, so plain Picard
+    converges linearly.  The loop therefore mixes: after the step
+    G(x_k) it stores (G(x_k) - x_k, G(x_k)) on the free unknowns and
+    continues from the Anderson-mixed iterate over the last _AA_DEPTH
+    differences (`_anderson_step`), falling back to the plain step
+    G(x_k) when the mixing problem is too ill-conditioned or the mixed
+    iterate leaves the family's t_range.  The recorded history is the
+    plain change ||G(x_k) - x_k||_M / ||x_k||_M, the stop test is on it,
+    and the result is the last plain step G(x_k).
 
     The first step forms its normal matrix and factors it; later steps
     run CG warm-started from the current iterate and preconditioned with
@@ -597,6 +641,7 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     pinned[iv] = ivals
     history = []
     lu = None
+    fs, gs = deque(maxlen=_AA_DEPTH + 1), deque(maxlen=_AA_DEPTH + 1)
     for _ in range(opts.max_outer):
         L, rhs, scale = _ls_system(problem, gamma, pinned, anchor, alpha)
         rhs_f = rhs[free]
@@ -615,15 +660,18 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
         change = l2_norm_nodal(mesh, new_vals - gamma, M)
         scale_g = max(l2_norm_nodal(mesh, gamma, M), 1e-30)
         history.append(change / scale_g)
-        gamma = new_vals
         if history[-1] <= opts.rel_tol:
             break
+        fs.append(new_vals[free] - gamma[free])
+        gs.append(new_vals[free])
+        gamma = new_vals.copy()
+        gamma[free] = _anderson_step(fs, gs, problem.family.t_range)
     else:
         if not opts.accept_last:
             raise TransportError(
                 "least-squares Picard did not converge in %d iterations "
                 "(last change %.3g)" % (opts.max_outer, history[-1]),
                 history)
-    out = NodalField(mesh, gamma)
+    out = NodalField(mesh, new_vals)
     out.picard_history = history
     return out

@@ -198,6 +198,12 @@ def test_flux_split_reproduces_the_flux(name):
                      tr.cross_b0(E.values))[:, :2]
     got = gc[:, None] * g + h
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # without a remainder h is P_0 w itself, bit-identical to adding the
+    # einsum of the zero remainder
+    assert fam.has_remainder == (name == "D4")
+    _, w3, Pw = prob._flux_invariants
+    rat = fam.rational(xs, gc)[:, :2]
+    assert np.array_equal(h, Pw[0] + np.einsum("cij,cj->ci", rat, w3))
 
 
 def _d4_case(n=16):
@@ -270,7 +276,13 @@ def _assert_matches_reference(sol, ref, steps):
     assert np.abs(sol.values - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
+# The tests that compare step counts with the plain Picard reference
+# switch the Anderson mixing off: they test the lagged factor and its
+# refactor fallback, which mixing leaves unchanged but makes converge in
+# fewer steps than the reference.
+
 def test_lagged_factor_matches_direct_picard(monkeypatch):
+    monkeypatch.setattr(tr, "_AA_DEPTH", 0)
     prob, opts, ones = _d4_case()
     ref, steps = _reference_ls(prob, opts, 1e-2, ones)
     assert steps >= 4
@@ -306,6 +318,7 @@ def test_normal_operator_matches_explicit_matrix():
 
 
 def test_inflow_elimination_matches_direct_picard(monkeypatch):
+    monkeypatch.setattr(tr, "_AA_DEPTH", 0)
     prob, opts, ones = _d4_case()
     _with_inflow(prob)
     ref, steps = _reference_ls(prob, opts, 1e-2, ones)
@@ -316,6 +329,7 @@ def test_inflow_elimination_matches_direct_picard(monkeypatch):
 
 
 def test_refactors_when_pcg_gives_up(monkeypatch):
+    monkeypatch.setattr(tr, "_AA_DEPTH", 0)
     prob, opts, ones = _d4_case()
     ref, steps = _reference_ls(prob, opts, 1e-2, ones)
     splu_calls = _count_splu(monkeypatch)
@@ -323,6 +337,56 @@ def test_refactors_when_pcg_gives_up(monkeypatch):
     sol = tr.solve_nonlinear_ls(prob, opts, alpha=1e-2, anchor=ones)
     _assert_matches_reference(sol, ref, steps)
     assert len(splu_calls) == steps
+
+
+def test_anderson_mixing_reaches_the_same_fixed_point_in_fewer_steps():
+    prob, opts, ones = _d4_case()
+    ref, steps = _reference_ls(prob, opts, 1e-2, ones)
+    sol = tr.solve_nonlinear_ls(prob, opts, alpha=1e-2, anchor=ones)
+    assert len(sol.picard_history) < steps
+    assert np.abs(sol.values - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+def _mixing_history(pairs, n=50):
+    """Pairs (f_j, G_j) of plain steps of the linear contraction
+    G(x) = diag(b) x from x = 1, whose fixed point is 0: every plain
+    step stays positive."""
+    b = np.random.default_rng(5).uniform(0.5, 0.9, n)
+    x = np.ones(n)
+    fs, gs = [], []
+    for _ in range(pairs):
+        g = b * x
+        fs.append(g - x)
+        gs.append(g)
+        x = g
+    return fs, gs
+
+
+def test_anderson_step_mixes_toward_the_fixed_point():
+    fs, gs = _mixing_history(4)
+    mixed = tr._anderson_step(fs, gs, (-10.0, 10.0))
+    assert np.linalg.norm(mixed) < 0.25 * np.linalg.norm(gs[-1])
+
+
+def test_anderson_step_is_plain_with_one_pair():
+    fs, gs = _mixing_history(1)
+    assert tr._anderson_step(fs, gs, (-10.0, 10.0)) is gs[-1]
+
+
+def test_anderson_step_is_plain_on_a_rank_deficient_history():
+    fs, gs = _mixing_history(3)
+    assert tr._anderson_step(fs, gs, (-10.0, 10.0)) is not gs[-1]
+    fs[1], gs[1] = fs[2], gs[2]          # the last pair twice
+    assert tr._anderson_step(fs, gs, (-10.0, 10.0)) is gs[-1]
+
+
+def test_anderson_step_is_plain_outside_the_t_range():
+    fs, gs = _mixing_history(4)
+    # the mixed iterate lands near the fixed point 0, below the smallest
+    # plain value: a range that holds the plain step but not the mixed one
+    lo, hi = gs[-1].min(), gs[-1].max()
+    assert tr._anderson_step(fs, gs, (-10.0, 10.0)).min() < lo
+    assert tr._anderson_step(fs, gs, (lo, hi)) is gs[-1]
 
 
 def test_factorization_failure_is_a_transport_error(monkeypatch):
