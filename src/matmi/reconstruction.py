@@ -1,10 +1,9 @@
 """The outer fixed-point reconstruction loop.
 
 Each iteration alternates (i) a Neumann field solve for the current
-iterate, (ii) an inflow-boundary classification, (iii) a least-squares
-transport solve for the updated parameter, and (iv) a projection onto
-the admissible box with the boundary trace reset to the known target
-values.
+iterate, (ii) a least-squares transport solve for the updated parameter
+at every vertex, and (iii) a projection onto the admissible box with the
+boundary trace reset to the known target values.
 """
 
 import time
@@ -161,22 +160,20 @@ _DEFAULTS = {
     "iterations": 10,
     "refine": 1,
     "lambda": 4.0,
-    "tol_inflow": 1e-12,
     "t_lo": None,
     "t_hi": None,
     "data": None,
     "boundary_value": 1.0,
     "picard.max_outer": 50,
     "picard.rel_tol": 1e-6,
-    "picard.damping": 1.0,
     "picard.alpha": 1e-2,
     "picard.adaptive": True,
     "picard.accept_last": False,
 }
 
 _INT_KEYS = {"dim", "n", "iterations", "refine", "picard.max_outer"}
-_FLOAT_KEYS = {"lambda", "tol_inflow", "t_lo", "t_hi", "boundary_value",
-               "picard.rel_tol", "picard.damping", "picard.alpha"}
+_FLOAT_KEYS = {"lambda", "t_lo", "t_hi", "boundary_value",
+               "picard.rel_tol", "picard.alpha"}
 _BOOL_KEYS = {"picard.adaptive", "picard.accept_last"}
 
 
@@ -184,8 +181,8 @@ class ReconConfig:
     """Flat key=value reconstruction configuration.
 
     Recognized keys: preset, family, dim, n, iterations, refine, lambda,
-    tol_inflow, t_lo, t_hi, data, boundary_value, and the picard.*
-    transport-solver controls.  Preset values fill any key left unset.
+    t_lo, t_hi, data, boundary_value, and the picard.* transport-solver
+    controls.  Preset values fill any key left unset.
     """
 
     def __init__(self, **kwargs):
@@ -286,7 +283,6 @@ class ReconConfig:
 def _picard_options(cfg):
     return PicardOptions(max_outer=cfg["picard.max_outer"],
                          rel_tol=cfg["picard.rel_tol"],
-                         damping=cfg["picard.damping"],
                          accept_last=cfg["picard.accept_last"])
 
 
@@ -310,7 +306,7 @@ def _adaptive_ls_update(problem, opts, alpha, anchor, admissible,
     """
     gamma = problem.gamma_ref
     inner = PicardOptions(max_outer=opts.max_outer, rel_tol=opts.rel_tol,
-                          damping=opts.damping, accept_last=True)
+                          accept_last=True)
     best = None
     failures = []
     for mult in _ALPHA_MULTIPLIERS:
@@ -411,7 +407,6 @@ def reconstruct(config):
             try:
                 problem = TransportProblem(mesh, family, E, data,
                                            boundary_values, gamma_ref=gamma,
-                                           tol_inflow=cfg["tol_inflow"],
                                            mass=M, h1=H)
                 if adaptive:
                     cand, alpha, changes, res = _adaptive_ls_update(

@@ -1,10 +1,10 @@
 """Stationary transport solvers for the conductivity update step.
 
-The update equation is div(A(x, gamma) w) = F with w = E x B0 and the
-trace of gamma prescribed on the inflow boundary.  The reconstruction
-loop has one update, `solve_nonlinear_ls`: continuous P1 with a Picard
-(frozen-coefficient) outer loop whose every step solves the frozen flux
-equation in regularized least squares.
+The update equation is div(A(x, gamma) w) = F with w = E x B0.  The
+reconstruction loop has one update, `solve_nonlinear_ls`: continuous P1
+with a Picard (frozen-coefficient) outer loop whose every step solves
+the frozen flux equation in regularized least squares for every vertex
+value; the loop's projection then imposes the known boundary trace.
 
 The flux is assembled in conservative form.  Each entry of A is split
 as polynomial-in-t plus remainder; freezing all but one power of the
@@ -12,10 +12,11 @@ parameter makes the flux linear in the unknown while keeping the
 previous iterate in the remaining slots, so a fixed point of the loop
 satisfies the unfrozen discrete equation exactly.
 
-`solve_linear_dg` (DG0 with upwinded face fluxes, for families linear
-in the parameter) and the coefficient expansions serve as independent
-checks: an exact transport oracle and the product-rule cross-check of
-the hand-expanded divergence.
+`solve_linear_dg` (DG0 with upwinded face fluxes and the trace
+prescribed on the inflow facets, for families linear in the parameter)
+and the coefficient expansions serve as independent checks: an exact
+transport oracle and the product-rule cross-check of the hand-expanded
+divergence.
 """
 
 import functools
@@ -27,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .fields import (CellField, NodalField, assemble_p1, cell_to_nodal,
                      l2_norm_nodal, mass_matrix)
-from .functional import cross_b0
+from .functional import cross_b0, flux_field
 from .mesh import classify_inflow
 from .neumann import spd_factor
 
@@ -56,17 +57,13 @@ class TransportError(RuntimeError):
 class PicardOptions:
     """Controls for the frozen-coefficient outer loop."""
 
-    def __init__(self, max_outer=50, rel_tol=1e-8, damping=1.0,
-                 accept_last=False):
+    def __init__(self, max_outer=50, rel_tol=1e-8, accept_last=False):
         if max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         if not 0.0 < rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if not 0.0 < damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         self.max_outer = int(max_outer)
         self.rel_tol = float(rel_tol)
-        self.damping = float(damping)
         self.accept_last = bool(accept_last)
 
 
@@ -83,17 +80,16 @@ class TransportProblem:
         Weak source data F(gamma_star).
     inflow_values : callable
         Boundary trace of the true parameter; receives (N, dim) points.
-    gamma_ref : NodalField or CellField or None
-        Iterate used to evaluate the advective velocity A(gamma) w for
-        inflow classification (defaults to 1 everywhere).
+        Only the DG0 oracle evaluates it, on its inflow facets.
+    gamma_ref : NodalField or None
+        Start of the least-squares update, and the iterate at which the
+        DG0 oracle evaluates the velocity A(gamma) w that classifies its
+        inflow facets (defaults to 1 everywhere).
     tol_inflow : float
-        Characteristic-facet tolerance for the inflow classification.
+        Characteristic-facet tolerance of that classification.
     mass, h1 : sparse matrix or None
         The mesh's P1 mass matrix and H1 matrix (`_h1_matrix`), when the
         caller already holds them; built on first use otherwise.
-
-    The velocity inputs (family, E, gamma_ref) are fixed once the inflow
-    facets have been computed: the facet set is cached per tolerance.
     """
 
     def __init__(self, mesh, family, E, data, inflow_values, gamma_ref=None,
@@ -109,7 +105,6 @@ class TransportProblem:
         self.tol_inflow = float(tol_inflow)
         self._mass = mass
         self._h1 = h1
-        self._inflow = None
 
     @property
     def mass(self):
@@ -123,20 +118,12 @@ class TransportProblem:
             self._h1 = _h1_matrix(self.mesh, self.mass)
         return self._h1
 
-    def gamma_ref_cells(self):
-        if isinstance(self.gamma_ref, NodalField):
-            return self.gamma_ref.cell_means()
-        return self.gamma_ref.values
-
     def inflow_facets(self):
         """Facets of the inflow boundary for velocity A(gamma_ref) w."""
-        if self._inflow is None or self._inflow[0] != self.tol_inflow:
-            from .functional import flux_field
-            v = flux_field(self.mesh, self.family, self.gamma_ref_cells(),
-                           self.E)
-            self._inflow = (self.tol_inflow, classify_inflow(
-                self.mesh, CellField(self.mesh, v), self.tol_inflow))
-        return self._inflow[1]
+        v = flux_field(self.mesh, self.family, self.gamma_ref.cell_means(),
+                       self.E)
+        return classify_inflow(self.mesh, CellField(self.mesh, v),
+                               self.tol_inflow)
 
     @functools.cached_property
     def _flux_invariants(self):
@@ -497,12 +484,11 @@ _PCG_RTOL = 1e-10
 _PCG_MAXITER = 50
 
 
-def _ls_system(problem, gamma, pinned, anchor, alpha):
+def _ls_system(problem, gamma, anchor, alpha):
     """One step of the regularized normal equations
-    (L^T L + scale R) x = L^T b + scale R anchor, frozen at the iterate
-    gamma, with the inflow values `pinned` (zero on the free unknowns)
-    moved to the right-hand side.  Returns (L, rhs, scale); the normal
-    matrix itself is formed only to be factored (`_normal_matrix`).
+    (L^T L + scale R) x = L^T (b - c) + scale R anchor, frozen at the
+    iterate gamma.  Returns (L, rhs, scale); the normal matrix itself is
+    formed only to be factored (`_normal_matrix`).
     """
     mesh = problem.mesh
     lo, hi = problem.family.t_range
@@ -512,44 +498,37 @@ def _ls_system(problem, gamma, pinned, anchor, alpha):
     # diag(L^T L) holds the squared norms of the columns of L
     diag_n = np.bincount(L.indices, L.data ** 2, minlength=mesh.num_vertices)
     scale = alpha * diag_n.mean() / R.diagonal().mean()
-    rhs = (L.T @ (problem.data.p1_weak - c - L @ pinned)
-           + scale * (R @ (anchor - pinned)))
+    rhs = L.T @ (problem.data.p1_weak - c) + scale * (R @ anchor)
     return L, rhs, scale
 
 
-def _normal_matrix(L, R, scale, free):
-    """Free block of L^T L + scale R as an explicit CSR matrix."""
-    A = (L.T @ L).tocsr() + scale * R
-    return A[free][:, free]
+def _normal_matrix(L, R, scale):
+    """L^T L + scale R as an explicit CSR matrix."""
+    return (L.T @ L).tocsr() + scale * R
 
 
-def _normal_operator(L, R, scale, free):
-    """Free block of L^T L + scale R as a LinearOperator that applies L,
-    L^T and R to the free values scattered into a full vector."""
-    nf = np.count_nonzero(free)
+def _normal_operator(L, R, scale):
+    """L^T L + scale R as a LinearOperator that applies L, L^T and R."""
     LT = L.T
-
-    def matvec(x):
-        xh = np.zeros(L.shape[1])
-        xh[free] = np.ravel(x)
-        return (LT @ (L @ xh) + scale * (R @ xh))[free]
-    return spla.LinearOperator((nf, nf), matvec=matvec, dtype=float)
+    n = L.shape[1]
+    return spla.LinearOperator(
+        (n, n), matvec=lambda x: LT @ (L @ x) + scale * (R @ x), dtype=float)
 
 
-def _factor(Aff, history):
-    """Sparse LU of the symmetric positive definite free block."""
+def _factor(A, history):
+    """Sparse LU of the symmetric positive definite normal matrix."""
     try:
-        return spd_factor(Aff)
+        return spd_factor(A)
     except RuntimeError as exc:
         raise TransportError("least-squares factorization failed: %s" % exc,
                              history)
 
 
-def _pcg(Aff, rhs_f, x0, lu):
-    """CG on Aff x = rhs_f from x0, preconditioned by the factor lu;
-    the solution, or None if it did not converge within the cap."""
-    prec = spla.LinearOperator(Aff.shape, matvec=lu.solve, dtype=float)
-    x, info = spla.cg(Aff, rhs_f, x0=x0, rtol=_PCG_RTOL,
+def _pcg(A, rhs, x0, lu):
+    """CG on A x = rhs from x0, preconditioned by the factor lu; the
+    solution, or None if it did not converge within the cap."""
+    prec = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+    x, info = spla.cg(A, rhs, x0=x0, rtol=_PCG_RTOL,
                       maxiter=_PCG_MAXITER, M=prec)
     return x if info == 0 else None
 
@@ -594,17 +573,19 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     the fixed background field, so the penalty stays stationary across
     the outer loop but pulls its limit toward that background.  It damps
     the near-null-space components that arise on closed streamlines of
-    the rotational field.  The inflow trace is eliminated strongly.
+    the rotational field.  Every vertex value is an unknown: the boundary
+    trace is left to the caller's projection, and `problem.inflow_values`
+    is never evaluated.
 
     The step G only updates the frozen coefficients, so plain Picard
     converges linearly.  The loop therefore mixes: after the step
-    G(x_k) it stores (G(x_k) - x_k, G(x_k)) on the free unknowns and
-    continues from the Anderson-mixed iterate over the last _AA_DEPTH
-    differences (`_anderson_step`), falling back to the plain step
-    G(x_k) when the mixing problem is too ill-conditioned or the mixed
-    iterate leaves the family's t_range.  The recorded history is the
-    plain change ||G(x_k) - x_k||_M / ||x_k||_M, the stop test is on it,
-    and the result is the last plain step G(x_k).
+    G(x_k) it stores (G(x_k) - x_k, G(x_k)) and continues from the
+    Anderson-mixed iterate over the last _AA_DEPTH differences
+    (`_anderson_step`), falling back to the plain step G(x_k) when the
+    mixing problem is too ill-conditioned or the mixed iterate leaves
+    the family's t_range.  The recorded history is the plain change
+    ||G(x_k) - x_k||_M / ||x_k||_M, the stop test is on it, and the
+    result is the last plain step G(x_k).
 
     The first step forms its normal matrix and factors it; later steps
     run CG warm-started from the current iterate and preconditioned with
@@ -615,57 +596,31 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     if opts is None:
         opts = PicardOptions()
     mesh = problem.mesh
-    nv = mesh.num_vertices
-
-    iv = np.unique(mesh.facet_vertices[problem.inflow_facets()])
-    free = np.ones(nv, dtype=bool)
-    free[iv] = False
-    ivals = (np.asarray(problem.inflow_values(mesh.vertices[iv]),
-                        dtype=float).ravel()
-             if iv.size else np.zeros(0))
-
-    M = problem.mass
-    if isinstance(problem.gamma_ref, NodalField):
-        gamma = problem.gamma_ref.values.copy()
-    else:
-        gamma = cell_to_nodal(problem.gamma_ref)
-    gamma[iv] = ivals
-    if anchor is None:
-        anchor = gamma.copy()
-    else:
-        anchor = anchor.values.copy()
-        anchor[iv] = ivals
-
-    R = problem.h1
-    pinned = np.zeros(nv)
-    pinned[iv] = ivals
+    M, R = problem.mass, problem.h1
+    gamma = problem.gamma_ref.values     # never written to in place
+    anchor = gamma if anchor is None else anchor.values
     history = []
     lu = None
     fs, gs = deque(maxlen=_AA_DEPTH + 1), deque(maxlen=_AA_DEPTH + 1)
     for _ in range(opts.max_outer):
-        L, rhs, scale = _ls_system(problem, gamma, pinned, anchor, alpha)
-        rhs_f = rhs[free]
-        x = None if lu is None else _pcg(
-            _normal_operator(L, R, scale, free), rhs_f, gamma[free], lu)
-        if x is None:
+        L, rhs, scale = _ls_system(problem, gamma, anchor, alpha)
+        new_vals = None if lu is None else _pcg(
+            _normal_operator(L, R, scale), rhs, gamma, lu)
+        if new_vals is None:
             lu = None               # release the old factor first
-            lu = _factor(_normal_matrix(L, R, scale, free), history)
-            x = lu.solve(rhs_f)
-        new_vals = gamma.copy()
-        new_vals[free] = x
+            lu = _factor(_normal_matrix(L, R, scale), history)
+            new_vals = lu.solve(rhs)
         if not np.all(np.isfinite(new_vals)):
             raise TransportError("least-squares Picard produced non-finite "
                                  "values", history)
-        new_vals = opts.damping * new_vals + (1.0 - opts.damping) * gamma
         change = l2_norm_nodal(mesh, new_vals - gamma, M)
         scale_g = max(l2_norm_nodal(mesh, gamma, M), 1e-30)
         history.append(change / scale_g)
         if history[-1] <= opts.rel_tol:
             break
-        fs.append(new_vals[free] - gamma[free])
-        gs.append(new_vals[free])
-        gamma = new_vals.copy()
-        gamma[free] = _anderson_step(fs, gs, problem.family.t_range)
+        fs.append(new_vals - gamma)
+        gs.append(new_vals)
+        gamma = _anderson_step(fs, gs, problem.family.t_range)
     else:
         if not opts.accept_last:
             raise TransportError(

@@ -1,10 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from matmi.fields import NodalField, interpolate_nodal
 from matmi.mesh import build_unit_square
-from matmi.reconstruction import (AdmissibleSet, ConfigError, ReconConfig,
-                                  project, reconstruct)
+from matmi.reconstruction import (_DEFAULTS, AdmissibleSet, ConfigError,
+                                  ReconConfig, project, reconstruct)
 
 
 def _ones(mesh):
@@ -53,14 +56,18 @@ def test_config_rejects_unknown_key():
 
 
 def test_config_rejects_unknown_solver():
-    # the transport update is always least squares; the keys that once
-    # chose between discretizations are gone
+    # the transport update is always least squares, eliminates no inflow
+    # vertices and is not damped; the keys that once chose between
+    # discretizations or set those are gone, also in the config.txt
+    # lines that an earlier `matmi run` wrote
     with pytest.raises(ConfigError, match="unknown config key 'solver'"):
         ReconConfig(solver="lsq")
     with pytest.raises(ConfigError, match="unknown config key 'picard.supg'"):
         ReconConfig(**{"picard.supg": 1.0})
-    with pytest.raises(ConfigError, match="unknown config key"):
-        ReconConfig.from_text("preset = example1\npicard.supg = 1.0\n")
+    for line in ("picard.supg = 1.0", "tol_inflow = 1e-12",
+                 "picard.damping = 1.0"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            ReconConfig.from_text("preset = example1\n%s\n" % line)
 
 
 def test_config_from_text_types_and_errors():
@@ -140,10 +147,11 @@ def test_trace_csv_is_deterministic(tmp_path):
 
 
 def test_per_call_invariants_are_built_once(monkeypatch):
-    # the inflow facets and the flux invariants are built once per outer
-    # iteration (not once per candidate weight), the mass and H1 matrices
-    # that reconstruct holds are reused by every transport solve, and the
-    # normal matrix is formed only on the steps that factor it
+    # the flux invariants are built once per outer iteration (not once
+    # per candidate weight), no inflow facet is classified, the mass and
+    # H1 matrices that reconstruct holds are reused by every transport
+    # solve, and the normal matrix is formed only on the steps that
+    # factor it
     from matmi import reconstruction as rc
     from matmi import transport as tr
     calls = {"classify_inflow": 0, "_h1_matrix": 0, "mass_matrix": 0,
@@ -168,7 +176,7 @@ def test_per_call_invariants_are_built_once(monkeypatch):
     assert len(trace.iterates) == 2
     factored = calls.pop("spd_factor")
     assert factored >= 6
-    assert calls == {"classify_inflow": 2, "_h1_matrix": 1, "mass_matrix": 0,
+    assert calls == {"classify_inflow": 0, "_h1_matrix": 1, "mass_matrix": 0,
                      "_flux_invariants": 2, "_normal_matrix": factored}
 
 
@@ -215,3 +223,14 @@ def test_accepted_iterate_field_is_not_solved_again(monkeypatch):
     trace = reconstruct(ReconConfig(preset="example2", n=8, iterations=3))
     assert len(solves) == 1 + 1 + 3
     assert trace.stalled_at is None
+
+
+def test_readme_lists_exactly_the_config_keys():
+    # the "Recognized keys" sentence of the README's configuration
+    # section names every key of _DEFAULTS and nothing else
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+    sentence = re.search(r"Recognized keys:(.*?)\.\s", section, re.S).group(1)
+    keys = re.findall(r"`([^`]+)`", sentence)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(_DEFAULTS)
