@@ -52,8 +52,11 @@ class AnisotropyFamily:
         self._rational_dt_fn = rational_dt_fn
         self.t_range = (float(t_range[0]), float(t_range[1]))
 
-    def with_t_range(self, lo, hi):
-        """Copy of the family with a different admissible interval."""
+    def with_t_range(self, lo=None, hi=None):
+        """Copy of the family with a different admissible interval; a
+        bound left None keeps its current value."""
+        lo = self.t_range[0] if lo is None else lo
+        hi = self.t_range[1] if hi is None else hi
         return AnisotropyFamily(self.name, self.spatial, self._poly_fn,
                                 self._poly_grad_fn, self._rational_fn,
                                 self._rational_dt_fn, (lo, hi))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .anisotropy import builtin, check_admissibility
 from .fields import (NodalField, interpolate_nodal, l2_norm_cell,
-                     level_set_centroid, mass_matrix)
+                     level_set_centroid)
 from .functional import (load_functional_data, save_functional_data,
                          synthesize, write_nodal_csv)
 from .mesh import build_unit_cube, build_unit_square
@@ -165,8 +165,7 @@ def _verify_preset(name, outdir):
     cfg = config.resolve()
     family = builtin(cfg["family"]).with_t_range(cfg["t_lo"], cfg["t_hi"])
     lam = cfg["lambda"]
-    box_lo = max(1.0 / lam, family.t_range[0])
-    box_hi = min(lam, family.t_range[1])
+    box_lo, box_hi = cfg["box"]
     in_box = all(it.values.min() >= box_lo - 1e-12
                  and it.values.max() <= box_hi + 1e-12
                  for it in trace.iterates)
@@ -186,12 +185,11 @@ def _verify_preset(name, outdir):
                                  trace.initial_residual))
 
     lam_est = check_admissibility(family, 8, lam).lambda_est
-    M = mass_matrix(mesh)
     et_norm = l2_norm_cell(mesh, etilde(mesh.cell_centroids))
     energy_ok = True
     worst = 0.0
     for it in trace.iterates:
-        u, _ = solve_field(mesh, family, it, M=M)
+        u, _ = solve_field(mesh, family, it)
         gn = l2_norm_cell(mesh, u.cell_gradients())
         worst = max(worst, gn / (lam_est * et_norm))
         energy_ok = energy_ok and gn <= lam_est * et_norm
@@ -200,7 +198,7 @@ def _verify_preset(name, outdir):
 
     target_field = interpolate_nodal(mesh, preset.gamma_star)
     try:
-        data = synthesize(family, target_field, mesh, M=M)
+        data = synthesize(family, target_field, mesh)
         path = os.path.join(outdir, "data.bin")
         save_functional_data(data, path)
         load_functional_data(mesh, path)
@@ -252,9 +250,7 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
-    family = builtin(args.family)
-    if args.t_lo is not None and args.t_hi is not None:
-        family = family.with_t_range(args.t_lo, args.t_hi)
+    family = builtin(args.family).with_t_range(args.t_lo, args.t_hi)
     root = _out_root(args)
     os.makedirs(root, exist_ok=True)
     results = {}
@@ -282,9 +278,11 @@ def cmd_sweep(args):
             print("  skipped %s: %s" % (label, reason))
     ns = sorted(results)
     for a, b in zip(ns[:-1], ns[1:]):
-        ra, rb = results[a].ratios(), results[b].ratios()
-        drift = max(abs(x - y) / x for x, y in zip(ra, rb))
-        print("ratio drift n=%d -> n=%d: %.2f%%" % (a, b, 100 * drift))
+        common = results[a].common_rows(results[b])
+        drift = max((abs(x["C_emp"] - y["C_emp"]) / x["C_emp"]
+                     for x, y in common), default=float("nan"))
+        print("ratio drift n=%d -> n=%d: %.2f%% over %d pairs"
+              % (a, b, 100 * drift, len(common)))
     return EXIT_OK
 
 

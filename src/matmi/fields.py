@@ -8,6 +8,7 @@ __all__ = [
     "CellField",
     "assemble_p1",
     "mass_matrix",
+    "h1_matrix",
     "l2_norm_nodal",
     "l2_norm_cell",
     "nodal_to_cell",
@@ -75,19 +76,26 @@ def assemble_p1(mesh, local):
 
 
 def mass_matrix(mesh):
-    """Consistent P1 mass matrix (CSR)."""
+    """Consistent P1 mass matrix (CSR), built anew; callers use the
+    mesh's copy, `Mesh.mass`."""
     nloc = mesh.dim + 1
     # local P1 mass on a simplex: vol/((d+1)(d+2)) * (1 + delta_ij)
     local = (np.ones((nloc, nloc)) + np.eye(nloc)) / ((nloc) * (nloc + 1))
     return assemble_p1(mesh, mesh.cell_volumes[:, None, None] * local)
 
 
-def l2_norm_nodal(mesh, values, M=None):
+def h1_matrix(mesh):
+    """Unit-coefficient stiffness plus the mass matrix (an H1 inner
+    product), built anew; callers use the mesh's copy, `Mesh.h1`."""
+    g = mesh.cell_grads
+    ke = np.einsum("c,cid,cjd->cij", mesh.cell_volumes, g, g)
+    return assemble_p1(mesh, ke) + mesh.mass
+
+
+def l2_norm_nodal(mesh, values):
     """L2(Omega) norm of a P1 field given by vertex values."""
-    if M is None:
-        M = mass_matrix(mesh)
     v = np.asarray(values, dtype=float)
-    return float(np.sqrt(max(v @ (M @ v), 0.0)))
+    return float(np.sqrt(max(v @ (mesh.mass @ v), 0.0)))
 
 
 def l2_norm_cell(mesh, values):

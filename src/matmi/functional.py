@@ -15,7 +15,7 @@ import struct
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fields import CellField, NodalField, mass_matrix
+from .fields import CellField, NodalField, interpolate_nodal
 from .mesh import build_unit_cube, build_unit_square
 from .neumann import SolverError, solve_field
 
@@ -97,9 +97,8 @@ def flux_field(mesh, family, gamma_cell_values, E):
     gamma_cell_values: (nc,) parameter values at cell centroids.
     E: CellField (nc, 3).
     """
-    xs = np.zeros((mesh.num_cells, 3))
-    xs[:, :mesh.dim] = mesh.cell_centroids
-    A = family.eval_many(xs, gamma_cell_values, check_range=False)
+    A = family.eval_many(mesh.centroid_points, gamma_cell_values,
+                         check_range=False)
     w = cross_b0(E.values)                    # (nc, 3)
     q = np.einsum("cij,cj->ci", A, w)
     return q[:, :mesh.dim]
@@ -140,11 +139,9 @@ def weak_dg0_from_flux(mesh, q, w):
     return r
 
 
-def weak_p1_from_nodal(mesh, F, M=None):
+def weak_p1_from_nodal(mesh, F):
     """P1-weak vector of a pointwise P1 source field F."""
-    if M is None:
-        M = mass_matrix(mesh)
-    return M @ F.values
+    return mesh.mass @ F.values
 
 
 def weak_dg0_from_nodal(mesh, F):
@@ -182,9 +179,10 @@ def eval_p1(field, points):
     return (bary[rows, first][:, None, :] @ vals[:, :, None])[:, 0, 0]
 
 
-def _mass_solve(M, rhs):
+def _mass_solve(mesh, rhs):
     """Nodal values of the L2 projection with P1-weak vector rhs: M x = rhs
-    by Jacobi-preconditioned CG, without a factor of M."""
+    for M = mesh.mass by Jacobi-preconditioned CG, without a factor."""
+    M = mesh.mass
     dinv = 1.0 / M.diagonal()
     prec = spla.LinearOperator(M.shape, matvec=lambda r: dinv * r,
                                dtype=float)
@@ -197,7 +195,7 @@ def _mass_solve(M, rhs):
     return x
 
 
-def synthesize(family, gamma_star, mesh, refine=1, solver_tol=1e-10, M=None,
+def synthesize(family, gamma_star, mesh, refine=1, solver_tol=1e-10,
                factor=None):
     """Generate the weak acoustic-source data F(gamma_star) on `mesh`.
 
@@ -210,43 +208,35 @@ def synthesize(family, gamma_star, mesh, refine=1, solver_tol=1e-10, M=None,
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    if M is None:
-        M = mass_matrix(mesh)
 
     if refine == 1:
-        data_mesh = mesh
         if callable(gamma_star):
-            from .fields import interpolate_nodal
             gamma = interpolate_nodal(mesh, gamma_star)
         else:
             gamma = gamma_star
-        u, E = solve_field(data_mesh, family, gamma, tol=solver_tol, M=M,
-                           factor=factor)
+        _, E = solve_field(mesh, family, gamma, tol=solver_tol, factor=factor)
         gc = gamma.cell_means() if isinstance(gamma, NodalField) \
             else gamma.values
-        q = flux_field(data_mesh, family, gc, E)
+        q = flux_field(mesh, family, gc, E)
         w = cross_b0(E.values)[:, :mesh.dim]
-        p1 = weak_p1_from_flux(data_mesh, q)
-        dg0 = weak_dg0_from_flux(data_mesh, q, w)
-        proj = NodalField(mesh, _mass_solve(M, p1))
+        p1 = weak_p1_from_flux(mesh, q)
+        dg0 = weak_dg0_from_flux(mesh, q, w)
+        proj = NodalField(mesh, _mass_solve(mesh, p1))
         return FunctionalData(mesh, p1, dg0, proj, CellField(mesh, q), mesh.n,
                               field=E)
 
     builder = build_unit_square if mesh.dim == 2 else build_unit_cube
     fine = builder(mesh.n * refine)
     if callable(gamma_star):
-        from .fields import interpolate_nodal
         gamma_f = interpolate_nodal(fine, gamma_star)
     else:
         gamma_f = NodalField(fine, eval_p1(gamma_star, fine.vertices))
-    Mf = mass_matrix(fine)
-    u, E = solve_field(fine, family, gamma_f, tol=solver_tol, M=Mf,
-                       factor=factor)
+    _, E = solve_field(fine, family, gamma_f, tol=solver_tol, factor=factor)
     q = flux_field(fine, family, gamma_f.cell_means(), E)
     p1_f = weak_p1_from_flux(fine, q)
-    proj_f = NodalField(fine, _mass_solve(Mf, p1_f))
+    proj_f = NodalField(fine, _mass_solve(fine, p1_f))
     F_coarse = NodalField(mesh, eval_p1(proj_f, mesh.vertices))
-    p1 = weak_p1_from_nodal(mesh, F_coarse, M)
+    p1 = weak_p1_from_nodal(mesh, F_coarse)
     dg0 = weak_dg0_from_nodal(mesh, F_coarse)
     return FunctionalData(mesh, p1, dg0, F_coarse, None, fine.n)
 

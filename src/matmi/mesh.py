@@ -2,7 +2,7 @@
 
 Meshes are immutable after construction: every geometry array is built
 once, with whole-array operations, in `__init__`, and the P1 matrix
-pattern once, on first use.  The unit square is
+pattern and fixed operators once, on first use.  The unit square is
 split into 2*n^2 triangles (diagonal fixed from lower-left to
 upper-right), the unit cube into 6*n^3 tetrahedra via the standard
 six-tetrahedra subdivision of each grid cube.
@@ -14,12 +14,21 @@ import hashlib
 import numpy as np
 import scipy.sparse as sp
 
+from .fields import h1_matrix, mass_matrix
+
 __all__ = [
     "Mesh",
     "build_unit_square",
     "build_unit_cube",
     "classify_inflow",
 ]
+
+
+def _frozen(a):
+    """`a`, an array or a sparse matrix, made read-only."""
+    for arr in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+        arr.flags.writeable = False
+    return a
 
 
 def _rowdot(a, b):
@@ -58,7 +67,14 @@ class Mesh:
         measure.
     p1_pattern : (indptr, indices, slot)
         CSR sparsity of the P1 matrices and the scatter of local
-        entries into it; built lazily (`fields.assemble_p1`).
+        entries into it (`fields.assemble_p1`).
+    mass, h1 : (nv, nv) CSR matrices
+        P1 mass matrix (`fields.mass_matrix`) and H1 matrix, stiffness
+        plus mass (`fields.h1_matrix`).
+    centroid_points : (nc, 3) float array
+        Cell centroids padded with zeros: where coefficients are evaluated.
+
+    The last four are read-only and built on first use, once per mesh.
     """
 
     def __init__(self, dim, n, vertices, cells):
@@ -150,9 +166,7 @@ class Mesh:
 
     @functools.cached_property
     def _boundary_vertices(self):
-        out = np.unique(self.facet_vertices)
-        out.flags.writeable = False
-        return out
+        return _frozen(np.unique(self.facet_vertices))
 
     def boundary_vertex_indices(self):
         """Sorted read-only array of vertex indices lying on the boundary;
@@ -174,10 +188,22 @@ class Mesh:
         keys = np.repeat(np.arange(nv, dtype=np.int64) * nv,
                          np.diff(pat.indptr)) + pat.indices
         slot = np.searchsorted(keys, rows.astype(np.int64) * nv + cols)
-        out = (pat.indptr, pat.indices, slot.astype(np.int32))
-        for a in out:
-            a.flags.writeable = False
-        return out
+        return tuple(map(_frozen, (pat.indptr, pat.indices,
+                                   slot.astype(np.int32))))
+
+    @functools.cached_property
+    def mass(self):
+        return _frozen(mass_matrix(self))
+
+    @functools.cached_property
+    def h1(self):
+        return _frozen(h1_matrix(self))
+
+    @functools.cached_property
+    def centroid_points(self):
+        out = np.zeros((self.num_cells, 3))
+        out[:, :self.dim] = self.cell_centroids
+        return _frozen(out)
 
 
 def _grid_vertices(n, dim):

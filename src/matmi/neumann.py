@@ -12,7 +12,7 @@ E = Etilde + grad u (per cell, exact P1 gradient).
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fields import CellField, NodalField, assemble_p1, mass_matrix
+from .fields import CellField, NodalField, assemble_p1
 
 __all__ = [
     "SparseSystem",
@@ -69,9 +69,7 @@ def conductivity_blocks(mesh, family, gamma):
     nodal = isinstance(gamma, NodalField)
     family._check_range(gamma.values, "vertex" if nodal else "cell")
     gc = gamma.cell_means() if nodal else gamma.values
-    xs = np.zeros((mesh.num_cells, 3))
-    xs[:, :mesh.dim] = mesh.cell_centroids
-    A = family.eval_many(xs, gc, check_range=False)
+    A = family.eval_many(mesh.centroid_points, gc, check_range=False)
     return A[:, :mesh.dim, :mesh.dim]
 
 
@@ -255,22 +253,19 @@ def electric_field(mesh, u):
     return CellField(mesh, E)
 
 
-def solve_field(mesh, family, gamma, tol=1e-10, max_iter=None, M=None,
+def solve_field(mesh, family, gamma, tol=1e-10, max_iter=None,
                 factor=None):
     """Assemble and solve the Neumann problem; return (u, E).
 
-    The potential u is normalized to zero L2 mean using the mass matrix
-    (pass a prebuilt one in M to avoid reassembly).  `factor` is an
-    optional NeumannFactor shared with other solves (see
-    solve_mean_zero).
+    The potential u is normalized to zero L2 mean using the mesh's mass
+    matrix.  `factor` is an optional NeumannFactor shared with other
+    solves (see solve_mean_zero).
     """
     system = assemble(mesh, family, gamma)
     vals, _ = solve_mean_zero(system, tol=tol, max_iter=max_iter,
                               factor=factor)
-    if M is None:
-        M = mass_matrix(mesh)
     vol = mesh.cell_volumes.sum()
-    vals = vals - (M @ vals).sum() / vol
+    vals = vals - (mesh.mass @ vals).sum() / vol
     u = NodalField(mesh, vals)
     return u, electric_field(mesh, u)
 

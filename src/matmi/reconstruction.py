@@ -11,12 +11,12 @@ import time
 import numpy as np
 
 from .anisotropy import builtin
-from .fields import NodalField, interpolate_nodal, l2_norm_nodal, mass_matrix
+from .fields import NodalField, interpolate_nodal, l2_norm_nodal
 from .functional import load_functional_data, synthesize
 from .mesh import build_unit_cube, build_unit_square
 from .neumann import SolverError
 from .transport import (PicardOptions, TransportError, TransportProblem,
-                        _h1_matrix, solve_nonlinear_ls)
+                        solve_nonlinear_ls)
 
 __all__ = [
     "AdmissibleSet",
@@ -45,12 +45,9 @@ class AdmissibleSet:
 
     The box is [1/lam, lam] unless an explicit (lo, hi) override is
     given (used to keep iterates inside a family's parameter range).
-    grad_const and norm_bound describe the smoothness part of the set;
-    they are diagnostics only and never enforced by the projection.
     """
 
-    def __init__(self, gamma0, lam, grad_const=None, norm_bound=None,
-                 box=None):
+    def __init__(self, gamma0, lam, box=None):
         lam = float(lam)
         if lam < 1.0:
             raise ValueError("box bound lam must be >= 1")
@@ -64,16 +61,14 @@ class AdmissibleSet:
                              "[%g, %g]" % (lo, hi))
         self.gamma0 = gamma0
         self.lam = lam
-        self.grad_const = grad_const
-        self.norm_bound = norm_bound
         self.box = (lo, hi)
 
-    def constraint_values(self, gamma, M=None):
+    def constraint_values(self, gamma):
         """Measured values of the (unenforced) smoothness constraints:
         (||grad alpha|| / ||alpha||, ||alpha||) for alpha = gamma - gamma0."""
         mesh = gamma.mesh
         alpha = NodalField(mesh, gamma.values - self.gamma0.values)
-        anorm = l2_norm_nodal(mesh, alpha.values, M)
+        anorm = l2_norm_nodal(mesh, alpha.values)
         grads = alpha.cell_gradients()
         gnorm = float(np.sqrt(np.dot(
             mesh.cell_volumes, (grads * grads).sum(axis=1))))
@@ -250,7 +245,8 @@ class ReconConfig:
         return "\n".join(lines) + "\n"
 
     def resolve(self):
-        """Fill unset keys from the preset; returns a plain dict."""
+        """Fill unset keys from the preset, then t_lo/t_hi from the
+        family; returns a plain dict, with the admissible box as "box"."""
         out = dict(self.values)
         if out["preset"] is not None:
             from .presets import get_preset
@@ -277,6 +273,17 @@ class ReconConfig:
             raise ConfigError("iterations must be >= 1")
         if out["refine"] < 1:
             raise ConfigError("refine must be >= 1")
+        lam = out["lambda"]
+        if lam < 1.0:
+            raise ConfigError("lambda must be >= 1, got %g" % lam)
+        out["t_lo"], out["t_hi"] = builtin(out["family"]).with_t_range(
+            out["t_lo"], out["t_hi"]).t_range
+        lo, hi = out["box"] = (max(1.0 / lam, out["t_lo"]),
+                               min(lam, out["t_hi"]))
+        if not (lo <= 1.0 <= hi and lo < hi):
+            raise ConfigError("admissible box [%g, %g] of lambda, t_lo, t_hi "
+                              "must be non-empty and hold the background 1"
+                              % (lo, hi))
         return out
 
 
@@ -342,50 +349,45 @@ def reconstruct(config):
     cfg = config.resolve()
     builder = build_unit_square if cfg["dim"] == 2 else build_unit_cube
     mesh = builder(cfg["n"])
-    family = builtin(cfg["family"])
-    if cfg["t_lo"] is not None and cfg["t_hi"] is not None:
-        family = family.with_t_range(cfg["t_lo"], cfg["t_hi"])
-    lo, hi = family.t_range
-    M = mass_matrix(mesh)
+    family = builtin(cfg["family"]).with_t_range(cfg["t_lo"], cfg["t_hi"])
 
     gamma_star_fn = cfg["gamma_star"]
-    if gamma_star_fn is not None:
-        target = interpolate_nodal(mesh, gamma_star_fn)
-        data = synthesize(family, target, mesh, refine=cfg["refine"], M=M)
-        boundary_values = gamma_star_fn
-    else:
-        target = None
-        data = load_functional_data(mesh, cfg["data"])
-        bval = cfg["boundary_value"]
-        boundary_values = lambda pts: np.full(pts.shape[0], bval)
+    try:
+        if gamma_star_fn is not None:
+            target = interpolate_nodal(mesh, gamma_star_fn)
+            data = synthesize(family, target, mesh, refine=cfg["refine"])
+            boundary_values = gamma_star_fn
+        else:
+            target = None
+            data = load_functional_data(mesh, cfg["data"])
+            bval = cfg["boundary_value"]
+            boundary_values = lambda pts: np.full(pts.shape[0], bval)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot prepare the data: %s" % exc) from exc
 
     gamma0 = NodalField(mesh, np.ones(mesh.num_vertices))
-    lam = cfg["lambda"]
-    box = (max(1.0 / lam, lo), min(lam, hi))
-    admissible = AdmissibleSet(gamma0, lam, box=box)
+    admissible = AdmissibleSet(gamma0, cfg["lambda"], box=cfg["box"])
 
     opts = _picard_options(cfg)
     trace = ReconTrace()
-    target_norm = (l2_norm_nodal(mesh, target.values, M)
+    target_norm = (l2_norm_nodal(mesh, target.values)
                    if target is not None else float("nan"))
 
     def rel_error(gamma):
         if target is None:
             return float("nan")
-        return l2_norm_nodal(mesh, gamma.values - target.values,
-                             M) / target_norm
+        return l2_norm_nodal(mesh, gamma.values - target.values) / target_norm
 
     adaptive = cfg["picard.adaptive"]
-    H = _h1_matrix(mesh, M)
 
     def residual(gamma):
         """(selection norm, reported L2 norm) of the forward data misfit,
         and the field E of gamma that the forward solve computed."""
-        forward = synthesize(family, gamma, mesh, M=M)
+        forward = synthesize(family, gamma, mesh)
         diff = (forward.nodal_projection.values
                 - data.nodal_projection.values)
-        l2 = l2_norm_nodal(mesh, diff, M)
-        h1 = float(np.sqrt(diff @ (H @ diff))) if adaptive else l2
+        l2 = l2_norm_nodal(mesh, diff)
+        h1 = float(np.sqrt(diff @ (mesh.h1 @ diff))) if adaptive else l2
         return h1, l2, forward.field
 
     gamma = project(gamma0, admissible, boundary_values)
@@ -406,8 +408,7 @@ def reconstruct(config):
         if trace.stalled_at is None:
             try:
                 problem = TransportProblem(mesh, family, E, data,
-                                           boundary_values, gamma_ref=gamma,
-                                           mass=M, h1=H)
+                                           boundary_values, gamma_ref=gamma)
                 if adaptive:
                     cand, alpha, changes, res = _adaptive_ls_update(
                         problem, opts, alpha, gamma0, admissible,
@@ -424,7 +425,7 @@ def reconstruct(config):
                     gamma = project(half, admissible, boundary_values)
                     res_h1, res_l2, E = residual(gamma)
                 error = rel_error(gamma)
-                constraints = admissible.constraint_values(gamma, M)
+                constraints = admissible.constraint_values(gamma)
             except (SolverError, TransportError, ValueError) as exc:
                 raise ReconError("iteration %d failed: %s"
                                  % (len(trace.iterates) + 1, exc), trace)

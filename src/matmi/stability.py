@@ -12,7 +12,7 @@ to the continuum.
 
 import numpy as np
 
-from .fields import NodalField, l2_norm_cell, l2_norm_nodal, mass_matrix
+from .fields import NodalField, l2_norm_cell, l2_norm_nodal
 from .functional import synthesize
 from .neumann import NeumannFactor, solve_field
 
@@ -61,6 +61,13 @@ class StabilityReport:
         return [r["C_emp"] for r in self.rows
                 if np.isfinite(r["C_emp"])]
 
+    def common_rows(self, other):
+        """(row here, row in `other`) for each pair label whose ratio is
+        finite in both reports, in this report's order."""
+        theirs = {r["pair"]: r for r in other.rows if np.isfinite(r["C_emp"])}
+        return [(r, theirs[r["pair"]]) for r in self.rows
+                if np.isfinite(r["C_emp"]) and r["pair"] in theirs]
+
     def max_ratio(self):
         vals = self.ratios()
         return max(vals) if vals else float("nan")
@@ -98,12 +105,11 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None,
     solves share one lagged Neumann factor.
     """
     mesh = mesh if mesh is not None else base_gamma.mesh
-    M = mass_matrix(mesh)
     bidx = mesh.boundary_vertex_indices()
     report = StabilityReport(mesh.n, "data")
     factor = NeumannFactor()
     # only projections are kept: no field or flux outlives its solve
-    base_proj = synthesize(family, base_gamma, mesh, M=M,
+    base_proj = synthesize(family, base_gamma, mesh,
                            factor=factor).nodal_projection.values
     for i, delta in enumerate(perturbations):
         label = labels[i] if labels is not None else "pair%02d" % i
@@ -116,10 +122,10 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None,
             report.skip(label, "perturbed parameter leaves the family "
                                "range [%g, %g]" % family.t_range)
             continue
-        pert_proj = synthesize(family, NodalField(mesh, pvals), mesh, M=M,
+        pert_proj = synthesize(family, NodalField(mesh, pvals), mesh,
                                factor=factor).nodal_projection.values
-        norm_dg = l2_norm_nodal(mesh, dvals, M)
-        norm_df = l2_norm_nodal(mesh, pert_proj - base_proj, M)
+        norm_dg = l2_norm_nodal(mesh, dvals)
+        norm_df = l2_norm_nodal(mesh, pert_proj - base_proj)
         report.add_row(label, norm_dg, norm_df,
                        _grad_condition(mesh, dvals, norm_dg))
     return report
@@ -135,7 +141,6 @@ def field_difference_sweep(family, pairs, mesh, labels=None):
     the same object as the previous pair's (pairs built as
     (base + delta, base)) is solved once.
     """
-    M = mass_matrix(mesh)
     report = StabilityReport(mesh.n, "field")
     factor = NeumannFactor()
     prev_g2 = prev_E2 = None          # only the last field is kept
@@ -146,13 +151,13 @@ def field_difference_sweep(family, pairs, mesh, labels=None):
             report.skip(label, "parameter leaves the family range "
                                "[%g, %g]" % family.t_range)
             continue
-        _, E1 = solve_field(mesh, family, g1, M=M, factor=factor)
+        _, E1 = solve_field(mesh, family, g1, factor=factor)
         if g2 is not prev_g2:
-            _, prev_E2 = solve_field(mesh, family, g2, M=M, factor=factor)
+            _, prev_E2 = solve_field(mesh, family, g2, factor=factor)
             prev_g2 = g2
         E2 = prev_E2
         dvals = g1.values - g2.values
-        norm_dg = l2_norm_nodal(mesh, dvals, M)
+        norm_dg = l2_norm_nodal(mesh, dvals)
         norm_de = l2_norm_cell(mesh, E1.values - E2.values)
         ratio = norm_de / norm_dg if norm_dg > 0 else 0.0
         report.rows.append({"pair": label,

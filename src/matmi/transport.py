@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import (CellField, NodalField, assemble_p1, cell_to_nodal,
-                     l2_norm_nodal, mass_matrix)
+                     l2_norm_nodal)
 from .functional import cross_b0, flux_field
 from .mesh import classify_inflow
 from .neumann import spd_factor
@@ -87,13 +87,10 @@ class TransportProblem:
         inflow facets (defaults to 1 everywhere).
     tol_inflow : float
         Characteristic-facet tolerance of that classification.
-    mass, h1 : sparse matrix or None
-        The mesh's P1 mass matrix and H1 matrix (`_h1_matrix`), when the
-        caller already holds them; built on first use otherwise.
     """
 
     def __init__(self, mesh, family, E, data, inflow_values, gamma_ref=None,
-                 tol_inflow=1e-12, mass=None, h1=None):
+                 tol_inflow=1e-12):
         self.mesh = mesh
         self.family = family
         self.E = E
@@ -103,20 +100,6 @@ class TransportProblem:
             gamma_ref = NodalField(mesh, np.ones(mesh.num_vertices))
         self.gamma_ref = gamma_ref
         self.tol_inflow = float(tol_inflow)
-        self._mass = mass
-        self._h1 = h1
-
-    @property
-    def mass(self):
-        if self._mass is None:
-            self._mass = mass_matrix(self.mesh)
-        return self._mass
-
-    @property
-    def h1(self):
-        if self._h1 is None:
-            self._h1 = _h1_matrix(self.mesh, self.mass)
-        return self._h1
 
     def inflow_facets(self):
         """Facets of the inflow boundary for velocity A(gamma_ref) w."""
@@ -136,7 +119,7 @@ class TransportProblem:
         g = sum_{m>=1} gamma_c^(m-1) P_m w and h = P_0 w + R(gamma_c) w,
         R the family's non-polynomial remainder.
         """
-        xs, w3, Pw = self._flux_invariants
+        w3, Pw = self._flux_invariants
         g = np.zeros_like(Pw[0])
         tp = np.ones_like(gamma_c)
         for m in range(1, Pw.shape[0]):
@@ -144,26 +127,20 @@ class TransportProblem:
             tp = tp * gamma_c
         if not self.family.has_remainder:
             return g, Pw[0]
-        rat = self.family.rational(xs, gamma_c)[:, :self.mesh.dim]
+        rat = self.family.rational(self.mesh.centroid_points,
+                                   gamma_c)[:, :self.mesh.dim]
         return g, Pw[0] + np.einsum("cij,cj->ci", rat, w3)
-
-
-def _centroid_xs(mesh):
-    xs = np.zeros((mesh.num_cells, 3))
-    xs[:, :mesh.dim] = mesh.cell_centroids
-    return xs
 
 
 def _flux_invariants(mesh, family, E):
     """The parts of the flux split that do not depend on the parameter:
-    centroid points xs (nc, 3), w = E x B0 (nc, 3) and the in-plane
-    per-power flux vectors (P_m w)[:, :dim], shape (M, nc, dim)."""
-    xs = _centroid_xs(mesh)
+    w = E x B0 (nc, 3) and the in-plane per-power flux vectors
+    (P_m w)[:, :dim] at the centroid points, shape (M, nc, dim)."""
     w3 = cross_b0(E.values)
-    P = family.poly_coeffs(xs)[:, :, :mesh.dim]   # (nc, M, dim, 3)
-    Pw = np.einsum("cmij,cj->mci", P, w3)
+    P = family.poly_coeffs(mesh.centroid_points)[:, :, :mesh.dim]
+    Pw = np.einsum("cmij,cj->mci", P, w3)           # P: (nc, M, dim, 3)
     Pw.flags.writeable = False      # flux_split hands out Pw[0] itself
-    return xs, w3, Pw
+    return w3, Pw
 
 
 # -- DG0 upwind ---------------------------------------------------------
@@ -180,7 +157,7 @@ def solve_linear_dg(problem, stagnation_rel=0.05):
     filled by averaging their face neighbors instead.
     """
     mesh, family = problem.mesh, problem.family
-    _, w3, Pw = problem._flux_invariants
+    w3, Pw = problem._flux_invariants
     if Pw.shape[0] > 2 or family.has_remainder:
         raise TransportError(
             "family %r is nonlinear in the parameter; use solve_nonlinear_ls"
@@ -312,8 +289,7 @@ class ExpandedCoefficients:
         self.w3 = cross_b0(E.values)                          # (nc, 3)
         self.grad_E = recover_field_gradients(mesh, E)
         self.grad_w = _grad_w(mesh, self.grad_E)              # (nc, dim, 3)
-        xs = _centroid_xs(mesh)
-        self._xs = xs
+        xs = mesh.centroid_points
         P = family.poly_coeffs(xs)                            # (nc, M, 3, 3)
         Pg = family.poly_coeffs_grad(xs)                      # (nc, 3, M, 3, 3)
         d = mesh.dim
@@ -321,18 +297,18 @@ class ExpandedCoefficients:
         self.d_poly = (
             np.einsum("cmij,cij->cm", P[:, :, :d, :], self.grad_w)
             + np.einsum("cimij,cj->cm", Pg, self.w3))
-        self._P = P
         self.closed_form = closed_form_coefficients(family.name, mesh, E,
                                         grad_E=self.grad_E)
 
     def velocity(self, gamma_c):
         """Advective velocity dA/dt(gamma) w per cell, in-plane."""
-        dA = self.family.deriv_t_many(self._xs, gamma_c, check_range=False)
+        dA = self.family.deriv_t_many(self.mesh.centroid_points, gamma_c,
+                                      check_range=False)
         return np.einsum("cij,cj->ci", dA, self.w3)[:, :self.mesh.dim]
 
     def reaction_remainder(self, gamma_c):
         """Non-polynomial part of D at the frozen parameter."""
-        rat = self.family.rational(self._xs, gamma_c)
+        rat = self.family.rational(self.mesh.centroid_points, gamma_c)
         d = self.mesh.dim
         return np.einsum("cij,cij->c", rat[:, :d, :], self.grad_w)
 
@@ -469,14 +445,6 @@ def _flux_operator(problem, gamma_bar_c):
     return assemble_p1(mesh, ke), c
 
 
-def _h1_matrix(mesh, M):
-    """Unit-coefficient stiffness plus the mass matrix M (an H1 inner
-    product)."""
-    g = mesh.cell_grads
-    ke = np.einsum("c,cid,cjd->cij", mesh.cell_volumes, g, g)
-    return assemble_p1(mesh, ke) + M
-
-
 # CG controls for the inner Picard steps after the first: the frozen
 # coefficients move little from step to step, so an earlier step's
 # factor is a near-exact preconditioner.
@@ -494,7 +462,7 @@ def _ls_system(problem, gamma, anchor, alpha):
     lo, hi = problem.family.t_range
     gbar_c = np.clip(NodalField(mesh, gamma).cell_means(), lo, hi)
     L, c = _flux_operator(problem, gbar_c)
-    R = problem.h1
+    R = mesh.h1
     # diag(L^T L) holds the squared norms of the columns of L
     diag_n = np.bincount(L.indices, L.data ** 2, minlength=mesh.num_vertices)
     scale = alpha * diag_n.mean() / R.diagonal().mean()
@@ -596,7 +564,7 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     if opts is None:
         opts = PicardOptions()
     mesh = problem.mesh
-    M, R = problem.mass, problem.h1
+    R = mesh.h1
     gamma = problem.gamma_ref.values     # never written to in place
     anchor = gamma if anchor is None else anchor.values
     history = []
@@ -613,8 +581,8 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
         if not np.all(np.isfinite(new_vals)):
             raise TransportError("least-squares Picard produced non-finite "
                                  "values", history)
-        change = l2_norm_nodal(mesh, new_vals - gamma, M)
-        scale_g = max(l2_norm_nodal(mesh, gamma, M), 1e-30)
+        change = l2_norm_nodal(mesh, new_vals - gamma)
+        scale_g = max(l2_norm_nodal(mesh, gamma), 1e-30)
         history.append(change / scale_g)
         if history[-1] <= opts.rel_tol:
             break

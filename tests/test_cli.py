@@ -63,6 +63,42 @@ def test_missing_preset_and_config_exits_2(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override,message", [
+    ("lambda=0.5", "lambda must be >= 1"),
+    ("t_lo=1.5", "hold the background 1"),       # 1 lies outside the box
+    ("t_hi=1.5", "outside admissible range"),    # the target leaves it
+])
+def test_bad_box_or_range_exits_2(tmp_path, capsys, override, message):
+    code, _ = _run(tmp_path, override)
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def _data_config(tmp_path, data_n):
+    """Custom n=8 config on an example1 data file written at data_n."""
+    preset = get_preset("example1")
+    mesh = build_unit_square(data_n)
+    data = synthesize(preset.family(),
+                      interpolate_nodal(mesh, preset.gamma_star), mesh)
+    save_functional_data(data, str(tmp_path / "data.bin"))
+    cfg = tmp_path / "custom.txt"
+    cfg.write_text("family = D1\ndata = %s\nn = 8\niterations = 1\n"
+                   % (tmp_path / "data.bin"))
+    return ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+
+
+def test_data_file_for_another_mesh_exits_2(tmp_path, capsys):
+    assert main(_data_config(tmp_path, 6)) == EXIT_CONFIG
+    assert "mesh hash mismatch" in capsys.readouterr().err
+
+
+def test_missing_data_file_exits_2(tmp_path, capsys):
+    argv = _data_config(tmp_path, 8)
+    os.remove(str(tmp_path / "data.bin"))
+    assert main(argv) == EXIT_CONFIG
+    assert "No such file" in capsys.readouterr().err
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "case.txt"
     cfg.write_text("preset = example1\nn = 8\niterations = 2\n")
@@ -91,6 +127,46 @@ def test_sweep_writes_reports(tmp_path, capsys):
             out, "stability_D1_n%d.csv" % n)) > 0
         assert os.path.getsize(os.path.join(out, "field_D1_n%d.csv" % n)) > 0
     assert "ratio drift" in capsys.readouterr().out
+
+
+def _sweep_skips(tmp_path, capsys, *bounds):
+    out = str(tmp_path / "sweeps")
+    assert main(["sweep", "--family", "D1", *bounds, "--n", "8", "--n",
+                 "16", "--count", "3", "--out", out]) == EXIT_OK
+    return re.findall(r"n=\d+: \d+ pairs, (\d+) skipped",
+                      capsys.readouterr().out)
+
+
+def test_sweep_honours_a_lone_bound(tmp_path, capsys):
+    # a lone --t-hi replaces the upper end of D1's range (0.5, 2.0)
+    both = _sweep_skips(tmp_path, capsys, "--t-lo", "0.5", "--t-hi", "1.01")
+    assert both == ["2", "2"]
+    assert _sweep_skips(tmp_path, capsys, "--t-hi", "1.01") == both
+
+
+def test_sweep_drift_pairs_rows_by_label(tmp_path, capsys):
+    # pair17 is kept at n=8 but skipped at n=16: the drift compares the
+    # two resolutions on the labels kept at both
+    out = tmp_path / "sweeps"
+    assert main(["sweep", "--family", "D1", "--t-lo", "0.5", "--t-hi",
+                 "1.0325", "--n", "8", "--n", "16", "--count", "20",
+                 "--out", str(out)]) == EXIT_OK
+    text = capsys.readouterr().out
+
+    def ratios(n):
+        rows = (out / ("stability_D1_n%d.csv" % n)).read_text().split()[1:]
+        return {r.split(",")[0]: float(r.split(",")[3]) for r in rows}
+    coarse, fine = ratios(8), ratios(16)
+    assert "pair17" in coarse and "pair17" not in fine
+    want = max(abs(coarse[k] - fine[k]) / coarse[k] for k in fine)
+    got = re.search(r"ratio drift n=8 -> n=16: (\S+)%% over %d pairs"
+                    % len(fine), text)
+    assert float(got.group(1)) == pytest.approx(100 * want, abs=0.006)
+    # with no pair kept at either resolution there is nothing to compare
+    assert main(["sweep", "--family", "D1", "--t-lo", "0.99", "--t-hi",
+                 "1.01", "--n", "8", "--n", "12", "--count", "2",
+                 "--out", str(out)]) == EXIT_OK
+    assert "drift n=8 -> n=12: nan% over 0 pairs" in capsys.readouterr().out
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

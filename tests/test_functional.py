@@ -213,9 +213,9 @@ def test_mass_projection_matches_direct_solve(refine, monkeypatch):
     solves = []
     mass_solve = functional._mass_solve
 
-    def recording(M, rhs):
-        x = mass_solve(M, rhs)
-        solves.append((M, rhs, x))
+    def recording(m, rhs):
+        x = mass_solve(m, rhs)
+        solves.append((m.mass, rhs, x))
         return x
 
     monkeypatch.setattr(functional, "_mass_solve", recording)

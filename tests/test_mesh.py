@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from matmi.fields import CellField
+from matmi.fields import CellField, assemble_p1, mass_matrix
 from matmi.mesh import (Mesh, build_unit_cube, build_unit_square,
                         classify_inflow)
 
@@ -279,3 +279,36 @@ def test_content_hash_is_stable_and_discriminating():
 def test_invalid_resolution_rejected(builder):
     with pytest.raises(ValueError):
         builder(0)
+
+
+def _same_csr(A, B):
+    return (np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data, B.data))
+
+
+@pytest.mark.parametrize("builder,n", [(build_unit_square, 5),
+                                       (build_unit_cube, 3)])
+def test_fixed_operators_are_shared_and_read_only(builder, n):
+    mesh = builder(n)
+    for name in ("mass", "h1", "centroid_points"):
+        assert getattr(mesh, name) is getattr(mesh, name)
+    # the values of a fresh build and of the former per-caller formulas
+    M = mass_matrix(mesh)
+    assert _same_csr(mesh.mass, M)
+    g = mesh.cell_grads
+    K = assemble_p1(mesh, np.einsum("c,cid,cjd->cij", mesh.cell_volumes,
+                                    g, g))
+    assert _same_csr(mesh.h1, K + M)
+    xs = np.zeros((mesh.num_cells, 3))
+    xs[:, :mesh.dim] = mesh.cell_centroids
+    assert np.array_equal(mesh.centroid_points, xs)
+    for write in (lambda: mesh.mass.data.__setitem__(0, 1.0),
+                  lambda: mesh.mass.__setitem__((0, 0), 1.0),
+                  lambda: mesh.mass.__imul__(2.0),
+                  lambda: mesh.h1.data.__setitem__(0, 1.0),
+                  lambda: mesh.h1.indices.__setitem__(0, 0),
+                  lambda: mesh.centroid_points.__setitem__((0, 0), 1.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    assert _same_csr(mesh.mass, M)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matmi.anisotropy import builtin
 from matmi.fields import NodalField, interpolate_nodal
 from matmi.mesh import build_unit_square
 from matmi.reconstruction import (_DEFAULTS, AdmissibleSet, ConfigError,
@@ -118,6 +119,23 @@ def test_resolve_validates_ranges():
         ReconConfig(preset="example1", refine=0).resolve()
 
 
+def test_resolve_checks_the_admissible_box():
+    with pytest.raises(ConfigError, match="lambda must be >= 1"):
+        ReconConfig(preset="example1", **{"lambda": 0.5}).resolve()
+    for bounds in ({"t_lo": 1.5}, {"t_hi": 0.9}, {"lambda": 1.0}):
+        with pytest.raises(ConfigError, match="background 1"):
+            ReconConfig(preset="example1", **bounds).resolve()
+    assert ReconConfig(preset="example1").resolve()["box"] == (0.5, 2.5)
+
+
+def test_resolve_keeps_the_family_bound_a_lone_bound_leaves():
+    r = ReconConfig(family="D2", data="data.bin", t_hi=3.0).resolve()
+    assert (r["t_lo"], r["t_hi"]) == (builtin("D2").t_range[0], 3.0)
+    assert r["box"] == (0.5, 3.0)
+    r = ReconConfig(family="D2", data="data.bin", t_lo=0.3).resolve()
+    assert (r["t_lo"], r["t_hi"]) == (0.3, builtin("D2").t_range[1])
+
+
 def test_preset_fills_only_unset_keys():
     r = ReconConfig(preset="example1").resolve()
     assert r["family"] == "D1"
@@ -146,38 +164,25 @@ def test_trace_csv_is_deterministic(tmp_path):
     assert header == "iteration,error_L2,residual,ratio"
 
 
-def test_per_call_invariants_are_built_once(monkeypatch):
-    # the flux invariants are built once per outer iteration (not once
-    # per candidate weight), no inflow facet is classified, the mass and
-    # H1 matrices that reconstruct holds are reused by every transport
-    # solve, and the normal matrix is formed only on the steps that
-    # factor it
-    from matmi import reconstruction as rc
+def test_per_call_invariants_are_built_once(monkeypatch, count_calls):
+    # the mass and H1 matrices are built once per reconstruct, whichever
+    # module uses them; the flux invariants once per outer iteration (not
+    # once per candidate weight); no inflow facet is classified; and the
+    # normal matrix is formed only on the steps that factor it
+    from matmi import fields
     from matmi import transport as tr
-    calls = {"classify_inflow": 0, "_h1_matrix": 0, "mass_matrix": 0,
-             "_flux_invariants": 0, "_normal_matrix": 0, "spd_factor": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(tr, "classify_inflow",
-                        counting("classify_inflow", tr.classify_inflow))
-    h1 = counting("_h1_matrix", tr._h1_matrix)
-    monkeypatch.setattr(tr, "_h1_matrix", h1)
-    monkeypatch.setattr(rc, "_h1_matrix", h1)
-    monkeypatch.setattr(tr, "mass_matrix",
-                        counting("mass_matrix", tr.mass_matrix))
-    for name in ("_flux_invariants", "_normal_matrix", "spd_factor"):
-        monkeypatch.setattr(tr, name, counting(name, getattr(tr, name)))
+    calls = {name: count_calls(getattr(fields, name))
+             for name in ("mass_matrix", "h1_matrix")}
+    for name in ("classify_inflow", "_flux_invariants", "_normal_matrix",
+                 "spd_factor"):
+        calls[name] = _counting(monkeypatch, tr, name)
     trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=2))
     assert len(trace.iterates) == 2
-    factored = calls.pop("spd_factor")
+    counts = {name: len(c) for name, c in calls.items()}
+    factored = counts.pop("spd_factor")
     assert factored >= 6
-    assert calls == {"classify_inflow": 0, "_h1_matrix": 1, "mass_matrix": 0,
-                     "_flux_invariants": 2, "_normal_matrix": factored}
+    assert counts == {"mass_matrix": 1, "h1_matrix": 1, "classify_inflow": 0,
+                      "_flux_invariants": 2, "_normal_matrix": factored}
 
 
 def _counting(monkeypatch, module, name):

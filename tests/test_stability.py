@@ -41,6 +41,19 @@ def test_stability_sweep_rows_and_ratios():
     assert rep.max_ratio() == max(rep.ratios())
 
 
+def test_sweeps_on_one_mesh_build_the_mass_matrix_once(count_calls):
+    from matmi import fields
+    built = count_calls(fields.mass_matrix)
+    mesh = build_unit_square(8)
+    base = NodalField(mesh, np.ones(mesh.num_vertices))
+    perts = [interpolate_nodal(mesh, f)
+             for f in smooth_perturbations(3, seed=1)]
+    stability_sweep(D1, base, perts, mesh=mesh)
+    field_difference_sweep(D1, [(NodalField(mesh, base.values + p.values),
+                                 base) for p in perts], mesh)
+    assert len(built) == 1
+
+
 def test_stability_sweep_rejects_boundary_supported_perturbation():
     mesh = build_unit_square(8)
     bad = interpolate_nodal(mesh, lambda p: 0.01 * np.ones(p.shape[0]))
