@@ -7,6 +7,7 @@ __all__ = [
     "NodalField",
     "CellField",
     "assemble_p1",
+    "scatter_p1",
     "mass_matrix",
     "h1_matrix",
     "l2_norm_nodal",
@@ -75,6 +76,16 @@ def assemble_p1(mesh, local):
     return sp.csr_matrix((data, indices, indptr), shape=(nv, nv))
 
 
+def scatter_p1(mesh, local):
+    """(nv,) vector summing per-cell local P1 rows.
+
+    local : (nc, nloc) array; entry [c, i] is added to vertex
+    cells[c, i], cell by cell in order.
+    """
+    return np.bincount(mesh.cells.ravel(), local.ravel(),
+                       minlength=mesh.num_vertices)
+
+
 def mass_matrix(mesh):
     """Consistent P1 mass matrix (CSR), built anew; callers use the
     mesh's copy, `Mesh.mass`."""
@@ -117,20 +128,12 @@ def cell_to_nodal(field):
     (shape (nv,) or (nv, k)).
     """
     mesh = field.mesh
-    vals = field.values
-    nloc = mesh.dim + 1
-    w = np.repeat(mesh.cell_volumes, nloc)
-    idx = mesh.cells.ravel()
-    denom = np.zeros(mesh.num_vertices)
-    np.add.at(denom, idx, w)
-    if vals.ndim == 1:
-        num = np.zeros(mesh.num_vertices)
-        np.add.at(num, idx, np.repeat(vals, nloc) * w)
-        return num / denom
-    out = np.zeros((mesh.num_vertices, vals.shape[1]))
-    for k in range(vals.shape[1]):
-        np.add.at(out[:, k], idx, np.repeat(vals[:, k], nloc) * w)
-    return out / denom[:, None]
+    vals = field.values.reshape(mesh.num_cells, -1)
+    w = np.repeat(mesh.cell_volumes[:, None], mesh.dim + 1, axis=1)
+    num = np.column_stack([scatter_p1(mesh, vals[:, k, None] * w)
+                           for k in range(vals.shape[1])])
+    out = num / scatter_p1(mesh, w)[:, None]
+    return out.reshape((mesh.num_vertices,) + field.values.shape[1:])
 
 
 def level_set_centroid(field, level):

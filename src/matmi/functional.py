@@ -15,7 +15,7 @@ import struct
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fields import CellField, NodalField, interpolate_nodal
+from .fields import CellField, NodalField, interpolate_nodal, scatter_p1
 from .mesh import build_unit_cube, build_unit_square
 from .neumann import SolverError, solve_field
 
@@ -23,7 +23,9 @@ __all__ = [
     "FunctionalData",
     "cross_b0",
     "flux_field",
+    "weak_p1_rows",
     "weak_p1_from_flux",
+    "upwind_cells",
     "weak_dg0_from_flux",
     "weak_p1_from_nodal",
     "weak_dg0_from_nodal",
@@ -104,18 +106,36 @@ def flux_field(mesh, family, gamma_cell_values, E):
     return q[:, :mesh.dim]
 
 
+def weak_p1_rows(mesh, q):
+    """Per-cell local rows of the P1-weak divergence of a per-cell flux,
+    shape (nc, nloc): row [c, i] is -|c| q . grad phi_i plus, for each
+    boundary facet f of cell c through vertex i, the facet's share
+    (q . nu) |f| / dim = int_f (q . nu) phi_i ds, added in facet order.
+    """
+    rows = -mesh.cell_volumes[:, None] * np.einsum("cid,cd->ci",
+                                                   mesh.cell_grads, q)
+    fc = mesh.facet_cells
+    qn = np.einsum("fd,fd->f", q[fc], mesh.facet_normals)
+    share = qn * mesh.facet_measures * (1.0 / mesh.dim)
+    f, i = np.nonzero((mesh.cells[fc][:, :, None]
+                       == mesh.facet_vertices[:, None, :]).any(axis=2))
+    np.add.at(rows, (fc[f], i), share[f])
+    return rows
+
+
 def weak_p1_from_flux(mesh, q):
     """P1-weak divergence of a per-cell flux:
     r_i = -int q . grad phi_i dx + bdry int (q . nu) phi_i ds."""
-    contrib = -np.einsum("c,cid,cd->ci", mesh.cell_volumes,
-                         mesh.cell_grads, q)
-    r = np.zeros(mesh.num_vertices)
-    np.add.at(r, mesh.cells.ravel(), contrib.ravel())
-    share = 1.0 / mesh.dim                    # int_f phi_i ds = |f|/dim
-    qn = np.einsum("fd,fd->f", q[mesh.facet_cells], mesh.facet_normals)
-    np.add.at(r, mesh.facet_vertices.ravel(),
-              np.repeat(qn * mesh.facet_measures * share, mesh.dim))
-    return r
+    return scatter_p1(mesh, weak_p1_rows(mesh, q))
+
+
+def upwind_cells(mesh, w):
+    """Upwind cell of each internal face for the per-cell in-plane
+    velocity w: face_left where the face-averaged w points along the
+    face normal (or is tangent to the face), face_right otherwise."""
+    L, R = mesh.face_left, mesh.face_right
+    vn = np.einsum("fd,fd->f", 0.5 * (w[L] + w[R]), mesh.face_normals)
+    return np.where(vn >= 0.0, L, R)
 
 
 def weak_dg0_from_flux(mesh, q, w):
@@ -123,16 +143,14 @@ def weak_dg0_from_flux(mesh, q, w):
 
     On each internal face the flux trace is taken from the upwind cell
     with respect to the face-averaged advective velocity w (per-cell,
-    in-plane); boundary facets use the adjacent cell's flux.
+    in-plane, see `upwind_cells`); boundary facets use the adjacent
+    cell's flux.
     """
     r = np.zeros(mesh.num_cells)
-    L, R = mesh.face_left, mesh.face_right
-    wf = 0.5 * (w[L] + w[R])
-    vn = np.einsum("fd,fd->f", wf, mesh.face_normals)
-    q_up = np.where((vn >= 0.0)[:, None], q[L], q[R])
-    qn = np.einsum("fd,fd->f", q_up, mesh.face_normals) * mesh.face_measures
-    np.add.at(r, L, qn)
-    np.add.at(r, R, -qn)
+    qn = np.einsum("fd,fd->f", q[upwind_cells(mesh, w)],
+                   mesh.face_normals) * mesh.face_measures
+    np.add.at(r, mesh.face_left, qn)
+    np.add.at(r, mesh.face_right, -qn)
     fc = mesh.facet_cells
     np.add.at(r, fc, np.einsum("fd,fd->f", q[fc], mesh.facet_normals)
               * mesh.facet_measures)
@@ -195,8 +213,7 @@ def _mass_solve(mesh, rhs):
     return x
 
 
-def synthesize(family, gamma_star, mesh, refine=1, solver_tol=1e-10,
-               factor=None):
+def synthesize(family, gamma_star, mesh, refine=1, factor=None):
     """Generate the weak acoustic-source data F(gamma_star) on `mesh`.
 
     gamma_star may be a NodalField on `mesh` or a callable of the vertex
@@ -214,7 +231,7 @@ def synthesize(family, gamma_star, mesh, refine=1, solver_tol=1e-10,
             gamma = interpolate_nodal(mesh, gamma_star)
         else:
             gamma = gamma_star
-        _, E = solve_field(mesh, family, gamma, tol=solver_tol, factor=factor)
+        _, E = solve_field(mesh, family, gamma, factor=factor)
         gc = gamma.cell_means() if isinstance(gamma, NodalField) \
             else gamma.values
         q = flux_field(mesh, family, gc, E)
@@ -231,7 +248,7 @@ def synthesize(family, gamma_star, mesh, refine=1, solver_tol=1e-10,
         gamma_f = interpolate_nodal(fine, gamma_star)
     else:
         gamma_f = NodalField(fine, eval_p1(gamma_star, fine.vertices))
-    _, E = solve_field(fine, family, gamma_f, tol=solver_tol, factor=factor)
+    _, E = solve_field(fine, family, gamma_f, factor=factor)
     q = flux_field(fine, family, gamma_f.cell_means(), E)
     p1_f = weak_p1_from_flux(fine, q)
     proj_f = NodalField(fine, _mass_solve(fine, p1_f))
@@ -272,40 +289,39 @@ def save_functional_data(data, path):
 
 
 def load_functional_data(mesh, path):
-    """Read a container written by save_functional_data; the mesh hash
-    must match the supplied mesh."""
+    """Read a container written by save_functional_data.  The payload
+    must be intact, its stored dim and n must match the supplied mesh,
+    and so must the mesh hash, checked in that order."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
             raise ValueError("not a functional-data container: bad magic")
         stored = fh.read(64).decode("ascii")
-        if stored != mesh.content_hash():
-            raise ValueError("mesh hash mismatch: container %s... vs mesh %s..."
-                             % (stored[:12], mesh.content_hash()[:12]))
         payload_hash = fh.read(64).decode("ascii")
         payload = fh.read()
-        if hashlib.sha256(payload).hexdigest() != payload_hash:
-            raise ValueError("payload hash mismatch: file corrupted")
-    return _parse_payload(mesh, payload)
-
-
-def _parse_payload(mesh, payload):
-    with io.BytesIO(payload) as fh:
-        dim, n, src_n = struct.unpack("<iii", fh.read(12))
+    if hashlib.sha256(payload).hexdigest() != payload_hash:
+        raise ValueError("payload hash mismatch: file corrupted")
+    with io.BytesIO(payload) as buf:
+        dim, n, src_n = struct.unpack("<iii", buf.read(12))
         if dim != mesh.dim or n != mesh.n:
-            raise ValueError("container mesh descriptor does not match")
+            raise ValueError("container mesh descriptor does not match: "
+                             "dim %d, n %d vs mesh dim %d, n %d"
+                             % (dim, n, mesh.dim, mesh.n))
+        if stored != mesh.content_hash():
+            raise ValueError("mesh hash mismatch: container %s... vs mesh "
+                             "%s..." % (stored[:12], mesh.content_hash()[:12]))
 
         def read_vec():
-            (size,) = struct.unpack("<q", fh.read(8))
-            return np.frombuffer(fh.read(8 * size), dtype="<f8").copy()
+            (size,) = struct.unpack("<q", buf.read(8))
+            return np.frombuffer(buf.read(8 * size), dtype="<f8").copy()
 
         p1 = read_vec()
         dg0 = read_vec()
         nodal = read_vec()
         raw = read_vec()
-        flux = None
-        if raw.size:
-            flux = CellField(mesh, raw.reshape(mesh.num_cells, mesh.dim))
+    flux = None
+    if raw.size:
+        flux = CellField(mesh, raw.reshape(mesh.num_cells, mesh.dim))
     return FunctionalData(mesh, p1, dg0, NodalField(mesh, nodal), flux, src_n)
 
 

@@ -12,7 +12,7 @@ E = Etilde + grad u (per cell, exact P1 gradient).
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fields import CellField, NodalField, assemble_p1
+from .fields import CellField, NodalField, assemble_p1, scatter_p1
 
 __all__ = [
     "SparseSystem",
@@ -20,7 +20,6 @@ __all__ = [
     "NeumannFactor",
     "etilde",
     "assemble",
-    "assemble_stiffness",
     "load_vector",
     "spd_factor",
     "solve_mean_zero",
@@ -73,17 +72,6 @@ def conductivity_blocks(mesh, family, gamma):
     return A[:, :mesh.dim, :mesh.dim]
 
 
-def _stiffness(mesh, B):
-    g = mesh.cell_grads                       # (nc, nloc, dim)
-    vg = g * mesh.cell_volumes[:, None, None]
-    return assemble_p1(mesh, vg @ B @ g.transpose(0, 2, 1))
-
-
-def assemble_stiffness(mesh, family, gamma):
-    """Stiffness matrix K_ij = int A(x, gamma) grad phi_j . grad phi_i dx."""
-    return _stiffness(mesh, conductivity_blocks(mesh, family, gamma))
-
-
 def assemble(mesh, family, gamma):
     """Neumann system for the field potential u (pure Neumann, singular).
 
@@ -91,13 +79,12 @@ def assemble(mesh, family, gamma):
     same centroid quadrature as the stiffness matrix.
     """
     B = conductivity_blocks(mesh, family, gamma)
-    K = _stiffness(mesh, B)
+    g = mesh.cell_grads                       # (nc, nloc, dim)
+    vg = g * mesh.cell_volumes[:, None, None]
+    K = assemble_p1(mesh, vg @ B @ g.transpose(0, 2, 1))
     et = etilde(mesh.cell_centroids)[:, :mesh.dim]
     q = np.einsum("cde,ce->cd", B, et)        # A Etilde per cell, in-plane
-    contrib = -np.einsum("c,cid,cd->ci", mesh.cell_volumes,
-                         mesh.cell_grads, q)
-    b = np.zeros(mesh.num_vertices)
-    np.add.at(b, mesh.cells.ravel(), contrib.ravel())
+    b = scatter_p1(mesh, -np.einsum("c,cid,cd->ci", mesh.cell_volumes, g, q))
     return SparseSystem(K, b)
 
 
@@ -105,23 +92,18 @@ def load_vector(mesh, f):
     """Load vector int f phi_i dx via an edge-midpoint quadrature (2D,
     exact for quadratics) or the vertex rule (3D)."""
     nloc = mesh.dim + 1
-    b = np.zeros(mesh.num_vertices)
     x = mesh.vertices[mesh.cells]             # (nc, nloc, dim)
     vol = mesh.cell_volumes
+    local = np.zeros((mesh.num_cells, nloc))
     if mesh.dim == 2:
         # midpoints of edges (i, j); phi_k = 1/2 on its two adjacent edges
-        pairs = [(0, 1), (1, 2), (0, 2)]
-        for (i, j) in pairs:
-            mid = 0.5 * (x[:, i, :] + x[:, j, :])
-            fv = np.asarray(f(mid), dtype=float)
-            w = vol / 3.0
-            np.add.at(b, mesh.cells[:, i], 0.5 * w * fv)
-            np.add.at(b, mesh.cells[:, j], 0.5 * w * fv)
+        for (i, j) in [(0, 1), (1, 2), (0, 2)]:
+            fv = np.asarray(f(0.5 * (x[:, i, :] + x[:, j, :])), dtype=float)
+            local[:, [i, j]] += (0.5 * vol / 3.0 * fv)[:, None]
     else:
         for i in range(nloc):
-            fv = np.asarray(f(x[:, i, :]), dtype=float)
-            np.add.at(b, mesh.cells[:, i], vol / nloc * fv)
-    return b
+            local[:, i] = vol / nloc * np.asarray(f(x[:, i, :]), dtype=float)
+    return scatter_p1(mesh, local)
 
 
 def spd_factor(A):
@@ -253,8 +235,7 @@ def electric_field(mesh, u):
     return CellField(mesh, E)
 
 
-def solve_field(mesh, family, gamma, tol=1e-10, max_iter=None,
-                factor=None):
+def solve_field(mesh, family, gamma, tol=1e-10, factor=None):
     """Assemble and solve the Neumann problem; return (u, E).
 
     The potential u is normalized to zero L2 mean using the mesh's mass
@@ -262,8 +243,7 @@ def solve_field(mesh, family, gamma, tol=1e-10, max_iter=None,
     solves (see solve_mean_zero).
     """
     system = assemble(mesh, family, gamma)
-    vals, _ = solve_mean_zero(system, tol=tol, max_iter=max_iter,
-                              factor=factor)
+    vals, _ = solve_mean_zero(system, tol=tol, factor=factor)
     vol = mesh.cell_volumes.sum()
     vals = vals - (mesh.mass @ vals).sum() / vol
     u = NodalField(mesh, vals)

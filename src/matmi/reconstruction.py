@@ -59,21 +59,8 @@ class AdmissibleSet:
         if gamma0.values.min() < lo or gamma0.values.max() > hi:
             raise ValueError("background gamma0 leaves the admissible box "
                              "[%g, %g]" % (lo, hi))
-        self.gamma0 = gamma0
         self.lam = lam
         self.box = (lo, hi)
-
-    def constraint_values(self, gamma):
-        """Measured values of the (unenforced) smoothness constraints:
-        (||grad alpha|| / ||alpha||, ||alpha||) for alpha = gamma - gamma0."""
-        mesh = gamma.mesh
-        alpha = NodalField(mesh, gamma.values - self.gamma0.values)
-        anorm = l2_norm_nodal(mesh, alpha.values)
-        grads = alpha.cell_gradients()
-        gnorm = float(np.sqrt(np.dot(
-            mesh.cell_volumes, (grads * grads).sum(axis=1))))
-        ratio = gnorm / anorm if anorm > 0 else 0.0
-        return ratio, anorm
 
 
 def project(gamma_half, admissible, boundary_values):
@@ -109,7 +96,6 @@ class ReconTrace:
         self.data_residual = []       # ||F(gamma_k) - F(target)||_L2
         self.seconds = []
         self.picard_changes = []      # inner change history per iteration
-        self.constraint_log = []      # (grad ratio, alpha norm) per iter
         self.initial_error = float("nan")
         self.initial_residual = float("nan")
         self.stalled_at = None        # first iteration (1-based) whose
@@ -425,7 +411,6 @@ def reconstruct(config):
                     gamma = project(half, admissible, boundary_values)
                     res_h1, res_l2, E = residual(gamma)
                 error = rel_error(gamma)
-                constraints = admissible.constraint_values(gamma)
             except (SolverError, TransportError, ValueError) as exc:
                 raise ReconError("iteration %d failed: %s"
                                  % (len(trace.iterates) + 1, exc), trace)
@@ -433,6 +418,5 @@ def reconstruct(config):
         trace.iterates.append(gamma)
         trace.error_l2.append(error)
         trace.data_residual.append(res_l2)
-        trace.constraint_log.append(constraints)
         trace.seconds.append(time.perf_counter() - t0)
     return trace

@@ -199,17 +199,18 @@ def contraction_report(trace, threshold=0.0):
     return {"ratios": ratios, "geometric_mean": gmean, "verdict": verdict}
 
 
-def smooth_perturbations(count, seed=0, amplitude=0.05, max_mode=4, dim=2):
+def smooth_perturbations(count, seed=0, amplitude=0.05, dim=2):
     """Deterministic boundary-vanishing perturbation functions.
 
     Returns `count` callables p -> values, each a random product of
-    sine modes sin(i pi x) sin(j pi y) [sin(k pi z)] scaled to the
-    given amplitude; all vanish identically on the unit-domain boundary.
+    sine modes sin(i pi x) sin(j pi y) [sin(k pi z)], i, j, k in 1..4,
+    scaled to the given amplitude; all vanish identically on the
+    unit-domain boundary.
     """
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        modes = rng.integers(1, max_mode + 1, size=dim)
+        modes = rng.integers(1, 5, size=dim)
         amp = amplitude * rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
 
         def pert(p, modes=modes, amp=amp):

@@ -28,7 +28,8 @@ import scipy.sparse.linalg as spla
 
 from .fields import (CellField, NodalField, assemble_p1, cell_to_nodal,
                      l2_norm_nodal)
-from .functional import cross_b0, flux_field
+from .functional import (cross_b0, flux_field, upwind_cells,
+                         weak_dg0_from_flux, weak_p1_from_flux, weak_p1_rows)
 from .mesh import classify_inflow
 from .neumann import spd_factor
 
@@ -145,16 +146,16 @@ def _flux_invariants(mesh, family, E):
 
 # -- DG0 upwind ---------------------------------------------------------
 
-def solve_linear_dg(problem, stagnation_rel=0.05):
+def solve_linear_dg(problem):
     """DG0 upwind solve of div(gamma * G w + H w) = F.
 
     The flux factors G, H come from the family itself, which must be
     linear in the parameter (polynomial degree <= 1 in t, no remainder).
 
-    Cells whose advective throughput is below stagnation_rel times the
-    median (e.g. at interior stagnation points of the rotational field,
-    where the transport equation carries almost no information) are
-    filled by averaging their face neighbors instead.
+    Cells whose advective throughput is below 0.05 times the median
+    (e.g. at interior stagnation points of the rotational field, where
+    the transport equation carries almost no information) are filled by
+    averaging their face neighbors instead.
     """
     mesh, family = problem.mesh, problem.family
     w3, Pw = problem._flux_invariants
@@ -172,45 +173,27 @@ def solve_linear_dg(problem, stagnation_rel=0.05):
             % zero_vel[:10].tolist())
 
     nc = mesh.num_cells
-    rows, cols, vals = [], [], []
-    rhs = problem.data.dg0_weak.astype(float).copy()
-
     L, R = mesh.face_left, mesh.face_right
-    nrm, meas = mesh.face_normals, mesh.face_measures
-    wf = 0.5 * (w[L] + w[R])
-    vn = np.einsum("fd,fd->f", wf, nrm)
-    up_is_left = vn >= 0.0
-    up = np.where(up_is_left, L, R)
-    gn_up = np.einsum("fd,fd->f", np.where(up_is_left[:, None], g[L], g[R]),
-                      nrm) * meas
-    hn_up = np.einsum("fd,fd->f", np.where(up_is_left[:, None], h[L], h[R]),
-                      nrm) * meas
-    # flux leaves L, enters R
-    rows.extend([L, R])
-    cols.extend([up, up])
-    vals.extend([gn_up, -gn_up])
-    np.add.at(rhs, L, -hn_up)
-    np.add.at(rhs, R, hn_up)
+    up = upwind_cells(mesh, w)
+    gn_up = np.einsum("fd,fd->f", g[up], mesh.face_normals) \
+        * mesh.face_measures
 
     # boundary facets: the inflow trace goes to the right-hand side, the
-    # outflow flux to the diagonal
+    # outflow flux to the diagonal; the flux h is known everywhere
     inflow = problem.inflow_facets()
-    fc, fn, fm = mesh.facet_cells, mesh.facet_normals, mesh.facet_measures
-    gn = np.einsum("fd,fd->f", g[fc], fn) * fm
-    hn = np.einsum("fd,fd->f", h[fc], fn) * fm
-    bdry = hn.copy()
+    fc = mesh.facet_cells
+    gn = np.einsum("fd,fd->f", g[fc], mesh.facet_normals) * mesh.facet_measures
+    rhs = problem.data.dg0_weak - weak_dg0_from_flux(mesh, h, w)
     if inflow.size:
-        bdry[inflow] += gn[inflow] * np.asarray(problem.inflow_values(
-            mesh.facet_midpoints[inflow]), dtype=float).ravel()
-    np.subtract.at(rhs, fc, bdry)
+        np.subtract.at(rhs, fc[inflow], gn[inflow] * np.asarray(
+            problem.inflow_values(mesh.facet_midpoints[inflow]),
+            dtype=float).ravel())
     rest = np.ones(fc.size, dtype=bool)
     rest[inflow] = False
-    rows.append(fc[rest])
-    cols.append(fc[rest])
-    vals.append(gn[rest])
-
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
+    # flux leaves L, enters R
+    A = sp.coo_matrix((np.concatenate([gn_up, -gn_up, gn[rest]]),
+                       (np.concatenate([L, R, fc[rest]]),
+                        np.concatenate([up, up, fc[rest]]))),
                       shape=(nc, nc)).tocsr()
 
     # Stagnation handling: sink cells (never upwind of any face) have an
@@ -222,7 +205,7 @@ def solve_linear_dg(problem, stagnation_rel=0.05):
     np.add.at(scale, R, np.abs(gn_up))
     dead = np.where(
         (np.abs(diag) <= 1e-12 * np.maximum(scale, 1e-30))
-        | (scale <= stagnation_rel * np.median(scale)))[0]
+        | (scale <= 0.05 * np.median(scale)))[0]
     if dead.size == nc:
         raise TransportError(
             "advective flux vanishes through every cell (first cells: %s)"
@@ -417,32 +400,19 @@ def _flux_operator(problem, gamma_bar_c):
     """Linear map gamma -> P1 weak divergence of the frozen flux.
 
     Freezing the split at gamma_bar_c, the flux on each cell is
-    q = mean(gamma) * g + h with cellwise-constant g, h -- precisely the
-    quadrature the flux-form data uses, so L gamma* + c reproduces
-    same-mesh data exactly.  Returns (L, c) with c the gamma-free part.
+    q = mean(gamma) * g + h with cellwise-constant g, h.  L spreads the
+    local rows of g's weak divergence (`weak_p1_rows`) evenly over the
+    cell's vertex values, and c is the weak divergence of h, so
+    L gamma + c = weak_p1_from_flux(mean(gamma) g + h) -- the quadrature
+    the flux-form data uses, and L gamma* + c reproduces same-mesh data
+    to rounding.  Returns (L, c).
     """
     mesh = problem.mesh
-    dim, nloc = mesh.dim, mesh.dim + 1
-    vol = mesh.cell_volumes
+    nloc = mesh.dim + 1
     g, h = problem.flux_split(gamma_bar_c)
-
-    gdphi = np.einsum("cid,cd->ci", mesh.cell_grads, g)   # (nc, nloc)
-    hdphi = np.einsum("cid,cd->ci", mesh.cell_grads, h)
-    ke = -(vol[:, None, None] * gdphi[:, :, None]) \
-        * np.full((1, 1, nloc), 1.0 / nloc)
-    c = np.zeros(mesh.num_vertices)
-    np.add.at(c, mesh.cells.ravel(), (-vol[:, None] * hdphi).ravel())
-
-    # boundary term: facet f adds gn_f / (dim * nloc) to the local rows of
-    # its dim vertices in its cell, facet by facet
-    fc, fv = mesh.facet_cells, mesh.facet_vertices
-    gn = np.einsum("fd,fd->f", g[fc], mesh.facet_normals) * mesh.facet_measures
-    hn = np.einsum("fd,fd->f", h[fc], mesh.facet_normals) * mesh.facet_measures
-    on_facet = (mesh.cells[fc][:, :, None] == fv[:, None, :]).any(axis=2)
-    np.add.at(ke, fc, on_facet[:, :, None]
-              * (gn / (dim * nloc))[:, None, None])
-    np.add.at(c, fv.ravel(), np.repeat(hn / dim, dim))
-    return assemble_p1(mesh, ke), c
+    rows = weak_p1_rows(mesh, g) / nloc
+    ke = np.broadcast_to(rows[:, :, None], rows.shape + (nloc,))
+    return assemble_p1(mesh, ke), weak_p1_from_flux(mesh, h)
 
 
 # CG controls for the inner Picard steps after the first: the frozen

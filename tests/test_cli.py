@@ -89,7 +89,7 @@ def _data_config(tmp_path, data_n):
 
 def test_data_file_for_another_mesh_exits_2(tmp_path, capsys):
     assert main(_data_config(tmp_path, 6)) == EXIT_CONFIG
-    assert "mesh hash mismatch" in capsys.readouterr().err
+    assert "descriptor does not match" in capsys.readouterr().err
 
 
 def test_missing_data_file_exits_2(tmp_path, capsys):

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from matmi.fields import (CellField, NodalField, assemble_p1, cell_to_nodal,
                           interpolate_nodal, l2_norm_cell, l2_norm_nodal,
-                          level_set_centroid, mass_matrix, nodal_to_cell)
+                          level_set_centroid, mass_matrix, nodal_to_cell,
+                          scatter_p1)
 from matmi.mesh import Mesh, build_unit_cube, build_unit_square
 
 
@@ -107,6 +108,30 @@ def test_round_trip_constant_field():
     assert np.allclose(nodal, 3.5, atol=1e-12)
     back = nodal_to_cell(NodalField(mesh, nodal))
     assert np.allclose(back.values, 3.5, atol=1e-12)
+
+
+def _scatter_loop(mesh, local):
+    out = np.zeros(mesh.num_vertices)
+    np.add.at(out, mesh.cells.ravel(), local.ravel())
+    return out
+
+
+@pytest.mark.parametrize("builder, n", [(build_unit_square, 7),
+                                        (build_unit_cube, 3)])
+def test_scatter_p1_and_cell_to_nodal_match_add_at(builder, n):
+    # one bincount adds the same values in the same order as np.add.at
+    mesh = builder(n)
+    rng = np.random.default_rng(2)
+    local = rng.standard_normal(mesh.cells.shape)
+    assert np.array_equal(scatter_p1(mesh, local), _scatter_loop(mesh, local))
+    vals = rng.standard_normal((mesh.num_cells, 2))
+    w = np.repeat(mesh.cell_volumes[:, None], mesh.dim + 1, axis=1)
+    denom = _scatter_loop(mesh, w)
+    want = np.column_stack([_scatter_loop(mesh, vals[:, k, None] * w)
+                            for k in range(2)]) / denom[:, None]
+    assert np.array_equal(cell_to_nodal(CellField(mesh, vals)), want)
+    assert np.array_equal(cell_to_nodal(CellField(mesh, vals[:, 0])),
+                          want[:, 0])
 
 
 def test_level_set_centroid_of_centered_disc():

@@ -9,8 +9,8 @@ from matmi.fields import (NodalField, interpolate_nodal, l2_norm_nodal,
 from matmi.functional import (cross_b0, eval_p1, load_functional_data,
                               save_functional_data, synthesize,
                               weak_dg0_from_flux, weak_p1_from_flux,
-                              write_nodal_csv)
-from matmi.mesh import build_unit_cube, build_unit_square
+                              weak_p1_rows, write_nodal_csv)
+from matmi.mesh import Mesh, build_unit_cube, build_unit_square
 from matmi.neumann import SolverError
 
 D1 = builtin("D1").with_t_range(0.25, 4.0)
@@ -66,12 +66,26 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_rejects_wrong_mesh(tmp_path):
+    # same dim and n, other connectivity: only the mesh hash tells
     mesh = build_unit_square(8)
     data = synthesize(D1, _gamma, mesh)
     path = str(tmp_path / "data.bin")
     save_functional_data(data, path)
+    other = Mesh(2, 8, mesh.vertices, mesh.cells[::-1].copy())
     with pytest.raises(ValueError, match="mesh hash"):
-        load_functional_data(build_unit_square(9), path)
+        load_functional_data(other, path)
+
+
+@pytest.mark.parametrize("builder, n", [(build_unit_square, 6),
+                                        (build_unit_square, 9),
+                                        (build_unit_cube, 8)])
+def test_load_names_another_resolution_by_its_descriptor(tmp_path,
+                                                         builder, n):
+    mesh = build_unit_square(8)
+    path = str(tmp_path / "data.bin")
+    save_functional_data(synthesize(D1, _gamma, mesh), path)
+    with pytest.raises(ValueError, match="descriptor does not match"):
+        load_functional_data(builder(n), path)
 
 
 def test_load_rejects_corrupted_payload(tmp_path):
@@ -161,22 +175,36 @@ def test_write_nodal_csv(tmp_path):
     assert len(lines) == 1 + mesh.num_vertices
 
 
-@pytest.mark.parametrize("builder, n", [(build_unit_square, 9),
-                                        (build_unit_cube, 4)])
-def test_weak_p1_boundary_term_matches_facet_loop(builder, n):
-    # the vectorised boundary term adds the same products in the same
-    # order as the per-facet loop, so the weak vector is bit-identical
-    mesh = builder(n)
-    rng = np.random.default_rng(3)
-    q = rng.standard_normal((mesh.num_cells, mesh.dim))
-    ref = -np.einsum("c,cid,cd->ci", mesh.cell_volumes, mesh.cell_grads, q)
-    r = np.zeros(mesh.num_vertices)
-    np.add.at(r, mesh.cells.ravel(), ref.ravel())
+def _weak_p1_rows_loop(mesh, q):
+    """weak_p1_rows with each facet's share added to a copy of the
+    volume rows facet by facet and vertex by vertex."""
+    rows = -mesh.cell_volumes[:, None] * np.einsum("cid,cd->ci",
+                                                   mesh.cell_grads, q)
     for cell, verts, nrm, meas in zip(mesh.facet_cells, mesh.facet_vertices,
                                       mesh.facet_normals,
                                       mesh.facet_measures):
         qn = float(np.dot(q[cell], nrm))
-        r[verts] += qn * meas * (1.0 / mesh.dim)
+        for v in verts:
+            i = mesh.cells[cell].tolist().index(int(v))
+            rows[cell, i] += qn * meas * (1.0 / mesh.dim)
+    return rows
+
+
+@pytest.mark.parametrize("builder, n", [(build_unit_square, 9),
+                                        (build_unit_square, 17),
+                                        (build_unit_cube, 4),
+                                        (build_unit_cube, 5)])
+def test_weak_p1_boundary_term_matches_facet_loop(builder, n):
+    # the facet shares are folded into the local rows in facet order and
+    # the rows scattered once, so rows and weak vector are bit-identical
+    # to the per-facet loop followed by a cell-by-cell scatter
+    mesh = builder(n)
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((mesh.num_cells, mesh.dim))
+    rows = _weak_p1_rows_loop(mesh, q)
+    r = np.zeros(mesh.num_vertices)
+    np.add.at(r, mesh.cells.ravel(), rows.ravel())
+    assert np.array_equal(weak_p1_rows(mesh, q), rows)
     assert np.array_equal(weak_p1_from_flux(mesh, q), r)
 
 

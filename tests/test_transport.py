@@ -137,27 +137,26 @@ def test_picard_options_validation():
 
 
 def _flux_operator_loop(problem, gamma_bar_c):
-    """_flux_operator with its boundary term folded into the local
-    matrices facet by facet and vertex by vertex."""
+    """_flux_operator with the boundary terms folded into copies of the
+    local volume rows facet by facet and vertex by vertex."""
     mesh = problem.mesh
     nloc = mesh.dim + 1
     vol = mesh.cell_volumes
     g, h = problem.flux_split(gamma_bar_c)
-    gdphi = np.einsum("cid,cd->ci", mesh.cell_grads, g)
-    hdphi = np.einsum("cid,cd->ci", mesh.cell_grads, h)
-    ke = -(vol[:, None, None] * gdphi[:, :, None]) \
-        * np.full((1, 1, nloc), 1.0 / nloc)
-    c = np.zeros(mesh.num_vertices)
-    np.add.at(c, mesh.cells.ravel(), (-vol[:, None] * hdphi).ravel())
+    rg = -vol[:, None] * np.einsum("cid,cd->ci", mesh.cell_grads, g)
+    rh = -vol[:, None] * np.einsum("cid,cd->ci", mesh.cell_grads, h)
     for cell, verts, nrm, meas in zip(mesh.facet_cells, mesh.facet_vertices,
                                       mesh.facet_normals,
                                       mesh.facet_measures):
-        gn = float(np.dot(g[cell], nrm)) * meas
-        hn = float(np.dot(h[cell], nrm)) * meas
+        gn = float(np.dot(g[cell], nrm)) * meas * (1.0 / mesh.dim)
+        hn = float(np.dot(h[cell], nrm)) * meas * (1.0 / mesh.dim)
         for v in verts:
             i = mesh.cells[cell].tolist().index(int(v))
-            ke[cell, i, :] += gn / (mesh.dim * nloc)
-        c[verts] += hn / mesh.dim
+            rg[cell, i] += gn
+            rh[cell, i] += hn
+    c = np.zeros(mesh.num_vertices)
+    np.add.at(c, mesh.cells.ravel(), rh.ravel())
+    ke = np.repeat((rg / nloc)[:, :, None], nloc, axis=2)
     return tr.assemble_p1(mesh, ke), c
 
 
@@ -180,6 +179,23 @@ def test_flux_operator_matches_facet_loop(builder, n, preset):
     assert np.array_equal(L.indices, L_ref.indices)
     assert np.array_equal(L.data, L_ref.data)
     assert np.array_equal(c, c_ref)
+
+
+@pytest.mark.parametrize("builder, n", [(build_unit_square, 8),
+                                        (build_unit_cube, 4)])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_flux_operator_reproduces_same_mesh_data(name, builder, n):
+    # L and the data share one weak divergence: frozen at gamma*, the
+    # operator applied to gamma* gives back the synthesized P1 data
+    fam = builtin(name)
+    mesh = builder(n)
+    gstar = interpolate_nodal(
+        mesh, lambda p: 1.0 + 0.4 * np.prod(np.sin(np.pi * p), axis=1))
+    data = synthesize(fam, gstar, mesh)
+    prob = tr.TransportProblem(mesh, fam, data.field, data, None)
+    L, c = tr._flux_operator(prob, gstar.cell_means())
+    err = np.abs(L @ gstar.values + c - data.p1_weak).max()
+    assert err <= 1e-13 * np.abs(data.p1_weak).max()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
