@@ -18,7 +18,7 @@ from .fields import (NodalField, interpolate_nodal, l2_norm_cell,
 from .functional import (load_functional_data, save_functional_data,
                          synthesize, write_nodal_csv)
 from .mesh import build_unit_cube, build_unit_square
-from .neumann import SolverError, etilde, solve_field
+from .neumann import LaggedFactor, SolverError, etilde, solve_field
 from .presets import PRESET_NAMES, SLICE_LEVELS, get_preset
 from .reconstruction import (ConfigError, ReconConfig, ReconError,
                              reconstruct)
@@ -188,8 +188,15 @@ def _verify_preset(name, outdir):
     et_norm = l2_norm_cell(mesh, etilde(mesh.cell_centroids))
     energy_ok = True
     worst = 0.0
+    # a stalled run records the same iterate again: solve each one once,
+    # all through one lagged factor
+    factor = LaggedFactor()
+    prev = None
     for it in trace.iterates:
-        u, _ = solve_field(mesh, family, it)
+        if it is prev:
+            continue
+        prev = it
+        u, _ = solve_field(mesh, family, it, factor=factor)
         gn = l2_norm_cell(mesh, u.cell_gradients())
         worst = max(worst, gn / (lam_est * et_norm))
         energy_ok = energy_ok and gn <= lam_est * et_norm

@@ -117,9 +117,7 @@ def weak_p1_rows(mesh, q):
     fc = mesh.facet_cells
     qn = np.einsum("fd,fd->f", q[fc], mesh.facet_normals)
     share = qn * mesh.facet_measures * (1.0 / mesh.dim)
-    f, i = np.nonzero((mesh.cells[fc][:, :, None]
-                       == mesh.facet_vertices[:, None, :]).any(axis=2))
-    np.add.at(rows, (fc[f], i), share[f])
+    np.add.at(rows, (fc[:, None], mesh.facet_local), share[:, None])
     return rows
 
 
@@ -220,7 +218,7 @@ def synthesize(family, gamma_star, mesh, refine=1, factor=None):
     coordinates.  With refine > 1 the Neumann solve runs on a
     refine-times finer mesh and the nodal projection of F is restricted
     to `mesh` by P1 interpolation at the coarse vertices, avoiding the
-    inverse crime.  `factor` is an optional neumann.NeumannFactor
+    inverse crime.  `factor` is an optional neumann.LaggedFactor
     shared with other solves.
     """
     if refine < 1:

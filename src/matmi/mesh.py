@@ -56,6 +56,10 @@ class Mesh:
         triangle in 3D); the facet arrays share this order.
     facet_vertices : (nb, dim) int array
         Global vertex indices of each boundary facet, ascending.
+    facet_local : (nb, dim) int array
+        Local slots of the facet's vertices in its cell, ascending:
+        cells[facet_cells[f], facet_local[f]] are the facet's vertices.
+        Read-only.
     facet_normals : (nb, dim) float array
         Outward unit normals.
     facet_measures, facet_midpoints : (nb,) and (nb, dim) float arrays
@@ -115,7 +119,8 @@ class Mesh:
         if nv ** dim >= 2 ** 63:
             raise ValueError("too many vertices for 64-bit facet keys")
         # facet j of a cell = all local vertices except j; row c*nloc + j
-        keep = [[k for k in range(nloc) if k != j] for j in range(nloc)]
+        keep = np.array([[k for k in range(nloc) if k != j]
+                         for j in range(nloc)])
         verts = np.sort(self.cells[:, keep].reshape(-1, dim), axis=1)
         key = verts[:, 0].astype(np.int64)
         for k in range(1, dim):
@@ -131,6 +136,7 @@ class Mesh:
         bnd = order[start[counts == 1]]
         self.facet_cells = bnd // nloc
         self.facet_vertices = verts[bnd]
+        self.facet_local = _frozen(keep[bnd % nloc])
         (self.facet_normals, self.facet_measures,
          self.facet_midpoints) = self._facet_geometry(self.facet_vertices,
                                                       self.facet_cells)

@@ -17,7 +17,7 @@ from .fields import CellField, NodalField, assemble_p1, scatter_p1
 __all__ = [
     "SparseSystem",
     "SolverError",
-    "NeumannFactor",
+    "LaggedFactor",
     "etilde",
     "assemble",
     "load_vector",
@@ -114,118 +114,104 @@ def spd_factor(A):
                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-# CG iterations a lagged factor may take before the solve factors its own
-# matrix; about what one factorization costs in iterations.
+# CG iterations per attempt of a Neumann solve: a lagged factor that
+# needs more is replaced by the solve's own (about what one factorization
+# costs in iterations), and that one needs one or two.
 _LAG_MAXITER = 20
-# Relative residual a lagged-factor solve reaches, whatever looser tol
-# the caller asked for.  With its own factor, the single CG iteration of
-# a solve ends at 1e-15 to 5e-13; stopping a lagged solve at tol (1e-10)
-# instead would make results depend on which factor a holder kept, e.g.
-# a field sweep's ratio on the order of its pairs (by 1e-9 relative).
-# The two extra iterations this takes cost far less than a factor.
+# Relative residual a Neumann solve reaches, whatever looser tol the
+# caller asked for.  With its own factor, CG ends at 1e-15 to 5e-13 after
+# one iteration; stopping a lagged solve at tol (1e-10) instead would make
+# results depend on which factor a holder kept, e.g. a field sweep's
+# ratio on the order of its pairs (by 1e-9 relative).  The two extra
+# iterations this takes cost far less than a factor.
 _LAG_RTOL = 1e-13
 
 
-class NeumannFactor:
-    """Holder for the sparse factor of a pinned Neumann matrix.
+class LaggedFactor:
+    """Holder for the sparse factor of an SPD matrix, used as the CG
+    preconditioner of later, nearby systems.
 
     A caller that solves several nearby systems (the perturbed parameters
-    of a sweep) creates one holder and passes it to every solve.  The
-    first solve factors its matrix and leaves the factor here; later
-    solves use it as a lagged CG preconditioner and replace it only when
-    CG has not converged within _LAG_MAXITER iterations.  The factor
-    lives as long as the holder does.
+    of a sweep, the inner steps of a least-squares update) creates one
+    holder and passes it to every solve.  The factor lives as long as the
+    holder does.
     """
 
     def __init__(self):
         self.lu = None
 
+    def solve(self, A, rhs, x0, rtol, maxiter, matrix=None, callback=None):
+        """Solve the SPD system A x = rhs by CG from x0 (None: zero) to a
+        relative residual of rtol, preconditioned with the held factor.
 
-def _deflated_cg(K, b, e, lu, tol, max_iter, history):
-    """CG on the mean-zero subspace from zero, preconditioned with the
-    deflated factor lu of the pinned matrix (the exact inverse on
-    mean-zero vectors when lu is the factor of K).  Appends relative
-    residuals to history; returns the solution, or None when tol was not
-    reached within max_iter iterations."""
-    n = K.shape[0]
-    bnorm = np.linalg.norm(b)
-
-    def deflate(v):
-        return v - (e @ v) * e
-
-    def precond(r):
-        z = np.zeros(n)
-        z[1:] = lu.solve(r[1:])
-        return deflate(z)
-
-    x = np.zeros(n)
-    r = b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = r @ z
-    for _ in range(max_iter):
-        Kp = deflate(K @ p)
-        alpha = rz / (p @ Kp)
-        x += alpha * p
-        r -= alpha * Kp
-        r = deflate(r)
-        rel = np.linalg.norm(r) / bnorm
-        history.append(rel)
-        if rel <= tol:
-            return deflate(x)
-        z = precond(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return None
+        When the holder is empty, holds a factor of another size, or CG
+        has not converged within maxiter iterations, `matrix()` (default:
+        A itself, which must then be a sparse matrix) is factored, kept
+        here, and CG runs again from x0.  `callback(x)` is called after
+        every CG iteration of either attempt.  Raises SolverError when
+        the factorization fails or CG misses even with the fresh factor.
+        """
+        n = rhs.shape[0]
+        lagged = self.lu is not None and self.lu.shape == (n, n)
+        for fresh in ((False, True) if lagged else (True,)):
+            if fresh:
+                self.lu = None              # release the old factor first
+                try:
+                    self.lu = spd_factor(A if matrix is None else matrix())
+                except RuntimeError as exc:
+                    raise SolverError("factorization failed: %s" % exc, [])
+            # the preconditioner is built inline: a name bound to it would
+            # keep the lagged factor alive while the fresh one is built
+            x, info = spla.cg(A, rhs, x0=x0, rtol=rtol, maxiter=maxiter,
+                              M=spla.LinearOperator((n, n), dtype=float,
+                                                    matvec=self.lu.solve),
+                              callback=callback)
+            if info == 0:
+                return x
+        self.lu = None   # the traceback of the error keeps this frame alive
+        resid = np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs)
+        raise SolverError("CG did not reach rtol=%g in %d iterations with "
+                          "a fresh factor (residual %.3g)"
+                          % (rtol, maxiter, resid), [resid])
 
 
-def solve_mean_zero(system, tol=1e-10, max_iter=None, factor=None):
-    """Conjugate gradients on the singular Neumann system.
+def solve_mean_zero(system, tol=1e-10, factor=None):
+    """Solve the singular Neumann system; the returned vector has zero
+    Euclidean mean over the vertices.
 
-    The constant null-space mode is projected out of the residual at
-    every iteration; the returned vector has zero Euclidean mean over the
-    vertices.  CG is preconditioned with a sparse factor of a system
-    with vertex 0 pinned, deflated.  `factor` is a NeumannFactor: when
-    it holds a factor of the right size, CG first runs with that lagged
-    factor (at most _LAG_MAXITER iterations, to a relative residual of
-    min(tol, _LAG_RTOL)); when it is empty or that attempt falls short,
-    the system's own matrix is factored, kept in the holder, and CG runs
-    again from zero (one or two iterations, since the factor is then
-    exact).  Without a holder the factor lives only for this call.
-    Raises SolverError (with the residual history of every attempt) on
-    non-convergence or a failed factorization.
+    The right-hand side is projected to mean zero, which makes the
+    system compatible; then the block with vertex 0 pinned is symmetric
+    positive definite, and its solution (with vertex 0 set to 0) solves
+    the singular system exactly.  That block is solved through `factor`,
+    a LaggedFactor (see LaggedFactor.solve), to a relative residual of
+    min(tol, _LAG_RTOL) within _LAG_MAXITER CG iterations per attempt.
+    Without a holder the factor lives only for this call.  Returns the
+    values and the residual history: 1.0, then the relative residual of
+    the pinned block after every CG iteration.  Raises SolverError (with
+    that history) on non-convergence or a failed factorization.
     """
     K = system.matrix
     n = K.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-    e = np.ones(n) / np.sqrt(n)
     b = system.rhs.astype(float)
-    b = b - (e @ b) * e
+    b = b - b.mean()
     if np.linalg.norm(b) == 0.0:
         return np.zeros(n), [0.0]
 
-    holder = factor if factor is not None else NeumannFactor()
+    K1, b1 = K[1:, 1:], b[1:]
+    bnorm = np.linalg.norm(b1)
     history = [1.0]
-    if holder.lu is not None and holder.lu.shape == (n - 1, n - 1):
-        x = _deflated_cg(K, b, e, holder.lu, min(tol, _LAG_RTOL),
-                         min(max_iter, _LAG_MAXITER), history)
-        if x is not None:
-            return x, history
-    holder.lu = None              # release the old factor first
+
+    def record(x):
+        history.append(np.linalg.norm(b1 - K1 @ x) / bnorm)
+
+    holder = factor if factor is not None else LaggedFactor()
     try:
-        holder.lu = spd_factor(K[1:, 1:])
-    except RuntimeError as exc:
-        raise SolverError("factorization of the pinned Neumann system "
-                          "failed: %s" % exc, history)
-    x = _deflated_cg(K, b, e, holder.lu, tol, max_iter, history)
-    if x is not None:
-        return x, history
-    holder.lu = None   # the traceback of the error keeps this frame alive
-    raise SolverError(
-        "CG did not reach tol=%g in %d iterations (residual %.3g)"
-        % (tol, max_iter, history[-1]), history)
+        x1 = holder.solve(K1, b1, None, min(tol, _LAG_RTOL), _LAG_MAXITER,
+                          callback=record)
+    except SolverError as exc:
+        raise SolverError("pinned Neumann system: %s" % exc, history)
+    x = np.r_[0.0, x1]
+    return x - x.mean(), history
 
 
 def electric_field(mesh, u):
@@ -239,7 +225,7 @@ def solve_field(mesh, family, gamma, tol=1e-10, factor=None):
     """Assemble and solve the Neumann problem; return (u, E).
 
     The potential u is normalized to zero L2 mean using the mesh's mass
-    matrix.  `factor` is an optional NeumannFactor shared with other
+    matrix.  `factor` is an optional LaggedFactor shared with other
     solves (see solve_mean_zero).
     """
     system = assemble(mesh, family, gamma)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .fields import NodalField, l2_norm_cell, l2_norm_nodal
 from .functional import synthesize
-from .neumann import NeumannFactor, solve_field
+from .neumann import LaggedFactor, solve_field
 
 __all__ = [
     "StabilityReport",
@@ -107,7 +107,7 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None,
     mesh = mesh if mesh is not None else base_gamma.mesh
     bidx = mesh.boundary_vertex_indices()
     report = StabilityReport(mesh.n, "data")
-    factor = NeumannFactor()
+    factor = LaggedFactor()
     # only projections are kept: no field or flux outlives its solve
     base_proj = synthesize(family, base_gamma, mesh,
                            factor=factor).nodal_projection.values
@@ -142,7 +142,7 @@ def field_difference_sweep(family, pairs, mesh, labels=None):
     (base + delta, base)) is solved once.
     """
     report = StabilityReport(mesh.n, "field")
-    factor = NeumannFactor()
+    factor = LaggedFactor()
     prev_g2 = prev_E2 = None          # only the last field is kept
     for i, (g1, g2) in enumerate(pairs):
         label = labels[i] if labels is not None else "pair%02d" % i

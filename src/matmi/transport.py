@@ -31,7 +31,7 @@ from .fields import (CellField, NodalField, assemble_p1, cell_to_nodal,
 from .functional import (cross_b0, flux_field, upwind_cells,
                          weak_dg0_from_flux, weak_p1_from_flux, weak_p1_rows)
 from .mesh import classify_inflow
-from .neumann import spd_factor
+from .neumann import LaggedFactor, SolverError
 
 __all__ = [
     "TransportProblem",
@@ -86,12 +86,9 @@ class TransportProblem:
         Start of the least-squares update, and the iterate at which the
         DG0 oracle evaluates the velocity A(gamma) w that classifies its
         inflow facets (defaults to 1 everywhere).
-    tol_inflow : float
-        Characteristic-facet tolerance of that classification.
     """
 
-    def __init__(self, mesh, family, E, data, inflow_values, gamma_ref=None,
-                 tol_inflow=1e-12):
+    def __init__(self, mesh, family, E, data, inflow_values, gamma_ref=None):
         self.mesh = mesh
         self.family = family
         self.E = E
@@ -100,14 +97,12 @@ class TransportProblem:
         if gamma_ref is None:
             gamma_ref = NodalField(mesh, np.ones(mesh.num_vertices))
         self.gamma_ref = gamma_ref
-        self.tol_inflow = float(tol_inflow)
 
     def inflow_facets(self):
         """Facets of the inflow boundary for velocity A(gamma_ref) w."""
         v = flux_field(self.mesh, self.family, self.gamma_ref.cell_means(),
                        self.E)
-        return classify_inflow(self.mesh, CellField(self.mesh, v),
-                               self.tol_inflow)
+        return classify_inflow(self.mesh, CellField(self.mesh, v))
 
     @functools.cached_property
     def _flux_invariants(self):
@@ -415,9 +410,9 @@ def _flux_operator(problem, gamma_bar_c):
     return assemble_p1(mesh, ke), weak_p1_from_flux(mesh, h)
 
 
-# CG controls for the inner Picard steps after the first: the frozen
-# coefficients move little from step to step, so an earlier step's
-# factor is a near-exact preconditioner.
+# CG controls for the inner Picard steps: the frozen coefficients move
+# little from step to step, so an earlier step's factor is a near-exact
+# preconditioner.
 _PCG_RTOL = 1e-10
 _PCG_MAXITER = 50
 
@@ -451,24 +446,6 @@ def _normal_operator(L, R, scale):
     n = L.shape[1]
     return spla.LinearOperator(
         (n, n), matvec=lambda x: LT @ (L @ x) + scale * (R @ x), dtype=float)
-
-
-def _factor(A, history):
-    """Sparse LU of the symmetric positive definite normal matrix."""
-    try:
-        return spd_factor(A)
-    except RuntimeError as exc:
-        raise TransportError("least-squares factorization failed: %s" % exc,
-                             history)
-
-
-def _pcg(A, rhs, x0, lu):
-    """CG on A x = rhs from x0, preconditioned by the factor lu; the
-    solution, or None if it did not converge within the cap."""
-    prec = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-    x, info = spla.cg(A, rhs, x0=x0, rtol=_PCG_RTOL,
-                      maxiter=_PCG_MAXITER, M=prec)
-    return x if info == 0 else None
 
 
 # Anderson mixing of the inner Picard steps: the number of differences
@@ -525,11 +502,14 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     ||G(x_k) - x_k||_M / ||x_k||_M, the stop test is on it, and the
     result is the last plain step G(x_k).
 
-    The first step forms its normal matrix and factors it; later steps
-    run CG warm-started from the current iterate and preconditioned with
-    the latest factor, to a relative residual of _PCG_RTOL, applying the
-    normal matrix through L and R without forming L^T L, and factor their
-    own system if CG has not converged within _PCG_MAXITER iterations.
+    Every step runs CG warm-started from the current iterate, to a
+    relative residual of _PCG_RTOL, applying the normal matrix through L
+    and R without forming L^T L, through one neumann.LaggedFactor per
+    call: the first step forms its normal matrix and factors it, and
+    later steps are preconditioned with the latest factor and factor
+    their own system only if CG has not converged within _PCG_MAXITER
+    iterations.  A failed factorization, or CG missing even with a fresh
+    factor, is a TransportError.
     """
     if opts is None:
         opts = PicardOptions()
@@ -538,16 +518,16 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     gamma = problem.gamma_ref.values     # never written to in place
     anchor = gamma if anchor is None else anchor.values
     history = []
-    lu = None
+    holder = LaggedFactor()
     fs, gs = deque(maxlen=_AA_DEPTH + 1), deque(maxlen=_AA_DEPTH + 1)
     for _ in range(opts.max_outer):
         L, rhs, scale = _ls_system(problem, gamma, anchor, alpha)
-        new_vals = None if lu is None else _pcg(
-            _normal_operator(L, R, scale), rhs, gamma, lu)
-        if new_vals is None:
-            lu = None               # release the old factor first
-            lu = _factor(_normal_matrix(L, R, scale), history)
-            new_vals = lu.solve(rhs)
+        try:
+            new_vals = holder.solve(
+                _normal_operator(L, R, scale), rhs, gamma, _PCG_RTOL,
+                _PCG_MAXITER, matrix=lambda: _normal_matrix(L, R, scale))
+        except SolverError as exc:
+            raise TransportError("least-squares step: %s" % exc, history)
         if not np.all(np.isfinite(new_vals)):
             raise TransportError("least-squares Picard produced non-finite "
                                  "values", history)

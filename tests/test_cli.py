@@ -5,8 +5,10 @@ import pytest
 
 from matmi import (get_preset, interpolate_nodal, save_functional_data,
                    synthesize)
+from matmi import cli
 from matmi.cli import EXIT_CONFIG, EXIT_OK, main
 from matmi.mesh import build_unit_square
+from matmi.reconstruction import ReconConfig
 
 
 def _run(tmp_path, *extra):
@@ -34,6 +36,29 @@ def test_run_reports_a_stall(tmp_path, capsys):
     code, _ = _run(tmp_path)
     assert code == EXIT_OK
     assert "stalled" not in capsys.readouterr().out
+
+
+def test_verify_solves_each_distinct_iterate_once(tmp_path, monkeypatch):
+    # example1 at n=6 stalls at iteration 3 of 6, so iterations 2-6
+    # record one iterate; the energy check solves it once, and every
+    # solve shares one lagged factor
+    monkeypatch.setattr(cli, "ReconConfig", lambda preset: ReconConfig(
+        preset=preset, n=6, iterations=6))
+    solved, holders = [], set()
+    real = cli.solve_field
+
+    def recording(mesh, family, gamma, **kwargs):
+        solved.append(gamma)
+        holders.add(id(kwargs.get("factor")))
+        return real(mesh, family, gamma, **kwargs)
+    monkeypatch.setattr(cli, "solve_field", recording)
+    _, trace = cli._verify_preset("example1", str(tmp_path))
+    assert trace.stalled_at == 3
+    distinct = [it for k, it in enumerate(trace.iterates)
+                if k == 0 or it is not trace.iterates[k - 1]]
+    assert len(distinct) == 2 < len(trace.iterates)
+    assert [id(g) for g in solved] == [id(g) for g in distinct]
+    assert len(holders) == 1 and id(None) not in holders
 
 
 def test_run_dump_fields_writes_iterates(tmp_path):

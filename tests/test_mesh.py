@@ -79,6 +79,24 @@ def test_boundary_vertex_indices_match_facet_loop(builder, n):
         bidx[0] = 0
 
 
+def _facet_vertices_from_slots(mesh):
+    return np.sort(mesh.cells[mesh.facet_cells[:, None], mesh.facet_local],
+                   axis=1)
+
+
+@pytest.mark.parametrize("builder, n", [(build_unit_square, 7),
+                                        (build_unit_cube, 3)])
+def test_facet_local_slots_hold_the_facet_vertices(builder, n):
+    mesh = builder(n)
+    loc = mesh.facet_local
+    assert loc.shape == mesh.facet_vertices.shape
+    assert (np.diff(loc, axis=1) > 0).all()
+    assert np.array_equal(_facet_vertices_from_slots(mesh),
+                          mesh.facet_vertices)
+    with pytest.raises(ValueError):
+        loc[0, 0] = 0
+
+
 # SHA-256 of the mesh arrays as built by the per-facet loop that the
 # vectorized build replaced: int arrays as int64, float arrays as float64,
 # C order (numpy 2.4 on x86_64).
@@ -216,6 +234,8 @@ def test_shuffled_cells_give_the_same_boundary(builder, n, total):
     for verts, cell in zip(mesh.facet_vertices.tolist(),
                            mesh.cells[mesh.facet_cells].tolist()):
         assert set(verts) <= set(cell)
+    assert np.array_equal(_facet_vertices_from_slots(mesh),
+                          mesh.facet_vertices)
     nrm = mesh.facet_normals
     assert np.linalg.norm(nrm, axis=1) == pytest.approx(1.0, abs=1e-12)
     away = mesh.facet_midpoints - mesh.cell_centroids[mesh.facet_cells]

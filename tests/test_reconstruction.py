@@ -169,17 +169,27 @@ def test_per_call_invariants_are_built_once(monkeypatch, count_calls):
     # module uses them; the flux invariants once per outer iteration (not
     # once per candidate weight); no inflow facet is classified; and the
     # normal matrix is formed only on the steps that factor it
-    from matmi import fields
+    from matmi import fields, neumann
     from matmi import transport as tr
     calls = {name: count_calls(getattr(fields, name))
              for name in ("mass_matrix", "h1_matrix")}
-    for name in ("classify_inflow", "_flux_invariants", "_normal_matrix",
-                 "spd_factor"):
+    for name in ("classify_inflow", "_flux_invariants", "_normal_matrix"):
         calls[name] = _counting(monkeypatch, tr, name)
+    shapes = []
+    real_factor = neumann.spd_factor
+
+    def recording(A):
+        shapes.append(A.shape)
+        return real_factor(A)
+    monkeypatch.setattr(neumann, "spd_factor", recording)
     trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=2))
     assert len(trace.iterates) == 2
     counts = {name: len(c) for name, c in calls.items()}
-    factored = counts.pop("spd_factor")
+    # the LSQ normal matrix has a row per vertex, the pinned Neumann
+    # block one fewer
+    nv = trace.iterates[-1].mesh.num_vertices
+    factored = shapes.count((nv, nv))
+    assert factored + shapes.count((nv - 1, nv - 1)) == len(shapes)
     assert factored >= 6
     assert counts == {"mass_matrix": 1, "h1_matrix": 1, "classify_inflow": 0,
                       "_flux_invariants": 2, "_normal_matrix": factored}

@@ -103,7 +103,7 @@ def _sweep_pair(monkeypatch, sweep):
     monkeypatch.setattr(neumann.spla, "splu", counting)
     shared = sweep()
     count = len(calls)
-    monkeypatch.setattr(stability, "NeumannFactor", lambda: None)
+    monkeypatch.setattr(stability, "LaggedFactor", lambda: None)
     return shared, sweep(), count
 
 

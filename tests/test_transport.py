@@ -34,10 +34,12 @@ def test_dg0_linear_advection_oracle(n):
     assert err <= 2.0 / n
 
 
-def test_dg0_inflow_tolerance_insensitive():
+def test_dg0_inflow_tolerance_insensitive(monkeypatch):
     mesh, prob = _uniform_advection_problem(16)
     a = tr.solve_linear_dg(prob).values
-    prob.tol_inflow = 1e-6
+    real = tr.classify_inflow
+    monkeypatch.setattr(tr, "classify_inflow",
+                        lambda mesh, v: real(mesh, v, tol=1e-6))
     b = tr.solve_linear_dg(prob).values
     assert np.allclose(a, b, atol=1e-12)
 
@@ -322,10 +324,31 @@ def test_refactors_when_pcg_gives_up(monkeypatch):
     prob, opts, ones = _d4_case()
     ref, steps = _reference_ls(prob, opts, 1e-2, ones)
     splu_calls = _count_splu(monkeypatch)
-    monkeypatch.setattr(tr, "_pcg", lambda *args: None)
+    real_cg, factors_seen = spla.cg, [0]
+
+    def lagged_gives_up(*args, **kwargs):
+        # CG with a factor that an earlier step made reports a miss
+        if len(splu_calls) == factors_seen[0]:
+            return kwargs["x0"], kwargs["maxiter"]
+        factors_seen[0] = len(splu_calls)
+        return real_cg(*args, **kwargs)
+    monkeypatch.setattr(tr.spla, "cg", lagged_gives_up)
     sol = tr.solve_nonlinear_ls(prob, opts, alpha=1e-2, anchor=ones)
     _assert_matches_reference(sol, ref, steps)
     assert len(splu_calls) == steps
+
+
+def test_cg_missing_with_a_fresh_factor_is_a_transport_error(monkeypatch):
+    # scipy's cg tests convergence at the top of the next iteration, so
+    # with maxiter=1 even the exact fresh factor reports a miss: the step
+    # must fail loudly rather than return an unconverged solve
+    prob, opts, ones = _d4_case(n=8)
+    splu_calls = _count_splu(monkeypatch)
+    monkeypatch.setattr(tr, "_PCG_MAXITER", 1)
+    with pytest.raises(tr.TransportError, match="fresh factor") as err:
+        tr.solve_nonlinear_ls(prob, opts, alpha=1e-2, anchor=ones)
+    assert len(splu_calls) == 1
+    assert err.value.history == []
 
 
 def test_anderson_mixing_reaches_the_same_fixed_point_in_fewer_steps():
