@@ -12,8 +12,8 @@ from .functional import (FunctionalData, load_functional_data,
                          save_functional_data, synthesize)
 from .mesh import build_unit_cube, build_unit_square
 from .presets import PRESET_NAMES, get_preset
-from .reconstruction import (AdmissibleSet, ConfigError, ReconConfig,
-                             ReconError, ReconTrace, reconstruct)
+from .reconstruction import (ConfigError, ReconConfig, ReconError,
+                             ReconTrace, reconstruct)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "build_unit_cube",
     "PRESET_NAMES",
     "get_preset",
-    "AdmissibleSet",
     "ReconConfig",
     "ReconTrace",
     "ReconError",

@@ -92,6 +92,7 @@ def _write_artifacts(outdir, config, trace, dump_fields=False):
 
 def cmd_run(args):
     config = _build_config(args)
+    cfg = config.resolve()
     outdir = os.path.join(_out_root(args), _run_name(args))
     try:
         trace = reconstruct(config)
@@ -112,6 +113,14 @@ def cmd_run(args):
         print("stalled: iteration %d of %d rejected every candidate step; "
               "later iterations repeat its iterate"
               % (trace.stalled_at, len(trace.iterates)))
+    rel_tol = cfg["picard.rel_tol"]
+    open_loops = [k + 1 for k, hist in enumerate(trace.picard_changes)
+                  if hist and hist[-1] > rel_tol]
+    if open_loops:
+        print("inner loop not converged: iteration(s) %s of %d stopped "
+              "after picard.max_outer = %d steps above picard.rel_tol = %g"
+              % (", ".join(map(str, open_loops)), len(trace.iterates),
+                 cfg["picard.max_outer"], rel_tol))
     return EXIT_OK
 
 
@@ -184,7 +193,10 @@ def _verify_preset(name, outdir):
                "%.4g <= %.4g" % (trace.data_residual[-1],
                                  trace.initial_residual))
 
-    lam_est = check_admissibility(family, 8, lam).lambda_est
+    # the iterates lie in the box, so lambda is estimated there: a family
+    # range that reaches t <= 0 makes it infinite and the check vacuous
+    lam_est = check_admissibility(family.with_t_range(box_lo, box_hi), 8,
+                                  lam).lambda_est
     et_norm = l2_norm_cell(mesh, etilde(mesh.cell_centroids))
     energy_ok = True
     worst = 0.0

@@ -91,8 +91,7 @@ PRESETS = {
         "example2", "D2", _two_gaussians, 48, 10, 100.0, (-0.5, 1.6),
         description="quadratic diagonal, two-Gaussian target",
         config_defaults={"picard.adaptive": False, "picard.alpha": 4e-3,
-                         "picard.max_outer": 200,
-                         "picard.accept_last": True}),
+                         "picard.max_outer": 200}),
     "example3": ExperimentPreset(
         "example3", "D3", _cosine_rings, 64, 10, 100.0, (-0.5, 2.5),
         description="nonlinear off-diagonal, oscillatory ring target"),

@@ -15,11 +15,9 @@ from .fields import NodalField, interpolate_nodal, l2_norm_nodal
 from .functional import load_functional_data, synthesize
 from .mesh import build_unit_cube, build_unit_square
 from .neumann import SolverError
-from .transport import (PicardOptions, TransportError, TransportProblem,
-                        solve_nonlinear_ls)
+from .transport import TransportError, TransportProblem, solve_nonlinear_ls
 
 __all__ = [
-    "AdmissibleSet",
     "ReconTrace",
     "ReconConfig",
     "ConfigError",
@@ -40,38 +38,16 @@ class ReconError(RuntimeError):
         self.trace = trace
 
 
-class AdmissibleSet:
-    """Box of admissible parameter fields around a background gamma0.
-
-    The box is [1/lam, lam] unless an explicit (lo, hi) override is
-    given (used to keep iterates inside a family's parameter range).
-    """
-
-    def __init__(self, gamma0, lam, box=None):
-        lam = float(lam)
-        if lam < 1.0:
-            raise ValueError("box bound lam must be >= 1")
-        if box is None:
-            box = (1.0 / lam, lam)
-        lo, hi = float(box[0]), float(box[1])
-        if lo >= hi:
-            raise ValueError("empty admissible box [%g, %g]" % (lo, hi))
-        if gamma0.values.min() < lo or gamma0.values.max() > hi:
-            raise ValueError("background gamma0 leaves the admissible box "
-                             "[%g, %g]" % (lo, hi))
-        self.lam = lam
-        self.box = (lo, hi)
-
-
-def project(gamma_half, admissible, boundary_values):
-    """Clamp into the admissible box and reset the boundary trace.
+def project(gamma_half, box, boundary_values):
+    """Clamp into the admissible box (lo, hi) and reset the boundary
+    trace.
 
     boundary_values: callable of the boundary vertex coordinates (or an
     array over the mesh's boundary vertex indices).  The gradient and
     norm constraints of the admissible set are not enforced here.
     """
     mesh = gamma_half.mesh
-    lo, hi = admissible.box
+    lo, hi = box
     vals = np.clip(gamma_half.values, lo, hi)
     bidx = mesh.boundary_vertex_indices()
     if callable(boundary_values):
@@ -149,13 +125,12 @@ _DEFAULTS = {
     "picard.rel_tol": 1e-6,
     "picard.alpha": 1e-2,
     "picard.adaptive": True,
-    "picard.accept_last": False,
 }
 
 _INT_KEYS = {"dim", "n", "iterations", "refine", "picard.max_outer"}
 _FLOAT_KEYS = {"lambda", "t_lo", "t_hi", "boundary_value",
                "picard.rel_tol", "picard.alpha"}
-_BOOL_KEYS = {"picard.adaptive", "picard.accept_last"}
+_BOOL_KEYS = {"picard.adaptive"}
 
 
 class ReconConfig:
@@ -222,13 +197,11 @@ class ReconConfig:
         return ReconConfig(**merged)
 
     def to_text(self):
-        lines = []
-        for key in sorted(self.values):
-            val = self.values[key]
-            if val is None:
-                continue
-            lines.append("%s = %s" % (key, val))
-        return "\n".join(lines) + "\n"
+        """The resolved configuration as `key = value` lines, one per key
+        that has a value, so a run of the text repeats this one."""
+        cfg = self.resolve()
+        return "".join("%s = %s\n" % (key, cfg[key])
+                       for key in sorted(_DEFAULTS) if cfg[key] is not None)
 
     def resolve(self):
         """Fill unset keys from the preset, then t_lo/t_hi from the
@@ -259,6 +232,14 @@ class ReconConfig:
             raise ConfigError("iterations must be >= 1")
         if out["refine"] < 1:
             raise ConfigError("refine must be >= 1")
+        if out["picard.max_outer"] < 1:
+            raise ConfigError("picard.max_outer must be >= 1")
+        if not 0.0 < out["picard.rel_tol"] < 1.0:
+            raise ConfigError("picard.rel_tol must lie in (0, 1), got %g"
+                              % out["picard.rel_tol"])
+        if not out["picard.alpha"] > 0.0:
+            raise ConfigError("picard.alpha must be > 0, got %g"
+                              % out["picard.alpha"])
         lam = out["lambda"]
         if lam < 1.0:
             raise ConfigError("lambda must be >= 1, got %g" % lam)
@@ -273,54 +254,55 @@ class ReconConfig:
         return out
 
 
-def _picard_options(cfg):
-    return PicardOptions(max_outer=cfg["picard.max_outer"],
-                         rel_tol=cfg["picard.rel_tol"],
-                         accept_last=cfg["picard.accept_last"])
-
-
 # regularization multipliers and step dampings tried per outer iteration
 # by the adaptive least-squares update
 _ALPHA_MULTIPLIERS = (0.4, 1.0, 2.5)
 _STEP_DAMPINGS = (1.0, 0.5)
 
 
-def _adaptive_ls_update(problem, opts, alpha, anchor, admissible,
-                        boundary_values, residual_fn, res_prev):
-    """Residual-guided step selection for the least-squares update.
+def _ls_update(problem, cfg, alpha, anchor, boundary_values, residual_fn,
+               res_prev):
+    """One outer update: least-squares transport solves, steps from the
+    current iterate toward each solution, and their projections.
 
-    Solves the transport update for a few regularization weights around
-    `alpha`, forms full and half steps of each, and keeps the candidate
-    whose forward data residual is smallest.  A candidate is accepted
-    only if it lowers the residual, so the outer loop is monotone in the
-    (observable) data misfit even where the plain fixed-point map is
-    locally expansive.  Returns (gamma or None, alpha, history,
-    residual_fn result of the accepted candidate or None).
+    The adaptive update (`picard.adaptive`) solves for a few
+    regularization weights around `alpha`, forms full and half steps of
+    each, and keeps the candidate whose forward data residual is
+    smallest.  It is accepted only if it lowers the residual, so the
+    outer loop is monotone in the (observable) data misfit even where
+    the plain fixed-point map is locally expansive.  The plain update is
+    the one-candidate case: weight `alpha`, a full step, always
+    accepted.  A candidate whose solve fails is skipped.  Returns
+    (gamma or None, alpha, history, residual_fn result of the accepted
+    candidate or None).
     """
+    adaptive = cfg["picard.adaptive"]
+    mults, omegas = ((_ALPHA_MULTIPLIERS, _STEP_DAMPINGS) if adaptive
+                     else ((1.0,), (1.0,)))
     gamma = problem.gamma_ref
-    inner = PicardOptions(max_outer=opts.max_outer, rel_tol=opts.rel_tol,
-                          accept_last=True)
     best = None
     failures = []
-    for mult in _ALPHA_MULTIPLIERS:
+    for mult in mults:
         a = alpha * mult
         try:
-            sol = solve_nonlinear_ls(problem, inner, alpha=a, anchor=anchor)
+            sol = solve_nonlinear_ls(problem, cfg["picard.max_outer"],
+                                     cfg["picard.rel_tol"], alpha=a,
+                                     anchor=anchor)
         except TransportError as exc:
             failures.append(str(exc))
             continue
-        for omega in _STEP_DAMPINGS:
+        for omega in omegas:
             mixed = NodalField(problem.mesh,
                                omega * sol.values
                                + (1.0 - omega) * gamma.values)
-            cand = project(mixed, admissible, boundary_values)
+            cand = project(mixed, cfg["box"], boundary_values)
             res = residual_fn(cand)
             if best is None or res[0] < best[0][0]:
                 best = (res, cand, a, sol.picard_history)
     if best is None:
-        raise TransportError("all adaptive least-squares candidates failed: "
-                             + "; ".join(failures), [])
-    if best[0][0] >= res_prev:
+        raise TransportError("every least-squares candidate failed: "
+                             + "; ".join(failures))
+    if adaptive and best[0][0] >= res_prev:
         return None, alpha, [], None
     res, cand, a, history = best
     return cand, a, history, res
@@ -352,9 +334,6 @@ def reconstruct(config):
         raise ConfigError("cannot prepare the data: %s" % exc) from exc
 
     gamma0 = NodalField(mesh, np.ones(mesh.num_vertices))
-    admissible = AdmissibleSet(gamma0, cfg["lambda"], box=cfg["box"])
-
-    opts = _picard_options(cfg)
     trace = ReconTrace()
     target_norm = (l2_norm_nodal(mesh, target.values)
                    if target is not None else float("nan"))
@@ -364,8 +343,6 @@ def reconstruct(config):
             return float("nan")
         return l2_norm_nodal(mesh, gamma.values - target.values) / target_norm
 
-    adaptive = cfg["picard.adaptive"]
-
     def residual(gamma):
         """(selection norm, reported L2 norm) of the forward data misfit,
         and the field E of gamma that the forward solve computed."""
@@ -373,10 +350,11 @@ def reconstruct(config):
         diff = (forward.nodal_projection.values
                 - data.nodal_projection.values)
         l2 = l2_norm_nodal(mesh, diff)
-        h1 = float(np.sqrt(diff @ (mesh.h1 @ diff))) if adaptive else l2
+        h1 = (float(np.sqrt(diff @ (mesh.h1 @ diff)))
+              if cfg["picard.adaptive"] else l2)
         return h1, l2, forward.field
 
-    gamma = project(gamma0, admissible, boundary_values)
+    gamma = project(gamma0, cfg["box"], boundary_values)
     trace.initial_error = rel_error(gamma)
     try:
         res_h1, trace.initial_residual, E = residual(gamma)
@@ -395,21 +373,14 @@ def reconstruct(config):
             try:
                 problem = TransportProblem(mesh, family, E, data,
                                            boundary_values, gamma_ref=gamma)
-                if adaptive:
-                    cand, alpha, changes, res = _adaptive_ls_update(
-                        problem, opts, alpha, gamma0, admissible,
-                        boundary_values, residual, res_h1)
-                    if cand is None:
-                        trace.stalled_at = k + 1
-                    else:
-                        gamma = cand
-                        res_h1, res_l2, E = res
+                cand, alpha, changes, res = _ls_update(
+                    problem, cfg, alpha, gamma0, boundary_values, residual,
+                    res_h1)
+                if cand is None:
+                    trace.stalled_at = k + 1
                 else:
-                    half = solve_nonlinear_ls(problem, opts, alpha=alpha,
-                                              anchor=gamma0)
-                    changes = half.picard_history
-                    gamma = project(half, admissible, boundary_values)
-                    res_h1, res_l2, E = residual(gamma)
+                    gamma = cand
+                    res_h1, res_l2, E = res
                 error = rel_error(gamma)
             except (SolverError, TransportError, ValueError) as exc:
                 raise ReconError("iteration %d failed: %s"

@@ -35,7 +35,6 @@ from .neumann import LaggedFactor, SolverError
 
 __all__ = [
     "TransportProblem",
-    "PicardOptions",
     "TransportError",
     "solve_linear_dg",
     "solve_nonlinear_ls",
@@ -53,19 +52,6 @@ class TransportError(RuntimeError):
     def __init__(self, message, history=None):
         super().__init__(message)
         self.history = history or []
-
-
-class PicardOptions:
-    """Controls for the frozen-coefficient outer loop."""
-
-    def __init__(self, max_outer=50, rel_tol=1e-8, accept_last=False):
-        if max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
-        if not 0.0 < rel_tol < 1.0:
-            raise ValueError("rel_tol must lie in (0, 1)")
-        self.max_outer = int(max_outer)
-        self.rel_tol = float(rel_tol)
-        self.accept_last = bool(accept_last)
 
 
 class TransportProblem:
@@ -479,7 +465,7 @@ def _anderson_step(fs, gs, t_range):
     return mixed
 
 
-def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
+def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor=None):
     """Picard iteration solving the frozen flux equation in least squares.
 
     Each step G minimizes ||L(gamma_bar) gamma - b||^2 plus an H1 penalty
@@ -499,8 +485,10 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     (`_anderson_step`), falling back to the plain step G(x_k) when the
     mixing problem is too ill-conditioned or the mixed iterate leaves
     the family's t_range.  The recorded history is the plain change
-    ||G(x_k) - x_k||_M / ||x_k||_M, the stop test is on it, and the
-    result is the last plain step G(x_k).
+    ||G(x_k) - x_k||_M / ||x_k||_M, and the loop stops once it is at
+    most rel_tol or after max_outer (>= 1) steps.  Either way the result is the
+    last plain step G(x_k), carrying the history as `picard_history`; a
+    caller that needs convergence reads it there.
 
     Every step runs CG warm-started from the current iterate, to a
     relative residual of _PCG_RTOL, applying the normal matrix through L
@@ -508,11 +496,9 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     call: the first step forms its normal matrix and factors it, and
     later steps are preconditioned with the latest factor and factor
     their own system only if CG has not converged within _PCG_MAXITER
-    iterations.  A failed factorization, or CG missing even with a fresh
-    factor, is a TransportError.
+    iterations.  A failed factorization, CG missing even with a fresh
+    factor, or a non-finite step is a TransportError.
     """
-    if opts is None:
-        opts = PicardOptions()
     mesh = problem.mesh
     R = mesh.h1
     gamma = problem.gamma_ref.values     # never written to in place
@@ -520,7 +506,7 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
     history = []
     holder = LaggedFactor()
     fs, gs = deque(maxlen=_AA_DEPTH + 1), deque(maxlen=_AA_DEPTH + 1)
-    for _ in range(opts.max_outer):
+    for _ in range(max_outer):
         L, rhs, scale = _ls_system(problem, gamma, anchor, alpha)
         try:
             new_vals = holder.solve(
@@ -534,17 +520,11 @@ def solve_nonlinear_ls(problem, opts=None, alpha=1e-2, anchor=None):
         change = l2_norm_nodal(mesh, new_vals - gamma)
         scale_g = max(l2_norm_nodal(mesh, gamma), 1e-30)
         history.append(change / scale_g)
-        if history[-1] <= opts.rel_tol:
+        if history[-1] <= rel_tol:
             break
         fs.append(new_vals - gamma)
         gs.append(new_vals)
         gamma = _anderson_step(fs, gs, problem.family.t_range)
-    else:
-        if not opts.accept_last:
-            raise TransportError(
-                "least-squares Picard did not converge in %d iterations "
-                "(last change %.3g)" % (opts.max_outer, history[-1]),
-                history)
     out = NodalField(mesh, new_vals)
     out.picard_history = history
     return out

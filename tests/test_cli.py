@@ -61,6 +61,18 @@ def test_verify_solves_each_distinct_iterate_once(tmp_path, monkeypatch):
     assert len(holders) == 1 and id(None) not in holders
 
 
+def test_verify_energy_bound_is_not_vacuous(tmp_path, monkeypatch):
+    # example2's family range reaches t = -0.5, where lambda is infinite;
+    # the iterates lie in the box [0.01, 1.6], where it is finite, so the
+    # energy ratio of a nonzero field must read above zero
+    monkeypatch.setattr(cli, "ReconConfig", lambda preset: ReconConfig(
+        preset=preset, n=8, iterations=3))
+    checks, _ = cli._verify_preset("example2", str(tmp_path))
+    row = {label: (ok, detail) for label, ok, detail in checks.rows}
+    ok, detail = row["energy bound on all solves"]
+    assert ok and float(detail.split()[-1]) > 0.0
+
+
 def test_run_dump_fields_writes_iterates(tmp_path):
     code, outdir = _run(tmp_path, "--dump-fields")
     assert code == EXIT_OK
@@ -97,6 +109,46 @@ def test_bad_box_or_range_exits_2(tmp_path, capsys, override, message):
     code, _ = _run(tmp_path, override)
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override,message", [
+    ("picard.max_outer=0", "picard.max_outer must be >= 1"),
+    ("picard.rel_tol=2", "picard.rel_tol must lie in (0, 1)"),
+    ("picard.rel_tol=0", "picard.rel_tol must lie in (0, 1)"),
+    ("picard.alpha=-1", "picard.alpha must be > 0"),
+])
+def test_bad_picard_control_exits_2(tmp_path, capsys, override, message):
+    code, _ = _run(tmp_path, override)
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("adaptive", ["true", "false"])
+def test_run_reports_an_unconverged_inner_loop(tmp_path, capsys, adaptive):
+    # one inner step never reaches rel_tol: the run still succeeds, and
+    # says so for every accepted update
+    code, _ = _run(tmp_path, "picard.adaptive=" + adaptive,
+                   "picard.max_outer=1")
+    assert code == EXIT_OK
+    assert ("inner loop not converged: iteration(s) 1, 2, 3 of 3 stopped "
+            "after picard.max_outer = 1 steps above picard.rel_tol = 1e-06"
+            in capsys.readouterr().out)
+    code, _ = _run(tmp_path, "picard.adaptive=" + adaptive)
+    assert code == EXIT_OK
+    assert "not converged" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("preset", ["example2", "example6"])
+def test_rerun_from_config_txt_repeats_the_run(tmp_path, preset):
+    # config.txt records the resolved configuration, preset defaults
+    # included, so a run from it repeats the trace byte for byte
+    out = tmp_path / "artifacts"
+    assert main(["run", "--preset", preset, "--out", str(out), "--n", "4",
+                 "--iterations", "2"]) == EXIT_OK
+    assert main(["run", "--config", str(out / preset / "config.txt"),
+                 "--out", str(out)]) == EXIT_OK
+    first = (out / preset / "trace.csv").read_bytes()
+    assert (out / "config" / "trace.csv").read_bytes() == first
 
 
 def _data_config(tmp_path, data_n):

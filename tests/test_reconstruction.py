@@ -7,48 +7,57 @@ import pytest
 from matmi.anisotropy import builtin
 from matmi.fields import NodalField, interpolate_nodal
 from matmi.mesh import build_unit_square
-from matmi.reconstruction import (_DEFAULTS, AdmissibleSet, ConfigError,
-                                  ReconConfig, project, reconstruct)
+from matmi.reconstruction import (_DEFAULTS, ConfigError, ReconConfig,
+                                  project, reconstruct)
 
 
 def _ones(mesh):
     return NodalField(mesh, np.ones(mesh.num_vertices))
 
 
-def test_admissible_set_box_defaults_to_lambda():
-    mesh = build_unit_square(4)
-    adm = AdmissibleSet(_ones(mesh), 2.0)
-    assert adm.box == (0.5, 2.0)
+def test_resolve_box_defaults_to_lambda():
+    # a family range wider than [1/lambda, lambda] leaves the box to lambda
+    r = ReconConfig(family="D1", data="data.bin", t_lo=0.25, t_hi=4.0,
+                    **{"lambda": 2.0}).resolve()
+    assert r["box"] == (0.5, 2.0)
 
 
-def test_admissible_set_validation():
-    mesh = build_unit_square(4)
-    with pytest.raises(ValueError):
-        AdmissibleSet(_ones(mesh), 0.5)
-    with pytest.raises(ValueError):
-        AdmissibleSet(_ones(mesh), 2.0, box=(3.0, 1.0))
-    with pytest.raises(ValueError):
-        AdmissibleSet(_ones(mesh), 2.0, box=(1.5, 2.0))   # gamma0 outside
+def test_resolve_rejects_a_box_without_the_background():
+    base = {"family": "D1", "data": "data.bin"}
+    with pytest.raises(ConfigError, match="lambda must be >= 1"):
+        ReconConfig(**base, **{"lambda": 0.5}).resolve()
+    with pytest.raises(ConfigError, match="non-empty"):
+        ReconConfig(**base, t_lo=3.0, t_hi=1.0).resolve()
+    with pytest.raises(ConfigError, match="background 1"):   # 1 outside
+        ReconConfig(**base, t_lo=1.5, t_hi=2.0).resolve()
+
+
+def test_resolve_validates_picard_controls():
+    for key, val, message in (("picard.max_outer", 0, "max_outer"),
+                              ("picard.rel_tol", 2.0, "rel_tol"),
+                              ("picard.rel_tol", 0.0, "rel_tol"),
+                              ("picard.alpha", -1.0, "alpha"),
+                              ("picard.alpha", 0.0, "alpha")):
+        with pytest.raises(ConfigError, match=message):
+            ReconConfig(preset="example1", **{key: val}).resolve()
 
 
 def test_project_clamps_and_resets_boundary():
     mesh = build_unit_square(6)
-    adm = AdmissibleSet(_ones(mesh), 2.0)
     wild = interpolate_nodal(mesh, lambda p: 10.0 * p[:, 0] - 3.0)
-    out = project(wild, adm, lambda pts: 1.25 * np.ones(pts.shape[0]))
+    out = project(wild, (0.5, 2.0), lambda pts: 1.25 * np.ones(pts.shape[0]))
     assert out.values.min() >= 0.5 and out.values.max() <= 2.0
     bidx = mesh.boundary_vertex_indices()
     assert np.allclose(out.values[bidx], 1.25)
     # projection is idempotent
-    again = project(out, adm, lambda pts: 1.25 * np.ones(pts.shape[0]))
+    again = project(out, (0.5, 2.0), lambda pts: 1.25 * np.ones(pts.shape[0]))
     assert np.array_equal(again.values, out.values)
 
 
 def test_project_checks_boundary_array_length():
     mesh = build_unit_square(4)
-    adm = AdmissibleSet(_ones(mesh), 2.0)
     with pytest.raises(ValueError):
-        project(_ones(mesh), adm, np.ones(3))
+        project(_ones(mesh), (0.5, 2.0), np.ones(3))
 
 
 def test_config_rejects_unknown_key():
@@ -227,6 +236,20 @@ def test_stalled_run_repeats_the_rejected_row(monkeypatch):
         assert long.error_l2[k] == long.error_l2[2]
         assert long.data_residual[k] == long.data_residual[2]
         assert long.picard_changes[k] == []
+
+
+def test_plain_update_is_one_candidate_per_iteration(monkeypatch):
+    # picard.adaptive = false: one transport solve and one projection per
+    # iteration, plus the projection that makes the initial iterate, and
+    # every update is accepted
+    from matmi import reconstruction as rc
+    lsq = _counting(monkeypatch, rc, "solve_nonlinear_ls")
+    proj = _counting(monkeypatch, rc, "project")
+    trace = reconstruct(ReconConfig(preset="example1", n=8, iterations=3,
+                                    **{"picard.adaptive": False}))
+    assert (len(lsq), len(proj)) == (3, 1 + 3)
+    assert trace.stalled_at is None
+    assert len({id(it) for it in trace.iterates}) == 3
 
 
 def test_accepted_iterate_field_is_not_solved_again(monkeypatch):
