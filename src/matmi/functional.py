@@ -1,10 +1,9 @@
 """The forward data map: gamma -> F(gamma) = div(A(x, gamma) (E x B0)).
 
-F is kept in weak form.  Two test spaces are served, matching the two
-transport discretizations: P1 (continuous) and DG0 (cell indicators).
-The DG0 functional uses the upwind face trace of the flux so that data
-generated on the inversion mesh is exactly consistent with the upwinded
-transport operator.
+F is kept in weak form, tested against the P1 nodal basis, together with
+its L2 projection onto P1.  The DG0 weak divergence (cell indicators,
+upwind face traces) is kept as a function of a flux for the DG0
+transport oracle, which builds its own data with it.
 """
 
 import csv
@@ -15,7 +14,7 @@ import struct
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .fields import CellField, NodalField, interpolate_nodal, scatter_p1
+from .fields import NodalField, interpolate_nodal, scatter_p1
 from .mesh import build_unit_cube, build_unit_square
 from .neumann import SolverError, solve_field
 
@@ -28,7 +27,6 @@ __all__ = [
     "upwind_cells",
     "weak_dg0_from_flux",
     "weak_p1_from_nodal",
-    "weak_dg0_from_nodal",
     "synthesize",
     "eval_p1",
     "save_functional_data",
@@ -36,7 +34,7 @@ __all__ = [
     "write_nodal_csv",
 ]
 
-_MAGIC = b"MATMIFN1"
+_MAGIC = b"MATMIFN2"
 
 # Jacobi-preconditioned CG on the P1 mass matrix converges in 18-26
 # iterations at this tolerance whatever the mesh size.
@@ -62,14 +60,11 @@ class FunctionalData:
     ----------
     mesh : Mesh
     p1_weak : (nv,) array
-        v -> int F v dx tested against the P1 nodal basis.
-    dg0_weak : (nc,) array
-        Same functional tested against cell indicator functions.
+        v -> int F v dx tested against the P1 nodal basis; the
+        right-hand side of the least-squares transport update.
     nodal_projection : NodalField
-        L2 projection of F onto P1 (mass-matrix solve of p1_weak).
-    flux : CellField or None
-        The per-cell flux q = A(gamma)(E x B0) when data was generated on
-        this mesh; None when restricted from a finer mesh.
+        L2 projection of F onto P1 (mass-matrix solve of p1_weak); the
+        data residual compares against it.
     source_mesh_resolution : int
         Resolution of the mesh the data was generated on.
     field : CellField or None
@@ -78,19 +73,13 @@ class FunctionalData:
         restricted from a finer mesh or loaded from a file (not stored).
     """
 
-    def __init__(self, mesh, p1_weak, dg0_weak, nodal_projection, flux,
+    def __init__(self, mesh, p1_weak, nodal_projection,
                  source_mesh_resolution, field=None):
         self.mesh = mesh
         self.p1_weak = p1_weak
-        self.dg0_weak = dg0_weak
         self.nodal_projection = nodal_projection
-        self.flux = flux
         self.source_mesh_resolution = int(source_mesh_resolution)
         self.field = field
-
-    def boundary_flux_total(self):
-        """Total weak integral of F (equals the boundary flux integral)."""
-        return float(self.p1_weak.sum())
 
 
 def flux_field(mesh, family, gamma_cell_values, E):
@@ -160,11 +149,6 @@ def weak_p1_from_nodal(mesh, F):
     return mesh.mass @ F.values
 
 
-def weak_dg0_from_nodal(mesh, F):
-    """Cell integrals of a P1 source field."""
-    return mesh.cell_volumes * F.cell_means()
-
-
 def eval_p1(field, points):
     """Evaluate a NodalField on a structured mesh at arbitrary points.
 
@@ -224,42 +208,32 @@ def synthesize(family, gamma_star, mesh, refine=1, factor=None):
     if refine < 1:
         raise ValueError("refine must be >= 1")
 
-    if refine == 1:
-        if callable(gamma_star):
-            gamma = interpolate_nodal(mesh, gamma_star)
-        else:
-            gamma = gamma_star
-        _, E = solve_field(mesh, family, gamma, factor=factor)
-        gc = gamma.cell_means() if isinstance(gamma, NodalField) \
-            else gamma.values
-        q = flux_field(mesh, family, gc, E)
-        w = cross_b0(E.values)[:, :mesh.dim]
-        p1 = weak_p1_from_flux(mesh, q)
-        dg0 = weak_dg0_from_flux(mesh, q, w)
-        proj = NodalField(mesh, _mass_solve(mesh, p1))
-        return FunctionalData(mesh, p1, dg0, proj, CellField(mesh, q), mesh.n,
-                              field=E)
-
-    builder = build_unit_square if mesh.dim == 2 else build_unit_cube
-    fine = builder(mesh.n * refine)
+    fine = mesh
+    if refine > 1:
+        builder = build_unit_square if mesh.dim == 2 else build_unit_cube
+        fine = builder(mesh.n * refine)
     if callable(gamma_star):
-        gamma_f = interpolate_nodal(fine, gamma_star)
+        gamma = interpolate_nodal(fine, gamma_star)
     else:
-        gamma_f = NodalField(fine, eval_p1(gamma_star, fine.vertices))
-    _, E = solve_field(fine, family, gamma_f, factor=factor)
-    q = flux_field(fine, family, gamma_f.cell_means(), E)
-    p1_f = weak_p1_from_flux(fine, q)
-    proj_f = NodalField(fine, _mass_solve(fine, p1_f))
-    F_coarse = NodalField(mesh, eval_p1(proj_f, mesh.vertices))
-    p1 = weak_p1_from_nodal(mesh, F_coarse)
-    dg0 = weak_dg0_from_nodal(mesh, F_coarse)
-    return FunctionalData(mesh, p1, dg0, F_coarse, None, fine.n)
+        gamma = (gamma_star if fine is mesh
+                 else NodalField(fine, eval_p1(gamma_star, fine.vertices)))
+    _, E = solve_field(fine, family, gamma, factor=factor)
+    p1 = weak_p1_from_flux(fine, flux_field(fine, family,
+                                            gamma.cell_means(), E))
+    proj = NodalField(fine, _mass_solve(fine, p1))
+    if fine is mesh:
+        return FunctionalData(mesh, p1, proj, mesh.n, field=E)
+    F_coarse = NodalField(mesh, eval_p1(proj, mesh.vertices))
+    return FunctionalData(mesh, weak_p1_from_nodal(mesh, F_coarse), F_coarse,
+                          fine.n)
 
 
 # -- serialization ------------------------------------------------------
 
 def save_functional_data(data, path):
-    """Flat little-endian binary container for FunctionalData.
+    """Flat little-endian binary container for FunctionalData: the
+    descriptor (dim, n, source resolution), p1_weak and the nodal
+    projection.
 
     The header stores the mesh content hash and a SHA-256 of the payload
     so both loading onto the wrong mesh and file corruption are caught.
@@ -267,17 +241,10 @@ def save_functional_data(data, path):
     mesh = data.mesh
     chunks = [struct.pack("<iii", mesh.dim, mesh.n,
                           data.source_mesh_resolution)]
-    for vec in (data.p1_weak, data.dg0_weak,
-                data.nodal_projection.values):
+    for vec in (data.p1_weak, data.nodal_projection.values):
         arr = np.asarray(vec, dtype="<f8")
         chunks.append(struct.pack("<q", arr.size))
         chunks.append(arr.tobytes())
-    if data.flux is not None:
-        arr = np.ascontiguousarray(data.flux.values, dtype="<f8")
-        chunks.append(struct.pack("<q", arr.size))
-        chunks.append(arr.tobytes())
-    else:
-        chunks.append(struct.pack("<q", 0))
     payload = b"".join(chunks)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -292,6 +259,10 @@ def load_functional_data(mesh, path):
     and so must the mesh hash, checked in that order."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
+        if magic == b"MATMIFN1":    # the earlier, larger container
+            raise ValueError("MATMIFN1 functional-data containers are no "
+                             "longer read; save the data again to write "
+                             "MATMIFN2")
         if magic != _MAGIC:
             raise ValueError("not a functional-data container: bad magic")
         stored = fh.read(64).decode("ascii")
@@ -314,13 +285,8 @@ def load_functional_data(mesh, path):
             return np.frombuffer(buf.read(8 * size), dtype="<f8").copy()
 
         p1 = read_vec()
-        dg0 = read_vec()
         nodal = read_vec()
-        raw = read_vec()
-    flux = None
-    if raw.size:
-        flux = CellField(mesh, raw.reshape(mesh.num_cells, mesh.dim))
-    return FunctionalData(mesh, p1, dg0, NodalField(mesh, nodal), flux, src_n)
+    return FunctionalData(mesh, p1, NodalField(mesh, nodal), src_n)
 
 
 def write_nodal_csv(field, path):

@@ -59,16 +59,15 @@ def etilde(x):
 def conductivity_blocks(mesh, family, gamma):
     """In-plane conductivity matrix per cell, shape (nc, dim, dim).
 
-    The raw dofs of gamma (vertex or cell values) are range-checked,
-    then A is evaluated at cell centroids (one-point quadrature) and the
-    upper-left dim x dim block kept; this is exact for the in-plane
-    action of every builtin family because A couples the z-axis only
-    diagonally.
+    The vertex values of gamma (a NodalField) are range-checked, then A
+    is evaluated at cell centroids (one-point quadrature) on the cell
+    means and the upper-left dim x dim block kept; this is exact for the
+    in-plane action of every builtin family because A couples the z-axis
+    only diagonally.
     """
-    nodal = isinstance(gamma, NodalField)
-    family._check_range(gamma.values, "vertex" if nodal else "cell")
-    gc = gamma.cell_means() if nodal else gamma.values
-    A = family.eval_many(mesh.centroid_points, gc, check_range=False)
+    family._check_range(gamma.values, "vertex")
+    A = family.eval_many(mesh.centroid_points, gamma.cell_means(),
+                         check_range=False)
     return A[:, :mesh.dim, :mesh.dim]
 
 
@@ -170,9 +169,12 @@ class LaggedFactor:
                 return x
         self.lu = None   # the traceback of the error keeps this frame alive
         resid = np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs)
+        # CG divides 0 by 0 after an exactly zero residual (rtol=0)
+        detail = ("residual %.3g" % resid if np.isfinite(resid)
+                  else "non-finite iterate")
         raise SolverError("CG did not reach rtol=%g in %d iterations with "
-                          "a fresh factor (residual %.3g)"
-                          % (rtol, maxiter, resid), [resid])
+                          "a fresh factor (%s)" % (rtol, maxiter, detail),
+                          [resid])
 
 
 def solve_mean_zero(system, tol=1e-10, factor=None):

@@ -210,6 +210,10 @@ class ReconConfig:
         if out["preset"] is not None:
             from .presets import get_preset
             p = get_preset(out["preset"])
+            if "dim" in self.explicit and out["dim"] != p.dim:
+                raise ConfigError("preset %s is %dD; its target is not "
+                                  "defined for dim = %d"
+                                  % (p.name, p.dim, out["dim"]))
             fills = {"family": p.family_name, "dim": p.dim,
                      "n": p.resolution, "iterations": p.iterations,
                      "lambda": p.lam, "t_lo": p.t_range[0],

@@ -169,6 +169,25 @@ def test_data_file_for_another_mesh_exits_2(tmp_path, capsys):
     assert "descriptor does not match" in capsys.readouterr().err
 
 
+def test_old_data_container_exits_2(tmp_path, capsys):
+    argv = _data_config(tmp_path, 8)
+    path = tmp_path / "data.bin"
+    path.write_bytes(b"MATMIFN1" + path.read_bytes()[8:])
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot prepare the data" in err
+    assert "no longer read" in err
+
+
+@pytest.mark.parametrize("preset, dim", [("example6", 2), ("example1", 3)])
+def test_preset_with_another_dim_exits_2(tmp_path, capsys, preset, dim):
+    # a preset's target is defined in its own dimension only
+    code = main(["run", "--preset", preset, "--out", str(tmp_path),
+                 "--n", "4", "--iterations", "1", "dim=%d" % dim])
+    assert code == EXIT_CONFIG
+    assert "preset %s is" % preset in capsys.readouterr().err
+
+
 def test_missing_data_file_exits_2(tmp_path, capsys):
     argv = _data_config(tmp_path, 8)
     os.remove(str(tmp_path / "data.bin"))

@@ -247,7 +247,7 @@ def test_weak_curl_identity():
 
 
 # at tol=0 CG reaches an exactly zero residual and its next step divides
-# 0 by 0; the solve must still end in SolverError
+# 0 by 0; the solve must still end in SolverError, with a readable message
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_solver_error_carries_history():
     mesh = build_unit_square(8)
@@ -258,6 +258,8 @@ def test_solver_error_carries_history():
     with pytest.raises(SolverError) as err:
         solve_mean_zero(system, tol=0.0)
     assert len(err.value.residuals) > 0
+    # the message names a finite residual or the non-finite iterate
+    assert "nan" not in str(err.value).lower()
 
 
 def test_matrix_market_round_trip(tmp_path):

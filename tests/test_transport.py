@@ -6,7 +6,8 @@ from matmi import transport as tr
 from matmi.anisotropy import BUILTIN_NAMES, builtin
 from matmi.fields import (CellField, NodalField, interpolate_nodal,
                           l2_norm_nodal)
-from matmi.functional import synthesize
+from matmi.functional import (cross_b0, flux_field, synthesize,
+                              weak_dg0_from_flux)
 from matmi.mesh import build_unit_cube, build_unit_square
 from matmi.neumann import solve_field
 from matmi.presets import get_preset
@@ -93,8 +94,14 @@ def test_dg0_same_mesh_data_pairing():
     # flux-form data generated on the inversion mesh pairs exactly with
     # the upwinded DG0 operator; the only error left is the O(h^2) gap
     # between the midpoint inflow trace and the cell-mean solution
-    mesh, fam, fn, gstar, data, E = _gaussian_case()
-    prob = tr.TransportProblem(mesh, fam, E, data, fn, gamma_ref=gstar)
+    mesh, fam, fn, gstar, _, E = _gaussian_case()
+
+    class Data:
+        dg0_weak = weak_dg0_from_flux(
+            mesh, flux_field(mesh, fam, gstar.cell_means(), E),
+            cross_b0(E.values)[:, :2])
+
+    prob = tr.TransportProblem(mesh, fam, E, Data(), fn, gamma_ref=gstar)
     sol = tr.solve_linear_dg(prob)
     assert np.abs(sol.values - gstar.cell_means()).max() <= 2.0 / mesh.n
 
