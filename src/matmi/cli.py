@@ -20,8 +20,8 @@ from .functional import (load_functional_data, save_functional_data,
 from .mesh import build_unit_cube, build_unit_square
 from .neumann import LaggedFactor, SolverError, etilde, solve_field
 from .presets import PRESET_NAMES, SLICE_LEVELS, get_preset
-from .reconstruction import (ConfigError, ReconConfig, ReconError,
-                             reconstruct)
+from .reconstruction import (CONVERGENCE_TOL, ConfigError, ReconConfig,
+                             ReconError, reconstruct)
 from .stability import (contraction_report, field_difference_sweep,
                         smooth_perturbations, stability_sweep)
 from .vtkio import write_slice_csv, write_vtk
@@ -109,10 +109,7 @@ def cmd_run(args):
               % (final, trace.initial_error))
     print("final data residual: %.6g (initial %.6g)"
           % (trace.data_residual[-1], trace.initial_residual))
-    if trace.stalled_at is not None:
-        print("stalled: iteration %d of %d rejected every candidate step; "
-              "later iterations repeat its iterate"
-              % (trace.stalled_at, len(trace.iterates)))
+    print(_outer_loop_end(trace))
     rel_tol = cfg["picard.rel_tol"]
     open_loops = [k + 1 for k, hist in enumerate(trace.picard_changes)
                   if hist and hist[-1] > rel_tol]
@@ -122,6 +119,25 @@ def cmd_run(args):
               % (", ".join(map(str, open_loops)), len(trace.iterates),
                  cfg["picard.max_outer"], rel_tol))
     return EXIT_OK
+
+
+def _outer_loop_end(trace):
+    """One line naming how the outer loop ended: the convergence stop,
+    a stall, or the last iteration with the change still too large."""
+    n = len(trace.iterates)
+    if trace.stalled_at is not None:
+        return ("stalled: iteration %d of %d rejected every candidate step; "
+                "later iterations repeat its iterate" % (trace.stalled_at, n))
+    k = trace.converged_at or n
+    r0 = trace.initial_residual
+    ratio = trace.data_residual[k - 1] / r0 if r0 > 0 else float("nan")
+    if trace.converged_at is not None:
+        return ("converged: iteration %d of %d changed gamma by %.3g <= "
+                "%g x residual ratio %.3g; later iterations repeat its "
+                "iterate" % (k, n, trace.outer_change[k - 1],
+                             CONVERGENCE_TOL, ratio))
+    return ("outer loop not converged: last change %.3g > %g x residual "
+            "ratio %.3g" % (trace.outer_change[-1], CONVERGENCE_TOL, ratio))
 
 
 class _Checks:
@@ -170,6 +186,8 @@ def _verify_preset(name, outdir):
         checks.add("runtime <= 300 s", elapsed <= 300.0, "%.1f s" % elapsed)
     else:
         checks.add("runtime (informational)", True, "%.1f s" % elapsed)
+    checks.add("outer loop end (informational)", True,
+               _outer_loop_end(trace))
 
     cfg = config.resolve()
     family = builtin(cfg["family"]).with_t_range(cfg["t_lo"], cfg["t_hi"])

@@ -72,11 +72,18 @@ class ReconTrace:
         self.data_residual = []       # ||F(gamma_k) - F(target)||_L2
         self.seconds = []
         self.picard_changes = []      # inner change history per iteration
+        self.outer_change = []        # ||gamma_k - gamma_{k-1}||_M /
+                                      # ||gamma_k||_M (0 on a row that
+                                      # accepted no update)
         self.initial_error = float("nan")
         self.initial_residual = float("nan")
         self.stalled_at = None        # first iteration (1-based) whose
                                       # adaptive update rejected every
                                       # candidate; later rows repeat it
+        self.converged_at = None      # first iteration (1-based) whose
+                                      # outer change fell within
+                                      # CONVERGENCE_TOL x the residual
+                                      # ratio; later rows repeat it
 
     def ratios(self):
         """Error contraction factors e_k / e_{k-1} (first vs initial)."""
@@ -262,6 +269,9 @@ class ReconConfig:
 # by the adaptive least-squares update
 _ALPHA_MULTIPLIERS = (0.4, 1.0, 2.5)
 _STEP_DAMPINGS = (1.0, 0.5)
+# the outer loop stops once an update moves gamma by at most this
+# fraction of the data residual ratio r_k / r_0 it reached
+CONVERGENCE_TOL = 1e-2
 
 
 def _ls_update(problem, cfg, alpha, anchor, boundary_values, residual_fn,
@@ -370,10 +380,12 @@ def reconstruct(config):
     res_l2 = trace.initial_residual
     for k in range(cfg["iterations"]):
         t0 = time.perf_counter()
-        # Once the adaptive update has rejected every candidate, gamma,
-        # alpha and the residual are unchanged, so each later iteration
-        # would repeat that one exactly: its row is recorded again.
-        if trace.stalled_at is None:
+        changes, change = [], 0.0
+        # Once the adaptive update has rejected every candidate, or an
+        # update has moved gamma by less than its residual can resolve,
+        # each later iteration would repeat that one (exactly, or to
+        # within the data's resolution): its row is recorded again.
+        if trace.stalled_at is None and trace.converged_at is None:
             try:
                 problem = TransportProblem(mesh, family, E, data,
                                            boundary_values, gamma_ref=gamma)
@@ -383,13 +395,20 @@ def reconstruct(config):
                 if cand is None:
                     trace.stalled_at = k + 1
                 else:
+                    change = (l2_norm_nodal(mesh, cand.values - gamma.values)
+                              / l2_norm_nodal(mesh, cand.values))
                     gamma = cand
                     res_h1, res_l2, E = res
+                    # d_k <= tol * r_k / r_0, multiplied out for r_0 = 0
+                    if (change * trace.initial_residual
+                            <= CONVERGENCE_TOL * res_l2):
+                        trace.converged_at = k + 1
                 error = rel_error(gamma)
             except (SolverError, TransportError, ValueError) as exc:
                 raise ReconError("iteration %d failed: %s"
                                  % (len(trace.iterates) + 1, exc), trace)
-        trace.picard_changes.append(list(changes))
+        trace.picard_changes.append(changes)
+        trace.outer_change.append(change)
         trace.iterates.append(gamma)
         trace.error_l2.append(error)
         trace.data_residual.append(res_l2)

@@ -1,10 +1,11 @@
 import os
 import re
 
+import numpy as np
 import pytest
 
-from matmi import (get_preset, interpolate_nodal, save_functional_data,
-                   synthesize)
+from matmi import (NodalField, builtin, get_preset, interpolate_nodal,
+                   save_functional_data, synthesize)
 from matmi import cli
 from matmi.cli import EXIT_CONFIG, EXIT_OK, main
 from matmi.mesh import build_unit_square
@@ -73,6 +74,21 @@ def test_verify_energy_bound_is_not_vacuous(tmp_path, monkeypatch):
     assert ok and float(detail.split()[-1]) > 0.0
 
 
+@pytest.mark.parametrize("preset,n,iterations,ending", [
+    ("example1", 6, 6, "stalled: iteration 3 of 6 "),
+    ("example6", 4, 10, "converged: iteration 3 of 10 "),
+    ("example2", 8, 3, "outer loop not converged: "),
+])
+def test_verify_names_how_the_outer_loop_ended(tmp_path, monkeypatch, preset,
+                                               n, iterations, ending):
+    monkeypatch.setattr(cli, "ReconConfig", lambda preset: ReconConfig(
+        preset=preset, n=n, iterations=iterations))
+    checks, _ = cli._verify_preset(preset, str(tmp_path))
+    row = {label: (ok, detail) for label, ok, detail in checks.rows}
+    ok, detail = row["outer loop end (informational)"]
+    assert ok and detail.startswith(ending)
+
+
 def test_run_dump_fields_writes_iterates(tmp_path):
     code, outdir = _run(tmp_path, "--dump-fields")
     assert code == EXIT_OK
@@ -135,7 +151,38 @@ def test_run_reports_an_unconverged_inner_loop(tmp_path, capsys, adaptive):
             in capsys.readouterr().out)
     code, _ = _run(tmp_path, "picard.adaptive=" + adaptive)
     assert code == EXIT_OK
-    assert "not converged" not in capsys.readouterr().out
+    assert "inner loop not converged" not in capsys.readouterr().out
+
+
+def test_run_reports_the_outer_loop_stop(tmp_path, capsys):
+    # example6 at n=4 stops at iteration 3 of 10
+    out = str(tmp_path / "artifacts")
+    assert main(["run", "--preset", "example6", "--out", out,
+                 "--n", "4"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert re.search(r"^converged: iteration 3 of 10 changed gamma by \S+ "
+                     r"<= 0\.01 x residual ratio \S+; later iterations "
+                     r"repeat its iterate$", text, re.M)
+    assert "not converged" not in text
+    assert len(open(os.path.join(out, "example6", "trace.csv"))
+               .read().split()) == 1 + 10
+
+
+def test_run_reports_an_unconverged_outer_loop(tmp_path, capsys):
+    # example2's outer change stays far above the stop: the run still
+    # succeeds, and says so once
+    out = str(tmp_path / "artifacts")
+    assert main(["run", "--preset", "example2", "--out", out,
+                 "--n", "8", "--iterations", "3"]) == EXIT_OK
+    text = capsys.readouterr().out
+    lines = [line for line in text.splitlines() if "not converged" in line]
+    assert len(lines) == 1
+    change, ratio = re.fullmatch(
+        r"outer loop not converged: last change (\S+) > 0\.01 x residual "
+        r"ratio (\S+)", lines[0]).groups()
+    assert float(change) > 0.01 * float(ratio)
+    assert not re.search(r"^converged:", text, re.M)
+    assert "stalled" not in text
 
 
 @pytest.mark.parametrize("preset", ["example2", "example6"])
@@ -271,6 +318,22 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
                  "--iterations", "2"])
     assert code == EXIT_OK
     assert os.path.exists(str(tmp_path / "envout" / "example1" / "trace.csv"))
+
+
+def test_data_matched_by_the_background_converges_at_once(tmp_path, capsys):
+    # data synthesized from gamma = 1 leaves an initial residual of 0, so
+    # the residual ratio is undefined: the first update ends the run
+    mesh = build_unit_square(6)
+    ones = NodalField(mesh, np.ones(mesh.num_vertices))
+    save_functional_data(synthesize(builtin("D1"), ones, mesh),
+                         str(tmp_path / "data.bin"))
+    cfg = tmp_path / "custom.txt"
+    cfg.write_text("family = D1\ndata = %s\nn = 6\niterations = 3\n"
+                   "picard.adaptive = false\n" % (tmp_path / "data.bin"))
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert ("converged: iteration 1 of 3 changed gamma by 0 <= 0.01 x "
+            "residual ratio nan" in capsys.readouterr().out)
 
 
 def test_custom_data_run_lowers_residual(tmp_path, capsys):

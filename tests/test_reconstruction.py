@@ -238,6 +238,43 @@ def test_stalled_run_repeats_the_rejected_row(monkeypatch):
         assert long.picard_changes[k] == []
 
 
+def test_converged_run_repeats_the_stopping_row(monkeypatch):
+    # example6 at n=4 moves gamma by less than CONVERGENCE_TOL x its
+    # residual ratio at iteration 3; later iterations record that row
+    # without solving, and with no inner history of their own
+    from matmi import reconstruction as rc
+    lsq = _counting(monkeypatch, rc, "solve_nonlinear_ls")
+    short = reconstruct(ReconConfig(preset="example6", n=4, iterations=3))
+    short_calls = len(lsq)
+    assert short.converged_at == 3 and short.stalled_at is None
+    change = short.outer_change[2]
+    assert 0.0 < change <= rc.CONVERGENCE_TOL * (
+        short.data_residual[2] / short.initial_residual)
+    lsq.clear()
+    long = reconstruct(ReconConfig(preset="example6", n=4, iterations=6))
+    assert len(lsq) == short_calls
+    assert long.converged_at == 3
+    assert long.error_l2[:3] == short.error_l2
+    assert long.outer_change[:3] == short.outer_change
+    assert long.picard_changes[2]
+    for k in range(3, 6):
+        assert long.iterates[k] is long.iterates[2]
+        assert long.error_l2[k] == long.error_l2[2]
+        assert long.data_residual[k] == long.data_residual[2]
+        assert long.picard_changes[k] == []
+        assert long.outer_change[k] == 0.0
+
+
+def test_contracting_run_does_not_stop():
+    # example1 at n=16 improves at every one of its 10 iterations, and
+    # each update still moves gamma by more than the stop allows
+    trace = reconstruct(ReconConfig(preset="example1", n=16))
+    assert len(trace.iterates) == 10
+    assert trace.converged_at is None and trace.stalled_at is None
+    assert all(b < a for a, b in zip(trace.error_l2, trace.error_l2[1:]))
+    assert len({id(it) for it in trace.iterates}) == 10
+
+
 def test_plain_update_is_one_candidate_per_iteration(monkeypatch):
     # picard.adaptive = false: one transport solve and one projection per
     # iteration, plus the projection that makes the initial iterate, and
