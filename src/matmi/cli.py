@@ -122,8 +122,10 @@ def cmd_run(args):
 
 
 def _outer_loop_end(trace):
-    """One line naming how the outer loop ended: the convergence stop,
-    a stall, or the last iteration with the change still too large."""
+    """One line naming how the outer loop ended: the convergence stop
+    (named a stop without lowering the residual when the stopping row's
+    residual is not below the initial one), a stall, or the last
+    iteration with the change still too large."""
     n = len(trace.iterates)
     if trace.stalled_at is not None:
         return ("stalled: iteration %d of %d rejected every candidate step; "
@@ -132,9 +134,12 @@ def _outer_loop_end(trace):
     r0 = trace.initial_residual
     ratio = trace.data_residual[k - 1] / r0 if r0 > 0 else float("nan")
     if trace.converged_at is not None:
-        return ("converged: iteration %d of %d changed gamma by %.3g <= "
+        # r0 = 0 (ratio nan): the data was matched from the start
+        ending = ("stopped without lowering the residual" if ratio >= 1.0
+                  else "converged")
+        return ("%s: iteration %d of %d changed gamma by %.3g <= "
                 "%g x residual ratio %.3g; later iterations repeat its "
-                "iterate" % (k, n, trace.outer_change[k - 1],
+                "iterate" % (ending, k, n, trace.outer_change[k - 1],
                              CONVERGENCE_TOL, ratio))
     return ("outer loop not converged: last change %.3g > %g x residual "
             "ratio %.3g" % (trace.outer_change[-1], CONVERGENCE_TOL, ratio))

@@ -25,7 +25,6 @@ __all__ = [
     "solve_mean_zero",
     "electric_field",
     "solve_field",
-    "export_matrix_market",
 ]
 
 
@@ -237,9 +236,3 @@ def solve_field(mesh, family, gamma, tol=1e-10, factor=None):
     u = NodalField(mesh, vals)
     return u, electric_field(mesh, u)
 
-
-def export_matrix_market(system, prefix):
-    """Dump K and b in Matrix Market coordinate/array format."""
-    from scipy.io import mmwrite
-    mmwrite(prefix + "_K.mtx", system.matrix.tocoo())
-    mmwrite(prefix + "_b.mtx", system.rhs.reshape(-1, 1))

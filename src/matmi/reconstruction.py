@@ -14,7 +14,7 @@ from .anisotropy import builtin
 from .fields import NodalField, interpolate_nodal, l2_norm_nodal
 from .functional import load_functional_data, synthesize
 from .mesh import build_unit_cube, build_unit_square
-from .neumann import SolverError
+from .neumann import LaggedFactor, SolverError
 from .transport import TransportError, TransportProblem, solve_nonlinear_ls
 
 __all__ = [
@@ -286,36 +286,42 @@ def _ls_update(problem, cfg, alpha, anchor, boundary_values, residual_fn,
     outer loop is monotone in the (observable) data misfit even where
     the plain fixed-point map is locally expansive.  The plain update is
     the one-candidate case: weight `alpha`, a full step, always
-    accepted.  A candidate whose solve fails is skipped.  Returns
-    (gamma or None, alpha, history, residual_fn result of the accepted
-    candidate or None).
+    accepted.  A candidate whose solve fails is skipped.
+
+    Every weight is solved before any residual is evaluated, so the
+    least-squares factors are freed before the forward solves start.
+    The adaptive candidates' residuals, `residual_fn(gamma, factor)`,
+    share one neumann.LaggedFactor; the plain candidate gets None, so no
+    factor outlives its forward solve.  Returns (gamma or None, alpha,
+    history, residual_fn result of the accepted candidate or None).
     """
     adaptive = cfg["picard.adaptive"]
     mults, omegas = ((_ALPHA_MULTIPLIERS, _STEP_DAMPINGS) if adaptive
                      else ((1.0,), (1.0,)))
     gamma = problem.gamma_ref
-    best = None
-    failures = []
+    solved, failures = [], []
     for mult in mults:
         a = alpha * mult
         try:
-            sol = solve_nonlinear_ls(problem, cfg["picard.max_outer"],
-                                     cfg["picard.rel_tol"], alpha=a,
-                                     anchor=anchor)
+            solved.append((a, solve_nonlinear_ls(
+                problem, cfg["picard.max_outer"], cfg["picard.rel_tol"],
+                alpha=a, anchor=anchor)))
         except TransportError as exc:
             failures.append(str(exc))
-            continue
+    if not solved:
+        raise TransportError("every least-squares candidate failed: "
+                             + "; ".join(failures))
+    factor = LaggedFactor() if adaptive else None
+    best = None
+    for a, sol in solved:
         for omega in omegas:
             mixed = NodalField(problem.mesh,
                                omega * sol.values
                                + (1.0 - omega) * gamma.values)
             cand = project(mixed, cfg["box"], boundary_values)
-            res = residual_fn(cand)
+            res = residual_fn(cand, factor)
             if best is None or res[0] < best[0][0]:
                 best = (res, cand, a, sol.picard_history)
-    if best is None:
-        raise TransportError("every least-squares candidate failed: "
-                             + "; ".join(failures))
     if adaptive and best[0][0] >= res_prev:
         return None, alpha, [], None
     res, cand, a, history = best
@@ -357,10 +363,11 @@ def reconstruct(config):
             return float("nan")
         return l2_norm_nodal(mesh, gamma.values - target.values) / target_norm
 
-    def residual(gamma):
+    def residual(gamma, factor=None):
         """(selection norm, reported L2 norm) of the forward data misfit,
-        and the field E of gamma that the forward solve computed."""
-        forward = synthesize(family, gamma, mesh)
+        and the field E of gamma that the forward solve computed;
+        `factor` is an optional neumann.LaggedFactor for that solve."""
+        forward = synthesize(family, gamma, mesh, factor=factor)
         diff = (forward.nodal_projection.values
                 - data.nodal_projection.values)
         l2 = l2_norm_nodal(mesh, diff)

@@ -398,8 +398,12 @@ def _flux_operator(problem, gamma_bar_c):
 
 # CG controls for the inner Picard steps: the frozen coefficients move
 # little from step to step, so an earlier step's factor is a near-exact
-# preconditioner.
+# preconditioner.  A step after the first stops at _PCG_FORCING times the
+# last Picard change (a forcing term: Dembo, Eisenstat & Steihaug 1982),
+# since solving it more accurately than the step moves gamma buys
+# nothing; _PCG_RTOL is the floor.
 _PCG_RTOL = 1e-10
+_PCG_FORCING = 1e-2
 _PCG_MAXITER = 50
 
 
@@ -491,13 +495,15 @@ def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor=None):
     caller that needs convergence reads it there.
 
     Every step runs CG warm-started from the current iterate, to a
-    relative residual of _PCG_RTOL, applying the normal matrix through L
-    and R without forming L^T L, through one neumann.LaggedFactor per
-    call: the first step forms its normal matrix and factors it, and
-    later steps are preconditioned with the latest factor and factor
-    their own system only if CG has not converged within _PCG_MAXITER
-    iterations.  A failed factorization, CG missing even with a fresh
-    factor, or a non-finite step is a TransportError.
+    relative residual of _PCG_RTOL on the first step and of
+    max(_PCG_RTOL, _PCG_FORCING * last recorded change) after it,
+    applying the normal matrix through L and R without forming L^T L,
+    through one neumann.LaggedFactor per call: the first step forms its
+    normal matrix and factors it, and later steps are preconditioned
+    with the latest factor and factor their own system only if CG has
+    not converged within _PCG_MAXITER iterations.  A failed
+    factorization, CG missing even with a fresh factor, or a non-finite
+    step is a TransportError.
     """
     mesh = problem.mesh
     R = mesh.h1
@@ -506,11 +512,12 @@ def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor=None):
     history = []
     holder = LaggedFactor()
     fs, gs = deque(maxlen=_AA_DEPTH + 1), deque(maxlen=_AA_DEPTH + 1)
+    rtol = _PCG_RTOL
     for _ in range(max_outer):
         L, rhs, scale = _ls_system(problem, gamma, anchor, alpha)
         try:
             new_vals = holder.solve(
-                _normal_operator(L, R, scale), rhs, gamma, _PCG_RTOL,
+                _normal_operator(L, R, scale), rhs, gamma, rtol,
                 _PCG_MAXITER, matrix=lambda: _normal_matrix(L, R, scale))
         except SolverError as exc:
             raise TransportError("least-squares step: %s" % exc, history)
@@ -522,6 +529,7 @@ def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor=None):
         history.append(change / scale_g)
         if history[-1] <= rel_tol:
             break
+        rtol = max(_PCG_RTOL, _PCG_FORCING * history[-1])
         fs.append(new_vals - gamma)
         gs.append(new_vals)
         gamma = _anderson_step(fs, gs, problem.family.t_range)

@@ -9,7 +9,7 @@ from matmi import (NodalField, builtin, get_preset, interpolate_nodal,
 from matmi import cli
 from matmi.cli import EXIT_CONFIG, EXIT_OK, main
 from matmi.mesh import build_unit_square
-from matmi.reconstruction import ReconConfig
+from matmi.reconstruction import ReconConfig, ReconTrace
 
 
 def _run(tmp_path, *extra):
@@ -87,6 +87,25 @@ def test_verify_names_how_the_outer_loop_ended(tmp_path, monkeypatch, preset,
     row = {label: (ok, detail) for label, ok, detail in checks.rows}
     ok, detail = row["outer loop end (informational)"]
     assert ok and detail.startswith(ending)
+
+
+@pytest.mark.parametrize("stop_residual,ending", [
+    (0.5, "converged: iteration 2 of 3 "),
+    (1.0, "stopped without lowering the residual: iteration 2 of 3 "),
+    (1.05, "stopped without lowering the residual: iteration 2 of 3 "),
+])
+def test_a_stop_above_the_initial_residual_says_so(stop_residual, ending):
+    # the stop rule holds for any residual once the change is small, so
+    # the ending line compares the stopping row with the initial residual
+    trace = ReconTrace()
+    trace.initial_residual = 2.0
+    trace.iterates = [None] * 3
+    trace.data_residual = [1.6, 2.0 * stop_residual, 2.0 * stop_residual]
+    trace.outer_change = [0.3, 1e-3, 0.0]
+    trace.converged_at = 2
+    line = cli._outer_loop_end(trace)
+    assert line.startswith(ending)
+    assert "residual ratio %.3g;" % stop_residual in line
 
 
 def test_run_dump_fields_writes_iterates(tmp_path):

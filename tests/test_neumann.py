@@ -10,8 +10,7 @@ from matmi.fields import interpolate_nodal, l2_norm_cell, l2_norm_nodal
 from matmi.functional import cross_b0
 from matmi.mesh import build_unit_cube, build_unit_square
 from matmi.neumann import (SolverError, assemble, etilde, electric_field,
-                           export_matrix_market, load_vector,
-                           solve_mean_zero, solve_field)
+                           load_vector, solve_mean_zero, solve_field)
 from matmi.presets import get_preset
 
 D1 = builtin("D1").with_t_range(0.25, 4.0)
@@ -261,15 +260,3 @@ def test_solver_error_carries_history():
     # the message names a finite residual or the non-finite iterate
     assert "nan" not in str(err.value).lower()
 
-
-def test_matrix_market_round_trip(tmp_path):
-    from scipy.io import mmread
-    mesh = build_unit_square(4)
-    system = assemble(mesh, D1, _ones(mesh))
-    system.rhs = load_vector(mesh, lambda p: p[:, 1])
-    prefix = str(tmp_path / "sys")
-    export_matrix_market(system, prefix)
-    K = mmread(prefix + "_K.mtx").tocsr()
-    b = np.asarray(mmread(prefix + "_b.mtx")).ravel()
-    assert abs(K - system.matrix).max() < 1e-15
-    assert np.allclose(b, system.rhs, atol=1e-15)

@@ -215,6 +215,55 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _record_neumann(monkeypatch):
+    """Record the shape of every SPD factorization and the `factor`
+    argument of every synthesize call the reconstruction loop makes."""
+    from matmi import neumann
+    from matmi import reconstruction as rc
+    shapes, holders = [], []
+    real_factor, real_synthesize = neumann.spd_factor, rc.synthesize
+
+    def factoring(A):
+        shapes.append(A.shape)
+        return real_factor(A)
+
+    def synthesizing(*args, factor=None, **kwargs):
+        holders.append(factor)
+        return real_synthesize(*args, factor=factor, **kwargs)
+    monkeypatch.setattr(neumann, "spd_factor", factoring)
+    monkeypatch.setattr(rc, "synthesize", synthesizing)
+    return shapes, holders
+
+
+def test_adaptive_update_shares_one_neumann_factor(monkeypatch):
+    # the data and the initial residual factor their own pinned Neumann
+    # block; the six candidate residuals of an update share one holder,
+    # so an update factors once (more only when lagged CG misses)
+    shapes, holders = _record_neumann(monkeypatch)
+    trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=2))
+    assert trace.stalled_at is None and trace.converged_at is None
+    nv = trace.iterates[-1].mesh.num_vertices
+    assert shapes.count((nv - 1, nv - 1)) <= 1 + 1 + 2
+    assert holders[:2] == [None, None] and len(holders) == 2 + 2 * 6
+    first, second = holders[2:8], holders[8:]
+    assert first[0] is not None and second[0] is not None
+    assert first[0] is not second[0]
+    assert all(h is first[0] for h in first)
+    assert all(h is second[0] for h in second)
+
+
+def test_plain_update_residual_holds_no_factor(monkeypatch):
+    # one candidate per update: its residual gets no holder and factors
+    # its own matrix, so no Neumann factor outlives the forward solve
+    shapes, holders = _record_neumann(monkeypatch)
+    trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=2,
+                                    **{"picard.adaptive": False}))
+    assert trace.stalled_at is None and trace.converged_at is None
+    nv = trace.iterates[-1].mesh.num_vertices
+    assert holders == [None] * (2 + 2)
+    assert shapes.count((nv - 1, nv - 1)) == 2 + 2
+
+
 def test_stalled_run_repeats_the_rejected_row(monkeypatch):
     # example1 at n=6 rejects every candidate at iteration 3; the state is
     # then unchanged, so later iterations record that row without solving
