@@ -12,10 +12,7 @@ __all__ = [
     "AnisotropyFamily",
     "AdmissibilityReport",
     "builtin",
-    "polynomial_family",
     "BUILTIN_NAMES",
-    "eval_A",
-    "eval_dA_dt",
     "check_admissibility",
 ]
 
@@ -180,18 +177,6 @@ class AdmissibilityReport:
                               self.deriv_est, self.ellipticity_pass))
 
 
-# -- single-point scalar wrappers ---------------------------------------
-
-def eval_A(family, x, t):
-    """A(x, t) as a single symmetric 3x3 matrix."""
-    return family.eval_many(np.atleast_2d(x), [t])[0]
-
-
-def eval_dA_dt(family, x, t):
-    """dA/dt(x, t) as a single symmetric 3x3 matrix."""
-    return family.deriv_t_many(np.atleast_2d(x), [t])[0]
-
-
 def check_admissibility(family, grid_density, lambda_declared):
     """Sample the family on a tensor grid and report ellipticity bounds.
 
@@ -349,18 +334,3 @@ def builtin(name):
         raise KeyError("unknown builtin family %r (expected one of %s)"
                        % (name, ", ".join(BUILTIN_NAMES)))
     return _BUILTINS[name]
-
-
-def polynomial_family(name, coeff_table, t_range=(0.5, 2.0)):
-    """Custom family from a constant coefficient table.
-
-    coeff_table has shape (M, 3, 3): entry [m] multiplies t^m.  Each
-    coefficient matrix must be symmetric.
-    """
-    table = np.asarray(coeff_table, dtype=float)
-    if table.ndim != 3 or table.shape[1:] != (3, 3):
-        raise ValueError("coefficient table must have shape (M, 3, 3)")
-    for m in range(table.shape[0]):
-        if not np.allclose(table[m], table[m].T, atol=1e-14):
-            raise ValueError("coefficient matrix %d is not symmetric" % m)
-    return AnisotropyFamily(name, False, _const_poly(table), t_range=t_range)

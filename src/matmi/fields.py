@@ -12,7 +12,6 @@ __all__ = [
     "h1_matrix",
     "l2_norm_nodal",
     "l2_norm_cell",
-    "nodal_to_cell",
     "cell_to_nodal",
     "interpolate_nodal",
     "level_set_centroid",
@@ -114,11 +113,6 @@ def l2_norm_cell(mesh, values):
     v = np.asarray(values, dtype=float)
     sq = v * v if v.ndim == 1 else (v * v).sum(axis=1)
     return float(np.sqrt(np.dot(mesh.cell_volumes, sq)))
-
-
-def nodal_to_cell(field):
-    """Centroid values of a NodalField as a scalar CellField."""
-    return CellField(field.mesh, field.cell_means())
 
 
 def cell_to_nodal(field):

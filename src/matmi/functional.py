@@ -1,9 +1,8 @@
 """The forward data map: gamma -> F(gamma) = div(A(x, gamma) (E x B0)).
 
 F is kept in weak form, tested against the P1 nodal basis, together with
-its L2 projection onto P1.  The DG0 weak divergence (cell indicators,
-upwind face traces) is kept as a function of a flux for the DG0
-transport oracle, which builds its own data with it.
+its L2 projection onto P1; `weak_p1_rows` is the one P1 weak divergence
+of a per-cell flux, shared by the data and the least-squares update.
 """
 
 import csv
@@ -24,8 +23,6 @@ __all__ = [
     "flux_field",
     "weak_p1_rows",
     "weak_p1_from_flux",
-    "upwind_cells",
-    "weak_dg0_from_flux",
     "weak_p1_from_nodal",
     "synthesize",
     "eval_p1",
@@ -114,34 +111,6 @@ def weak_p1_from_flux(mesh, q):
     """P1-weak divergence of a per-cell flux:
     r_i = -int q . grad phi_i dx + bdry int (q . nu) phi_i ds."""
     return scatter_p1(mesh, weak_p1_rows(mesh, q))
-
-
-def upwind_cells(mesh, w):
-    """Upwind cell of each internal face for the per-cell in-plane
-    velocity w: face_left where the face-averaged w points along the
-    face normal (or is tangent to the face), face_right otherwise."""
-    L, R = mesh.face_left, mesh.face_right
-    vn = np.einsum("fd,fd->f", 0.5 * (w[L] + w[R]), mesh.face_normals)
-    return np.where(vn >= 0.0, L, R)
-
-
-def weak_dg0_from_flux(mesh, q, w):
-    """DG0-weak divergence with upwind face traces.
-
-    On each internal face the flux trace is taken from the upwind cell
-    with respect to the face-averaged advective velocity w (per-cell,
-    in-plane, see `upwind_cells`); boundary facets use the adjacent
-    cell's flux.
-    """
-    r = np.zeros(mesh.num_cells)
-    qn = np.einsum("fd,fd->f", q[upwind_cells(mesh, w)],
-                   mesh.face_normals) * mesh.face_measures
-    np.add.at(r, mesh.face_left, qn)
-    np.add.at(r, mesh.face_right, -qn)
-    fc = mesh.facet_cells
-    np.add.at(r, fc, np.einsum("fd,fd->f", q[fc], mesh.facet_normals)
-              * mesh.facet_measures)
-    return r
 
 
 def weak_p1_from_nodal(mesh, F):

@@ -284,10 +284,8 @@ def classify_inflow(mesh, v, tol=1e-12):
 
     Parameters
     ----------
-    v : CellField-like or callable
-        Velocity.  A per-cell vector field is evaluated on the facet's
-        adjacent cell; a callable receives the (nb, dim) facet midpoints
-        and returns one velocity row per facet.
+    v : CellField-like
+        Per-cell velocity, evaluated on each facet's adjacent cell.
     tol : float
         Facets with |v . nu| <= tol are characteristic, not inflow.
 
@@ -298,9 +296,6 @@ def classify_inflow(mesh, v, tol=1e-12):
     """
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    if callable(v):
-        vec = np.asarray(v(mesh.facet_midpoints), dtype=float)
-    else:
-        vec = np.asarray(v.values, dtype=float)[mesh.facet_cells]
+    vec = np.asarray(v.values, dtype=float)[mesh.facet_cells]
     vn = _rowdot(np.ascontiguousarray(vec[:, :mesh.dim]), mesh.facet_normals)
     return np.flatnonzero(vn < -tol)

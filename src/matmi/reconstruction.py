@@ -15,7 +15,7 @@ from .fields import NodalField, interpolate_nodal, l2_norm_nodal
 from .functional import load_functional_data, synthesize
 from .mesh import build_unit_cube, build_unit_square
 from .neumann import LaggedFactor, SolverError
-from .transport import TransportError, TransportProblem, solve_nonlinear_ls
+from .transport import FluxFit, TransportError, solve_nonlinear_ls
 
 __all__ = [
     "ReconTrace",
@@ -42,19 +42,15 @@ def project(gamma_half, box, boundary_values):
     """Clamp into the admissible box (lo, hi) and reset the boundary
     trace.
 
-    boundary_values: callable of the boundary vertex coordinates (or an
-    array over the mesh's boundary vertex indices).  The gradient and
-    norm constraints of the admissible set are not enforced here.
+    boundary_values: array of the trace at the mesh's boundary vertices
+    (`boundary_vertex_indices` order).  The gradient and norm
+    constraints of the admissible set are not enforced here.
     """
     mesh = gamma_half.mesh
     lo, hi = box
     vals = np.clip(gamma_half.values, lo, hi)
     bidx = mesh.boundary_vertex_indices()
-    if callable(boundary_values):
-        bvals = np.asarray(boundary_values(mesh.vertices[bidx]),
-                           dtype=float).ravel()
-    else:
-        bvals = np.asarray(boundary_values, dtype=float).ravel()
+    bvals = np.asarray(boundary_values, dtype=float).ravel()
     if bvals.shape != bidx.shape:
         raise ValueError("expected %d boundary values, got %d"
                          % (bidx.size, bvals.size))
@@ -340,16 +336,16 @@ def reconstruct(config):
     family = builtin(cfg["family"]).with_t_range(cfg["t_lo"], cfg["t_hi"])
 
     gamma_star_fn = cfg["gamma_star"]
+    bpts = mesh.vertices[mesh.boundary_vertex_indices()]
     try:
         if gamma_star_fn is not None:
             target = interpolate_nodal(mesh, gamma_star_fn)
             data = synthesize(family, target, mesh, refine=cfg["refine"])
-            boundary_values = gamma_star_fn
+            boundary_values = gamma_star_fn(bpts)
         else:
             target = None
             data = load_functional_data(mesh, cfg["data"])
-            bval = cfg["boundary_value"]
-            boundary_values = lambda pts: np.full(pts.shape[0], bval)
+            boundary_values = np.full(len(bpts), cfg["boundary_value"])
     except (OSError, ValueError) as exc:
         raise ConfigError("cannot prepare the data: %s" % exc) from exc
 
@@ -394,8 +390,7 @@ def reconstruct(config):
         # within the data's resolution): its row is recorded again.
         if trace.stalled_at is None and trace.converged_at is None:
             try:
-                problem = TransportProblem(mesh, family, E, data,
-                                           boundary_values, gamma_ref=gamma)
+                problem = FluxFit(mesh, family, E, data, gamma)
                 cand, alpha, changes, res = _ls_update(
                     problem, cfg, alpha, gamma0, boundary_values, residual,
                     res_h1)

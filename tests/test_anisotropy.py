@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from matmi.anisotropy import (BUILTIN_NAMES, builtin, check_admissibility,
-                              eval_A, eval_dA_dt, polynomial_family)
+from matmi.anisotropy import BUILTIN_NAMES, builtin, check_admissibility
 
 ORIGIN = np.zeros(3)
 
 
 def test_d1_is_in_plane_isotropic():
-    A = eval_A(builtin("D1"), ORIGIN, 1.7)
+    A = builtin("D1").eval_many(ORIGIN[None], [1.7])[0]
     assert np.allclose(A, np.diag([1.7, 1.7, 1.0]), atol=1e-14)
 
 
 def test_d2_matches_closed_form():
     t = 0.9
-    A = eval_A(builtin("D2"), ORIGIN, t)
+    A = builtin("D2").eval_many(ORIGIN[None], [t])[0]
     want = np.array([[0.4 * (t + 1) ** 2, 0.01, 0],
                      [0.01, 3 * t, 0],
                      [0, 0, t]])
@@ -23,26 +22,26 @@ def test_d2_matches_closed_form():
 
 def test_d3_off_diagonal_is_quadratic():
     t = 1.3
-    A = eval_A(builtin("D3"), ORIGIN, t)
+    A = builtin("D3").eval_many(ORIGIN[None], [t])[0]
     assert A[0, 1] == pytest.approx(0.01 * t * (1 - t), abs=1e-14)
     assert A[0, 1] == A[1, 0]
 
 
 def test_d4_off_diagonal_is_rational():
     t = 1.1
-    A = eval_A(builtin("D4"), ORIGIN, t)
+    A = builtin("D4").eval_many(ORIGIN[None], [t])[0]
     assert A[0, 1] == pytest.approx(1.0 / (t + 20.0), abs=1e-14)
-    dA = eval_dA_dt(builtin("D4"), ORIGIN, t)
+    dA = builtin("D4").deriv_t_many(ORIGIN[None], [t])[0]
     assert dA[0, 1] == pytest.approx(-1.0 / (t + 20.0) ** 2, abs=1e-14)
 
 
 def test_d5_d6_spatial_off_diagonal():
     t = 1.2
     x = np.array([0.3, 0.7, 0.0])
-    A5 = eval_A(builtin("D5"), x, t)
+    A5 = builtin("D5").eval_many(x[None], [t])[0]
     assert A5[0, 1] == pytest.approx(0.25 * (0.3 ** 2 + 0.7 ** 2) * t,
                                      abs=1e-14)
-    A6 = eval_A(builtin("D6"), x, t)
+    A6 = builtin("D6").eval_many(x[None], [t])[0]
     assert A6[0, 1] == pytest.approx(
         0.25 * ((0.3 - 0.5) ** 2 + (0.7 - 0.5) ** 2) * t, abs=1e-14)
 
@@ -74,8 +73,9 @@ def test_many_evaluations_match_the_per_power_expression(name):
 def test_derivative_matches_difference_quotient():
     fam = builtin("D3")
     t, h = 1.0, 1e-6
-    dA = eval_dA_dt(fam, ORIGIN, t)
-    fd = (eval_A(fam, ORIGIN, t + h) - eval_A(fam, ORIGIN, t - h)) / (2 * h)
+    dA = fam.deriv_t_many(ORIGIN[None], [t])[0]
+    fd = (fam.eval_many(ORIGIN[None], [t + h])[0]
+          - fam.eval_many(ORIGIN[None], [t - h])[0]) / (2 * h)
     assert np.allclose(dA, fd, atol=1e-8)
 
 
@@ -126,15 +126,6 @@ def test_admissibility_detects_violated_bounds():
     # ellipticity band... and the (3,3) entry is 0.1
     rep = check_admissibility(fam, 6, lambda_declared=1.5)
     assert not rep.ellipticity_pass
-
-
-def test_custom_polynomial_family():
-    fam = polynomial_family("poly", [np.eye(3), 0.5 * np.eye(3)],
-                            t_range=(0.0, 2.0))
-    A = eval_A(fam, ORIGIN, 2.0)
-    assert np.allclose(A, 2.0 * np.eye(3), atol=1e-14)
-    with pytest.raises(ValueError):
-        polynomial_family("bad", [[[1, 2, 0], [0, 1, 0], [0, 0, 1]]])
 
 
 def test_unknown_builtin_rejected():

@@ -8,11 +8,11 @@ from matmi.fields import (NodalField, interpolate_nodal, l2_norm_nodal,
                           mass_matrix)
 from matmi.functional import (cross_b0, eval_p1, flux_field,
                               load_functional_data, save_functional_data,
-                              synthesize, weak_dg0_from_flux,
-                              weak_p1_from_flux, weak_p1_rows,
+                              synthesize, weak_p1_from_flux, weak_p1_rows,
                               write_nodal_csv)
 from matmi.mesh import Mesh, build_unit_cube, build_unit_square
 from matmi.neumann import SolverError, solve_field
+from matmi.oracles import weak_dg0_from_flux
 
 D1 = builtin("D1").with_t_range(0.25, 4.0)
 

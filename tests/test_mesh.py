@@ -259,18 +259,14 @@ def test_facet_shared_by_three_cells_rejected():
         Mesh(2, 1, vertices, cells)
 
 
-def test_classify_inflow_callable_and_cell_field_agree():
+def test_classify_inflow_of_a_cell_field():
     mesh = build_unit_square(4)
     west = np.flatnonzero(mesh.facet_midpoints[:, 0] == 0.0)
-    by_point = classify_inflow(
-        mesh, lambda p: np.tile([1.0, 0.0], (len(p), 1)))
-    by_cell = classify_inflow(
-        mesh, CellField(mesh, np.tile([1.0, 0.0], (mesh.num_cells, 1))))
+    v = CellField(mesh, np.tile([1.0, 0.0], (mesh.num_cells, 1)))
     # facets parallel to the flow are characteristic, not inflow
-    assert np.array_equal(by_point, west)
-    assert np.array_equal(by_cell, west)
+    assert np.array_equal(classify_inflow(mesh, v), west)
     with pytest.raises(ValueError):
-        classify_inflow(mesh, lambda p: p, tol=-1.0)
+        classify_inflow(mesh, v, tol=-1.0)
 
 
 def test_gradients_reproduce_linear_functions():

@@ -45,12 +45,13 @@ def test_resolve_validates_picard_controls():
 def test_project_clamps_and_resets_boundary():
     mesh = build_unit_square(6)
     wild = interpolate_nodal(mesh, lambda p: 10.0 * p[:, 0] - 3.0)
-    out = project(wild, (0.5, 2.0), lambda pts: 1.25 * np.ones(pts.shape[0]))
-    assert out.values.min() >= 0.5 and out.values.max() <= 2.0
     bidx = mesh.boundary_vertex_indices()
+    trace = np.full(bidx.size, 1.25)
+    out = project(wild, (0.5, 2.0), trace)
+    assert out.values.min() >= 0.5 and out.values.max() <= 2.0
     assert np.allclose(out.values[bidx], 1.25)
     # projection is idempotent
-    again = project(out, (0.5, 2.0), lambda pts: 1.25 * np.ones(pts.shape[0]))
+    again = project(out, (0.5, 2.0), trace)
     assert np.array_equal(again.values, out.values)
 
 
@@ -178,11 +179,12 @@ def test_per_call_invariants_are_built_once(monkeypatch, count_calls):
     # module uses them; the flux invariants once per outer iteration (not
     # once per candidate weight); no inflow facet is classified; and the
     # normal matrix is formed only on the steps that factor it
-    from matmi import fields, neumann
+    from matmi import fields, mesh, neumann
     from matmi import transport as tr
     calls = {name: count_calls(getattr(fields, name))
              for name in ("mass_matrix", "h1_matrix")}
-    for name in ("classify_inflow", "_flux_invariants", "_normal_matrix"):
+    calls["classify_inflow"] = count_calls(mesh.classify_inflow)
+    for name in ("_flux_invariants", "_normal_matrix"):
         calls[name] = _counting(monkeypatch, tr, name)
     shapes = []
     real_factor = neumann.spd_factor
