@@ -3,7 +3,7 @@
 A family maps a point x and a scalar parameter t to a symmetric 3x3
 conductivity matrix.  Every entry is a polynomial in t (with possibly
 x-dependent coefficients) plus an optional non-polynomial remainder; the
-transport solver's frozen-coefficient linearization relies on this split.
+flux split of the data and the update (`functional.FluxSplit`) uses it.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ __all__ = [
     "builtin",
     "BUILTIN_NAMES",
     "check_admissibility",
+    "power_series",
 ]
 
 BUILTIN_NAMES = ("D1", "D2", "D3", "D4", "D5", "D6")
@@ -79,7 +80,7 @@ class AnisotropyFamily:
                 "range [%g, %g]" % (ts[i], where, i, lo, hi))
 
     def poly_coeffs(self, xs):
-        """(N, M, 3, 3) polynomial coefficients at the points xs."""
+        """(N, M, 3, 3) polynomial coefficients at xs; may be read-only."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return self._poly_fn(xs)
 
@@ -111,14 +112,7 @@ class AnisotropyFamily:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if check_range:
             self._check_range(ts)
-        P = self.poly_coeffs(xs)
-        out = np.zeros((len(ts), 3, 3))
-        buf = np.empty_like(out)        # one temporary for every power
-        tp = np.ones_like(ts)
-        for m in range(P.shape[1]):
-            np.multiply(P[:, m], tp[:, None, None], out=buf)
-            out += buf
-            tp = tp * ts
+        out = power_series(self.poly_coeffs(xs).swapaxes(0, 1), ts)
         if self._rational_fn is not None:
             out += self._rational_fn(xs, ts)
         return out
@@ -129,15 +123,9 @@ class AnisotropyFamily:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if check_range:
             self._check_range(ts)
-        P = self.poly_coeffs(xs)
-        out = np.zeros((len(ts), 3, 3))
-        buf = np.empty_like(out)
-        tp = np.ones_like(ts)
-        for m in range(1, P.shape[1]):
-            np.multiply(P[:, m], m, out=buf)
-            buf *= tp[:, None, None]
-            out += buf
-            tp = tp * ts
+        P = self.poly_coeffs(xs).swapaxes(0, 1)
+        m = np.arange(1, len(P)).reshape(-1, 1, 1, 1)
+        out = power_series(m * P[1:], ts)
         if self._rational_dt_fn is not None:
             out += self._rational_dt_fn(xs, ts)
         return out
@@ -147,12 +135,22 @@ class AnisotropyFamily:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         G = self.poly_coeffs_grad(xs)  # (N, 3, M, 3, 3)
-        out = np.zeros((len(ts), 3, 3, 3))
-        tp = np.ones_like(ts)
-        for m in range(G.shape[2]):
-            out += G[:, :, m] * tp[:, None, None, None]
-            tp = tp * ts
-        return out
+        return power_series(np.moveaxis(G, 2, 0), ts)
+
+
+def power_series(coeffs, t):
+    """sum_m coeffs[m] t^m per sample, for coeffs (M, N, ...) indexed by
+    power first and t of shape (N,).  The terms are added from t^0 upward
+    through one scratch buffer, rounding as one temporary per power."""
+    out = np.zeros(coeffs.shape[1:])
+    buf = np.empty_like(out)
+    tcol = t.reshape(t.shape + (1,) * (out.ndim - 1))
+    tp = np.ones_like(tcol)
+    for c in coeffs:
+        np.multiply(c, tp, out=buf)
+        out += buf
+        tp = tp * tcol
+    return out
 
 
 class AdmissibilityReport:
@@ -240,7 +238,7 @@ def _const_poly(mats):
     mats = np.asarray(mats, dtype=float)
 
     def fn(xs):
-        return np.broadcast_to(mats, (xs.shape[0],) + mats.shape).copy()
+        return np.broadcast_to(mats, (xs.shape[0],) + mats.shape)
     return fn
 
 

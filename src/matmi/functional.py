@@ -1,8 +1,9 @@
 """The forward data map: gamma -> F(gamma) = div(A(x, gamma) (E x B0)).
 
 F is kept in weak form, tested against the P1 nodal basis, together with
-its L2 projection onto P1; `weak_p1_rows` is the one P1 weak divergence
-of a per-cell flux, shared by the data and the least-squares update.
+its L2 projection onto P1.  `FluxSplit`, the one evaluator of the flux
+at the cell centroids, and `weak_p1_rows`, the one P1 weak divergence of
+a per-cell flux, are shared by the data and the least-squares update.
 """
 
 import csv
@@ -13,17 +14,18 @@ import struct
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .anisotropy import power_series
 from .fields import NodalField, interpolate_nodal, scatter_p1
 from .mesh import build_unit_cube, build_unit_square
 from .neumann import SolverError, solve_field
 
 __all__ = [
     "FunctionalData",
+    "FluxSplit",
     "cross_b0",
     "flux_field",
     "weak_p1_rows",
     "weak_p1_from_flux",
-    "weak_p1_from_nodal",
     "synthesize",
     "eval_p1",
     "save_functional_data",
@@ -79,17 +81,40 @@ class FunctionalData:
         self.field = field
 
 
+class FluxSplit:
+    """The in-plane flux A(x_c, gamma_c) w, w = E x B0, at the cell
+    centroids, split as gamma_c * g + h: g = sum_{m>=1} gamma_c^(m-1)
+    P_m w and h = P_0 w + R(gamma_c) w, for the family's polynomial
+    coefficients P_m and remainder R.  Holds `w` (nc, 3) and the
+    read-only `Pw` = (P_m w)[:, :dim], shape (M, nc, dim); a call with
+    gamma_c returns (g, h), each (nc, dim).
+    """
+
+    def __init__(self, mesh, family, E):
+        self.mesh = mesh
+        self.family = family
+        self.w = cross_b0(E.values)
+        P = family.poly_coeffs(mesh.centroid_points)[:, :, :mesh.dim]
+        self.Pw = np.einsum("cmij,cj->mci", P, self.w)  # P: (nc, M, dim, 3)
+        self.Pw.flags.writeable = False     # a call hands out Pw[0] itself
+
+    def __call__(self, gamma_c):
+        g = power_series(self.Pw[1:], gamma_c)
+        if not self.family.has_remainder:
+            return g, self.Pw[0]
+        rat = self.family.rational(self.mesh.centroid_points,
+                                   gamma_c)[:, :self.mesh.dim]
+        return g, self.Pw[0] + np.einsum("cij,cj->ci", rat, self.w)
+
+
 def flux_field(mesh, family, gamma_cell_values, E):
     """Per-cell flux q = A(x, gamma) (E x B0), in-plane components.
 
     gamma_cell_values: (nc,) parameter values at cell centroids.
     E: CellField (nc, 3).
     """
-    A = family.eval_many(mesh.centroid_points, gamma_cell_values,
-                         check_range=False)
-    w = cross_b0(E.values)                    # (nc, 3)
-    q = np.einsum("cij,cj->ci", A, w)
-    return q[:, :mesh.dim]
+    g, h = FluxSplit(mesh, family, E)(gamma_cell_values)
+    return gamma_cell_values[:, None] * g + h
 
 
 def weak_p1_rows(mesh, q):
@@ -111,11 +136,6 @@ def weak_p1_from_flux(mesh, q):
     """P1-weak divergence of a per-cell flux:
     r_i = -int q . grad phi_i dx + bdry int (q . nu) phi_i ds."""
     return scatter_p1(mesh, weak_p1_rows(mesh, q))
-
-
-def weak_p1_from_nodal(mesh, F):
-    """P1-weak vector of a pointwise P1 source field F."""
-    return mesh.mass @ F.values
 
 
 def eval_p1(field, points):
@@ -193,8 +213,7 @@ def synthesize(family, gamma_star, mesh, refine=1, factor=None):
     if fine is mesh:
         return FunctionalData(mesh, p1, proj, mesh.n, field=E)
     F_coarse = NodalField(mesh, eval_p1(proj, mesh.vertices))
-    return FunctionalData(mesh, weak_p1_from_nodal(mesh, F_coarse), F_coarse,
-                          fine.n)
+    return FunctionalData(mesh, mesh.mass @ F_coarse.values, F_coarse, fine.n)
 
 
 # -- serialization ------------------------------------------------------
@@ -225,7 +244,8 @@ def save_functional_data(data, path):
 def load_functional_data(mesh, path):
     """Read a container written by save_functional_data.  The payload
     must be intact, its stored dim and n must match the supplied mesh,
-    and so must the mesh hash, checked in that order."""
+    and so must the mesh hash, checked in that order; each vector must
+    then hold one value per mesh vertex, with no bytes after them."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic == b"MATMIFN1":    # the earlier, larger container
@@ -240,7 +260,13 @@ def load_functional_data(mesh, path):
     if hashlib.sha256(payload).hexdigest() != payload_hash:
         raise ValueError("payload hash mismatch: file corrupted")
     with io.BytesIO(payload) as buf:
-        dim, n, src_n = struct.unpack("<iii", buf.read(12))
+        def take(size, what):
+            chunk = buf.read(size)
+            if len(chunk) != size:
+                raise ValueError("container payload ends inside the " + what)
+            return chunk
+
+        dim, n, src_n = struct.unpack("<iii", take(12, "descriptor"))
         if dim != mesh.dim or n != mesh.n:
             raise ValueError("container mesh descriptor does not match: "
                              "dim %d, n %d vs mesh dim %d, n %d"
@@ -249,12 +275,17 @@ def load_functional_data(mesh, path):
             raise ValueError("mesh hash mismatch: container %s... vs mesh "
                              "%s..." % (stored[:12], mesh.content_hash()[:12]))
 
-        def read_vec():
-            (size,) = struct.unpack("<q", buf.read(8))
-            return np.frombuffer(buf.read(8 * size), dtype="<f8").copy()
+        def read_vec(what):
+            (size,) = struct.unpack("<q", take(8, what + " size"))
+            if size != mesh.num_vertices:
+                raise ValueError("container %s has %d values for %d mesh "
+                                 "vertices" % (what, size, mesh.num_vertices))
+            return np.frombuffer(take(8 * size, what), dtype="<f8").copy()
 
-        p1 = read_vec()
-        nodal = read_vec()
+        p1 = read_vec("p1_weak")
+        nodal = read_vec("nodal projection")
+        if buf.read(1):
+            raise ValueError("container payload has trailing bytes")
     return FunctionalData(mesh, p1, NodalField(mesh, nodal), src_n)
 
 

@@ -148,7 +148,6 @@ class ReconConfig:
         values = dict(_DEFAULTS)
         explicit = set()
         for key, val in kwargs.items():
-            key = key.replace("_picard_", "picard.")
             if key not in values:
                 raise ConfigError("unknown config key %r" % key)
             values[key] = val

@@ -93,8 +93,7 @@ def _grad_condition(mesh, delta, norm_delta):
     return gnorm / norm_delta if norm_delta > 0 else 0.0
 
 
-def stability_sweep(family, base_gamma, perturbations, mesh=None,
-                    labels=None):
+def stability_sweep(family, base_gamma, perturbations, mesh=None):
     """Empirical data-to-parameter stability ratios.
 
     For each boundary-vanishing perturbation delta, synthesizes the
@@ -112,7 +111,7 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None,
     base_proj = synthesize(family, base_gamma, mesh,
                            factor=factor).nodal_projection.values
     for i, delta in enumerate(perturbations):
-        label = labels[i] if labels is not None else "pair%02d" % i
+        label = "pair%02d" % i
         dvals = delta.values
         if np.abs(dvals[bidx]).max() > 1e-12:
             raise ValueError("perturbation %s does not vanish on the "
@@ -131,7 +130,7 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None,
     return report
 
 
-def field_difference_sweep(family, pairs, mesh, labels=None):
+def field_difference_sweep(family, pairs, mesh):
     """Empirical field-to-parameter Lipschitz ratios.
 
     For each pair (gamma_1, gamma_2), solves the Neumann problem for
@@ -145,7 +144,7 @@ def field_difference_sweep(family, pairs, mesh, labels=None):
     factor = LaggedFactor()
     prev_g2 = prev_E2 = None          # only the last field is kept
     for i, (g1, g2) in enumerate(pairs):
-        label = labels[i] if labels is not None else "pair%02d" % i
+        label = "pair%02d" % i
         if not (_in_range(g1.values, family)
                 and _in_range(g2.values, family)):
             report.skip(label, "parameter leaves the family range "

@@ -6,11 +6,10 @@ with a Picard (frozen-coefficient) outer loop whose every step solves
 the frozen flux equation in regularized least squares for every vertex
 value; the loop's projection then imposes the known boundary trace.
 
-The flux is assembled in conservative form.  Each entry of A is split
-as polynomial-in-t plus remainder; freezing all but one power of the
-parameter makes the flux linear in the unknown while keeping the
-previous iterate in the remaining slots, so a fixed point of the loop
-satisfies the unfrozen discrete equation exactly.
+The flux is assembled in conservative form from the data's own flux
+split, `functional.FluxSplit`: A(gamma) w = gamma * g + h with g and h
+evaluated at the previous iterate is linear in the unknown, and a fixed
+point of the loop satisfies the unfrozen discrete equation exactly.
 
 The independent checks of the update (the DG0 transport oracle and the
 coefficient expansions) live in `matmi.oracles`; the names the
@@ -24,7 +23,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fields import NodalField, assemble_p1, l2_norm_nodal
-from .functional import cross_b0, weak_p1_from_flux, weak_p1_rows
+from .functional import FluxSplit, weak_p1_from_flux, weak_p1_rows
 from .neumann import LaggedFactor, SolverError
 from .oracles import (TransportProblem, closed_form_divergence,
                       expand_coefficients, solve_linear_dg)
@@ -72,38 +71,10 @@ class FluxFit:
         self.gamma_ref = gamma_ref
 
     @functools.cached_property
-    def _flux_invariants(self):
-        return _flux_invariants(self.mesh, self.family, self.E)
-
-    def flux_split(self, gamma_c):
-        """Frozen flux split A(gamma_c) w = gamma_c * g + h per cell.
-
-        Returns the in-plane (g, h), each (nc, dim), with
-        g = sum_{m>=1} gamma_c^(m-1) P_m w and h = P_0 w + R(gamma_c) w,
-        R the family's non-polynomial remainder.
-        """
-        w3, Pw = self._flux_invariants
-        g = np.zeros_like(Pw[0])
-        tp = np.ones_like(gamma_c)
-        for m in range(1, Pw.shape[0]):
-            g += tp[:, None] * Pw[m]
-            tp = tp * gamma_c
-        if not self.family.has_remainder:
-            return g, Pw[0]
-        rat = self.family.rational(self.mesh.centroid_points,
-                                   gamma_c)[:, :self.mesh.dim]
-        return g, Pw[0] + np.einsum("cij,cj->ci", rat, w3)
-
-
-def _flux_invariants(mesh, family, E):
-    """The parts of the flux split that do not depend on the parameter:
-    w = E x B0 (nc, 3) and the in-plane per-power flux vectors
-    (P_m w)[:, :dim] at the centroid points, shape (M, nc, dim)."""
-    w3 = cross_b0(E.values)
-    P = family.poly_coeffs(mesh.centroid_points)[:, :, :mesh.dim]
-    Pw = np.einsum("cmij,cj->mci", P, w3)           # P: (nc, M, dim, 3)
-    Pw.flags.writeable = False      # flux_split hands out Pw[0] itself
-    return w3, Pw
+    def flux_split(self):
+        """The flux split (functional.FluxSplit), built once per problem:
+        the candidate weights of one adaptive update share it."""
+        return FluxSplit(self.mesh, self.family, self.E)
 
 
 # -- least-squares P1 Picard solver -------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -21,3 +22,17 @@ def count_calls(monkeypatch):
                         monkeypatch.setattr(mod, key, wrapper)
         return calls
     return install
+
+
+@pytest.fixture
+def write_container():
+    """write_container(mesh, payload, path) writes a functional-data
+    container for `mesh` around an arbitrary payload, with a matching
+    payload hash, so the loader's own checks see it."""
+    def write(mesh, payload, path):
+        with open(path, "wb") as fh:
+            fh.write(b"MATMIFN2")
+            fh.write(mesh.content_hash().encode("ascii"))
+            fh.write(hashlib.sha256(payload).hexdigest().encode("ascii"))
+            fh.write(payload)
+    return write

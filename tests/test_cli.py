@@ -1,5 +1,6 @@
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -243,6 +244,21 @@ def test_old_data_container_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot prepare the data" in err
     assert "no longer read" in err
+
+
+def test_data_vector_for_another_mesh_exits_2(tmp_path, capsys,
+                                              write_container):
+    # a valid payload hash around a 3-value p1_weak on the 81-vertex mesh
+    argv = _data_config(tmp_path, 8)
+    mesh = build_unit_square(8)
+    payload = (struct.pack("<iiiq", 2, 8, 8, 3) + bytes(24)
+               + struct.pack("<q", 81) + bytes(8 * 81))
+    write_container(mesh, payload, str(tmp_path / "data.bin"))
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot prepare the data" in err
+    assert "p1_weak has 3 values for 81 mesh vertices" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("preset, dim", [("example6", 2), ("example1", 3)])

@@ -1,0 +1,94 @@
+"""One flux route: the in-plane flux A(x_c, gamma_c) (E x B0) of the data
+and of the least-squares update comes from functional.FluxSplit.  So
+`transport` reads none of the family's evaluators (`poly_coeffs`,
+`eval_many`, `rational`), `functional` evaluates no full matrix
+(`eval_many`), and the polynomial coefficients are read only by the
+split, by anisotropy's own evaluators and by the independent checks in
+`oracles`."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmi"
+
+# attribute -> the (module, scope) pairs allowed to read it; a scope of
+# None admits the whole module
+ONLY = {
+    "poly_coeffs": {("functional", "FluxSplit.__init__"),
+                    ("anisotropy", "AnisotropyFamily.eval_many"),
+                    ("anisotropy", "AnisotropyFamily.deriv_t_many"),
+                    ("oracles", None)},
+}
+# attribute -> the modules that read it nowhere
+NEVER = {
+    "eval_many": {"transport", "functional"},
+    "rational": {"transport"},
+}
+
+
+def _violations(source, module):
+    """(attribute, enclosing scope, line) of each read of a guarded
+    attribute (`family.poly_coeffs(xs)`, or the bound method taken
+    without a call) outside the places allowed to read it."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Attribute):
+                name, where = child.attr, ".".join(scope)
+                if name in ONLY:
+                    bad = not ({(module, where), (module, None)} & ONLY[name])
+                else:
+                    bad = module in NEVER.get(name, ())
+                if bad:
+                    out.append((name, where, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+_SPLIT = """
+class FluxSplit:
+    def __init__(self, mesh, family, E):
+        P = family.poly_coeffs(mesh.centroid_points)
+
+    def __call__(self, gamma_c):
+        return self.family.rational(self.mesh.centroid_points, gamma_c)
+"""
+
+
+def test_the_rule_sees_reads_by_scope_and_module():
+    assert _violations(_SPLIT, "functional") == []
+    assert _violations(_SPLIT, "transport") == [
+        ("poly_coeffs", "FluxSplit.__init__", 4),
+        ("rational", "FluxSplit.__call__", 7)]
+    assert _violations(_SPLIT, "oracles") == []
+    assert _violations("def flux_field(mesh, family, t):\n"
+                       "    return family.eval_many(mesh.x, t)",
+                       "functional") == [("eval_many", "flux_field", 2)]
+    assert _violations("def assemble(mesh, family, t):\n"
+                       "    return family.eval_many(mesh.x, t)",
+                       "neumann") == []
+    assert _violations("def f(family, xs):\n"
+                       "    coeffs = family.poly_coeffs\n"
+                       "    return coeffs(xs)", "neumann") == [
+        ("poly_coeffs", "f", 2)]
+    assert _violations("class AnisotropyFamily:\n"
+                       "    def grad_x_many(self, xs, ts):\n"
+                       "        return self.poly_coeffs(xs)",
+                       "anisotropy") == [
+        ("poly_coeffs", "AnisotropyFamily.grad_x_many", 3)]
+    assert _violations("x = fam.rational_dt(xs, ts)", "transport") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_flux_has_one_route(path):
+    assert _violations(path.read_text(), path.stem) == []

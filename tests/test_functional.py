@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -100,6 +102,47 @@ def test_load_rejects_corrupted_payload(tmp_path):
     raw[8 + 64 + 64 + 150] ^= 0xFF          # flip one payload byte
     open(path, "wb").write(bytes(raw))
     with pytest.raises(ValueError, match="corrupted"):
+        load_functional_data(mesh, path)
+
+
+def _payload(mesh, sizes, extra=b""):
+    """Descriptor of `mesh`, then one vector of ones per entry of sizes."""
+    chunks = [struct.pack("<iii", mesh.dim, mesh.n, mesh.n)]
+    for size in sizes:
+        chunks += [struct.pack("<q", size), np.ones(size).tobytes()]
+    return b"".join(chunks) + extra
+
+
+@pytest.mark.parametrize("cut, match", [
+    (lambda p: p[:2], "ends inside the descriptor"),
+    (lambda p: p[:12 + 4], "ends inside the p1_weak size"),
+    (lambda p: p[:12 + 8 + 8 * 25 + 8 + 8 * 24],
+     "ends inside the nodal projection"),
+    (lambda p: p + b"\0", "trailing bytes")],
+    ids=["descriptor", "size", "vector", "trailing"])
+def test_load_rejects_a_short_or_long_payload(tmp_path, write_container,
+                                              cut, match):
+    mesh = build_unit_square(4)
+    path = str(tmp_path / "data.bin")
+    good = _payload(mesh, (25, 25))
+    write_container(mesh, good, path)
+    assert load_functional_data(mesh, path).p1_weak.shape == (25,)
+    write_container(mesh, cut(good), path)
+    with pytest.raises(ValueError, match=match):
+        load_functional_data(mesh, path)
+
+
+@pytest.mark.parametrize("sizes, match", [
+    ((3, 25), "p1_weak has 3 values for 25 mesh vertices"),
+    ((25, 26), "nodal projection has 26 values for 25 mesh vertices")],
+    ids=["p1_weak", "projection"])
+def test_load_rejects_a_vector_for_another_vertex_count(tmp_path,
+                                                        write_container,
+                                                        sizes, match):
+    mesh = build_unit_square(4)
+    path = str(tmp_path / "data.bin")
+    write_container(mesh, _payload(mesh, sizes), path)
+    with pytest.raises(ValueError, match=match):
         load_functional_data(mesh, path)
 
 

@@ -176,7 +176,7 @@ def test_trace_csv_is_deterministic(tmp_path):
 
 def test_per_call_invariants_are_built_once(monkeypatch, count_calls):
     # the mass and H1 matrices are built once per reconstruct, whichever
-    # module uses them; the flux invariants once per outer iteration (not
+    # module uses them; the flux split once per outer iteration (not
     # once per candidate weight); no inflow facet is classified; and the
     # normal matrix is formed only on the steps that factor it
     from matmi import fields, mesh, neumann
@@ -184,7 +184,7 @@ def test_per_call_invariants_are_built_once(monkeypatch, count_calls):
     calls = {name: count_calls(getattr(fields, name))
              for name in ("mass_matrix", "h1_matrix")}
     calls["classify_inflow"] = count_calls(mesh.classify_inflow)
-    for name in ("_flux_invariants", "_normal_matrix"):
+    for name in ("FluxSplit", "_normal_matrix"):
         calls[name] = _counting(monkeypatch, tr, name)
     shapes = []
     real_factor = neumann.spd_factor
@@ -203,7 +203,7 @@ def test_per_call_invariants_are_built_once(monkeypatch, count_calls):
     assert factored + shapes.count((nv - 1, nv - 1)) == len(shapes)
     assert factored >= 6
     assert counts == {"mass_matrix": 1, "h1_matrix": 1, "classify_inflow": 0,
-                      "_flux_invariants": 2, "_normal_matrix": factored}
+                      "FluxSplit": 2, "_normal_matrix": factored}
 
 
 def _counting(monkeypatch, module, name):

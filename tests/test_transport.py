@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matmi import oracles
 from matmi import transport as tr
@@ -192,6 +194,31 @@ def test_flux_operator_reproduces_same_mesh_data(name, builder, n):
     assert err <= 1e-13 * np.abs(data.p1_weak).max()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(n=st.integers(1, 6),
+       modes=st.lists(st.tuples(st.floats(-0.3, 0.3),
+                                st.lists(st.floats(-4.0, 4.0), min_size=3,
+                                         max_size=3),
+                                st.floats(0.0, 6.3)), min_size=1,
+                      max_size=2))
+def test_operator_identity_holds_for_any_smooth_gamma(name, dim, n, modes):
+    # gamma = 1.2 + sum a sin(k . x + phi) stays inside [0.6, 1.8]
+    fam = builtin(name)
+    mesh = (build_unit_square if dim == 2 else build_unit_cube)(n)
+
+    def gamma_fn(p):
+        return 1.2 + sum(a * np.sin(p @ np.array(k[:dim]) + phi)
+                         for a, k, phi in modes)
+    gstar = interpolate_nodal(mesh, gamma_fn)
+    data = synthesize(fam, gstar, mesh)
+    prob = tr.FluxFit(mesh, fam, data.field, data, gstar)
+    L, c = tr._flux_operator(prob, gstar.cell_means())
+    err = np.abs(L @ gstar.values + c - data.p1_weak).max()
+    assert err <= 1e-13 * np.abs(data.p1_weak).max()
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_flux_split_reproduces_the_flux(name):
     fam = builtin(name)
@@ -203,15 +230,16 @@ def test_flux_split_reproduces_the_flux(name):
     g, h = prob.flux_split(gc)
     xs = np.column_stack([mesh.cell_centroids, np.zeros(mesh.num_cells)])
     want = np.einsum("cij,cj->ci", fam.eval_many(xs, gc),
-                     tr.cross_b0(E.values))[:, :2]
+                     cross_b0(E.values))[:, :2]
     got = gc[:, None] * g + h
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     # without a remainder h is P_0 w itself, bit-identical to adding the
     # einsum of the zero remainder
     assert fam.has_remainder == (name == "D4")
-    w3, Pw = prob._flux_invariants
+    split = prob.flux_split
     rat = fam.rational(xs, gc)[:, :2]
-    assert np.array_equal(h, Pw[0] + np.einsum("cij,cj->ci", rat, w3))
+    assert np.array_equal(h, split.Pw[0]
+                          + np.einsum("cij,cj->ci", rat, split.w))
 
 
 def _d4_case(n=16):
