@@ -1,8 +1,9 @@
 """Structured simplicial meshes of the unit square and unit cube.
 
-Meshes are immutable after construction: every geometry array is built
-once, with whole-array operations, in `__init__`, and the P1 matrix
-pattern and fixed operators once, on first use.  The unit square is
+Meshes are immutable after construction: the cell and boundary geometry
+is built once, with whole-array operations, in `__init__`, and the
+interior faces, the P1 matrix pattern and fixed operators once, on first
+use.  The unit square is
 split into 2*n^2 triangles (diagonal fixed from lower-left to
 upper-right), the unit cube into 6*n^3 tetrahedra via the standard
 six-tetrahedra subdivision of each grid cube.
@@ -35,6 +36,11 @@ def _rowdot(a, b):
     """Row-wise dot products of (N, d) arrays; batched matmul rounds each
     row exactly as np.dot rounds one pair of vectors."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+# local vertex slots of facet j of a cell (all but slot j), per dim
+_FACET_SLOTS = {dim: np.array([[k for k in range(dim + 1) if k != j]
+                               for j in range(dim + 1)]) for dim in (2, 3)}
 
 
 class Mesh:
@@ -78,7 +84,9 @@ class Mesh:
     centroid_points : (nc, 3) float array
         Cell centroids padded with zeros: where coefficients are evaluated.
 
-    The last four are read-only and built on first use, once per mesh.
+    The interior-face arrays and the last four are read-only and built on
+    first use, once per mesh; the faces (only the DG0 checks of
+    `matmi.oracles` read them) repeat the facet matching of the boundary.
     """
 
     def __init__(self, dim, n, vertices, cells):
@@ -87,7 +95,7 @@ class Mesh:
         self.vertices = vertices
         self.cells = cells
         self._build_geometry()
-        self._build_faces()
+        self._build_boundary()
 
     @property
     def num_vertices(self):
@@ -113,38 +121,39 @@ class Mesh:
         g0 = -g.sum(axis=1, keepdims=True)
         self.cell_grads = np.concatenate([g0, g], axis=1)  # (nc, dim+1, dim)
 
-    def _build_faces(self):
+    def _sorted_facets(self):
+        """Every facet of every cell, matched by vertices: (verts, order,
+        start, counts), where row c*nloc + j of verts (ascending) is the
+        facet of cell c without local vertex j, `order` sorts the rows by
+        vertex tuple (a stable sort keeps the lower cell of an interior
+        face first), and each distinct facet covers `counts` sorted rows
+        from `start`."""
         dim, nv = self.dim, self.num_vertices
-        nloc = dim + 1
         if nv ** dim >= 2 ** 63:
             raise ValueError("too many vertices for 64-bit facet keys")
-        # facet j of a cell = all local vertices except j; row c*nloc + j
-        keep = np.array([[k for k in range(nloc) if k != j]
-                         for j in range(nloc)])
-        verts = np.sort(self.cells[:, keep].reshape(-1, dim), axis=1)
+        verts = np.sort(self.cells[:, _FACET_SLOTS[dim]].reshape(-1, dim),
+                        axis=1)
         key = verts[:, 0].astype(np.int64)
         for k in range(1, dim):
             key = key * nv + verts[:, k]
-        # facets in ascending vertex-tuple order; a stable sort keeps the
-        # lower cell of an interior face first
         order = np.argsort(key, kind="stable")
         key = key[order]
         start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         counts = np.diff(np.r_[start, key.size])
         if np.any(counts > 2):
             raise ValueError("facet shared by more than two cells")
+        return verts, order, start, counts
+
+    def _build_boundary(self):
+        nloc = self.dim + 1
+        verts, order, start, counts = self._sorted_facets()
         bnd = order[start[counts == 1]]
         self.facet_cells = bnd // nloc
         self.facet_vertices = verts[bnd]
-        self.facet_local = _frozen(keep[bnd % nloc])
+        self.facet_local = _frozen(_FACET_SLOTS[self.dim][bnd % nloc])
         (self.facet_normals, self.facet_measures,
          self.facet_midpoints) = self._facet_geometry(self.facet_vertices,
                                                       self.facet_cells)
-        interior = start[counts == 2]
-        self.face_left = order[interior] // nloc
-        self.face_right = order[interior + 1] // nloc
-        self.face_normals, self.face_measures, _ = self._facet_geometry(
-            verts[order[interior]], self.face_left)
 
     def _facet_geometry(self, verts, cells):
         """Unit normals (pointing away from `cells`), measures and
@@ -196,6 +205,22 @@ class Mesh:
         slot = np.searchsorted(keys, rows.astype(np.int64) * nv + cols)
         return tuple(map(_frozen, (pat.indptr, pat.indices,
                                    slot.astype(np.int32))))
+
+    @functools.cached_property
+    def _interior_faces(self):
+        nloc = self.dim + 1
+        verts, order, start, counts = self._sorted_facets()
+        interior = start[counts == 2]
+        left = order[interior] // nloc
+        normals, measures, _ = self._facet_geometry(verts[order[interior]],
+                                                    left)
+        return tuple(map(_frozen, (left, order[interior + 1] // nloc,
+                                   normals, measures)))
+
+    face_left = property(lambda self: self._interior_faces[0])
+    face_right = property(lambda self: self._interior_faces[1])
+    face_normals = property(lambda self: self._interior_faces[2])
+    face_measures = property(lambda self: self._interior_faces[3])
 
     @functools.cached_property
     def mass(self):

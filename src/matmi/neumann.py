@@ -7,11 +7,20 @@ The Maxwell system is reduced to the elliptic problem
 
 with Etilde = 0.5 * (-y, x, 0), and the electric field is recovered as
 E = Etilde + grad u (per cell, exact P1 gradient).
+
+Every SPD system of the package (this pinned block and the normal matrix
+of the least-squares update) is solved here by `LaggedFactor`: CG
+preconditioned with a banded Cholesky factor in the mesh's lexicographic
+vertex order.
 """
 
+import mmap
+
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+from .anisotropy import power_series
 from .fields import CellField, NodalField, assemble_p1, scatter_p1
 
 __all__ = [
@@ -58,16 +67,20 @@ def etilde(x):
 def conductivity_blocks(mesh, family, gamma):
     """In-plane conductivity matrix per cell, shape (nc, dim, dim).
 
-    The vertex values of gamma (a NodalField) are range-checked, then A
-    is evaluated at cell centroids (one-point quadrature) on the cell
-    means and the upper-left dim x dim block kept; this is exact for the
+    The vertex values of gamma (a NodalField) are range-checked, then
+    the upper-left dim x dim block of A is evaluated at cell centroids
+    (one-point quadrature) on the cell means: the family's coefficients
+    and remainder are sliced to that block before they are summed, which
+    rounds each entry as `eval_many` does.  The block is exact for the
     in-plane action of every builtin family because A couples the z-axis
     only diagonally.
     """
     family._check_range(gamma.values, "vertex")
-    A = family.eval_many(mesh.centroid_points, gamma.cell_means(),
-                         check_range=False)
-    return A[:, :mesh.dim, :mesh.dim]
+    d, xs, t = mesh.dim, mesh.centroid_points, gamma.cell_means()
+    B = power_series(family.poly_coeffs(xs)[:, :, :d, :d].swapaxes(0, 1), t)
+    if family.has_remainder:
+        B += family.rational(xs, t)[:, :d, :d]
+    return B
 
 
 def assemble(mesh, family, gamma):
@@ -104,12 +117,59 @@ def load_vector(mesh, f):
     return scatter_p1(mesh, local)
 
 
+class _BandCholesky:
+    """Banded Cholesky factor of an SPD matrix, lower band in LAPACK's
+    (bandwidth + 1, n) layout."""
+
+    def __init__(self, band):
+        self.band = band
+        self.shape = (band.shape[1],) * 2
+
+    def solve(self, b):
+        return sla.cho_solve_banded((self.band, True), b, check_finite=False)
+
+
+def _lower_band(A):
+    """The lower band of the sparse matrix A, entries i >= j stored at
+    [i - j, j] of a Fortran-ordered (bandwidth + 1, n) array (duplicate
+    entries summed); the upper triangle is not read."""
+    A = A.tocsr()
+    n = A.shape[0]
+    i = np.repeat(np.arange(n), np.diff(A.indptr))
+    j = A.indices
+    lower = i >= j
+    i, j = i[lower], j[lower]
+    bw = int((i - j).max(initial=0))
+    band = _mapped_zeros(bw + 1, n)
+    np.add.at(band.T.reshape(-1), j * (bw + 1) + (i - j), A.data[lower])
+    return band
+
+
+def _mapped_zeros(rows, n):
+    """Fortran-ordered (rows, n) zeros in an anonymous mapping of their
+    own, unmapped when the last view is dropped.  Left to malloc, a band
+    of tens of MB lands in the heap once the first one freed has raised
+    malloc's dynamic mmap threshold, and small blocks allocated after it
+    can keep its pages from ever being returned."""
+    buf = mmap.mmap(-1, max(rows * n, 1) * 8)
+    return np.frombuffer(buf, dtype=float, count=rows * n).reshape(n, rows).T
+
+
 def spd_factor(A):
-    """Sparse LU of a symmetric positive definite matrix: symmetric
-    ordering and no pivoting (safe for SPD).  Raises scipy's
-    RuntimeError on failure; callers turn it into their own error."""
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    """Banded Cholesky factor (LAPACK pbtrf) of the symmetric positive
+    definite sparse matrix A, in its own row order: with no reordering,
+    the lexicographic vertex numbers of the structured meshes keep the
+    half bandwidth at about n + 2 in 2D and (n + 1)^2 + n + 2 in 3D, twice
+    that for the normal matrix.  Only the lower triangle is read.
+    Returns an object with `.shape` and `.solve(b)`; raises RuntimeError
+    when A is not positive definite."""
+    band = _lower_band(A)        # its temporaries are freed by now
+    try:
+        band = sla.cholesky_banded(band, lower=True, overwrite_ab=True,
+                                   check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(str(exc)) from None
+    return _BandCholesky(band)
 
 
 # CG iterations per attempt of a Neumann solve: a lagged factor that
@@ -126,8 +186,9 @@ _LAG_RTOL = 1e-13
 
 
 class LaggedFactor:
-    """Holder for the sparse factor of an SPD matrix, used as the CG
-    preconditioner of later, nearby systems.
+    """Holder for the banded Cholesky factor of an SPD matrix
+    (`spd_factor`), used as the CG preconditioner of later, nearby
+    systems.
 
     A caller that solves several nearby systems (the perturbed parameters
     of a sweep, the inner steps of a least-squares update) creates one
@@ -136,7 +197,7 @@ class LaggedFactor:
     """
 
     def __init__(self):
-        self.lu = None
+        self.factor = None
 
     def solve(self, A, rhs, x0, rtol, maxiter, matrix=None, callback=None):
         """Solve the SPD system A x = rhs by CG from x0 (None: zero) to a
@@ -150,23 +211,25 @@ class LaggedFactor:
         the factorization fails or CG misses even with the fresh factor.
         """
         n = rhs.shape[0]
-        lagged = self.lu is not None and self.lu.shape == (n, n)
+        lagged = self.factor is not None and self.factor.shape == (n, n)
         for fresh in ((False, True) if lagged else (True,)):
             if fresh:
-                self.lu = None              # release the old factor first
+                self.factor = None          # release the old factor first
                 try:
-                    self.lu = spd_factor(A if matrix is None else matrix())
+                    self.factor = spd_factor(A if matrix is None
+                                             else matrix())
                 except RuntimeError as exc:
                     raise SolverError("factorization failed: %s" % exc, [])
             # the preconditioner is built inline: a name bound to it would
             # keep the lagged factor alive while the fresh one is built
             x, info = spla.cg(A, rhs, x0=x0, rtol=rtol, maxiter=maxiter,
-                              M=spla.LinearOperator((n, n), dtype=float,
-                                                    matvec=self.lu.solve),
+                              M=spla.LinearOperator(
+                                  (n, n), dtype=float,
+                                  matvec=self.factor.solve),
                               callback=callback)
             if info == 0:
                 return x
-        self.lu = None   # the traceback of the error keeps this frame alive
+        self.factor = None  # the traceback of the error keeps this frame alive
         resid = np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs)
         # CG divides 0 by 0 after an exactly zero residual (rtol=0)
         detail = ("residual %.3g" % resid if np.isfinite(resid)

@@ -3,8 +3,9 @@ and of the least-squares update comes from functional.FluxSplit.  So
 `transport` reads none of the family's evaluators (`poly_coeffs`,
 `eval_many`, `rational`), `functional` evaluates no full matrix
 (`eval_many`), and the polynomial coefficients are read only by the
-split, by anisotropy's own evaluators and by the independent checks in
-`oracles`."""
+split, by the in-plane conductivity of the Neumann problem
+(`neumann.conductivity_blocks`), by anisotropy's own evaluators and by
+the independent checks in `oracles`."""
 
 import ast
 import pathlib
@@ -17,6 +18,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmi"
 # None admits the whole module
 ONLY = {
     "poly_coeffs": {("functional", "FluxSplit.__init__"),
+                    ("neumann", "conductivity_blocks"),
                     ("anisotropy", "AnisotropyFamily.eval_many"),
                     ("anisotropy", "AnisotropyFamily.deriv_t_many"),
                     ("oracles", None)},

@@ -3,9 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from matmi.fields import CellField, assemble_p1, mass_matrix
+from matmi.anisotropy import builtin
+from matmi.fields import (CellField, NodalField, assemble_p1,
+                          interpolate_nodal, mass_matrix)
 from matmi.mesh import (Mesh, build_unit_cube, build_unit_square,
                         classify_inflow)
+from matmi.reconstruction import ReconConfig, reconstruct
+from matmi.stability import smooth_perturbations, stability_sweep
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -249,6 +253,26 @@ def test_shuffled_cells_give_the_same_boundary(builder, n, total):
              - mesh.cell_centroids[mesh.face_left])
     assert (np.einsum("fd,fd->f", mesh.face_normals, cross) > 0).all()
     assert len(mesh.face_left) == len(ref.face_left)
+
+
+def test_reconstruction_and_sweeps_never_build_the_interior_faces(
+        monkeypatch):
+    built = []
+    real = Mesh._interior_faces.func
+
+    def recording(mesh):
+        built.append(mesh)
+        return real(mesh)
+    monkeypatch.setattr(Mesh, "_interior_faces", property(recording))
+    assert build_unit_square(2).face_left.size == 8
+    assert len(built) == 1
+    reconstruct(ReconConfig(preset="example4", n=8))
+    mesh = build_unit_square(8)
+    base = interpolate_nodal(mesh, lambda p: 1.0 + 0.2 * p[:, 0] * p[:, 1])
+    perts = [NodalField(mesh, f(mesh.vertices))
+             for f in smooth_perturbations(2, seed=0)]
+    stability_sweep(builtin("D1"), base, perts, mesh=mesh)
+    assert len(built) == 1
 
 
 def test_facet_shared_by_three_cells_rejected():

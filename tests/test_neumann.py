@@ -1,16 +1,21 @@
+import mmap
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from matmi import neumann
-from matmi.anisotropy import builtin
-from matmi.fields import interpolate_nodal, l2_norm_cell, l2_norm_nodal
-from matmi.functional import cross_b0
+from matmi import transport as tr
+from matmi.anisotropy import BUILTIN_NAMES, builtin
+from matmi.fields import (NodalField, interpolate_nodal, l2_norm_cell,
+                          l2_norm_nodal)
+from matmi.functional import cross_b0, synthesize
 from matmi.mesh import build_unit_cube, build_unit_square
 from matmi.neumann import (SolverError, assemble, etilde, electric_field,
-                           load_vector, solve_mean_zero, solve_field)
+                           load_vector, solve_mean_zero, solve_field,
+                           spd_factor)
 from matmi.presets import get_preset
 
 D1 = builtin("D1").with_t_range(0.25, 4.0)
@@ -87,20 +92,20 @@ def test_failed_factorization_is_solver_error(monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(neumann.spla, "splu", singular)
+    monkeypatch.setattr(neumann, "spd_factor", singular)
     mesh = build_unit_square(4)
     with pytest.raises(SolverError, match="exactly singular"):
         solve_field(mesh, D1, _ones(mesh))
 
 
-def _count_splu(monkeypatch):
+def _count_factors(monkeypatch):
     calls = []
-    real = spla.splu
+    real = neumann.spd_factor
 
-    def counting(*args, **kwargs):
+    def counting(A):
         calls.append(1)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(neumann.spla, "splu", counting)
+        return real(A)
+    monkeypatch.setattr(neumann, "spd_factor", counting)
     return calls
 
 
@@ -125,20 +130,20 @@ def _assert_close(vals, ref):
 def test_shared_factor_matches_fresh_solves(monkeypatch):
     systems = _perturbed_systems()
     fresh = [solve_mean_zero(s)[0] for s in systems]
-    splu_calls = _count_splu(monkeypatch)
+    factor_calls = _count_factors(monkeypatch)
     holder = neumann.LaggedFactor()
     for s, ref in zip(systems, fresh):
         vals, _ = solve_mean_zero(s, factor=holder)
         _assert_close(vals, ref)
     # the first solve factors; the others use its factor as preconditioner
-    assert len(splu_calls) == 1
-    assert holder.lu is not None
+    assert len(factor_calls) == 1
+    assert holder.factor is not None
 
 
 def test_shared_factor_refactors_when_lagged_cg_gives_up(monkeypatch):
     systems = _perturbed_systems()
     fresh = [solve_mean_zero(s)[0] for s in systems]
-    splu_calls = _count_splu(monkeypatch)
+    factor_calls = _count_factors(monkeypatch)
     # two lagged iterations do not reach 1e-13 here; the fresh factor does
     # in one (a cap of 1 would fail it too: scipy's cg tests convergence
     # at the top of the next iteration, so maxiter=1 always reports a miss)
@@ -147,7 +152,7 @@ def test_shared_factor_refactors_when_lagged_cg_gives_up(monkeypatch):
     for s, ref in zip(systems, fresh):
         vals, _ = solve_mean_zero(s, factor=holder)
         _assert_close(vals, ref)
-    assert len(splu_calls) == len(systems)
+    assert len(factor_calls) == len(systems)
 
 
 def test_shared_holder_refactors_on_a_size_change(monkeypatch):
@@ -155,15 +160,15 @@ def test_shared_holder_refactors_on_a_size_change(monkeypatch):
     # factors once, and the next solve on that mesh reuses the factor
     runs = [_perturbed_systems(n, count=2) for n in (8, 12, 8)]
     fresh = [[solve_mean_zero(s)[0] for s in run] for run in runs]
-    splu_calls = _count_splu(monkeypatch)
+    factor_calls = _count_factors(monkeypatch)
     holder = neumann.LaggedFactor()
     for run, refs in zip(runs, fresh):
         for s, ref in zip(run, refs):
             vals, _ = solve_mean_zero(s, factor=holder)
             _assert_close(vals, ref)
-    assert len(splu_calls) == len(runs)
+    assert len(factor_calls) == len(runs)
     nv = runs[-1][0].matrix.shape[0]
-    assert holder.lu.shape == (nv - 1, nv - 1)
+    assert holder.factor.shape == (nv - 1, nv - 1)
 
 
 def test_lagged_factor_is_released_before_refactoring(monkeypatch):
@@ -176,14 +181,14 @@ def test_lagged_factor_is_released_before_refactoring(monkeypatch):
     class Held:
         """Weakly referenceable stand-in for the held factor."""
 
-        def __init__(self, lu):
-            self.lu, self.shape = lu, lu.shape
+        def __init__(self, factor):
+            self.factor, self.shape = factor, factor.shape
 
         def solve(self, r):
-            return self.lu.solve(r)
+            return self.factor.solve(r)
 
-    holder.lu = Held(holder.lu)
-    held = weakref.ref(holder.lu)
+    holder.factor = Held(holder.factor)
+    held = weakref.ref(holder.factor)
     released = []
     real = neumann.spd_factor
 
@@ -205,9 +210,83 @@ def test_failed_refactorization_is_solver_error(monkeypatch):
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
-    monkeypatch.setattr(neumann.spla, "splu", singular)
+    monkeypatch.setattr(neumann, "spd_factor", singular)
     with pytest.raises(SolverError, match="exactly singular"):
         solve_mean_zero(second, factor=holder)
+
+
+def _spd_matrices(builder, n, preset):
+    """The pinned Neumann block at the preset's true gamma and the normal
+    matrix of the first least-squares update from gamma = 1."""
+    p = get_preset(preset)
+    mesh, fam = builder(n), p.family()
+    gamma = interpolate_nodal(mesh, p.gamma_star)
+    ones = NodalField(mesh, np.ones(mesh.num_vertices))
+    _, E = solve_field(mesh, fam, ones)
+    prob = tr.FluxFit(mesh, fam, E, synthesize(fam, gamma, mesh), ones)
+    L, _, scale = tr._ls_system(prob, ones.values, ones.values, 1e-2)
+    return (assemble(mesh, fam, gamma).matrix[1:, 1:],
+            tr._normal_matrix(L, mesh.h1, scale))
+
+
+@pytest.mark.parametrize("builder, n, preset",
+                         [(build_unit_square, 9, "example4"),
+                          (build_unit_cube, 4, "example6")])
+def test_band_cholesky_solves_the_neumann_and_normal_matrices(builder, n,
+                                                              preset):
+    for A in _spd_matrices(builder, n, preset):
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        factor = spd_factor(A)
+        x = factor.solve(b)
+        assert factor.shape == A.shape
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_band_cholesky_reads_only_the_lower_triangle():
+    mesh = build_unit_square(7)
+    K = assemble(mesh, D1, _ones(mesh)).matrix[1:, 1:]
+    noise = sp.random(*K.shape, density=0.2, random_state=4, format="csr")
+    skewed = (sp.tril(K) + sp.triu(noise, k=1)).tocsr()
+    b = np.random.default_rng(5).standard_normal(K.shape[0])
+    assert np.array_equal(spd_factor(skewed).solve(b), spd_factor(K).solve(b))
+
+
+def test_band_sums_duplicates_into_its_own_mapping():
+    mesh = build_unit_square(5)
+    K = sp.tril(assemble(mesh, D1, _ones(mesh)).matrix).tocoo()
+    doubled = sp.coo_matrix((np.r_[K.data, K.data], (np.r_[K.row, K.row],
+                                                     np.r_[K.col, K.col])),
+                            shape=K.shape)
+    band = neumann._lower_band(doubled)
+    assert band.flags.f_contiguous and band.flags.writeable
+    assert np.array_equal(band, 2 * neumann._lower_band(K))
+    # the band's memory is an anonymous mapping, not a malloc block
+    owner = band
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner.obj, mmap.mmap)     # through a memoryview
+
+
+def test_indefinite_matrix_fails_the_factorization():
+    mesh = build_unit_square(6)
+    K = assemble(mesh, D1, _ones(mesh)).matrix[1:, 1:]
+    # shifted by its mean diagonal, K has eigenvalues of both signs
+    A = (K - K.diagonal().mean() * sp.identity(K.shape[0])).tocsr()
+    with pytest.raises(SolverError, match="factorization failed"):
+        neumann.LaggedFactor().solve(A, np.ones(A.shape[0]), None, 1e-10, 20)
+
+
+@pytest.mark.parametrize("builder", [build_unit_square, build_unit_cube])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_conductivity_blocks_are_the_in_plane_block(builder, name):
+    mesh = builder(3)
+    fam = builtin(name)
+    lo, hi = fam.t_range
+    gamma = interpolate_nodal(
+        mesh, lambda p: lo + (hi - lo) * (0.2 + 0.6 * p[:, 0] * p[:, 1]))
+    full = fam.eval_many(mesh.centroid_points, gamma.cell_means())
+    assert np.array_equal(neumann.conductivity_blocks(mesh, fam, gamma),
+                          full[:, :mesh.dim, :mesh.dim])
 
 
 def test_electric_field_composition():

@@ -1,7 +1,8 @@
 """One solve path: in matmi, only neumann.LaggedFactor.solve factors an
 SPD system (`spd_factor`) and runs CG with that factor; the other CG is
 the factor-free Jacobi mass solve, functional._mass_solve.  Only
-spd_factor calls scipy's sparse LU."""
+spd_factor calls LAPACK's banded Cholesky and only its factor object
+solves with it; nothing calls scipy's sparse LU."""
 
 import ast
 import pathlib
@@ -14,7 +15,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmi"
 ALLOWED = {
     "spd_factor": {("neumann", "LaggedFactor.solve")},
     "cg": {("neumann", "LaggedFactor.solve"), ("functional", "_mass_solve")},
-    "splu": {("neumann", "spd_factor")},
+    "cholesky_banded": {("neumann", "spd_factor")},
+    "cho_solve_banded": {("neumann", "_BandCholesky.solve")},
+    "splu": set(),
 }
 
 
@@ -71,6 +74,17 @@ def test_the_rule_sees_calls_by_scope_and_module():
         ("cg", "", 1)]
     assert _violations("def f(A):\n    return g(lambda: spla.splu(A))",
                        "neumann") == [("splu", "f", 2)]
+    assert _violations("def spd_factor(A):\n"
+                       "    return sla.cholesky_banded(band(A))\n"
+                       "class _BandCholesky:\n"
+                       "    def solve(self, b):\n"
+                       "        return sla.cho_solve_banded(self.c, b)",
+                       "neumann") == []
+    assert _violations("def step(c, b):\n"
+                       "    return cho_solve_banded(c, b)", "transport") == [
+        ("cho_solve_banded", "step", 2)]
+    assert _violations("from scipy.linalg import cholesky_banded as chol",
+                       "neumann") == [("cholesky_banded", "", 1)]
     assert _violations("from scipy.sparse.linalg import cg as krylov",
                        "stability") == [("cg", "", 1)]
     assert _violations("import scipy.sparse.linalg as spla\n"

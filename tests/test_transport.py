@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matmi import oracles
+from matmi import neumann, oracles
 from matmi import transport as tr
 from matmi.anisotropy import BUILTIN_NAMES, builtin
 from matmi.fields import (CellField, NodalField, interpolate_nodal,
@@ -282,14 +282,14 @@ def _reference_ls(prob, opts, alpha, anchor):
     return gamma, steps
 
 
-def _count_splu(monkeypatch):
+def _count_factors(monkeypatch):
     calls = []
-    real = spla.splu
+    real = neumann.spd_factor
 
-    def counting(*args, **kwargs):
+    def counting(A):
         calls.append(1)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(tr.spla, "splu", counting)
+        return real(A)
+    monkeypatch.setattr(neumann, "spd_factor", counting)
     return calls
 
 
@@ -314,11 +314,11 @@ def test_lagged_factor_matches_direct_picard(monkeypatch):
     prob, opts, ones = _d4_case()
     ref, steps = _reference_ls(prob, opts, 1e-2, ones)
     assert steps >= 4
-    splu_calls = _count_splu(monkeypatch)
+    factor_calls = _count_factors(monkeypatch)
     sol = tr.solve_nonlinear_ls(prob, *opts, alpha=1e-2, anchor=ones)
     _assert_matches_reference(sol, ref, steps)
     # later steps reuse an earlier factor instead of factoring their own
-    assert len(splu_calls) < steps
+    assert len(factor_calls) < steps
 
 
 def test_normal_operator_matches_explicit_matrix():
@@ -337,19 +337,19 @@ def test_refactors_when_pcg_gives_up(monkeypatch):
     _exact_picard(monkeypatch)
     prob, opts, ones = _d4_case()
     ref, steps = _reference_ls(prob, opts, 1e-2, ones)
-    splu_calls = _count_splu(monkeypatch)
+    factor_calls = _count_factors(monkeypatch)
     real_cg, factors_seen = spla.cg, [0]
 
     def lagged_gives_up(*args, **kwargs):
         # CG with a factor that an earlier step made reports a miss
-        if len(splu_calls) == factors_seen[0]:
+        if len(factor_calls) == factors_seen[0]:
             return kwargs["x0"], kwargs["maxiter"]
-        factors_seen[0] = len(splu_calls)
+        factors_seen[0] = len(factor_calls)
         return real_cg(*args, **kwargs)
     monkeypatch.setattr(tr.spla, "cg", lagged_gives_up)
     sol = tr.solve_nonlinear_ls(prob, *opts, alpha=1e-2, anchor=ones)
     _assert_matches_reference(sol, ref, steps)
-    assert len(splu_calls) == steps
+    assert len(factor_calls) == steps
 
 
 def test_cg_missing_with_a_fresh_factor_is_a_transport_error(monkeypatch):
@@ -357,11 +357,11 @@ def test_cg_missing_with_a_fresh_factor_is_a_transport_error(monkeypatch):
     # with maxiter=1 even the exact fresh factor reports a miss: the step
     # must fail loudly rather than return an unconverged solve
     prob, opts, ones = _d4_case(n=8)
-    splu_calls = _count_splu(monkeypatch)
+    factor_calls = _count_factors(monkeypatch)
     monkeypatch.setattr(tr, "_PCG_MAXITER", 1)
     with pytest.raises(tr.TransportError, match="fresh factor") as err:
         tr.solve_nonlinear_ls(prob, *opts, alpha=1e-2, anchor=ones)
-    assert len(splu_calls) == 1
+    assert len(factor_calls) == 1
     assert err.value.history == []
 
 
@@ -420,6 +420,6 @@ def test_factorization_failure_is_a_transport_error(monkeypatch):
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
-    monkeypatch.setattr(tr.spla, "splu", singular)
+    monkeypatch.setattr(neumann, "spd_factor", singular)
     with pytest.raises(tr.TransportError, match="factorization failed"):
         tr.solve_nonlinear_ls(prob, *opts, alpha=1e-2, anchor=ones)
