@@ -130,13 +130,6 @@ class AnisotropyFamily:
             out += self._rational_dt_fn(xs, ts)
         return out
 
-    def grad_x_many(self, xs, ts):
-        """Spatial gradient of A, shape (N, 3, 3, 3): axis 1 is d/dx_i."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        G = self.poly_coeffs_grad(xs)  # (N, 3, M, 3, 3)
-        return power_series(np.moveaxis(G, 2, 0), ts)
-
 
 def power_series(coeffs, t):
     """sum_m coeffs[m] t^m per sample, for coeffs (M, N, ...) indexed by
@@ -154,35 +147,27 @@ def power_series(coeffs, t):
 
 
 class AdmissibilityReport:
-    """Sampled ellipticity and derivative-bound estimates for a family."""
+    """Sampled ellipticity estimates for a family."""
 
     def __init__(self, family_name, lambda_declared, lambda_min, lambda_max,
-                 lambda_est, deriv_est, n_x_samples, n_t_samples,
-                 ellipticity_pass):
+                 lambda_est, ellipticity_pass):
         self.family_name = family_name
         self.lambda_declared = lambda_declared
         self.lambda_min = lambda_min
         self.lambda_max = lambda_max
         self.lambda_est = lambda_est
-        self.deriv_est = deriv_est
-        self.n_x_samples = n_x_samples
-        self.n_t_samples = n_t_samples
         self.ellipticity_pass = ellipticity_pass
 
     def __repr__(self):
-        return ("AdmissibilityReport(%s: lambda_est=%.4g, deriv_est=%.4g, "
-                "pass=%s)" % (self.family_name, self.lambda_est,
-                              self.deriv_est, self.ellipticity_pass))
+        return ("AdmissibilityReport(%s: lambda_est=%.4g, pass=%s)"
+                % (self.family_name, self.lambda_est, self.ellipticity_pass))
 
 
 def check_admissibility(family, grid_density, lambda_declared):
-    """Sample the family on a tensor grid and report ellipticity bounds.
-
-    The Hoelder-type derivative bound is estimated as the sampled sup of
-    the spectral norm of dA/dt (plus, for spatial families, the spatial
-    gradient norms) together with first-order difference quotients; it is
-    a finite-sample lower bound, never an exact seminorm.
-    """
+    """Sample the family on a tensor grid and report ellipticity bounds:
+    the extreme eigenvalues of A over the samples, the ellipticity
+    constant they imply (inf when the smallest is not positive), and
+    whether they lie within [1 / lambda_declared, lambda_declared]."""
     if grid_density < 2:
         raise ValueError("grid_density must be >= 2")
     lo, hi = family.t_range
@@ -195,31 +180,11 @@ def check_admissibility(family, grid_density, lambda_declared):
         xs = np.zeros((1, 3))
 
     lam_min, lam_max = np.inf, -np.inf
-    deriv_est = 0.0
     for t in ts:
-        tt = np.full(xs.shape[0], t)
-        A = family.eval_many(xs, tt, check_range=False)
+        A = family.eval_many(xs, np.full(xs.shape[0], t), check_range=False)
         w = np.linalg.eigvalsh(A)
         lam_min = min(lam_min, float(w.min()))
         lam_max = max(lam_max, float(w.max()))
-        dA = family.deriv_t_many(xs, tt, check_range=False)
-        norms = np.linalg.norm(dA, ord=2, axis=(1, 2))
-        bound = float(norms.max())
-        if family.spatial:
-            gA = family.grad_x_many(xs, tt)
-            for i in range(3):
-                bound += float(np.linalg.norm(gA[:, i], ord=2,
-                                              axis=(1, 2)).max())
-        deriv_est = max(deriv_est, bound)
-    # difference quotients of dA/dt in t (beta = 1 sampling)
-    if len(ts) >= 2:
-        for i in range(len(ts) - 1):
-            t0 = np.full(xs.shape[0], ts[i])
-            t1 = np.full(xs.shape[0], ts[i + 1])
-            d = (family.deriv_t_many(xs, t1, check_range=False)
-                 - family.deriv_t_many(xs, t0, check_range=False))
-            q = np.linalg.norm(d, ord=2, axis=(1, 2)).max() / (ts[i + 1] - ts[i])
-            deriv_est = max(deriv_est, float(q))
 
     if lam_min > 0.0:
         lam_est = max(lam_max, 1.0 / lam_min, 1.0)
@@ -228,8 +193,7 @@ def check_admissibility(family, grid_density, lambda_declared):
     ok = (lam_min >= 1.0 / lambda_declared - 1e-12
           and lam_max <= lambda_declared + 1e-12)
     return AdmissibilityReport(family.name, lambda_declared, lam_min,
-                               lam_max, lam_est, deriv_est, xs.shape[0],
-                               len(ts), bool(ok))
+                               lam_max, lam_est, bool(ok))
 
 
 # -- builtin families ---------------------------------------------------

@@ -285,9 +285,8 @@ def _ls_update(problem, cfg, alpha, anchor, boundary_values, residual_fn,
 
     Every weight is solved before any residual is evaluated, so the
     least-squares factors are freed before the forward solves start.
-    The adaptive candidates' residuals, `residual_fn(gamma, factor)`,
-    share one neumann.LaggedFactor; the plain candidate gets None, so no
-    factor outlives its forward solve.  Returns (gamma or None, alpha,
+    The candidates' residuals, `residual_fn(gamma, factor)`, share one
+    neumann.LaggedFactor per update.  Returns (gamma or None, alpha,
     history, residual_fn result of the accepted candidate or None).
     """
     adaptive = cfg["picard.adaptive"]
@@ -306,7 +305,7 @@ def _ls_update(problem, cfg, alpha, anchor, boundary_values, residual_fn,
     if not solved:
         raise TransportError("every least-squares candidate failed: "
                              + "; ".join(failures))
-    factor = LaggedFactor() if adaptive else None
+    factor = LaggedFactor()
     best = None
     for a, sol in solved:
         for omega in omegas:
@@ -359,16 +358,14 @@ def reconstruct(config):
         return l2_norm_nodal(mesh, gamma.values - target.values) / target_norm
 
     def residual(gamma, factor=None):
-        """(selection norm, reported L2 norm) of the forward data misfit,
-        and the field E of gamma that the forward solve computed;
+        """(H1 selection norm, reported L2 norm) of the forward data
+        misfit, and the field E of gamma that the forward solve computed;
         `factor` is an optional neumann.LaggedFactor for that solve."""
         forward = synthesize(family, gamma, mesh, factor=factor)
         diff = (forward.nodal_projection.values
                 - data.nodal_projection.values)
-        l2 = l2_norm_nodal(mesh, diff)
-        h1 = (float(np.sqrt(diff @ (mesh.h1 @ diff)))
-              if cfg["picard.adaptive"] else l2)
-        return h1, l2, forward.field
+        return (float(np.sqrt(diff @ (mesh.h1 @ diff))),
+                l2_norm_nodal(mesh, diff), forward.field)
 
     gamma = project(gamma0, cfg["box"], boundary_values)
     trace.initial_error = rel_error(gamma)

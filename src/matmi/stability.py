@@ -169,27 +169,19 @@ def field_difference_sweep(family, pairs, mesh):
 
 
 def contraction_report(trace, threshold=0.0):
-    """Per-iteration contraction factors and a verdict.
+    """Per-iteration contraction factors of a ReconTrace and a verdict.
 
-    `trace` is either a ReconTrace or a plain error sequence (in which
-    case the first entry is taken as the initial error).  The verdict
-    is "contractive" iff the geometric mean of the factors
-    rho_k = e_k / e_{k-1}, over iterations whose preceding error
-    exceeds `threshold`, is < 1.  Needs at least 3 iterations.
+    The factors are `trace.ratios()`, rho_k = e_k / e_{k-1} with e_0 the
+    initial error.  The verdict is "contractive" iff the geometric mean
+    of the factors over iterations whose preceding error exceeds
+    `threshold` is < 1.  Needs at least 3 iterations.
     """
-    if hasattr(trace, "error_l2"):
-        errors = [trace.initial_error] + list(trace.error_l2)
-    else:
-        errors = list(trace)
-    if len(errors) < 4:               # initial value plus 3 iterations
+    if len(trace.error_l2) < 3:
         raise ValueError("contraction verdict needs at least 3 iterations")
-    ratios = []
-    active = []
-    for prev, cur in zip(errors[:-1], errors[1:]):
-        rho = cur / prev if prev > 0 else float("nan")
-        ratios.append(rho)
-        if prev > threshold and np.isfinite(rho):
-            active.append(rho)
+    ratios = trace.ratios()
+    prevs = [trace.initial_error] + trace.error_l2[:-1]
+    active = [rho for prev, rho in zip(prevs, ratios)
+              if prev > threshold and np.isfinite(rho)]
     if active:
         gmean = float(np.exp(np.mean(np.log(active))))
     else:

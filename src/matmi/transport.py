@@ -146,7 +146,7 @@ _AA_DEPTH = 3
 _AA_COND = 1e10
 
 
-def _anderson_step(fs, gs, t_range):
+def _anderson_step(fs, gs):
     """Next iterate of the inner loop from the stored pairs (f_j, G_j),
     oldest first, with G_j the plain step from x_j and f_j = G_j - x_j.
 
@@ -155,7 +155,10 @@ def _anderson_step(fs, gs, t_range):
     consecutive f, and the iterate is G_k - dG theta.  The plain step
     G_k is returned instead when fewer than two pairs exist, when dF is
     rank-deficient or its condition number exceeds _AA_COND, or when
-    the mixed values are non-finite or leave t_range.
+    the mixed values are not finite (the next step's NodalField would
+    reject them).  The mix may leave the family's t_range, as the plain
+    step may: the next step clips its frozen coefficients into it, and
+    the caller's projection clamps the result.
     """
     plain = gs[-1]
     if len(fs) < 2:
@@ -165,21 +168,20 @@ def _anderson_step(fs, gs, t_range):
     if rank < dF.shape[1] or sv[0] > _AA_COND * sv[-1]:
         return plain
     mixed = plain - np.diff(np.column_stack(gs), axis=1) @ theta
-    lo, hi = t_range
-    if not np.all((mixed >= lo) & (mixed <= hi)):   # also rejects NaN
+    if not np.all(np.isfinite(mixed)):
         return plain
     return mixed
 
 
-def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor=None):
+def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor):
     """Picard iteration solving the frozen flux equation in least squares.
 
     Each step G minimizes ||L(gamma_bar) gamma - b||^2 plus an H1 penalty
-    alpha * ||gamma - anchor||_H1^2 (scaled to the normal matrix); the
-    anchor defaults to the incoming iterate, and `reconstruct` passes
-    the fixed background field, so the penalty stays stationary across
-    the outer loop but pulls its limit toward that background.  It damps
-    the near-null-space components that arise on closed streamlines of
+    alpha * ||gamma - anchor||_H1^2 (scaled to the normal matrix), with
+    `anchor` a NodalField; `reconstruct` passes the fixed background
+    field, so the penalty stays stationary across the outer loop but
+    pulls its limit toward that background.  It damps the
+    near-null-space components that arise on closed streamlines of
     the rotational field.  Every vertex value is an unknown: the boundary
     trace is left to the caller's projection.
 
@@ -188,8 +190,8 @@ def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor=None):
     G(x_k) it stores (G(x_k) - x_k, G(x_k)) and continues from the
     Anderson-mixed iterate over the last _AA_DEPTH differences
     (`_anderson_step`), falling back to the plain step G(x_k) when the
-    mixing problem is too ill-conditioned or the mixed iterate leaves
-    the family's t_range.  The recorded history is the plain change
+    mixing problem is too ill-conditioned or the mix is not finite.
+    The recorded history is the plain change
     ||G(x_k) - x_k||_M / ||x_k||_M, and the loop stops once it is at
     most rel_tol or after max_outer (>= 1) steps.  Either way the result is the
     last plain step G(x_k), carrying the history as `picard_history`; a
@@ -209,13 +211,12 @@ def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor=None):
     mesh = problem.mesh
     R = mesh.h1
     gamma = problem.gamma_ref.values     # never written to in place
-    anchor = gamma if anchor is None else anchor.values
     history = []
     holder = LaggedFactor()
     fs, gs = deque(maxlen=_AA_DEPTH + 1), deque(maxlen=_AA_DEPTH + 1)
     rtol = _PCG_RTOL
     for _ in range(max_outer):
-        L, rhs, scale = _ls_system(problem, gamma, anchor, alpha)
+        L, rhs, scale = _ls_system(problem, gamma, anchor.values, alpha)
         try:
             new_vals = holder.solve(
                 _normal_operator(L, R, scale), rhs, gamma, rtol,
@@ -233,7 +234,7 @@ def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor=None):
         rtol = max(_PCG_RTOL, _PCG_FORCING * history[-1])
         fs.append(new_vals - gamma)
         gs.append(new_vals)
-        gamma = _anderson_step(fs, gs, problem.family.t_range)
+        gamma = _anderson_step(fs, gs)
     out = NodalField(mesh, new_vals)
     out.picard_history = history
     return out

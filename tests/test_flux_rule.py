@@ -83,10 +83,10 @@ def test_the_rule_sees_reads_by_scope_and_module():
                        "    return coeffs(xs)", "neumann") == [
         ("poly_coeffs", "f", 2)]
     assert _violations("class AnisotropyFamily:\n"
-                       "    def grad_x_many(self, xs, ts):\n"
+                       "    def rational(self, xs, ts):\n"
                        "        return self.poly_coeffs(xs)",
                        "anisotropy") == [
-        ("poly_coeffs", "AnisotropyFamily.grad_x_many", 3)]
+        ("poly_coeffs", "AnisotropyFamily.rational", 3)]
     assert _violations("x = fam.rational_dt(xs, ts)", "transport") == []
 
 

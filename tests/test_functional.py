@@ -1,14 +1,18 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matmi import functional
 from matmi.anisotropy import builtin
 from matmi.fields import (NodalField, interpolate_nodal, l2_norm_nodal,
                           mass_matrix)
-from matmi.functional import (cross_b0, eval_p1, flux_field,
+from matmi.functional import (FunctionalData, cross_b0, eval_p1, flux_field,
                               load_functional_data, save_functional_data,
                               synthesize, weak_p1_from_flux, weak_p1_rows,
                               write_nodal_csv)
@@ -68,6 +72,26 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.nodal_projection.values,
                           data.nodal_projection.values)
     assert back.source_mesh_resolution == 8
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(dim=st.sampled_from((2, 3)), n=st.integers(1, 6),
+       src_n=st.integers(1, 64), data=st.data())
+def test_save_load_round_trip_is_bit_identical(dim, n, src_n, data):
+    mesh = (build_unit_square if dim == 2 else build_unit_cube)(n)
+    vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=mesh.num_vertices,
+                       max_size=mesh.num_vertices)
+    p1 = np.array(data.draw(vectors))
+    nodal = np.array(data.draw(vectors))
+    fd = FunctionalData(mesh, p1, NodalField(mesh, nodal), src_n)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.bin")
+        save_functional_data(fd, path)
+        back = load_functional_data(mesh, path)
+    assert back.p1_weak.tobytes() == p1.tobytes()
+    assert back.nodal_projection.values.tobytes() == nodal.tobytes()
+    assert back.source_mesh_resolution == src_n
 
 
 def test_load_rejects_wrong_mesh(tmp_path):

@@ -254,15 +254,16 @@ def test_adaptive_update_shares_one_neumann_factor(monkeypatch):
     assert all(h is second[0] for h in second)
 
 
-def test_plain_update_residual_holds_no_factor(monkeypatch):
-    # one candidate per update: its residual gets no holder and factors
-    # its own matrix, so no Neumann factor outlives the forward solve
+def test_plain_update_residual_gets_one_holder(monkeypatch):
+    # one candidate per update, whose residual gets the update's own
+    # holder: each update factors once, as the adaptive one does
     shapes, holders = _record_neumann(monkeypatch)
     trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=2,
                                     **{"picard.adaptive": False}))
     assert trace.stalled_at is None and trace.converged_at is None
     nv = trace.iterates[-1].mesh.num_vertices
-    assert holders == [None] * (2 + 2)
+    assert holders[:2] == [None, None] and len(holders) == 2 + 2
+    assert None not in holders[2:] and holders[2] is not holders[3]
     assert shapes.count((nv - 1, nv - 1)) == 2 + 2
 
 

@@ -5,6 +5,7 @@ from matmi import neumann, stability
 from matmi.anisotropy import builtin
 from matmi.fields import NodalField, interpolate_nodal
 from matmi.mesh import build_unit_square
+from matmi.reconstruction import ReconTrace
 from matmi.stability import (contraction_report, field_difference_sweep,
                              smooth_perturbations, stability_sweep)
 
@@ -166,25 +167,34 @@ def test_report_csv_layout(tmp_path):
     assert len(lines) == 3
 
 
+def _trace(errors):
+    """A ReconTrace with initial error errors[0], then one row per
+    later entry."""
+    trace = ReconTrace()
+    trace.initial_error, trace.error_l2 = errors[0], list(errors[1:])
+    return trace
+
+
 def test_contraction_report_geometric_decay():
-    rep = contraction_report([1.0, 0.5, 0.25, 0.125])
+    rep = contraction_report(_trace([1.0, 0.5, 0.25, 0.125]))
     assert rep["verdict"] == "contractive"
     assert rep["geometric_mean"] == pytest.approx(0.5, abs=1e-12)
     assert rep["ratios"] == pytest.approx([0.5, 0.5, 0.5])
 
 
 def test_contraction_report_stagnation_is_not_contractive():
-    rep = contraction_report([1.0, 1.0, 1.0, 1.0])
+    rep = contraction_report(_trace([1.0, 1.0, 1.0, 1.0]))
     assert rep["verdict"] == "not contractive"
 
 
 def test_contraction_report_threshold_excludes_converged_tail():
     # once the error sits below the threshold, later plateaus must not
     # overturn the verdict
-    rep = contraction_report([1.0, 0.1, 0.001, 0.001, 0.001], threshold=0.01)
+    rep = contraction_report(_trace([1.0, 0.1, 0.001, 0.001, 0.001]),
+                             threshold=0.01)
     assert rep["verdict"] == "contractive"
 
 
 def test_contraction_report_needs_three_iterations():
     with pytest.raises(ValueError, match="at least 3"):
-        contraction_report([1.0, 0.5, 0.25])
+        contraction_report(_trace([1.0, 0.5, 0.25]))

@@ -126,7 +126,7 @@ def test_max_outer_returns_the_last_step_with_its_history():
     mesh, fam, fn, gstar, data, E = _gaussian_case(n=16)
     ones = NodalField(mesh, np.ones(mesh.num_vertices))
     prob = tr.FluxFit(mesh, fam, E, data, ones)
-    sol = tr.solve_nonlinear_ls(prob, 1, 1e-14, alpha=1e-2)
+    sol = tr.solve_nonlinear_ls(prob, 1, 1e-14, alpha=1e-2, anchor=ones)
     assert np.all(np.isfinite(sol.values))
     assert len(sol.picard_history) == 1
     assert sol.picard_history[0] > 1e-14
@@ -390,29 +390,29 @@ def _mixing_history(pairs, n=50):
 
 def test_anderson_step_mixes_toward_the_fixed_point():
     fs, gs = _mixing_history(4)
-    mixed = tr._anderson_step(fs, gs, (-10.0, 10.0))
+    mixed = tr._anderson_step(fs, gs)
     assert np.linalg.norm(mixed) < 0.25 * np.linalg.norm(gs[-1])
 
 
 def test_anderson_step_is_plain_with_one_pair():
     fs, gs = _mixing_history(1)
-    assert tr._anderson_step(fs, gs, (-10.0, 10.0)) is gs[-1]
+    assert tr._anderson_step(fs, gs) is gs[-1]
 
 
 def test_anderson_step_is_plain_on_a_rank_deficient_history():
     fs, gs = _mixing_history(3)
-    assert tr._anderson_step(fs, gs, (-10.0, 10.0)) is not gs[-1]
+    assert tr._anderson_step(fs, gs) is not gs[-1]
     fs[1], gs[1] = fs[2], gs[2]          # the last pair twice
-    assert tr._anderson_step(fs, gs, (-10.0, 10.0)) is gs[-1]
+    assert tr._anderson_step(fs, gs) is gs[-1]
 
 
-def test_anderson_step_is_plain_outside_the_t_range():
+def test_anderson_step_is_plain_when_the_mix_is_not_finite():
     fs, gs = _mixing_history(4)
-    # the mixed iterate lands near the fixed point 0, below the smallest
-    # plain value: a range that holds the plain step but not the mixed one
-    lo, hi = gs[-1].min(), gs[-1].max()
-    assert tr._anderson_step(fs, gs, (-10.0, 10.0)).min() < lo
-    assert tr._anderson_step(fs, gs, (lo, hi)) is gs[-1]
+    assert tr._anderson_step(fs, gs) is not gs[-1]
+    gs[0] = gs[0].copy()
+    gs[0][0] = np.nan                    # an older plain step, not f or G_k
+    assert np.all(np.isfinite(gs[-1]))
+    assert tr._anderson_step(fs, gs) is gs[-1]
 
 
 def test_factorization_failure_is_a_transport_error(monkeypatch):
