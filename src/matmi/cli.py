@@ -21,7 +21,7 @@ from .mesh import build_unit_cube, build_unit_square
 from .neumann import LaggedFactor, SolverError, etilde, solve_field
 from .presets import PRESET_NAMES, SLICE_LEVELS, get_preset
 from .reconstruction import (CONVERGENCE_TOL, ConfigError, ReconConfig,
-                             ReconError, reconstruct)
+                             ReconError, reconstruct, target_admissibility)
 from .stability import (contraction_report, field_difference_sweep,
                         smooth_perturbations, stability_sweep)
 from .vtkio import write_slice_csv, write_vtk
@@ -94,6 +94,13 @@ def cmd_run(args):
     config = _build_config(args)
     cfg = config.resolve()
     outdir = os.path.join(_out_root(args), _run_name(args))
+    shares = target_admissibility(config)
+    if shares is not None and any(shares):
+        print("target outside the paper's class: A(x, gamma*) is not "
+              "positive definite on %.1f%% of the cells, and gamma* leaves "
+              "the box [%g, %g] on %.1f%%"
+              % (100 * shares[0], cfg["box"][0], cfg["box"][1],
+                 100 * shares[1]))
     try:
         trace = reconstruct(config)
     except ReconError as exc:

@@ -35,8 +35,13 @@ class NodalField:
         return NodalField(self.mesh, self.values.copy())
 
     def cell_means(self):
-        """Value at cell centroids (mean of the cell's vertex values)."""
-        return self.values[self.mesh.cells].mean(axis=1)
+        """Value at cell centroids (mean of the cell's vertex values):
+        the gathered vertex columns are added to zero in order and
+        divided by nloc, which rounds as `.mean(axis=1)` does."""
+        total = np.zeros(self.mesh.num_cells)
+        for col in self.mesh.cells.T:
+            total += self.values[col]
+        return total / (self.mesh.dim + 1)
 
     def cell_gradients(self):
         """Exact per-cell P1 gradient, shape (nc, dim)."""

@@ -94,7 +94,10 @@ class FluxSplit:
         self.mesh = mesh
         self.family = family
         self.w = cross_b0(E.values)
-        P = family.poly_coeffs(mesh.centroid_points)[:, :, :mesh.dim]
+        # einsum runs 3-6x slower on the family's strided or zero-stride
+        # view than on a contiguous copy of the in-plane block
+        P = np.ascontiguousarray(
+            family.poly_coeffs(mesh.centroid_points)[:, :, :mesh.dim])
         self.Pw = np.einsum("cmij,cj->mci", P, self.w)  # P: (nc, M, dim, 3)
         self.Pw.flags.writeable = False     # a call hands out Pw[0] itself
 

@@ -95,7 +95,7 @@ def assemble(mesh, family, gamma):
     K = assemble_p1(mesh, vg @ B @ g.transpose(0, 2, 1))
     et = etilde(mesh.cell_centroids)[:, :mesh.dim]
     q = np.einsum("cde,ce->cd", B, et)        # A Etilde per cell, in-plane
-    b = scatter_p1(mesh, -np.einsum("c,cid,cd->ci", mesh.cell_volumes, g, q))
+    b = scatter_p1(mesh, -np.einsum("cid,cd->ci", vg, q))
     return SparseSystem(K, b)
 
 

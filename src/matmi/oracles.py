@@ -105,7 +105,8 @@ def solve_linear_dg(problem):
     averaging their face neighbors instead.
     """
     mesh, family = problem.mesh, problem.family
-    P = family.poly_coeffs(mesh.centroid_points)[:, :, :mesh.dim]
+    P = np.ascontiguousarray(
+        family.poly_coeffs(mesh.centroid_points)[:, :, :mesh.dim])
     if P.shape[1] > 2 or family.has_remainder:
         raise ValueError("family %r is nonlinear in the parameter; the DG0 "
                          "oracle needs degree <= 1 in t" % family.name)

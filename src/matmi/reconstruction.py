@@ -14,7 +14,7 @@ from .anisotropy import builtin
 from .fields import NodalField, interpolate_nodal, l2_norm_nodal
 from .functional import load_functional_data, synthesize
 from .mesh import build_unit_cube, build_unit_square
-from .neumann import LaggedFactor, SolverError
+from .neumann import LaggedFactor, SolverError, conductivity_blocks
 from .transport import FluxFit, TransportError, solve_nonlinear_ls
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "ReconError",
     "project",
     "reconstruct",
+    "target_admissibility",
 ]
 
 class ConfigError(ValueError):
@@ -322,6 +323,36 @@ def _ls_update(problem, cfg, alpha, anchor, boundary_values, residual_fn,
     return cand, a, history, res
 
 
+def _mesh_and_family(cfg):
+    """The inversion mesh and the family of a resolved config."""
+    builder = build_unit_square if cfg["dim"] == 2 else build_unit_cube
+    return (builder(cfg["n"]),
+            builtin(cfg["family"]).with_t_range(cfg["t_lo"], cfg["t_hi"]))
+
+
+def target_admissibility(config):
+    """Shares of the inversion mesh's cells on which the config's target
+    gamma* leaves the class the paper's stability result covers: those
+    where A(., gamma*), the in-plane block `conductivity_blocks`
+    evaluates at the cell means, is not positive definite, and those
+    where the cell mean of gamma* lies outside the admissible box.
+    Returns (not positive definite, outside the box), or None when the
+    config has no target (data loaded from a file)."""
+    cfg = config.resolve()
+    if cfg["gamma_star"] is None:
+        return None
+    mesh, family = _mesh_and_family(cfg)
+    target = interpolate_nodal(mesh, cfg["gamma_star"])
+    try:
+        blocks = conductivity_blocks(mesh, family, target)
+    except ValueError as exc:
+        raise ConfigError("cannot prepare the data: %s" % exc) from exc
+    lo, hi = cfg["box"]
+    t = target.cell_means()
+    return (float(np.mean(np.linalg.eigvalsh(blocks)[:, 0] <= 0.0)),
+            float(np.mean((t < lo) | (t > hi))))
+
+
 def reconstruct(config):
     """Run the fixed-point reconstruction described by `config`.
 
@@ -329,16 +360,15 @@ def reconstruct(config):
     the partial trace attached.
     """
     cfg = config.resolve()
-    builder = build_unit_square if cfg["dim"] == 2 else build_unit_cube
-    mesh = builder(cfg["n"])
-    family = builtin(cfg["family"]).with_t_range(cfg["t_lo"], cfg["t_hi"])
+    mesh, family = _mesh_and_family(cfg)
 
     gamma_star_fn = cfg["gamma_star"]
     bpts = mesh.vertices[mesh.boundary_vertex_indices()]
     try:
         if gamma_star_fn is not None:
             target = interpolate_nodal(mesh, gamma_star_fn)
-            data = synthesize(family, target, mesh, refine=cfg["refine"])
+            data = synthesize(family, gamma_star_fn, mesh,
+                              refine=cfg["refine"])
             boundary_values = gamma_star_fn(bpts)
         else:
             target = None

@@ -12,7 +12,8 @@ def write_vtk(path, mesh, point_data=None, cell_data=None, title="matmi"):
 
     point_data / cell_data: dicts mapping a name to a scalar array of
     vertex / cell values.  Numbers are written with %.17g so repeated
-    runs produce byte-identical files.
+    runs produce byte-identical files; each block is formatted by one %
+    over a template repeated once per value.
     """
     point_data = point_data or {}
     cell_data = cell_data or {}
@@ -21,13 +22,13 @@ def write_vtk(path, mesh, point_data=None, cell_data=None, title="matmi"):
         fh.write("# vtk DataFile Version 3.0\n%s\nASCII\n" % title)
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % mesh.num_vertices)
-        for p in mesh.vertices:
-            coords = list(p) + [0.0] * (3 - mesh.dim)
-            fh.write("%.17g %.17g %.17g\n" % tuple(coords))
+        pts = np.zeros((mesh.num_vertices, 3))
+        pts[:, :mesh.dim] = mesh.vertices
+        fh.write(_block("%.17g %.17g %.17g\n", pts))
         fh.write("CELLS %d %d\n" % (mesh.num_cells,
                                     mesh.num_cells * (nloc + 1)))
-        for cell in mesh.cells:
-            fh.write("%d %s\n" % (nloc, " ".join(str(int(v)) for v in cell)))
+        fh.write(_block("%d" + " %d" * nloc + "\n", np.column_stack(
+            [np.full(mesh.num_cells, nloc), mesh.cells])))
         fh.write("CELL_TYPES %d\n" % mesh.num_cells)
         fh.write(("%d\n" % _CELL_TYPE[mesh.dim]) * mesh.num_cells)
         if point_data:
@@ -42,8 +43,14 @@ def write_vtk(path, mesh, point_data=None, cell_data=None, title="matmi"):
 
 def _write_scalars(fh, name, vals):
     fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
-    for v in np.asarray(vals, dtype=float):
-        fh.write("%.17g\n" % v)
+    fh.write(_block("%.17g\n", np.asarray(vals, dtype=float)))
+
+
+def _block(row, values):
+    """`row`, one line's template, formatted once per row of `values`
+    (once per entry of a 1D array) by a single %."""
+    values = np.asarray(values)
+    return (row * len(values)) % tuple(values.ravel().tolist())
 
 
 def write_slice_csv(field, z, path, samples=None):
@@ -61,5 +68,5 @@ def write_slice_csv(field, z, path, samples=None):
     vals = eval_p1(field, pts)
     with open(path, "w", newline="") as fh:
         fh.write("x,y,value\n")
-        for p, v in zip(pts, vals):
-            fh.write("%.17g,%.17g,%.17g\n" % (p[0], p[1], v))
+        fh.write(_block("%.17g,%.17g,%.17g\n",
+                        np.column_stack([pts[:, :2], vals])))

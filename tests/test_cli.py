@@ -205,6 +205,24 @@ def test_run_reports_an_unconverged_outer_loop(tmp_path, capsys):
     assert "stalled" not in text
 
 
+@pytest.mark.parametrize("n,code", [(None, EXIT_OK), ("80", 1)])
+def test_run_reports_a_target_outside_the_class(tmp_path, capsys, n, code):
+    # printed before the reconstruction, so a run that then fails (at
+    # n=80 the pinned Neumann block of example2's data is indefinite)
+    # shows it too
+    out = str(tmp_path / "artifacts")
+    args = ["run", "--preset", "example2", "--out", out, "--iterations", "1"]
+    assert main(args + (["--n", n] if n else [])) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"target outside the paper's class: A\(x, gamma\*\) "
+                        r"is not positive definite on 7\.\d% of the cells, "
+                        r"and gamma\* leaves the box \[0\.01, 1\.6\] on "
+                        r"33\.\d%", lines[0])
+    code, _ = _run(tmp_path)
+    assert code == EXIT_OK
+    assert "paper's class" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("preset", ["example2", "example6"])
 def test_rerun_from_config_txt_repeats_the_run(tmp_path, preset):
     # config.txt records the resolved configuration, preset defaults

@@ -7,8 +7,9 @@ import pytest
 from matmi.anisotropy import builtin
 from matmi.fields import NodalField, interpolate_nodal
 from matmi.mesh import build_unit_square
+from matmi.functional import synthesize
 from matmi.reconstruction import (_DEFAULTS, ConfigError, ReconConfig,
-                                  project, reconstruct)
+                                  project, reconstruct, target_admissibility)
 
 
 def _ones(mesh):
@@ -349,6 +350,45 @@ def test_accepted_iterate_field_is_not_solved_again(monkeypatch):
     trace = reconstruct(ReconConfig(preset="example2", n=8, iterations=3))
     assert len(solves) == 1 + 1 + 3
     assert trace.stalled_at is None
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_data_are_synthesized_from_the_target_itself(monkeypatch, refine):
+    # refined data carry the target's sub-cell variation, which its P1
+    # interpolant on the inversion mesh has lost; at refine=1 the target
+    # is interpolated on that mesh either way
+    from matmi import reconstruction
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(synthesize(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(reconstruction, "synthesize", recording)
+    config = ReconConfig(preset="example1", n=8, iterations=1, refine=refine)
+    reconstruct(config)
+    cfg = config.resolve()
+    mesh = build_unit_square(8)
+    family = builtin(cfg["family"]).with_t_range(cfg["t_lo"], cfg["t_hi"])
+    exact = synthesize(family, cfg["gamma_star"], mesh, refine=refine)
+    interpolant = synthesize(family, interpolate_nodal(mesh, cfg["gamma_star"]),
+                             mesh, refine=refine)
+    assert made[0].p1_weak.tobytes() == exact.p1_weak.tobytes()
+    assert (made[0].nodal_projection.values.tobytes()
+            == exact.nodal_projection.values.tobytes())
+    assert (np.array_equal(exact.p1_weak, interpolant.p1_weak)
+            == (refine == 1))
+
+
+def test_target_admissibility_names_the_cells_outside_the_class():
+    # example2's two-Gaussian target has background 0: A(., gamma*) of
+    # D2 is indefinite where gamma* < 8.3e-5, and gamma* lies below the
+    # box floor 1/lambda = 0.01 on a third of the domain
+    not_pd, outside = target_admissibility(ReconConfig(preset="example2"))
+    assert not_pd == pytest.approx(0.071, abs=0.002)
+    assert outside == pytest.approx(0.339, abs=0.004)
+    for name in ("example1", "example4", "example6"):
+        assert target_admissibility(ReconConfig(preset=name)) == (0.0, 0.0)
+    assert target_admissibility(ReconConfig(family="D1", data="x.bin")) is None
 
 
 def test_readme_lists_exactly_the_config_keys():

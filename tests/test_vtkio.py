@@ -1,0 +1,90 @@
+"""The block writers of `vtkio` write the bytes that a per-value writer,
+kept here as the reference, writes."""
+
+import numpy as np
+import pytest
+
+from matmi.fields import NodalField
+from matmi.functional import eval_p1
+from matmi.mesh import build_unit_cube, build_unit_square
+from matmi.vtkio import write_slice_csv, write_vtk
+
+_CELL_TYPE = {2: 5, 3: 10}
+
+
+def _write_vtk_per_value(path, mesh, point_data, cell_data, title="matmi"):
+    nloc = mesh.dim + 1
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n%s\nASCII\n" % title)
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write("POINTS %d double\n" % mesh.num_vertices)
+        for p in mesh.vertices:
+            coords = list(p) + [0.0] * (3 - mesh.dim)
+            fh.write("%.17g %.17g %.17g\n" % tuple(coords))
+        fh.write("CELLS %d %d\n" % (mesh.num_cells,
+                                    mesh.num_cells * (nloc + 1)))
+        for cell in mesh.cells:
+            fh.write("%d %s\n" % (nloc, " ".join(str(int(v)) for v in cell)))
+        fh.write("CELL_TYPES %d\n" % mesh.num_cells)
+        fh.write(("%d\n" % _CELL_TYPE[mesh.dim]) * mesh.num_cells)
+        for head, count, data in (("POINT_DATA", mesh.num_vertices,
+                                   point_data),
+                                  ("CELL_DATA", mesh.num_cells, cell_data)):
+            fh.write("%s %d\n" % (head, count))
+            for name, vals in data.items():
+                fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n"
+                         % name)
+                for v in np.asarray(vals, dtype=float):
+                    fh.write("%.17g\n" % v)
+
+
+def _write_slice_csv_per_value(field, z, path):
+    n = field.mesh.n
+    ticks = np.linspace(0.0, 1.0, n + 1)
+    xs, ys = np.meshgrid(ticks, ticks, indexing="ij")
+    pts = np.column_stack([xs.ravel(), ys.ravel(),
+                           np.full(xs.size, float(z))])
+    vals = eval_p1(field, pts)
+    with open(path, "w", newline="") as fh:
+        fh.write("x,y,value\n")
+        for p, v in zip(pts, vals):
+            fh.write("%.17g,%.17g,%.17g\n" % (p[0], p[1], v))
+
+
+def _values(size, seed):
+    """Random values of every magnitude with the edge cases written
+    first: signed zeros, values near 1e-300, a subnormal, large ones."""
+    rng = np.random.default_rng(seed)
+    edge = [-0.0, 0.0, 1e-300, -1e-300, 3e-301, 5e-324, 1e300, -2.5, 1.0]
+    rest = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    return np.concatenate([edge, rest])[:size]
+
+
+@pytest.mark.parametrize("mesh", [build_unit_square(5), build_unit_cube(3)],
+                         ids=["2d", "3d"])
+def test_vtk_is_byte_identical_to_the_per_value_writer(tmp_path, mesh):
+    point_data = {"gamma": _values(mesh.num_vertices, 1),
+                  "other": _values(mesh.num_vertices, 2)[::-1]}
+    cell_data = {"rho": _values(mesh.num_cells, 3)}
+    write_vtk(str(tmp_path / "a.vtk"), mesh, point_data, cell_data)
+    _write_vtk_per_value(str(tmp_path / "b.vtk"), mesh, point_data,
+                         cell_data)
+    a, b = (tmp_path / "a.vtk").read_bytes(), (tmp_path / "b.vtk").read_bytes()
+    assert b"-0\n" in a and b"\n1e-300\n" in a
+    assert a == b
+
+
+def test_slice_csv_is_byte_identical_to_the_per_value_writer(tmp_path):
+    mesh = build_unit_cube(4)
+    vals = np.ones(mesh.num_vertices)
+    bottom = np.flatnonzero(mesh.vertices[:, 2] == 0.0)
+    vals[bottom] = np.resize([-0.0, 1e-300, -1e-300, 5e-324, 1e300, -2.5],
+                             bottom.size)
+    field = NodalField(mesh, vals)
+    for z in (0.0, 0.3):
+        write_slice_csv(field, z, str(tmp_path / "a.csv"))
+        _write_slice_csv_per_value(field, z, str(tmp_path / "b.csv"))
+        a = (tmp_path / "a.csv").read_bytes()
+        assert a == (tmp_path / "b.csv").read_bytes()
+        if z == 0.0:
+            assert b",1e-300\n" in a
