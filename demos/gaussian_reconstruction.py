@@ -11,8 +11,7 @@ import os
 import sys
 
 from matmi.reconstruction import ReconConfig, reconstruct
-from matmi.functional import write_nodal_csv
-from matmi.vtkio import write_vtk
+from matmi.vtkio import write_nodal_csv, write_vtk
 
 
 def main():

@@ -16,7 +16,7 @@ from .anisotropy import builtin, check_admissibility
 from .fields import (NodalField, interpolate_nodal, l2_norm_cell,
                      level_set_centroid)
 from .functional import (load_functional_data, save_functional_data,
-                         synthesize, write_nodal_csv)
+                         synthesize)
 from .mesh import build_unit_cube, build_unit_square
 from .neumann import LaggedFactor, SolverError, etilde, solve_field
 from .presets import PRESET_NAMES, SLICE_LEVELS, get_preset
@@ -24,7 +24,7 @@ from .reconstruction import (CONVERGENCE_TOL, ConfigError, ReconConfig,
                              ReconError, reconstruct, target_admissibility)
 from .stability import (contraction_report, field_difference_sweep,
                         smooth_perturbations, stability_sweep)
-from .vtkio import write_slice_csv, write_vtk
+from .vtkio import write_nodal_csv, write_slice_csv, write_vtk
 
 __all__ = ["main"]
 
@@ -300,10 +300,22 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     family = builtin(args.family).with_t_range(args.t_lo, args.t_hi)
+    sizes = args.n or [32, 64]
+    if min(sizes) < 2:
+        raise ConfigError("--n must be at least 2, got %d" % min(sizes))
+    if args.count < 1:
+        raise ConfigError("--count must be at least 1, got %d" % args.count)
+    if not args.amplitude > 0:
+        raise ConfigError("--amplitude must be above 0, got %g"
+                          % args.amplitude)
+    lo, hi = family.t_range
+    if not lo <= 1.0 <= hi:
+        raise ConfigError("the range [%g, %g] does not contain the base "
+                          "parameter 1" % (lo, hi))
     root = _out_root(args)
     os.makedirs(root, exist_ok=True)
     results = {}
-    for n in args.n or [32, 64]:
+    for n in sizes:
         mesh = build_unit_square(n) if args.dim == 2 else build_unit_cube(n)
         base = NodalField(mesh, np.ones(mesh.num_vertices))
         perts = [interpolate_nodal(mesh, f) for f in

@@ -31,9 +31,6 @@ class NodalField:
         self.mesh = mesh
         self.values = values
 
-    def copy(self):
-        return NodalField(self.mesh, self.values.copy())
-
     def cell_means(self):
         """Value at cell centroids (mean of the cell's vertex values):
         the gathered vertex columns are added to zero in order and
@@ -61,9 +58,6 @@ class CellField:
             raise ValueError("cell field contains non-finite values")
         self.mesh = mesh
         self.values = values
-
-    def copy(self):
-        return CellField(self.mesh, self.values.copy())
 
 
 def assemble_p1(mesh, local):
@@ -148,18 +142,6 @@ def level_set_centroid(field, level):
 
 
 def interpolate_nodal(mesh, func):
-    """NodalField from a function of the coordinates.
-
-    `func` receives an (nv, dim) array and returns (nv,) values.  It is
-    applied point by point instead if the vectorised call returns another
-    shape or raises what a pointwise-only callable raises on an array
-    (TypeError, IndexError or ValueError); any other error propagates.
-    """
-    x = mesh.vertices
-    try:
-        vals = np.asarray(func(x), dtype=float)
-    except (TypeError, IndexError, ValueError):
-        vals = None
-    if vals is None or vals.shape != (mesh.num_vertices,):
-        vals = np.array([func(p) for p in x], dtype=float)
-    return NodalField(mesh, vals)
+    """NodalField from a function of the coordinates: `func` receives
+    the (nv, dim) vertex array and returns (nv,) values."""
+    return NodalField(mesh, func(mesh.vertices))

@@ -6,7 +6,6 @@ at the cell centroids, and `weak_p1_rows`, the one P1 weak divergence of
 a per-cell flux, are shared by the data and the least-squares update.
 """
 
-import csv
 import hashlib
 import io
 import struct
@@ -30,7 +29,6 @@ __all__ = [
     "eval_p1",
     "save_functional_data",
     "load_functional_data",
-    "write_nodal_csv",
 ]
 
 _MAGIC = b"MATMIFN2"
@@ -42,14 +40,12 @@ _MASS_MAXITER = 200
 
 
 def cross_b0(E):
-    """E x B0 with B0 = (0, 0, 1): maps (E1, E2, E3) to (E2, -E1, 0)."""
-    E = np.asarray(E, dtype=float)
-    single = E.ndim == 1
-    v = np.atleast_2d(E)
-    out = np.zeros_like(v)
-    out[:, 0] = v[:, 1]
-    out[:, 1] = -v[:, 0]
-    return out[0] if single else out
+    """E x B0 with B0 = (0, 0, 1), row by row of an (N, 3) array: maps
+    (E1, E2, E3) to (E2, -E1, 0)."""
+    out = np.zeros_like(E)
+    out[:, 0] = E[:, 1]
+    out[:, 1] = -E[:, 0]
+    return out
 
 
 class FunctionalData:
@@ -190,25 +186,27 @@ def _mass_solve(mesh, rhs):
 def synthesize(family, gamma_star, mesh, refine=1, factor=None):
     """Generate the weak acoustic-source data F(gamma_star) on `mesh`.
 
-    gamma_star may be a NodalField on `mesh` or a callable of the vertex
-    coordinates.  With refine > 1 the Neumann solve runs on a
-    refine-times finer mesh and the nodal projection of F is restricted
-    to `mesh` by P1 interpolation at the coarse vertices, avoiding the
-    inverse crime.  `factor` is an optional neumann.LaggedFactor
-    shared with other solves.
+    gamma_star is a callable of the vertex coordinates or, at refine=1
+    only, a NodalField on `mesh`.  With refine > 1 the Neumann solve runs
+    on a refine-times finer mesh, on which the callable is interpolated,
+    and the nodal projection of F is restricted to `mesh` by P1
+    interpolation at the coarse vertices, avoiding the inverse crime.
+    `factor` is an optional neumann.LaggedFactor shared with other
+    solves.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
 
     fine = mesh
     if refine > 1:
+        if not callable(gamma_star):
+            raise ValueError("refined data need gamma_star as a callable: "
+                             "a P1 field on the coarse mesh lacks the "
+                             "sub-cell variation the finer mesh resolves")
         builder = build_unit_square if mesh.dim == 2 else build_unit_cube
         fine = builder(mesh.n * refine)
-    if callable(gamma_star):
-        gamma = interpolate_nodal(fine, gamma_star)
-    else:
-        gamma = (gamma_star if fine is mesh
-                 else NodalField(fine, eval_p1(gamma_star, fine.vertices)))
+    gamma = (interpolate_nodal(fine, gamma_star) if callable(gamma_star)
+             else gamma_star)
     _, E = solve_field(fine, family, gamma, factor=factor)
     p1 = weak_p1_from_flux(fine, flux_field(fine, family,
                                             gamma.cell_means(), E))
@@ -291,13 +289,3 @@ def load_functional_data(mesh, path):
             raise ValueError("container payload has trailing bytes")
     return FunctionalData(mesh, p1, NodalField(mesh, nodal), src_n)
 
-
-def write_nodal_csv(field, path):
-    """CSV of vertex coordinates and nodal values, for plotting."""
-    mesh = field.mesh
-    cols = ["x", "y", "z"][:mesh.dim]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols + ["value"])
-        for p, v in zip(mesh.vertices, field.values):
-            w.writerow(["%.17g" % c for c in p] + ["%.17g" % v])

@@ -54,14 +54,11 @@ class SparseSystem:
 
 
 def etilde(x):
-    """Reference field 0.5 * (-y, x, 0); accepts one point or (N, d)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    out = np.zeros((pts.shape[0], 3))
-    out[:, 0] = -0.5 * pts[:, 1]
-    out[:, 1] = 0.5 * pts[:, 0]
-    return out[0] if single else out
+    """Reference field 0.5 * (-y, x, 0) at each row of an (N, d) array."""
+    out = np.zeros((x.shape[0], 3))
+    out[:, 0] = -0.5 * x[:, 1]
+    out[:, 1] = 0.5 * x[:, 0]
+    return out
 
 
 def conductivity_blocks(mesh, family, gamma):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import CellField, NodalField, cell_to_nodal
+from .fields import CellField, cell_to_nodal
 from .functional import cross_b0, flux_field
 from .mesh import classify_inflow
 
@@ -48,19 +48,17 @@ class TransportProblem:
     inflow_values : callable
         Boundary trace of the solution; receives (N, dim) points, the
         midpoints of the inflow facets.
-    gamma_ref : NodalField or None
+    gamma_ref : NodalField
         Iterate at which the velocity A(gamma) w that classifies the
-        inflow facets is evaluated (defaults to 1 everywhere).
+        inflow facets is evaluated.
     """
 
-    def __init__(self, mesh, family, E, data, inflow_values, gamma_ref=None):
+    def __init__(self, mesh, family, E, data, inflow_values, gamma_ref):
         self.mesh = mesh
         self.family = family
         self.E = E
         self.data = data
         self.inflow_values = inflow_values
-        if gamma_ref is None:
-            gamma_ref = NodalField(mesh, np.ones(mesh.num_vertices))
         self.gamma_ref = gamma_ref
 
 

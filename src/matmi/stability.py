@@ -5,9 +5,11 @@ with constants out of numeric reach: Lipschitz stability of the
 parameter with respect to the interior data, Lipschitz dependence of
 the electric field on the parameter, and contraction of the outer
 fixed-point iteration.  This module measures their empirical
-counterparts on concrete meshes.  Measured constants are always
-reported together with the mesh resolution; they are never extrapolated
-to the continuum.
+counterparts on concrete meshes: a `StabilityReport` holds one sweep's
+rows on one mesh, and `contraction_report` reads a reconstruction
+trace.  The constants belong to the mesh they were measured on
+(`matmi sweep` names each report's file by it); they are never
+extrapolated to the continuum.
 """
 
 import numpy as np
@@ -30,24 +32,21 @@ class StabilityReport:
 
     Each row holds, for one pair (gamma_1, gamma_2): a label, the norm
     of the parameter difference, the norm of the data (or field)
-    difference, the empirical stability ratio, and the measured
-    gradient-condition value ||grad(d_gamma)|| / ||d_gamma||.  Pairs
-    with vanishing data difference carry a nan ratio and are excluded
-    from the ratio statistics.
+    difference, the empirical ratio (||d_gamma|| / ||d_data|| in the
+    data sweep, ||d_E|| / ||d_gamma|| in the field sweep), and the
+    measured gradient-condition value ||grad(d_gamma)|| / ||d_gamma||.
+    Rows with a nan ratio are excluded from the ratio statistics.
     """
 
     columns = ("pair", "norm_dgamma", "norm_ddata", "C_emp",
                "grad_condition")
 
-    def __init__(self, resolution, kind):
-        self.resolution = int(resolution)
+    def __init__(self, kind):
         self.kind = kind
         self.rows = []
         self.skipped = []             # (label, reason) for skipped pairs
 
-    def add_row(self, label, norm_dgamma, norm_ddata, grad_condition):
-        ratio = (norm_dgamma / norm_ddata if norm_ddata > 0
-                 else float("nan"))
+    def add_row(self, label, norm_dgamma, norm_ddata, ratio, grad_condition):
         self.rows.append({"pair": label,
                           "norm_dgamma": float(norm_dgamma),
                           "norm_ddata": float(norm_ddata),
@@ -105,7 +104,7 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None):
     """
     mesh = mesh if mesh is not None else base_gamma.mesh
     bidx = mesh.boundary_vertex_indices()
-    report = StabilityReport(mesh.n, "data")
+    report = StabilityReport("data")
     factor = LaggedFactor()
     # only projections are kept: no field or flux outlives its solve
     base_proj = synthesize(family, base_gamma, mesh,
@@ -125,7 +124,8 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None):
                                factor=factor).nodal_projection.values
         norm_dg = l2_norm_nodal(mesh, dvals)
         norm_df = l2_norm_nodal(mesh, pert_proj - base_proj)
-        report.add_row(label, norm_dg, norm_df,
+        ratio = norm_dg / norm_df if norm_df > 0 else float("nan")
+        report.add_row(label, norm_dg, norm_df, ratio,
                        _grad_condition(mesh, dvals, norm_dg))
     return report
 
@@ -140,7 +140,7 @@ def field_difference_sweep(family, pairs, mesh):
     the same object as the previous pair's (pairs built as
     (base + delta, base)) is solved once.
     """
-    report = StabilityReport(mesh.n, "field")
+    report = StabilityReport("field")
     factor = LaggedFactor()
     prev_g2 = prev_E2 = None          # only the last field is kept
     for i, (g1, g2) in enumerate(pairs):
@@ -159,29 +159,23 @@ def field_difference_sweep(family, pairs, mesh):
         norm_dg = l2_norm_nodal(mesh, dvals)
         norm_de = l2_norm_cell(mesh, E1.values - E2.values)
         ratio = norm_de / norm_dg if norm_dg > 0 else 0.0
-        report.rows.append({"pair": label,
-                            "norm_dgamma": float(norm_dg),
-                            "norm_ddata": float(norm_de),
-                            "C_emp": ratio,
-                            "grad_condition": _grad_condition(
-                                mesh, dvals, norm_dg)})
+        report.add_row(label, norm_dg, norm_de, ratio,
+                       _grad_condition(mesh, dvals, norm_dg))
     return report
 
 
-def contraction_report(trace, threshold=0.0):
+def contraction_report(trace):
     """Per-iteration contraction factors of a ReconTrace and a verdict.
 
     The factors are `trace.ratios()`, rho_k = e_k / e_{k-1} with e_0 the
-    initial error.  The verdict is "contractive" iff the geometric mean
-    of the factors over iterations whose preceding error exceeds
-    `threshold` is < 1.  Needs at least 3 iterations.
+    initial error, nan where e_{k-1} = 0.  The verdict is "contractive"
+    iff the geometric mean of the finite factors is < 1.  Needs at least
+    3 iterations.
     """
     if len(trace.error_l2) < 3:
         raise ValueError("contraction verdict needs at least 3 iterations")
     ratios = trace.ratios()
-    prevs = [trace.initial_error] + trace.error_l2[:-1]
-    active = [rho for prev, rho in zip(prevs, ratios)
-              if prev > threshold and np.isfinite(rho)]
+    active = [rho for rho in ratios if np.isfinite(rho)]
     if active:
         gmean = float(np.exp(np.mean(np.log(active))))
     else:

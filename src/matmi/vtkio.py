@@ -1,25 +1,21 @@
-"""Legacy ASCII VTK output for triangle and tetrahedron meshes."""
+"""Per-vertex artifacts: legacy ASCII VTK for triangle and tetrahedron
+meshes, the nodal CSV and the 3D slice CSV.  Every block is formatted by
+one % over a row template repeated once per row (`_block`); numbers are
+written with %.17g, so repeated runs produce byte-identical files."""
 
 import numpy as np
 
-__all__ = ["write_vtk", "write_slice_csv"]
+__all__ = ["write_vtk", "write_nodal_csv", "write_slice_csv"]
 
 _CELL_TYPE = {2: 5, 3: 10}        # VTK_TRIANGLE, VTK_TETRA
 
 
-def write_vtk(path, mesh, point_data=None, cell_data=None, title="matmi"):
-    """Write an unstructured-grid VTK file.
-
-    point_data / cell_data: dicts mapping a name to a scalar array of
-    vertex / cell values.  Numbers are written with %.17g so repeated
-    runs produce byte-identical files; each block is formatted by one %
-    over a template repeated once per value.
-    """
-    point_data = point_data or {}
-    cell_data = cell_data or {}
+def write_vtk(path, mesh, point_data):
+    """Write an unstructured-grid VTK file; point_data maps a name to a
+    scalar array of vertex values."""
     nloc = mesh.dim + 1
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n%s\nASCII\n" % title)
+        fh.write("# vtk DataFile Version 3.0\nmatmi\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % mesh.num_vertices)
         pts = np.zeros((mesh.num_vertices, 3))
@@ -31,19 +27,10 @@ def write_vtk(path, mesh, point_data=None, cell_data=None, title="matmi"):
             [np.full(mesh.num_cells, nloc), mesh.cells])))
         fh.write("CELL_TYPES %d\n" % mesh.num_cells)
         fh.write(("%d\n" % _CELL_TYPE[mesh.dim]) * mesh.num_cells)
-        if point_data:
-            fh.write("POINT_DATA %d\n" % mesh.num_vertices)
-            for name, vals in point_data.items():
-                _write_scalars(fh, name, vals)
-        if cell_data:
-            fh.write("CELL_DATA %d\n" % mesh.num_cells)
-            for name, vals in cell_data.items():
-                _write_scalars(fh, name, vals)
-
-
-def _write_scalars(fh, name, vals):
-    fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
-    fh.write(_block("%.17g\n", np.asarray(vals, dtype=float)))
+        fh.write("POINT_DATA %d\n" % mesh.num_vertices)
+        for name, vals in point_data.items():
+            fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
+            fh.write(_block("%.17g\n", np.asarray(vals, dtype=float)))
 
 
 def _block(row, values):
@@ -53,15 +40,24 @@ def _block(row, values):
     return (row * len(values)) % tuple(values.ravel().tolist())
 
 
-def write_slice_csv(field, z, path, samples=None):
+def write_nodal_csv(field, path):
+    """CSV of vertex coordinates and nodal values, for plotting, with
+    the \\r\\n line ends of a `csv.writer`."""
+    mesh = field.mesh
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join("xyz"[:mesh.dim]) + ",value\r\n")
+        fh.write(_block(",".join(["%.17g"] * (mesh.dim + 1)) + "\r\n",
+                        np.column_stack([mesh.vertices, field.values])))
+
+
+def write_slice_csv(field, z, path):
     """Sample a 3D nodal field on the plane of constant z and write a
     CSV with columns x, y, value on a regular (n+1)^2 grid."""
     from .functional import eval_p1
     mesh = field.mesh
     if mesh.dim != 3:
         raise ValueError("slice export requires a 3D mesh")
-    n = samples if samples is not None else mesh.n
-    ticks = np.linspace(0.0, 1.0, n + 1)
+    ticks = np.linspace(0.0, 1.0, mesh.n + 1)
     xs, ys = np.meshgrid(ticks, ticks, indexing="ij")
     pts = np.column_stack([xs.ravel(), ys.ravel(),
                            np.full(xs.size, float(z))])

@@ -365,6 +365,53 @@ def test_sweep_drift_pairs_rows_by_label(tmp_path, capsys):
     assert "drift n=8 -> n=12: nan% over 0 pairs" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--n", "0", "--count", "1"], "--n must be at least 2, got 0"),
+    (["--n", "4", "--count", "-2"], "--count must be at least 1, got -2"),
+    (["--n", "4", "--count", "1", "--amplitude", "0"],
+     "--amplitude must be above 0, got 0"),
+    (["--n", "4", "--count", "1", "--t-lo", "1.5"],
+     "the range [1.5, 2] does not contain the base parameter 1"),
+], ids=["n", "count", "amplitude", "range"])
+def test_sweep_rejects_bad_input_with_exit_2(tmp_path, capsys, args,
+                                             message):
+    code = main(["sweep", *args, "--out", str(tmp_path / "sweeps")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err == "configuration error: %s\n" % message
+    assert not (tmp_path / "sweeps").exists()
+
+
+def test_run_writes_partial_artifacts_when_an_update_fails(tmp_path, capsys,
+                                                          monkeypatch):
+    # every update after the first fails: the first row is written, and
+    # the run exits 1 naming where its artifacts are
+    from matmi import reconstruction
+    from matmi.transport import TransportError
+    real, first = reconstruction.solve_nonlinear_ls, []
+
+    def solve(problem, *args, **kwargs):
+        if not first:
+            first.append(problem.gamma_ref)
+        if problem.gamma_ref is not first[0]:
+            raise TransportError("injected failure")
+        return real(problem, *args, **kwargs)
+    monkeypatch.setattr(reconstruction, "solve_nonlinear_ls", solve)
+    code, outdir = _run(tmp_path)
+    assert code == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "reconstruction failed: iteration 2 failed: every least-squares " \
+        "candidate failed: injected failure" in err
+    assert err.endswith("partial artifacts in %s\n" % outdir)
+    config = ReconConfig(preset="example1", n=10, iterations=3)
+    with open(os.path.join(outdir, "config.txt")) as fh:
+        assert fh.read() == config.to_text()
+    with open(os.path.join(outdir, "trace.csv")) as fh:
+        rows = fh.read().splitlines()
+    assert rows[0] == "iteration,error_L2,residual,ratio"
+    assert len(rows) == 2 and rows[1].startswith("1,")
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("MATMI_OUT_DIR", str(tmp_path / "envout"))
     code = main(["run", "--preset", "example1", "--n", "8",

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from matmi.anisotropy import BUILTIN_NAMES, builtin
 from matmi.cli import main
-from matmi.fields import interpolate_nodal
 from matmi.functional import save_functional_data, synthesize
 from matmi.mesh import build_unit_cube, build_unit_square
 
@@ -37,10 +36,10 @@ def test_custom_config_runs_end_cleanly(family, dim, n, iterations, adaptive,
                                         refine, amplitude):
     mesh = (build_unit_square if dim == 2 else build_unit_cube)(n)
     fam = builtin(family)
-    gamma = interpolate_nodal(mesh, _target(amplitude))
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
-        save_functional_data(synthesize(fam, gamma, mesh, refine=refine),
+        save_functional_data(synthesize(fam, _target(amplitude), mesh,
+                                        refine=refine),
                              str(root / "data.bin"))
         (root / "case.txt").write_text(
             "family = %s\ndim = %d\nn = %d\niterations = %d\n"

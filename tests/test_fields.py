@@ -81,10 +81,12 @@ def test_interpolate_and_cell_means():
     assert np.allclose(f.cell_means(), want, atol=1e-12)
 
 
-def test_interpolate_falls_back_to_pointwise_only_on_array_errors():
+def test_interpolate_rejects_a_result_of_the_wrong_shape():
+    # the callable gets the (nv, dim) vertex array; a pointwise one
+    # returns another shape, and the callable's own errors propagate
     mesh = build_unit_square(3)
-    f = interpolate_nodal(mesh, lambda p: 1 + p[0])
-    assert np.allclose(f.values, 1 + mesh.vertices[:, 0])
+    with pytest.raises(ValueError, match="expected 16 nodal values"):
+        interpolate_nodal(mesh, lambda p: 1 + p[0])
 
     def broken(p):
         raise RuntimeError("bug in a vectorised callable")

@@ -14,11 +14,11 @@ from matmi.fields import (NodalField, interpolate_nodal, l2_norm_nodal,
                           mass_matrix)
 from matmi.functional import (FunctionalData, cross_b0, eval_p1, flux_field,
                               load_functional_data, save_functional_data,
-                              synthesize, weak_p1_from_flux, weak_p1_rows,
-                              write_nodal_csv)
+                              synthesize, weak_p1_from_flux, weak_p1_rows)
 from matmi.mesh import Mesh, build_unit_cube, build_unit_square
 from matmi.neumann import SolverError, solve_field
 from matmi.oracles import weak_dg0_from_flux
+from matmi.vtkio import write_nodal_csv
 
 D1 = builtin("D1").with_t_range(0.25, 4.0)
 
@@ -28,7 +28,8 @@ def _gamma(p):
 
 
 def test_cross_b0_componentwise():
-    assert np.allclose(cross_b0([1.0, 2.0, 5.0]), [2.0, -1.0, 0.0])
+    assert np.allclose(cross_b0(np.array([[1.0, 2.0, 5.0]])),
+                       [[2.0, -1.0, 0.0]])
 
 
 def test_weak_forms_agree_on_total_mass():

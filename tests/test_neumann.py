@@ -26,7 +26,8 @@ def _ones(mesh):
 
 
 def test_etilde_formula():
-    assert np.allclose(etilde([0.2, 0.6]), [-0.3, 0.1, 0.0], atol=1e-15)
+    assert np.allclose(etilde(np.array([[0.2, 0.6]])), [[-0.3, 0.1, 0.0]],
+                       atol=1e-15)
 
 
 def test_stiffness_symmetric_with_constant_null_space():

@@ -8,8 +8,11 @@ from matmi.anisotropy import builtin
 from matmi.fields import NodalField, interpolate_nodal
 from matmi.mesh import build_unit_square
 from matmi.functional import synthesize
+from matmi.neumann import SolverError
 from matmi.reconstruction import (_DEFAULTS, ConfigError, ReconConfig,
-                                  project, reconstruct, target_admissibility)
+                                  ReconError, project, reconstruct,
+                                  target_admissibility)
+from matmi.transport import TransportError
 
 
 def _ones(mesh):
@@ -355,8 +358,9 @@ def test_accepted_iterate_field_is_not_solved_again(monkeypatch):
 @pytest.mark.parametrize("refine", [1, 2])
 def test_data_are_synthesized_from_the_target_itself(monkeypatch, refine):
     # refined data carry the target's sub-cell variation, which its P1
-    # interpolant on the inversion mesh has lost; at refine=1 the target
-    # is interpolated on that mesh either way
+    # interpolant on the inversion mesh has lost, so they are made from
+    # the callable only; at refine=1 the target is interpolated on that
+    # mesh either way
     from matmi import reconstruction
     made = []
 
@@ -370,13 +374,92 @@ def test_data_are_synthesized_from_the_target_itself(monkeypatch, refine):
     mesh = build_unit_square(8)
     family = builtin(cfg["family"]).with_t_range(cfg["t_lo"], cfg["t_hi"])
     exact = synthesize(family, cfg["gamma_star"], mesh, refine=refine)
-    interpolant = synthesize(family, interpolate_nodal(mesh, cfg["gamma_star"]),
-                             mesh, refine=refine)
     assert made[0].p1_weak.tobytes() == exact.p1_weak.tobytes()
     assert (made[0].nodal_projection.values.tobytes()
             == exact.nodal_projection.values.tobytes())
-    assert (np.array_equal(exact.p1_weak, interpolant.p1_weak)
-            == (refine == 1))
+    interpolant = interpolate_nodal(mesh, cfg["gamma_star"])
+    if refine == 1:
+        assert np.array_equal(
+            exact.p1_weak, synthesize(family, interpolant, mesh).p1_weak)
+    else:
+        with pytest.raises(ValueError, match="callable"):
+            synthesize(family, interpolant, mesh, refine=refine)
+
+
+def _failing_lsq(monkeypatch, fails):
+    """Make the update's least-squares solve raise TransportError on
+    each call (counted from 0) for which `fails(call)` holds; returns
+    the indices of the calls that raised."""
+    from matmi import reconstruction as rc
+    real, calls, raised = rc.solve_nonlinear_ls, [], []
+
+    def solve(*args, **kwargs):
+        calls.append(1)
+        if fails(len(calls) - 1):
+            raised.append(len(calls) - 1)
+            raise TransportError("injected failure")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(rc, "solve_nonlinear_ls", solve)
+    return raised
+
+
+def test_a_failing_candidate_is_skipped(monkeypatch):
+    # an update whose first weight's solve fails keeps the candidates of
+    # the others: the run is the one without that weight
+    from matmi import reconstruction as rc
+    config = ReconConfig(preset="example4", n=8, iterations=2)
+    mults = rc._ALPHA_MULTIPLIERS
+    with monkeypatch.context() as m:
+        m.setattr(rc, "_ALPHA_MULTIPLIERS", mults[1:])
+        want = reconstruct(config)
+    raised = _failing_lsq(monkeypatch, lambda call: call % len(mults) == 0)
+    got = reconstruct(config)
+    assert raised == [0, len(mults)]
+    assert want.stalled_at is None and got.stalled_at is None
+    assert got.error_l2 == want.error_l2
+    assert got.data_residual == want.data_residual
+    for a, b in zip(got.iterates, want.iterates):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_an_update_with_every_candidate_failing_ends_the_run(monkeypatch,
+                                                             adaptive):
+    # the second update fails: ReconError names iteration 2 and carries
+    # the first iteration's row
+    from matmi import reconstruction as rc
+    per_update = len(rc._ALPHA_MULTIPLIERS) if adaptive else 1
+    raised = _failing_lsq(monkeypatch, lambda call: call >= per_update)
+    config = ReconConfig(preset="example4", n=8, iterations=3,
+                         **{"picard.adaptive": adaptive})
+    with pytest.raises(ReconError, match="iteration 2 failed: every "
+                       "least-squares candidate failed") as err:
+        reconstruct(config)
+    assert len(raised) == per_update
+    trace = err.value.trace
+    assert len(trace.iterates) == len(trace.error_l2) == 1
+    assert len(trace.data_residual) == len(trace.picard_changes) == 1
+
+
+def test_a_failed_initial_forward_solve_ends_the_run(monkeypatch):
+    # the first synthesize call makes the data; the second, the initial
+    # residual's forward solve, fails before any iteration
+    from matmi import reconstruction as rc
+    real, calls = rc.synthesize, []
+
+    def synthesizing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SolverError("injected failure", [1.0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(rc, "synthesize", synthesizing)
+    with pytest.raises(ReconError, match="forward solve for the initial "
+                       "residual failed: injected failure") as err:
+        reconstruct(ReconConfig(preset="example4", n=8, iterations=2))
+    assert len(calls) == 2
+    trace = err.value.trace
+    assert trace.iterates == [] and trace.error_l2 == []
+    assert np.isfinite(trace.initial_error)
 
 
 def test_target_admissibility_names_the_cells_outside_the_class():

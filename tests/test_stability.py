@@ -150,8 +150,8 @@ def test_field_sweep_solves_a_shared_pair_member_once(monkeypatch):
     assert len(solved) == len(perts) + 1
     # equal values in distinct objects are solved for each pair
     solved.clear()
-    field_difference_sweep(D1, [(g1, base.copy()) for g1, _ in shared],
-                           mesh)
+    field_difference_sweep(D1, [(g1, NodalField(mesh, base.values.copy()))
+                                for g1, _ in shared], mesh)
     assert len(solved) == 2 * len(perts)
 
 
@@ -185,14 +185,6 @@ def test_contraction_report_geometric_decay():
 def test_contraction_report_stagnation_is_not_contractive():
     rep = contraction_report(_trace([1.0, 1.0, 1.0, 1.0]))
     assert rep["verdict"] == "not contractive"
-
-
-def test_contraction_report_threshold_excludes_converged_tail():
-    # once the error sits below the threshold, later plateaus must not
-    # overturn the verdict
-    rep = contraction_report(_trace([1.0, 0.1, 0.001, 0.001, 0.001]),
-                             threshold=0.01)
-    assert rep["verdict"] == "contractive"
 
 
 def test_contraction_report_needs_three_iterations():

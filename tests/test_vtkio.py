@@ -1,21 +1,23 @@
 """The block writers of `vtkio` write the bytes that a per-value writer,
 kept here as the reference, writes."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from matmi.fields import NodalField
 from matmi.functional import eval_p1
 from matmi.mesh import build_unit_cube, build_unit_square
-from matmi.vtkio import write_slice_csv, write_vtk
+from matmi.vtkio import write_nodal_csv, write_slice_csv, write_vtk
 
 _CELL_TYPE = {2: 5, 3: 10}
 
 
-def _write_vtk_per_value(path, mesh, point_data, cell_data, title="matmi"):
+def _write_vtk_per_value(path, mesh, point_data):
     nloc = mesh.dim + 1
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n%s\nASCII\n" % title)
+        fh.write("# vtk DataFile Version 3.0\nmatmi\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % mesh.num_vertices)
         for p in mesh.vertices:
@@ -27,15 +29,21 @@ def _write_vtk_per_value(path, mesh, point_data, cell_data, title="matmi"):
             fh.write("%d %s\n" % (nloc, " ".join(str(int(v)) for v in cell)))
         fh.write("CELL_TYPES %d\n" % mesh.num_cells)
         fh.write(("%d\n" % _CELL_TYPE[mesh.dim]) * mesh.num_cells)
-        for head, count, data in (("POINT_DATA", mesh.num_vertices,
-                                   point_data),
-                                  ("CELL_DATA", mesh.num_cells, cell_data)):
-            fh.write("%s %d\n" % (head, count))
-            for name, vals in data.items():
-                fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n"
-                         % name)
-                for v in np.asarray(vals, dtype=float):
-                    fh.write("%.17g\n" % v)
+        fh.write("POINT_DATA %d\n" % mesh.num_vertices)
+        for name, vals in point_data.items():
+            fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
+            for v in np.asarray(vals, dtype=float):
+                fh.write("%.17g\n" % v)
+
+
+def _write_nodal_csv_per_value(field, path):
+    mesh = field.mesh
+    cols = ["x", "y", "z"][:mesh.dim]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(cols + ["value"])
+        for p, v in zip(mesh.vertices, field.values):
+            w.writerow(["%.17g" % c for c in p] + ["%.17g" % v])
 
 
 def _write_slice_csv_per_value(field, z, path):
@@ -65,10 +73,8 @@ def _values(size, seed):
 def test_vtk_is_byte_identical_to_the_per_value_writer(tmp_path, mesh):
     point_data = {"gamma": _values(mesh.num_vertices, 1),
                   "other": _values(mesh.num_vertices, 2)[::-1]}
-    cell_data = {"rho": _values(mesh.num_cells, 3)}
-    write_vtk(str(tmp_path / "a.vtk"), mesh, point_data, cell_data)
-    _write_vtk_per_value(str(tmp_path / "b.vtk"), mesh, point_data,
-                         cell_data)
+    write_vtk(str(tmp_path / "a.vtk"), mesh, point_data)
+    _write_vtk_per_value(str(tmp_path / "b.vtk"), mesh, point_data)
     a, b = (tmp_path / "a.vtk").read_bytes(), (tmp_path / "b.vtk").read_bytes()
     assert b"-0\n" in a and b"\n1e-300\n" in a
     assert a == b
@@ -88,3 +94,14 @@ def test_slice_csv_is_byte_identical_to_the_per_value_writer(tmp_path):
         assert a == (tmp_path / "b.csv").read_bytes()
         if z == 0.0:
             assert b",1e-300\n" in a
+
+
+@pytest.mark.parametrize("mesh", [build_unit_square(5), build_unit_cube(3)],
+                         ids=["2d", "3d"])
+def test_nodal_csv_is_byte_identical_to_the_csv_writer(tmp_path, mesh):
+    field = NodalField(mesh, _values(mesh.num_vertices, 4))
+    write_nodal_csv(field, str(tmp_path / "a.csv"))
+    _write_nodal_csv_per_value(field, str(tmp_path / "b.csv"))
+    a = (tmp_path / "a.csv").read_bytes()
+    assert b",-0\r\n" in a and b",1e-300\r\n" in a
+    assert a == (tmp_path / "b.csv").read_bytes()
