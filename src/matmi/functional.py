@@ -25,6 +25,7 @@ __all__ = [
     "flux_field",
     "weak_p1_rows",
     "weak_p1_from_flux",
+    "field_data",
     "synthesize",
     "eval_p1",
     "save_functional_data",
@@ -183,6 +184,15 @@ def _mass_solve(mesh, rhs):
     return x
 
 
+def field_data(mesh, family, gamma, E):
+    """The data F(gamma) on `mesh`, a FunctionalData, from the field E
+    of gamma's Neumann solve there (a NodalField gamma, a CellField E)."""
+    p1 = weak_p1_from_flux(mesh, flux_field(mesh, family,
+                                            gamma.cell_means(), E))
+    proj = NodalField(mesh, _mass_solve(mesh, p1))
+    return FunctionalData(mesh, p1, proj, mesh.n, field=E)
+
+
 def synthesize(family, gamma_star, mesh, refine=1, factor=None):
     """Generate the weak acoustic-source data F(gamma_star) on `mesh`.
 
@@ -208,12 +218,10 @@ def synthesize(family, gamma_star, mesh, refine=1, factor=None):
     gamma = (interpolate_nodal(fine, gamma_star) if callable(gamma_star)
              else gamma_star)
     _, E = solve_field(fine, family, gamma, factor=factor)
-    p1 = weak_p1_from_flux(fine, flux_field(fine, family,
-                                            gamma.cell_means(), E))
-    proj = NodalField(fine, _mass_solve(fine, p1))
+    data = field_data(fine, family, gamma, E)
     if fine is mesh:
-        return FunctionalData(mesh, p1, proj, mesh.n, field=E)
-    F_coarse = NodalField(mesh, eval_p1(proj, mesh.vertices))
+        return data
+    F_coarse = NodalField(mesh, eval_p1(data.nodal_projection, mesh.vertices))
     return FunctionalData(mesh, mesh.mass @ F_coarse.values, F_coarse, fine.n)
 
 

@@ -10,13 +10,22 @@ rows on one mesh, and `contraction_report` reads a reconstruction
 trace.  The constants belong to the mesh they were measured on
 (`matmi sweep` names each report's file by it); they are never
 extrapolated to the continuum.
+
+Both sweeps get E(gamma) through one memo of forward solves, keyed
+weakly by mesh (`_solved_field`): a parameter is solved once per mesh
+and family object, so the data sweep of `count` perturbations and the
+field sweep of its pairs (base + delta, base) make count + 1 Neumann
+solves between them.
 """
+
+import hashlib
+import weakref
 
 import numpy as np
 
 from .fields import NodalField, l2_norm_cell, l2_norm_nodal
-from .functional import synthesize
-from .neumann import LaggedFactor, solve_field
+from .functional import field_data
+from .neumann import LaggedFactor, electric_field, solve_field
 
 __all__ = [
     "StabilityReport",
@@ -92,6 +101,26 @@ def _grad_condition(mesh, delta, norm_delta):
     return gnorm / norm_delta if norm_delta > 0 else 0.0
 
 
+# mesh -> {(family, SHA-256 of gamma's vertex values): read-only u}; the
+# values hold no reference to the mesh, so an entry goes with its mesh
+_SOLVED = weakref.WeakKeyDictionary()
+
+
+def _solved_field(mesh, family, gamma, factor):
+    """E(gamma) on `mesh`, solved through the LaggedFactor `factor` only
+    the first time this mesh meets this family object and these vertex
+    values; later calls rebuild E from the stored potential, bitwise the
+    E that the solve returned."""
+    memo = _SOLVED.setdefault(mesh, {})
+    key = (family, hashlib.sha256(gamma.values.tobytes()).digest())
+    if key in memo:
+        return electric_field(mesh, NodalField(mesh, memo[key]))
+    u, E = solve_field(mesh, family, gamma, factor=factor)
+    u.values.flags.writeable = False
+    memo[key] = u.values
+    return E
+
+
 def stability_sweep(family, base_gamma, perturbations, mesh=None):
     """Empirical data-to-parameter stability ratios.
 
@@ -100,15 +129,20 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None):
     mesh and tabulates ||delta|| / ||F_1 - F_2|| together with the
     gradient-condition value.  Perturbations that push the parameter
     outside the family's range are skipped with a log entry.  The field
-    solves share one lagged Neumann factor.
+    solves share one lagged Neumann factor, and a parameter already
+    solved on this mesh for this family is not solved again.
     """
     mesh = mesh if mesh is not None else base_gamma.mesh
     bidx = mesh.boundary_vertex_indices()
     report = StabilityReport("data")
     factor = LaggedFactor()
-    # only projections are kept: no field or flux outlives its solve
-    base_proj = synthesize(family, base_gamma, mesh,
-                           factor=factor).nodal_projection.values
+
+    def projection(gamma):
+        # only projections are kept: no field or flux outlives its use
+        E = _solved_field(mesh, family, gamma, factor)
+        return field_data(mesh, family, gamma, E).nodal_projection.values
+
+    base_proj = projection(base_gamma)
     for i, delta in enumerate(perturbations):
         label = "pair%02d" % i
         dvals = delta.values
@@ -120,8 +154,7 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None):
             report.skip(label, "perturbed parameter leaves the family "
                                "range [%g, %g]" % family.t_range)
             continue
-        pert_proj = synthesize(family, NodalField(mesh, pvals), mesh,
-                               factor=factor).nodal_projection.values
+        pert_proj = projection(NodalField(mesh, pvals))
         norm_dg = l2_norm_nodal(mesh, dvals)
         norm_df = l2_norm_nodal(mesh, pert_proj - base_proj)
         ratio = norm_dg / norm_df if norm_df > 0 else float("nan")
@@ -134,15 +167,14 @@ def field_difference_sweep(family, pairs, mesh):
     """Empirical field-to-parameter Lipschitz ratios.
 
     For each pair (gamma_1, gamma_2), solves the Neumann problem for
-    both parameters and tabulates ||E_1 - E_2|| / ||gamma_1 - gamma_2||.
-    The report's max_ratio() is the sweep's headline constant.  The
-    solves share one lagged Neumann factor, and a second member that is
-    the same object as the previous pair's (pairs built as
-    (base + delta, base)) is solved once.
+    both parameters and tabulates ||E_1 - E_2|| / ||gamma_1 - gamma_2||,
+    nan for equal parameters.  The report's max_ratio() is the sweep's
+    headline constant.  The solves share one lagged Neumann factor, and
+    a parameter already solved on this mesh for this family (by either
+    sweep) is not solved again.
     """
     report = StabilityReport("field")
     factor = LaggedFactor()
-    prev_g2 = prev_E2 = None          # only the last field is kept
     for i, (g1, g2) in enumerate(pairs):
         label = "pair%02d" % i
         if not (_in_range(g1.values, family)
@@ -150,15 +182,15 @@ def field_difference_sweep(family, pairs, mesh):
             report.skip(label, "parameter leaves the family range "
                                "[%g, %g]" % family.t_range)
             continue
-        _, E1 = solve_field(mesh, family, g1, factor=factor)
-        if g2 is not prev_g2:
-            _, prev_E2 = solve_field(mesh, family, g2, factor=factor)
-            prev_g2 = g2
-        E2 = prev_E2
+        # the second member first: in pairs (base + delta, base) the
+        # later solves then lag the base's factor, which needs fewer CG
+        # iterations per solve than that of base + delta_0
+        E2 = _solved_field(mesh, family, g2, factor)
+        E1 = _solved_field(mesh, family, g1, factor)
         dvals = g1.values - g2.values
         norm_dg = l2_norm_nodal(mesh, dvals)
         norm_de = l2_norm_cell(mesh, E1.values - E2.values)
-        ratio = norm_de / norm_dg if norm_dg > 0 else 0.0
+        ratio = norm_de / norm_dg if norm_dg > 0 else float("nan")
         report.add_row(label, norm_dg, norm_de, ratio,
                        _grad_condition(mesh, dvals, norm_dg))
     return report

@@ -325,6 +325,15 @@ def test_sweep_writes_reports(tmp_path, capsys):
     assert "ratio drift" in capsys.readouterr().out
 
 
+def test_sweep_of_a_zero_perturbation_reports_nan_ratios(tmp_path, capsys):
+    # seed 0's one perturbation, modes (4, 3), is below 2e-17 on the n=2
+    # vertices, so base + delta rounds to the base: both sweeps divide
+    # 0 by 0
+    assert main(["sweep", "--n", "2", "--count", "1",
+                 "--out", str(tmp_path / "sweeps")]) == EXIT_OK
+    assert "max C_emp nan, max field ratio nan" in capsys.readouterr().out
+
+
 def _sweep_skips(tmp_path, capsys, *bounds):
     out = str(tmp_path / "sweeps")
     assert main(["sweep", "--family", "D1", *bounds, "--n", "8", "--n",

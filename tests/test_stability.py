@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -76,10 +79,12 @@ def test_zero_perturbation_excluded_from_ratio_stats():
     mesh = build_unit_square(8)
     base = _base(mesh)
     zero = NodalField(mesh, np.zeros(mesh.num_vertices))
-    rep = stability_sweep(D1, base, [zero], mesh=mesh)
-    assert len(rep.rows) == 1
-    assert rep.ratios() == []
-    assert np.isnan(rep.max_ratio())
+    same = NodalField(mesh, base.values.copy())
+    for rep in (stability_sweep(D1, base, [zero], mesh=mesh),
+                field_difference_sweep(D1, [(same, base)], mesh)):
+        assert len(rep.rows) == 1
+        assert rep.ratios() == []
+        assert np.isnan(rep.max_ratio())
 
 
 def test_field_difference_sweep_symmetry():
@@ -92,8 +97,10 @@ def test_field_difference_sweep_symmetry():
 
 
 def _sweep_pair(monkeypatch, sweep):
-    """A sweep with its shared lagged factor, the same sweep with a fresh
-    factor per solve, and the number of factorizations of the first."""
+    """`sweep(mesh)` on a new mesh with its shared lagged factor, the
+    same sweep with a fresh factor per solve on another new mesh (on the
+    first one the memo of forward solves would serve it), and the number
+    of factorizations of the first."""
     calls = []
     real = neumann.spd_factor
 
@@ -101,10 +108,10 @@ def _sweep_pair(monkeypatch, sweep):
         calls.append(1)
         return real(A)
     monkeypatch.setattr(neumann, "spd_factor", counting)
-    shared = sweep()
+    shared = sweep(build_unit_square(12))
     count = len(calls)
     monkeypatch.setattr(stability, "LaggedFactor", lambda: None)
-    return shared, sweep(), count
+    return shared, sweep(build_unit_square(12)), count
 
 
 def _assert_rows_match(a, b):
@@ -114,47 +121,93 @@ def _assert_rows_match(a, b):
             assert ra[key] == pytest.approx(rb[key], rel=1e-8)
 
 
-@pytest.mark.parametrize("kind", ["data", "field"])
-def test_sweep_shares_one_factor(kind, monkeypatch):
-    mesh = build_unit_square(12)
+def _sweep_inputs(mesh, count=4, seed=1):
+    """The base, its perturbations and the field sweep's pairs
+    (base + delta, base), as `matmi sweep` builds them."""
     base = _base(mesh)
     perts = [NodalField(mesh, f(mesh.vertices))
-             for f in smooth_perturbations(4, seed=1)]
-    pairs = [(NodalField(mesh, base.values + p.values), base)
-             for p in perts]
-    if kind == "data":
-        sweep = lambda: stability_sweep(D1, base, perts, mesh=mesh)
-    else:
-        sweep = lambda: field_difference_sweep(D1, pairs, mesh)
+             for f in smooth_perturbations(count, seed=seed)]
+    return base, perts, [(NodalField(mesh, base.values + p.values), base)
+                         for p in perts]
+
+
+@pytest.mark.parametrize("kind", ["data", "field"])
+def test_sweep_shares_one_factor(kind, monkeypatch):
+    def sweep(mesh):
+        base, perts, pairs = _sweep_inputs(mesh)
+        if kind == "data":
+            return stability_sweep(D1, base, perts, mesh=mesh)
+        return field_difference_sweep(D1, pairs, mesh)
     shared, fresh, factorizations = _sweep_pair(monkeypatch, sweep)
     _assert_rows_match(shared, fresh)
     assert factorizations == 1
 
 
-def test_field_sweep_solves_a_shared_pair_member_once(monkeypatch):
+def test_field_sweep_factors_at_the_shared_base(monkeypatch):
+    # alone, the field sweep solves (base + delta_0, base) base first, so
+    # the factor the later solves lag is the base's
     mesh = build_unit_square(8)
-    base = _base(mesh)
-    perts = [NodalField(mesh, f(mesh.vertices))
-             for f in smooth_perturbations(3, seed=4)]
-    solved = []
-    real = stability.solve_field
+    base, _, pairs = _sweep_inputs(mesh, count=3, seed=4)
+    factored = []
+    real = neumann.spd_factor
 
-    def recording(mesh, family, gamma, **kwargs):
-        solved.append(gamma)
-        return real(mesh, family, gamma, **kwargs)
-    monkeypatch.setattr(stability, "solve_field", recording)
-    shared = [(NodalField(mesh, base.values + p.values), base)
-              for p in perts]
-    field_difference_sweep(D1, shared, mesh)
-    assert sum(g is base for g in solved) == 1
+    def recording(A):
+        factored.append(A)
+        return real(A)
+    monkeypatch.setattr(neumann, "spd_factor", recording)
+    field_difference_sweep(D1, pairs, mesh)
+    pinned = neumann.assemble(mesh, D1, base).matrix[1:, 1:]
+    assert len(factored) == 1
+    assert abs(factored[0] - pinned).max() == 0.0
+
+
+def test_the_sweeps_solve_each_parameter_once_per_mesh(count_calls):
+    solved = count_calls(neumann.solve_field)
+    mesh = build_unit_square(8)
+    base, perts, _ = _sweep_inputs(mesh, count=3, seed=4)
+    stability_sweep(D1, base, perts, mesh=mesh)
     assert len(solved) == len(perts) + 1
-    # equal values in distinct objects are solved for each pair
-    solved.clear()
-    field_difference_sweep(D1, [(g1, NodalField(mesh, base.values.copy()))
-                                for g1, _ in shared], mesh)
-    assert len(solved) == 2 * len(perts)
+    # equal values in distinct objects are solved once per mesh and
+    # family, whichever sweep meets them first
+    copies = [(NodalField(mesh, base.values + p.values),
+               NodalField(mesh, base.values.copy())) for p in perts]
+    field_difference_sweep(D1, copies, mesh)
+    field_difference_sweep(D1, copies, mesh)
+    assert len(solved) == len(perts) + 1
+    # another family object, even one built alike, or another mesh
+    # solves again
+    field_difference_sweep(builtin("D1").with_t_range(0.25, 4.0), copies,
+                           mesh)
+    assert len(solved) == 2 * (len(perts) + 1)
+    other = build_unit_square(8)
+    field_difference_sweep(D1, _sweep_inputs(other, count=3, seed=4)[2],
+                           other)
+    assert len(solved) == 3 * (len(perts) + 1)
 
 
+def test_the_memo_goes_with_its_mesh():
+    gc.collect()
+    held = len(stability._SOLVED)
+    mesh = build_unit_square(6)
+    base, perts, pairs = _sweep_inputs(mesh, count=2)
+    stability_sweep(D1, base, perts, mesh=mesh)
+    field_difference_sweep(D1, pairs, mesh)
+    assert len(stability._SOLVED) == held + 1
+    gone = weakref.ref(mesh)
+    del mesh, base, perts, pairs
+    gc.collect()
+    assert gone() is None
+    assert len(stability._SOLVED) == held
+
+
+def test_memo_rows_match_a_fresh_mesh_sweep():
+    mesh = build_unit_square(12)
+    base, perts, pairs = _sweep_inputs(mesh)
+    stability_sweep(D1, base, perts, mesh=mesh)
+    served = field_difference_sweep(D1, pairs, mesh)   # every E memoized
+    fresh = build_unit_square(12)
+    _assert_rows_match(served, field_difference_sweep(
+        D1, _sweep_inputs(fresh)[2], fresh))
 def test_report_csv_layout(tmp_path):
     mesh = build_unit_square(8)
     perts = [NodalField(mesh, f(mesh.vertices))
