@@ -26,8 +26,6 @@ class AnisotropyFamily:
     Parameters
     ----------
     name : str
-    spatial : bool
-        True if A depends on x.
     poly_fn : callable
         xs (N, d>=2) -> (N, M, 3, 3): coefficients of t^0 .. t^(M-1).
     poly_grad_fn : callable or None
@@ -40,10 +38,9 @@ class AnisotropyFamily:
         Admissible parameter interval.
     """
 
-    def __init__(self, name, spatial, poly_fn, poly_grad_fn=None,
-                 rational_fn=None, rational_dt_fn=None, t_range=(0.5, 2.0)):
+    def __init__(self, name, poly_fn, poly_grad_fn=None, rational_fn=None,
+                 rational_dt_fn=None, t_range=(0.5, 2.0)):
         self.name = name
-        self.spatial = bool(spatial)
         self._poly_fn = poly_fn
         self._poly_grad_fn = poly_grad_fn
         self._rational_fn = rational_fn
@@ -55,9 +52,9 @@ class AnisotropyFamily:
         bound left None keeps its current value."""
         lo = self.t_range[0] if lo is None else lo
         hi = self.t_range[1] if hi is None else hi
-        return AnisotropyFamily(self.name, self.spatial, self._poly_fn,
-                                self._poly_grad_fn, self._rational_fn,
-                                self._rational_dt_fn, (lo, hi))
+        return AnisotropyFamily(self.name, self._poly_fn, self._poly_grad_fn,
+                                self._rational_fn, self._rational_dt_fn,
+                                (lo, hi))
 
     @property
     def has_remainder(self):
@@ -164,20 +161,18 @@ class AdmissibilityReport:
 
 
 def check_admissibility(family, grid_density, lambda_declared):
-    """Sample the family on a tensor grid and report ellipticity bounds:
-    the extreme eigenvalues of A over the samples, the ellipticity
-    constant they imply (inf when the smallest is not positive), and
-    whether they lie within [1 / lambda_declared, lambda_declared]."""
+    """Sample the family on a tensor grid of parameters and in-plane
+    points (z = 0) and report ellipticity bounds: the extreme eigenvalues
+    of A over the samples, the ellipticity constant they imply (inf when
+    the smallest is not positive), and whether they lie within
+    [1 / lambda_declared, lambda_declared]."""
     if grid_density < 2:
         raise ValueError("grid_density must be >= 2")
     lo, hi = family.t_range
     ts = np.linspace(lo, hi, grid_density)
-    if family.spatial:
-        g = np.linspace(0.0, 1.0, grid_density)
-        X, Y = np.meshgrid(g, g, indexing="ij")
-        xs = np.column_stack([X.ravel(), Y.ravel(), np.zeros(X.size)])
-    else:
-        xs = np.zeros((1, 3))
+    g = np.linspace(0.0, 1.0, grid_density)
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    xs = np.column_stack([X.ravel(), Y.ravel(), np.zeros(X.size)])
 
     lam_min, lam_max = np.inf, -np.inf
     for t in ts:
@@ -256,34 +251,34 @@ def _radial_poly(cx, cy):
 def _make_builtins():
     fams = {}
     # diag(t, t, 1)
-    fams["D1"] = AnisotropyFamily("D1", False, _const_poly([
+    fams["D1"] = AnisotropyFamily("D1", _const_poly([
         [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
         [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
     ]))
     # [[0.4(t+1)^2, 0.01, 0], [0.01, 3t, 0], [0, 0, t]]
-    fams["D2"] = AnisotropyFamily("D2", False, _const_poly([
+    fams["D2"] = AnisotropyFamily("D2", _const_poly([
         [[0.4, 0.01, 0], [0.01, 0, 0], [0, 0, 0]],
         [[0.8, 0, 0], [0, 3, 0], [0, 0, 1]],
         [[0.4, 0, 0], [0, 0, 0], [0, 0, 0]],
     ]))
     # off-diagonal 0.01 t (1 - t)
-    fams["D3"] = AnisotropyFamily("D3", False, _const_poly([
+    fams["D3"] = AnisotropyFamily("D3", _const_poly([
         [[0.4, 0, 0], [0, 0, 0], [0, 0, 0]],
         [[0.8, 0.01, 0], [0.01, 3, 0], [0, 0, 1]],
         [[0.4, -0.01, 0], [-0.01, 0, 0], [0, 0, 0]],
     ]))
     # diagonal as D2, off-diagonal 1/(t+20)
-    fams["D4"] = AnisotropyFamily("D4", False, _const_poly([
+    fams["D4"] = AnisotropyFamily("D4", _const_poly([
         [[0.4, 0, 0], [0, 0, 0], [0, 0, 0]],
         [[0.8, 0, 0], [0, 3, 0], [0, 0, 1]],
         [[0.4, 0, 0], [0, 0, 0], [0, 0, 0]],
     ]), rational_fn=_d4_rational, rational_dt_fn=_d4_rational_dt)
     # spatially varying off-diagonal 0.25(x^2+y^2) t
     fn5, g5 = _radial_poly(0.0, 0.0)
-    fams["D5"] = AnisotropyFamily("D5", True, fn5, g5)
+    fams["D5"] = AnisotropyFamily("D5", fn5, g5)
     # centered variant 0.25((x-0.5)^2+(y-0.5)^2) t
     fn6, g6 = _radial_poly(0.5, 0.5)
-    fams["D6"] = AnisotropyFamily("D6", True, fn6, g6)
+    fams["D6"] = AnisotropyFamily("D6", fn6, g6)
     return fams
 
 

@@ -15,13 +15,12 @@ import numpy as np
 from .anisotropy import builtin, check_admissibility
 from .fields import (NodalField, interpolate_nodal, l2_norm_cell,
                      level_set_centroid)
-from .functional import (load_functional_data, save_functional_data,
-                         synthesize)
+from .functional import load_functional_data, save_functional_data
 from .mesh import build_unit_cube, build_unit_square
-from .neumann import LaggedFactor, SolverError, etilde, solve_field
+from .neumann import SolverError, etilde
 from .presets import PRESET_NAMES, SLICE_LEVELS, get_preset
 from .reconstruction import (CONVERGENCE_TOL, ConfigError, ReconConfig,
-                             ReconError, reconstruct, target_admissibility)
+                             ReconError, reconstruct)
 from .stability import (contraction_report, field_difference_sweep,
                         smooth_perturbations, stability_sweep)
 from .vtkio import write_nodal_csv, write_slice_csv, write_vtk
@@ -94,21 +93,22 @@ def cmd_run(args):
     config = _build_config(args)
     cfg = config.resolve()
     outdir = os.path.join(_out_root(args), _run_name(args))
-    shares = target_admissibility(config)
+    try:
+        trace, failure = reconstruct(config), None
+    except ReconError as exc:
+        trace, failure = exc.trace, exc
+    shares = trace.target_shares
     if shares is not None and any(shares):
         print("target outside the paper's class: A(x, gamma*) is not "
               "positive definite on %.1f%% of the cells, and gamma* leaves "
               "the box [%g, %g] on %.1f%%"
               % (100 * shares[0], cfg["box"][0], cfg["box"][1],
                  100 * shares[1]))
-    try:
-        trace = reconstruct(config)
-    except ReconError as exc:
-        _write_artifacts(outdir, config, exc.trace, args.dump_fields)
-        print("reconstruction failed: %s" % exc, file=sys.stderr)
+    _write_artifacts(outdir, config, trace, args.dump_fields)
+    if failure is not None:
+        print("reconstruction failed: %s" % failure, file=sys.stderr)
         print("partial artifacts in %s" % outdir, file=sys.stderr)
         return EXIT_SOLVER
-    _write_artifacts(outdir, config, trace, args.dump_fields)
     final = trace.final_error()
     print("wrote %s" % outdir)
     if np.isfinite(final):
@@ -200,10 +200,12 @@ def _verify_preset(name, outdir):
         checks.add("runtime (informational)", True, "%.1f s" % elapsed)
     checks.add("outer loop end (informational)", True,
                _outer_loop_end(trace))
+    not_pd, outside = trace.target_shares
+    checks.add("target shares (informational)", True,
+               "A(x, gamma*) not positive definite on %.1f%% of the cells, "
+               "outside the box on %.1f%%" % (100 * not_pd, 100 * outside))
 
     cfg = config.resolve()
-    family = builtin(cfg["family"]).with_t_range(cfg["t_lo"], cfg["t_hi"])
-    lam = cfg["lambda"]
     box_lo, box_hi = cfg["box"]
     in_box = all(it.values.min() >= box_lo - 1e-12
                  and it.values.max() <= box_hi + 1e-12
@@ -225,31 +227,17 @@ def _verify_preset(name, outdir):
 
     # the iterates lie in the box, so lambda is estimated there: a family
     # range that reaches t <= 0 makes it infinite and the check vacuous
-    lam_est = check_admissibility(family.with_t_range(box_lo, box_hi), 8,
-                                  lam).lambda_est
-    et_norm = l2_norm_cell(mesh, etilde(mesh.cell_centroids))
-    energy_ok = True
-    worst = 0.0
-    # a stalled run records the same iterate again: solve each one once,
-    # all through one lagged factor
-    factor = LaggedFactor()
-    prev = None
-    for it in trace.iterates:
-        if it is prev:
-            continue
-        prev = it
-        u, _ = solve_field(mesh, family, it, factor=factor)
-        gn = l2_norm_cell(mesh, u.cell_gradients())
-        worst = max(worst, gn / (lam_est * et_norm))
-        energy_ok = energy_ok and gn <= lam_est * et_norm
-    checks.add("energy bound on all solves", energy_ok,
-               "max ratio %.3f" % worst)
+    lam_est = check_admissibility(
+        builtin(cfg["family"]).with_t_range(box_lo, box_hi), 8,
+        cfg["lambda"]).lambda_est
+    bound = lam_est * l2_norm_cell(mesh, etilde(mesh.cell_centroids))
+    energy = max(trace.field_energy)
+    checks.add("energy bound on all solves", energy <= bound,
+               "max ratio %.3f" % (energy / bound))
 
-    target_field = interpolate_nodal(mesh, preset.gamma_star)
+    path = os.path.join(outdir, "data.bin")
+    save_functional_data(trace.data, path)
     try:
-        data = synthesize(family, target_field, mesh)
-        path = os.path.join(outdir, "data.bin")
-        save_functional_data(data, path)
         load_functional_data(mesh, path)
         with open(path, "r+b") as fh:
             fh.seek(150)   # inside the numeric payload
@@ -264,7 +252,7 @@ def _verify_preset(name, outdir):
         checks.add("data container integrity", tamper_detected,
                    "round trip ok, tampering rejected"
                    if tamper_detected else "tampered file accepted")
-    except (SolverError, ValueError) as exc:
+    except ValueError as exc:
         checks.add("data container integrity", False, str(exc))
 
     if preset.dim == 3:
@@ -307,6 +295,9 @@ def cmd_sweep(args):
         raise ConfigError("--count must be at least 1, got %d" % args.count)
     if not args.amplitude > 0:
         raise ConfigError("--amplitude must be above 0, got %g"
+                          % args.amplitude)
+    if not np.isfinite(args.amplitude):
+        raise ConfigError("--amplitude must be finite, got %g"
                           % args.amplitude)
     lo, hi = family.t_range
     if not lo <= 1.0 <= hi:

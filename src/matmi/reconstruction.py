@@ -11,10 +11,10 @@ import time
 import numpy as np
 
 from .anisotropy import builtin
-from .fields import NodalField, interpolate_nodal, l2_norm_nodal
+from .fields import NodalField, interpolate_nodal, l2_norm_cell, l2_norm_nodal
 from .functional import load_functional_data, synthesize
 from .mesh import build_unit_cube, build_unit_square
-from .neumann import LaggedFactor, SolverError, conductivity_blocks
+from .neumann import LaggedFactor, SolverError, conductivity_blocks, etilde
 from .transport import FluxFit, TransportError, solve_nonlinear_ls
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "ReconError",
     "project",
     "reconstruct",
-    "target_admissibility",
 ]
 
 class ConfigError(ValueError):
@@ -72,6 +71,11 @@ class ReconTrace:
         self.outer_change = []        # ||gamma_k - gamma_{k-1}||_M /
                                       # ||gamma_k||_M (0 on a row that
                                       # accepted no update)
+        self.field_energy = []        # ||grad u||_L2 of gamma_k's field
+        self.target_shares = None     # (not positive definite, outside
+                                      # the box) cell shares of the
+                                      # target; None without a target
+        self.data = None              # the FunctionalData fitted
         self.initial_error = float("nan")
         self.initial_residual = float("nan")
         self.stalled_at = None        # first iteration (1-based) whose
@@ -233,6 +237,12 @@ class ReconConfig:
             if out["data"] is None:
                 raise ConfigError("custom configs need a data file (the "
                                   "target is otherwise unknown)")
+        if out["dim"] not in (2, 3):
+            raise ConfigError("dim must be 2 or 3, got %d" % out["dim"])
+        for key in sorted(_FLOAT_KEYS):
+            if out[key] is not None and not np.isfinite(out[key]):
+                raise ConfigError("%s must be finite, got %g"
+                                  % (key, out[key]))
         if out["n"] < 2:
             raise ConfigError("mesh resolution n must be >= 2")
         if out["iterations"] < 1:
@@ -323,50 +333,39 @@ def _ls_update(problem, cfg, alpha, anchor, boundary_values, residual_fn,
     return cand, a, history, res
 
 
-def _mesh_and_family(cfg):
-    """The inversion mesh and the family of a resolved config."""
-    builder = build_unit_square if cfg["dim"] == 2 else build_unit_cube
-    return (builder(cfg["n"]),
-            builtin(cfg["family"]).with_t_range(cfg["t_lo"], cfg["t_hi"]))
-
-
-def target_admissibility(config):
-    """Shares of the inversion mesh's cells on which the config's target
-    gamma* leaves the class the paper's stability result covers: those
-    where A(., gamma*), the in-plane block `conductivity_blocks`
-    evaluates at the cell means, is not positive definite, and those
-    where the cell mean of gamma* lies outside the admissible box.
-    Returns (not positive definite, outside the box), or None when the
-    config has no target (data loaded from a file)."""
-    cfg = config.resolve()
-    if cfg["gamma_star"] is None:
-        return None
-    mesh, family = _mesh_and_family(cfg)
-    target = interpolate_nodal(mesh, cfg["gamma_star"])
-    try:
-        blocks = conductivity_blocks(mesh, family, target)
-    except ValueError as exc:
-        raise ConfigError("cannot prepare the data: %s" % exc) from exc
-    lo, hi = cfg["box"]
+def _target_shares(mesh, family, target, box):
+    """Shares of the cells on which the target gamma* leaves the class
+    the paper's stability result covers: those where A(., gamma*), the
+    in-plane block `conductivity_blocks` evaluates at the cell means, is
+    not positive definite, and those where the cell mean of gamma* lies
+    outside the admissible box."""
+    blocks = conductivity_blocks(mesh, family, target)
     t = target.cell_means()
     return (float(np.mean(np.linalg.eigvalsh(blocks)[:, 0] <= 0.0)),
-            float(np.mean((t < lo) | (t > hi))))
+            float(np.mean((t < box[0]) | (t > box[1]))))
 
 
 def reconstruct(config):
     """Run the fixed-point reconstruction described by `config`.
 
     Returns a ReconTrace; on sub-solver failure raises ReconError with
-    the partial trace attached.
+    the partial trace attached.  The target's shares outside the class
+    are recorded before the data are synthesized, so a failed synthesis
+    still reports them.
     """
     cfg = config.resolve()
-    mesh, family = _mesh_and_family(cfg)
+    builder = build_unit_square if cfg["dim"] == 2 else build_unit_cube
+    mesh = builder(cfg["n"])
+    family = builtin(cfg["family"]).with_t_range(cfg["t_lo"], cfg["t_hi"])
+    trace = ReconTrace()
 
     gamma_star_fn = cfg["gamma_star"]
     bpts = mesh.vertices[mesh.boundary_vertex_indices()]
     try:
         if gamma_star_fn is not None:
             target = interpolate_nodal(mesh, gamma_star_fn)
+            trace.target_shares = _target_shares(mesh, family, target,
+                                                 cfg["box"])
             data = synthesize(family, gamma_star_fn, mesh,
                               refine=cfg["refine"])
             boundary_values = gamma_star_fn(bpts)
@@ -374,11 +373,14 @@ def reconstruct(config):
             target = None
             data = load_functional_data(mesh, cfg["data"])
             boundary_values = np.full(len(bpts), cfg["boundary_value"])
+    except SolverError as exc:
+        raise ReconError("data synthesis failed: %s" % exc, trace)
     except (OSError, ValueError) as exc:
         raise ConfigError("cannot prepare the data: %s" % exc) from exc
+    trace.data = data
 
     gamma0 = NodalField(mesh, np.ones(mesh.num_vertices))
-    trace = ReconTrace()
+    et = etilde(mesh.cell_centroids)
     target_norm = (l2_norm_nodal(mesh, target.values)
                    if target is not None else float("nan"))
 
@@ -440,5 +442,7 @@ def reconstruct(config):
         trace.iterates.append(gamma)
         trace.error_l2.append(error)
         trace.data_residual.append(res_l2)
+        # E = Etilde + grad u is the field of this row's iterate
+        trace.field_energy.append(l2_norm_cell(mesh, E.values - et))
         trace.seconds.append(time.perf_counter() - t0)
     return trace

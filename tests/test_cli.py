@@ -40,27 +40,54 @@ def test_run_reports_a_stall(tmp_path, capsys):
     assert "stalled" not in capsys.readouterr().out
 
 
-def test_verify_solves_each_distinct_iterate_once(tmp_path, monkeypatch):
-    # example1 at n=6 stalls at iteration 3 of 6, so iterations 2-6
-    # record one iterate; the energy check solves it once, and every
-    # solve shares one lagged factor
+def test_verify_solves_nothing_beyond_the_run(tmp_path, monkeypatch):
+    # the energy check and the data container read what the run recorded
+    # (example1 at n=6 stalls at iteration 3 of 6), so every forward
+    # solve of verify is one that reconstruct makes
+    from matmi import functional, neumann, stability
     monkeypatch.setattr(cli, "ReconConfig", lambda preset: ReconConfig(
         preset=preset, n=6, iterations=6))
-    solved, holders = [], set()
-    real = cli.solve_field
+    running, inside, outside = [], [], []
+    real_reconstruct = cli.reconstruct
 
-    def recording(mesh, family, gamma, **kwargs):
-        solved.append(gamma)
-        holders.add(id(kwargs.get("factor")))
-        return real(mesh, family, gamma, **kwargs)
-    monkeypatch.setattr(cli, "solve_field", recording)
-    _, trace = cli._verify_preset("example1", str(tmp_path))
+    def reconstructing(config):
+        running.append(config)
+        try:
+            return real_reconstruct(config)
+        finally:
+            running.pop()
+
+    def counted(real):
+        def solve(*args, **kwargs):
+            (inside if running else outside).append(args)
+            return real(*args, **kwargs)
+        return solve
+    monkeypatch.setattr(cli, "reconstruct", reconstructing)
+    for module in (functional, neumann, stability):
+        monkeypatch.setattr(module, "solve_field",
+                            counted(module.solve_field))
+    checks, trace = cli._verify_preset("example1", str(tmp_path))
     assert trace.stalled_at == 3
-    distinct = [it for k, it in enumerate(trace.iterates)
-                if k == 0 or it is not trace.iterates[k - 1]]
-    assert len(distinct) == 2 < len(trace.iterates)
-    assert [id(g) for g in solved] == [id(g) for g in distinct]
-    assert len(holders) == 1 and id(None) not in holders
+    assert inside and not outside
+    row = {label: (ok, detail) for label, ok, detail in checks.rows}
+    assert row["energy bound on all solves"][0]
+    assert row["data container integrity"] == (
+        True, "round trip ok, tampering rejected")
+
+
+@pytest.mark.parametrize("preset,not_pd,outside", [
+    ("example1", "0.0", "0.0"), ("example2", "4.7", "28.1")])
+def test_verify_reports_the_target_shares(tmp_path, monkeypatch, preset,
+                                          not_pd, outside):
+    # at n=8, example2's target leaves the class on fewer cells than at
+    # its own n=48; the row is informational and always passes
+    monkeypatch.setattr(cli, "ReconConfig", lambda preset: ReconConfig(
+        preset=preset, n=8, iterations=3))
+    checks, _ = cli._verify_preset(preset, str(tmp_path))
+    row = {label: (ok, detail) for label, ok, detail in checks.rows}
+    assert row["target shares (informational)"] == (
+        True, "A(x, gamma*) not positive definite on %s%% of the cells, "
+        "outside the box on %s%%" % (not_pd, outside))
 
 
 def test_verify_energy_bound_is_not_vacuous(tmp_path, monkeypatch):
@@ -140,6 +167,9 @@ def test_missing_preset_and_config_exits_2(tmp_path, capsys):
     ("lambda=0.5", "lambda must be >= 1"),
     ("t_lo=1.5", "hold the background 1"),       # 1 lies outside the box
     ("t_hi=1.5", "outside admissible range"),    # the target leaves it
+    ("lambda=inf", "lambda must be finite, got inf"),
+    ("t_lo=nan", "t_lo must be finite, got nan"),
+    ("t_hi=inf", "t_hi must be finite, got inf"),
 ])
 def test_bad_box_or_range_exits_2(tmp_path, capsys, override, message):
     code, _ = _run(tmp_path, override)
@@ -152,6 +182,7 @@ def test_bad_box_or_range_exits_2(tmp_path, capsys, override, message):
     ("picard.rel_tol=2", "picard.rel_tol must lie in (0, 1)"),
     ("picard.rel_tol=0", "picard.rel_tol must lie in (0, 1)"),
     ("picard.alpha=-1", "picard.alpha must be > 0"),
+    ("picard.alpha=inf", "picard.alpha must be finite, got inf"),
 ])
 def test_bad_picard_control_exits_2(tmp_path, capsys, override, message):
     code, _ = _run(tmp_path, override)
@@ -207,9 +238,9 @@ def test_run_reports_an_unconverged_outer_loop(tmp_path, capsys):
 
 @pytest.mark.parametrize("n,code", [(None, EXIT_OK), ("80", 1)])
 def test_run_reports_a_target_outside_the_class(tmp_path, capsys, n, code):
-    # printed before the reconstruction, so a run that then fails (at
-    # n=80 the pinned Neumann block of example2's data is indefinite)
-    # shows it too
+    # read from the run's trace, where it is recorded before the data
+    # are synthesized, so a run that then fails (at n=80 the pinned
+    # Neumann block of example2's data is indefinite) shows it too
     out = str(tmp_path / "artifacts")
     args = ["run", "--preset", "example2", "--out", out, "--iterations", "1"]
     assert main(args + (["--n", n] if n else [])) == code
@@ -221,6 +252,27 @@ def test_run_reports_a_target_outside_the_class(tmp_path, capsys, n, code):
     code, _ = _run(tmp_path)
     assert code == EXIT_OK
     assert "paper's class" not in capsys.readouterr().out
+
+
+def test_a_failed_data_synthesis_writes_partial_artifacts(tmp_path, capsys):
+    out = tmp_path / "artifacts"
+    assert main(["run", "--preset", "example2", "--out", str(out), "--n",
+                 "80"]) == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out.startswith("target outside the paper's class: ")
+    assert len(captured.out.splitlines()) == 1
+    outdir = out / "example2"
+    assert ("reconstruction failed: data synthesis failed: pinned Neumann "
+            "system: factorization failed" in captured.err)
+    assert captured.err.endswith("partial artifacts in %s\n" % outdir)
+    assert (outdir / "config.txt").read_text() == ReconConfig(
+        preset="example2", n=80).to_text()
+    assert (outdir / "trace.csv").read_text() == (
+        "iteration,error_L2,residual,ratio\n")
+    assert (outdir / "picard.csv").read_text() == (
+        "iteration,inner_iteration,rel_change\n")
+    assert sorted(os.listdir(outdir)) == ["config.txt", "picard.csv",
+                                          "trace.csv"]
 
 
 @pytest.mark.parametrize("preset", ["example2", "example6"])
@@ -277,6 +329,18 @@ def test_data_vector_for_another_mesh_exits_2(tmp_path, capsys,
     assert "cannot prepare the data" in err
     assert "p1_weak has 3 values for 81 mesh vertices" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override,message", [
+    ("dim=0", "dim must be 2 or 3, got 0"),
+    ("dim=5", "dim must be 2 or 3, got 5"),
+    ("boundary_value=nan", "boundary_value must be finite, got nan"),
+])
+def test_bad_custom_config_exits_2(tmp_path, capsys, override, message):
+    code = main(_data_config(tmp_path, 8) + [override])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: %s\n" % message
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("preset, dim", [("example6", 2), ("example1", 3)])
@@ -379,9 +443,11 @@ def test_sweep_drift_pairs_rows_by_label(tmp_path, capsys):
     (["--n", "4", "--count", "-2"], "--count must be at least 1, got -2"),
     (["--n", "4", "--count", "1", "--amplitude", "0"],
      "--amplitude must be above 0, got 0"),
+    (["--n", "4", "--count", "1", "--amplitude", "inf"],
+     "--amplitude must be finite, got inf"),
     (["--n", "4", "--count", "1", "--t-lo", "1.5"],
      "the range [1.5, 2] does not contain the base parameter 1"),
-], ids=["n", "count", "amplitude", "range"])
+], ids=["n", "count", "amplitude", "amplitude-inf", "range"])
 def test_sweep_rejects_bad_input_with_exit_2(tmp_path, capsys, args,
                                              message):
     code = main(["sweep", *args, "--out", str(tmp_path / "sweeps")])

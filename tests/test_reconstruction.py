@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from matmi.anisotropy import builtin
-from matmi.fields import NodalField, interpolate_nodal
+from matmi.fields import NodalField, interpolate_nodal, l2_norm_cell
 from matmi.mesh import build_unit_square
-from matmi.functional import synthesize
-from matmi.neumann import SolverError
+from matmi.functional import save_functional_data, synthesize
+from matmi.neumann import SolverError, solve_field
+from matmi.presets import get_preset
 from matmi.reconstruction import (_DEFAULTS, ConfigError, ReconConfig,
-                                  ReconError, project, reconstruct,
-                                  target_admissibility)
+                                  ReconError, project, reconstruct)
 from matmi.transport import TransportError
 
 
@@ -131,6 +131,16 @@ def test_resolve_validates_ranges():
         ReconConfig(preset="example1", iterations=0).resolve()
     with pytest.raises(ConfigError, match="refine"):
         ReconConfig(preset="example1", refine=0).resolve()
+
+
+@pytest.mark.parametrize("key", ["lambda", "t_lo", "t_hi", "boundary_value",
+                                 "picard.rel_tol", "picard.alpha"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   -float("inf")])
+def test_resolve_rejects_non_finite_values(key, value):
+    with pytest.raises(ConfigError, match="%s must be finite, got %g"
+                       % (re.escape(key), value)):
+        ReconConfig(family="D1", data="data.bin", **{key: value}).resolve()
 
 
 def test_resolve_checks_the_admissible_box():
@@ -462,16 +472,54 @@ def test_a_failed_initial_forward_solve_ends_the_run(monkeypatch):
     assert np.isfinite(trace.initial_error)
 
 
-def test_target_admissibility_names_the_cells_outside_the_class():
+def test_target_admissibility_names_the_cells_outside_the_class(tmp_path):
     # example2's two-Gaussian target has background 0: A(., gamma*) of
     # D2 is indefinite where gamma* < 8.3e-5, and gamma* lies below the
     # box floor 1/lambda = 0.01 on a third of the domain
-    not_pd, outside = target_admissibility(ReconConfig(preset="example2"))
+    def shares(**config):
+        return reconstruct(ReconConfig(iterations=1, **config)).target_shares
+    not_pd, outside = shares(preset="example2")
     assert not_pd == pytest.approx(0.071, abs=0.002)
     assert outside == pytest.approx(0.339, abs=0.004)
     for name in ("example1", "example4", "example6"):
-        assert target_admissibility(ReconConfig(preset=name)) == (0.0, 0.0)
-    assert target_admissibility(ReconConfig(family="D1", data="x.bin")) is None
+        assert shares(preset=name) == (0.0, 0.0)
+    # data loaded from a file come without a target
+    mesh = build_unit_square(6)
+    save_functional_data(synthesize(builtin("D1"), _ones(mesh), mesh),
+                         str(tmp_path / "data.bin"))
+    assert shares(family="D1", data=str(tmp_path / "data.bin"), n=6) is None
+
+
+def test_a_failed_data_synthesis_ends_the_run_with_the_target_report():
+    # at n=80 the pinned Neumann block of example2's data is indefinite;
+    # the target's shares were recorded before the solve
+    with pytest.raises(ReconError, match="data synthesis failed: pinned "
+                       "Neumann system: factorization failed") as err:
+        reconstruct(ReconConfig(preset="example2", n=80, iterations=1))
+    trace = err.value.trace
+    assert trace.target_shares[0] > 0.0 and trace.target_shares[1] > 0.0
+    assert trace.data is None and trace.iterates == []
+
+
+def test_trace_records_the_fitted_data_and_each_rows_field_energy():
+    # example1 at n=6 stalls at iteration 3 of 6: each row's energy is
+    # ||grad u|| of its iterate's own field, repeated with the iterate
+    trace = reconstruct(ReconConfig(preset="example1", n=6, iterations=6))
+    assert trace.stalled_at == 3
+    mesh = trace.iterates[0].mesh
+    preset = get_preset("example1")
+    family = preset.family()
+    target = interpolate_nodal(mesh, preset.gamma_star)
+    np.testing.assert_allclose(trace.data.p1_weak,
+                               synthesize(family, target, mesh).p1_weak,
+                               rtol=1e-9, atol=1e-12)
+    assert len(trace.field_energy) == len(trace.iterates) == 6
+    for k, it in enumerate(trace.iterates):
+        u, _ = solve_field(mesh, family, it)
+        assert trace.field_energy[k] == pytest.approx(
+            l2_norm_cell(mesh, u.cell_gradients()), rel=1e-9)
+        if k and it is trace.iterates[k - 1]:
+            assert trace.field_energy[k] == trace.field_energy[k - 1]
 
 
 def test_readme_lists_exactly_the_config_keys():
