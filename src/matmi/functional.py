@@ -6,17 +6,17 @@ at the cell centroids, and `weak_p1_rows`, the one P1 weak divergence of
 a per-cell flux, are shared by the data and the least-squares update.
 """
 
+import functools
 import hashlib
 import io
 import struct
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .anisotropy import power_series
 from .fields import NodalField, interpolate_nodal, scatter_p1
 from .mesh import build_unit_cube, build_unit_square
-from .neumann import SolverError, solve_field
+from .neumann import SolverError, pcg, solve_field
 
 __all__ = [
     "FunctionalData",
@@ -84,7 +84,8 @@ class FluxSplit:
     P_m w and h = P_0 w + R(gamma_c) w, for the family's polynomial
     coefficients P_m and remainder R.  Holds `w` (nc, 3) and the
     read-only `Pw` = (P_m w)[:, :dim], shape (M, nc, dim); a call with
-    gamma_c returns (g, h), each (nc, dim).
+    gamma_c returns (g, h), each (nc, dim), and `weak_divergence` the
+    same split after the P1 weak divergence.
     """
 
     def __init__(self, mesh, family, E):
@@ -102,9 +103,40 @@ class FluxSplit:
         g = power_series(self.Pw[1:], gamma_c)
         if not self.family.has_remainder:
             return g, self.Pw[0]
+        return g, self.Pw[0] + self._remainder_flux(gamma_c)
+
+    def _remainder_flux(self, gamma_c):
         rat = self.family.rational(self.mesh.centroid_points,
                                    gamma_c)[:, :self.mesh.dim]
-        return g, self.Pw[0] + np.einsum("cij,cj->ci", rat, self.w)
+        return np.einsum("cij,cj->ci", rat, self.w)
+
+    @functools.cached_property
+    def _weak_powers(self):
+        """weak_p1_rows of each P_m w, m >= 1, shape (M - 1, nc, nloc),
+        and the P1 weak divergence of P_0 w, both read-only; built on
+        the first `weak_divergence`, so a split that only evaluates the
+        flux never pays for them."""
+        mesh = self.mesh
+        W = np.empty((len(self.Pw) - 1, mesh.num_cells, mesh.dim + 1))
+        for m in range(1, len(self.Pw)):
+            W[m - 1] = weak_p1_rows(mesh, self.Pw[m])
+        c0 = weak_p1_from_flux(mesh, self.Pw[0])
+        W.flags.writeable = c0.flags.writeable = False
+        return W, c0
+
+    def weak_divergence(self, gamma_c):
+        """(rows, c) at gamma_c: the local rows (nc, nloc) of g's P1 weak
+        divergence and h's P1 weak divergence (nv,).  The weak
+        divergence is linear in the flux, so rows sums the cached rows
+        of the P_m w by `power_series`, and c is the cached constant
+        (itself, read-only, without a remainder) plus the weak
+        divergence of R(gamma_c) w."""
+        W, c0 = self._weak_powers
+        rows = power_series(W, gamma_c)
+        if not self.family.has_remainder:
+            return rows, c0
+        return rows, c0 + weak_p1_from_flux(self.mesh,
+                                            self._remainder_flux(gamma_c))
 
 
 def flux_field(mesh, family, gamma_cell_values, E):
@@ -173,9 +205,8 @@ def _mass_solve(mesh, rhs):
     for M = mesh.mass by Jacobi-preconditioned CG, without a factor."""
     M = mesh.mass
     dinv = 1.0 / M.diagonal()
-    prec = spla.LinearOperator(M.shape, matvec=lambda r: dinv * r,
-                               dtype=float)
-    x, info = spla.cg(M, rhs, rtol=_MASS_RTOL, maxiter=_MASS_MAXITER, M=prec)
+    x, info = pcg(M.dot, rhs, None, _MASS_RTOL, _MASS_MAXITER,
+                  lambda r: dinv * r)
     if info != 0:
         resid = np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs)
         raise SolverError("mass-matrix CG did not reach rtol=%g in %d "

@@ -11,14 +11,14 @@ E = Etilde + grad u (per cell, exact P1 gradient).
 Every SPD system of the package (this pinned block and the normal matrix
 of the least-squares update) is solved here by `LaggedFactor`: CG
 preconditioned with a banded Cholesky factor in the mesh's lexicographic
-vertex order.
+vertex order.  `pcg` is the package's one CG loop, used by that holder
+and by the Jacobi mass solve of `functional`.
 """
 
 import mmap
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .anisotropy import power_series
 from .fields import CellField, NodalField, assemble_p1, scatter_p1
@@ -31,6 +31,7 @@ __all__ = [
     "assemble",
     "load_vector",
     "spd_factor",
+    "pcg",
     "solve_mean_zero",
     "electric_field",
     "solve_field",
@@ -129,8 +130,12 @@ class _BandCholesky:
 def _lower_band(A):
     """The lower band of the sparse matrix A, entries i >= j stored at
     [i - j, j] of a Fortran-ordered (bandwidth + 1, n) array (duplicate
-    entries summed); the upper triangle is not read."""
+    entries summed, on a copy: A is left as it is); the upper triangle
+    is not read."""
     A = A.tocsr()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()      # each (i, j) once: the band is assigned
     n = A.shape[0]
     i = np.repeat(np.arange(n), np.diff(A.indptr))
     j = A.indices
@@ -138,7 +143,7 @@ def _lower_band(A):
     i, j = i[lower], j[lower]
     bw = int((i - j).max(initial=0))
     band = _mapped_zeros(bw + 1, n)
-    np.add.at(band.T.reshape(-1), j * (bw + 1) + (i - j), A.data[lower])
+    band.T.reshape(-1)[j * (bw + 1) + (i - j)] = A.data[lower]
     return band
 
 
@@ -169,6 +174,45 @@ def spd_factor(A):
     return _BandCholesky(band)
 
 
+def pcg(matvec, b, x0, rtol, maxiter, precondition, history=None):
+    """CG for the SPD system matvec(x) = b, preconditioned by
+    `precondition(r)`, from a copy of x0 (None: zero): the iteration and
+    arithmetic of scipy.sparse.linalg.cg, bit for bit, without the
+    LinearOperator wrappers cg builds on every call.  Stops once the
+    recurrence residual r has ||r|| < rtol ||b||, tested before each
+    iteration as cg does (so convergence on the last allowed iteration
+    still reads as a miss), and appends ||r|| / ||b|| to `history` after
+    every iteration.  Returns (x, info): info is 0 on convergence, else
+    maxiter.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return b.copy(), 0
+    atol = rtol * bnorm
+    x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=float)
+    r = b - matvec(x) if x.any() else b.copy()
+    rnorm = np.linalg.norm(r)
+    for it in range(maxiter):
+        if rnorm < atol:
+            return x, 0
+        z = precondition(r)
+        rho = np.dot(r, z)
+        if it > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        rnorm = np.linalg.norm(r)
+        if history is not None:
+            history.append(rnorm / bnorm)
+    return x, maxiter
+
+
 # CG iterations per attempt of a Neumann solve: a lagged factor that
 # needs more is replaced by the solve's own (about what one factorization
 # costs in iterations), and that one needs one or two.
@@ -196,18 +240,21 @@ class LaggedFactor:
     def __init__(self):
         self.factor = None
 
-    def solve(self, A, rhs, x0, rtol, maxiter, matrix=None, callback=None):
-        """Solve the SPD system A x = rhs by CG from x0 (None: zero) to a
-        relative residual of rtol, preconditioned with the held factor.
+    def solve(self, A, rhs, x0, rtol, maxiter, matrix=None, history=None):
+        """Solve the SPD system A x = rhs by CG (`pcg`) from x0 (None:
+        zero) to a relative residual of rtol, preconditioned with the
+        held factor.  A is a sparse matrix or a callable x -> A x.
 
         When the holder is empty, holds a factor of another size, or CG
         has not converged within maxiter iterations, `matrix()` (default:
         A itself, which must then be a sparse matrix) is factored, kept
-        here, and CG runs again from x0.  `callback(x)` is called after
-        every CG iteration of either attempt.  Raises SolverError when
-        the factorization fails or CG misses even with the fresh factor.
+        here, and CG runs again from x0.  `history` collects the
+        relative residual of every CG iteration of either attempt (see
+        `pcg`).  Raises SolverError when the factorization fails or CG
+        misses even with the fresh factor.
         """
         n = rhs.shape[0]
+        matvec = A if callable(A) else A.dot
         lagged = self.factor is not None and self.factor.shape == (n, n)
         for fresh in ((False, True) if lagged else (True,)):
             if fresh:
@@ -217,17 +264,14 @@ class LaggedFactor:
                                              else matrix())
                 except RuntimeError as exc:
                     raise SolverError("factorization failed: %s" % exc, [])
-            # the preconditioner is built inline: a name bound to it would
+            # the preconditioner is passed inline: a name bound to it would
             # keep the lagged factor alive while the fresh one is built
-            x, info = spla.cg(A, rhs, x0=x0, rtol=rtol, maxiter=maxiter,
-                              M=spla.LinearOperator(
-                                  (n, n), dtype=float,
-                                  matvec=self.factor.solve),
-                              callback=callback)
+            x, info = pcg(matvec, rhs, x0, rtol, maxiter, self.factor.solve,
+                          history)
             if info == 0:
                 return x
         self.factor = None  # the traceback of the error keeps this frame alive
-        resid = np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs)
+        resid = np.linalg.norm(rhs - matvec(x)) / np.linalg.norm(rhs)
         # CG divides 0 by 0 after an exactly zero residual (rtol=0)
         detail = ("residual %.3g" % resid if np.isfinite(resid)
                   else "non-finite iterate")
@@ -248,8 +292,9 @@ def solve_mean_zero(system, tol=1e-10, factor=None):
     min(tol, _LAG_RTOL) within _LAG_MAXITER CG iterations per attempt.
     Without a holder the factor lives only for this call.  Returns the
     values and the residual history: 1.0, then the relative residual of
-    the pinned block after every CG iteration.  Raises SolverError (with
-    that history) on non-convergence or a failed factorization.
+    the pinned block after every CG iteration, as CG's recurrence
+    carries it (not recomputed from the iterate).  Raises SolverError
+    (with that history) on non-convergence or a failed factorization.
     """
     K = system.matrix
     n = K.shape[0]
@@ -258,17 +303,11 @@ def solve_mean_zero(system, tol=1e-10, factor=None):
     if np.linalg.norm(b) == 0.0:
         return np.zeros(n), [0.0]
 
-    K1, b1 = K[1:, 1:], b[1:]
-    bnorm = np.linalg.norm(b1)
     history = [1.0]
-
-    def record(x):
-        history.append(np.linalg.norm(b1 - K1 @ x) / bnorm)
-
     holder = factor if factor is not None else LaggedFactor()
     try:
-        x1 = holder.solve(K1, b1, None, min(tol, _LAG_RTOL), _LAG_MAXITER,
-                          callback=record)
+        x1 = holder.solve(K[1:, 1:], b[1:], None, min(tol, _LAG_RTOL),
+                          _LAG_MAXITER, history=history)
     except SolverError as exc:
         raise SolverError("pinned Neumann system: %s" % exc, history)
     x = np.r_[0.0, x1]

@@ -20,10 +20,9 @@ import functools
 from collections import deque
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .fields import NodalField, assemble_p1, l2_norm_nodal
-from .functional import FluxSplit, weak_p1_from_flux, weak_p1_rows
+from .functional import FluxSplit
 from .neumann import LaggedFactor, SolverError
 from .oracles import (TransportProblem, closed_form_divergence,
                       expand_coefficients, solve_linear_dg)
@@ -84,18 +83,20 @@ def _flux_operator(problem, gamma_bar_c):
 
     Freezing the split at gamma_bar_c, the flux on each cell is
     q = mean(gamma) * g + h with cellwise-constant g, h.  L spreads the
-    local rows of g's weak divergence (`weak_p1_rows`) evenly over the
-    cell's vertex values, and c is the weak divergence of h, so
-    L gamma + c = weak_p1_from_flux(mean(gamma) g + h) -- the quadrature
-    the flux-form data uses, and L gamma* + c reproduces same-mesh data
-    to rounding.  Returns (L, c).
+    local rows of g's weak divergence evenly over the cell's vertex
+    values, and c is the weak divergence of h, so
+    L gamma + c = weak_p1_from_flux(mean(gamma) g + h) up to rounding --
+    the quadrature the flux-form data uses, and L gamma* + c reproduces
+    same-mesh data to rounding.  Both come from the split's per-power
+    weak rows (`FluxSplit.weak_divergence`), built once per problem.
+    Returns (L, c).
     """
     mesh = problem.mesh
     nloc = mesh.dim + 1
-    g, h = problem.flux_split(gamma_bar_c)
-    rows = weak_p1_rows(mesh, g) / nloc
+    rows, c = problem.flux_split.weak_divergence(gamma_bar_c)
+    rows /= nloc
     ke = np.broadcast_to(rows[:, :, None], rows.shape + (nloc,))
-    return assemble_p1(mesh, ke), weak_p1_from_flux(mesh, h)
+    return assemble_p1(mesh, ke), c
 
 
 # CG controls for the inner Picard steps: the frozen coefficients move
@@ -109,21 +110,21 @@ _PCG_FORCING = 1e-2
 _PCG_MAXITER = 50
 
 
-def _ls_system(problem, gamma, anchor, alpha):
+def _ls_system(problem, gamma, alpha, R_anchor, R_diag_mean):
     """One step of the regularized normal equations
     (L^T L + scale R) x = L^T (b - c) + scale R anchor, frozen at the
-    iterate gamma.  Returns (L, rhs, scale); the normal matrix itself is
-    formed only to be factored (`_normal_matrix`).
+    iterate gamma, given R anchor and the mean of R's diagonal (which
+    no step changes).  Returns (L, rhs, scale); the normal matrix itself
+    is formed only to be factored (`_normal_matrix`).
     """
     mesh = problem.mesh
     lo, hi = problem.family.t_range
     gbar_c = np.clip(NodalField(mesh, gamma).cell_means(), lo, hi)
     L, c = _flux_operator(problem, gbar_c)
-    R = mesh.h1
     # diag(L^T L) holds the squared norms of the columns of L
     diag_n = np.bincount(L.indices, L.data ** 2, minlength=mesh.num_vertices)
-    scale = alpha * diag_n.mean() / R.diagonal().mean()
-    rhs = L.T @ (problem.data.p1_weak - c) + scale * (R @ anchor)
+    scale = alpha * diag_n.mean() / R_diag_mean
+    rhs = L.T @ (problem.data.p1_weak - c) + scale * R_anchor
     return L, rhs, scale
 
 
@@ -133,11 +134,9 @@ def _normal_matrix(L, R, scale):
 
 
 def _normal_operator(L, R, scale):
-    """L^T L + scale R as a LinearOperator that applies L, L^T and R."""
+    """x -> (L^T L + scale R) x, applying L, L^T and R."""
     LT = L.T
-    n = L.shape[1]
-    return spla.LinearOperator(
-        (n, n), matvec=lambda x: LT @ (L @ x) + scale * (R @ x), dtype=float)
+    return lambda x: LT @ (L @ x) + scale * (R @ x)
 
 
 # Anderson mixing of the inner Picard steps: the number of differences
@@ -215,8 +214,10 @@ def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor):
     holder = LaggedFactor()
     fs, gs = deque(maxlen=_AA_DEPTH + 1), deque(maxlen=_AA_DEPTH + 1)
     rtol = _PCG_RTOL
+    R_anchor, R_diag_mean = R @ anchor.values, R.diagonal().mean()
     for _ in range(max_outer):
-        L, rhs, scale = _ls_system(problem, gamma, anchor.values, alpha)
+        L, rhs, scale = _ls_system(problem, gamma, alpha, R_anchor,
+                                   R_diag_mean)
         try:
             new_vals = holder.solve(
                 _normal_operator(L, R, scale), rhs, gamma, rtol,

@@ -1,7 +1,9 @@
 """One flux route: the in-plane flux A(x_c, gamma_c) (E x B0) of the data
 and of the least-squares update comes from functional.FluxSplit.  So
 `transport` reads none of the family's evaluators (`poly_coeffs`,
-`eval_many`, `rational`), `functional` evaluates no full matrix
+`eval_many`, `rational`) and takes no weak divergence of its own
+(`weak_p1_rows`, `weak_p1_from_flux`): its operator comes from the
+split's cached per-power rows.  `functional` evaluates no full matrix
 (`eval_many`), and the polynomial coefficients are read only by the
 split, by the in-plane conductivity of the Neumann problem
 (`neumann.conductivity_blocks`), by anisotropy's own evaluators and by
@@ -27,23 +29,33 @@ ONLY = {
 NEVER = {
     "eval_many": {"transport", "functional"},
     "rational": {"transport"},
+    "weak_p1_rows": {"transport"},
+    "weak_p1_from_flux": {"transport"},
 }
 
 
 def _violations(source, module):
-    """(attribute, enclosing scope, line) of each read of a guarded
-    attribute (`family.poly_coeffs(xs)`, or the bound method taken
-    without a call) outside the places allowed to read it."""
+    """(name, enclosing scope, line) of each read of a guarded name --
+    an attribute (`family.poly_coeffs(xs)`, or the bound method taken
+    without a call), a bare name (`weak_p1_rows(mesh, q)`) or an import
+    of it -- outside the places allowed to read it."""
     out = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
+            names = []
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 inner = scope + (child.name,)
             elif isinstance(child, ast.Attribute):
-                name, where = child.attr, ".".join(scope)
+                names = [child.attr]
+            elif isinstance(child, ast.Name):
+                names = [child.id]
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [a.name.rsplit(".", 1)[-1] for a in child.names]
+            where = ".".join(scope)
+            for name in names:
                 if name in ONLY:
                     bad = not ({(module, where), (module, None)} & ONLY[name])
                 else:
@@ -88,6 +100,16 @@ def test_the_rule_sees_reads_by_scope_and_module():
                        "anisotropy") == [
         ("poly_coeffs", "AnisotropyFamily.rational", 3)]
     assert _violations("x = fam.rational_dt(xs, ts)", "transport") == []
+    assert _violations("from .functional import FluxSplit, weak_p1_rows\n"
+                       "def _flux_operator(mesh, g):\n"
+                       "    return weak_p1_rows(mesh, g)", "transport") == [
+        ("weak_p1_rows", "", 1), ("weak_p1_rows", "_flux_operator", 3)]
+    assert _violations("def f(mesh, h):\n"
+                       "    return functional.weak_p1_from_flux(mesh, h)",
+                       "transport") == [("weak_p1_from_flux", "f", 2)]
+    assert _violations("def weak_divergence(self, t):\n"
+                       "    return weak_p1_rows(self.mesh, t)",
+                       "functional") == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

@@ -320,6 +320,33 @@ def test_weak_dg0_boundary_term_matches_facet_loop(builder, n):
 
 
 
+def test_field_data_builds_no_weak_rows_per_power(monkeypatch):
+    # the forward map only evaluates the flux; the split's cached
+    # per-power weak rows are built for the least-squares update alone
+    splits = []
+
+    class Recording(functional.FluxSplit):
+        def __init__(self, *args):
+            super().__init__(*args)
+            splits.append(self)
+    monkeypatch.setattr(functional, "FluxSplit", Recording)
+    mesh = build_unit_square(6)
+    fam = builtin("D4")
+    gamma = interpolate_nodal(mesh, _gamma)
+    _, E = solve_field(mesh, fam, gamma)
+    functional.field_data(mesh, fam, gamma, E)
+    [split] = splits
+    assert "_weak_powers" not in vars(split)
+    # the first weak divergence builds them, read-only, and later calls
+    # reuse them
+    rows, c = split.weak_divergence(gamma.cell_means())
+    W, c0 = vars(split)["_weak_powers"]
+    assert not W.flags.writeable and not c0.flags.writeable
+    again = split.weak_divergence(gamma.cell_means())
+    assert vars(split)["_weak_powers"][0] is W
+    assert np.array_equal(again[0], rows) and np.array_equal(again[1], c)
+
+
 @pytest.mark.parametrize("refine", [1, 2])
 def test_mass_projection_matches_direct_solve(refine, monkeypatch):
     solves = []

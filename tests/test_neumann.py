@@ -225,9 +225,64 @@ def _spd_matrices(builder, n, preset):
     ones = NodalField(mesh, np.ones(mesh.num_vertices))
     _, E = solve_field(mesh, fam, ones)
     prob = tr.FluxFit(mesh, fam, E, synthesize(fam, gamma, mesh), ones)
-    L, _, scale = tr._ls_system(prob, ones.values, ones.values, 1e-2)
+    R = mesh.h1
+    L, _, scale = tr._ls_system(prob, ones.values, 1e-2, R @ ones.values,
+                                R.diagonal().mean())
     return (assemble(mesh, fam, gamma).matrix[1:, 1:],
             tr._normal_matrix(L, mesh.h1, scale))
+
+
+def _cg_case(kind):
+    """(A, b, x0, rtol, maxiter, precondition) of a solve the package
+    makes, A a sparse matrix or a callable: a pinned Neumann block preconditioned with the factor of a
+    nearby one, a least-squares step's normal operator with the factor
+    of the step before, and a Jacobi-preconditioned mass solve."""
+    if kind == "lagged neumann":
+        first, second = _perturbed_systems(count=2)
+        b = second.rhs - second.rhs.mean()
+        return (second.matrix[1:, 1:], b[1:], None, 1e-13, 20,
+                spd_factor(first.matrix[1:, 1:]).solve)
+    mesh = build_unit_square(9)
+    if kind == "mass":
+        rhs = mesh.mass @ np.cos(3.0 * mesh.vertices[:, 0])
+        dinv = 1.0 / mesh.mass.diagonal()
+        return mesh.mass, rhs, None, 1e-13, 200, lambda r: dinv * r
+    p = get_preset("example4")
+    fam, R = p.family(), mesh.h1
+    ones = NodalField(mesh, np.ones(mesh.num_vertices))
+    gstar = interpolate_nodal(mesh, p.gamma_star)
+    _, E = solve_field(mesh, fam, ones)
+    prob = tr.FluxFit(mesh, fam, E, synthesize(fam, gstar, mesh), ones)
+    penalty = (R @ ones.values, R.diagonal().mean())
+    L0, _, s0 = tr._ls_system(prob, ones.values, 1e-2, *penalty)
+    gamma = 0.5 * (ones.values + gstar.values)
+    L, rhs, scale = tr._ls_system(prob, gamma, 1e-2, *penalty)
+    return (tr._normal_operator(L, R, scale), rhs, gamma, 1e-10, 50,
+            spd_factor(tr._normal_matrix(L0, R, s0)).solve)
+
+
+@pytest.mark.parametrize("kind, maxiter", [("lagged neumann", None),
+                                           ("normal operator", None),
+                                           ("mass", None), ("mass", 3)])
+def test_pcg_repeats_scipy_cg_bit_for_bit(kind, maxiter):
+    # the one CG loop keeps scipy's iteration and arithmetic: the same
+    # iterate, exit code and iteration count, a miss included
+    A, b, x0, rtol, case_maxiter, precondition = _cg_case(kind)
+    maxiter = maxiter or case_maxiter
+    n = b.shape[0]
+    steps = []
+    want, want_info = spla.cg(
+        spla.LinearOperator((n, n), matvec=A, dtype=float) if callable(A)
+        else A, b, x0=x0, rtol=rtol, maxiter=maxiter,
+        M=spla.LinearOperator((n, n), matvec=precondition, dtype=float),
+        callback=lambda x: steps.append(1))
+    history = []
+    x, info = neumann.pcg(A if callable(A) else A.dot, b, x0, rtol, maxiter,
+                          precondition, history)
+    assert np.array_equal(x, want)
+    assert info == want_info
+    assert len(history) == len(steps) >= 2
+    assert (info == 0) == (maxiter == case_maxiter)
 
 
 @pytest.mark.parametrize("builder, n, preset",
@@ -266,6 +321,26 @@ def test_band_sums_duplicates_into_its_own_mapping():
     while isinstance(owner, np.ndarray):
         owner = owner.base
     assert isinstance(owner.obj, mmap.mmap)     # through a memoryview
+
+
+def test_band_of_a_csr_with_duplicates_leaves_it_as_it_is():
+    # a CSR matrix holding an entry twice is summed on a copy: the
+    # caller's matrix keeps its own data and index arrays
+    mesh = build_unit_square(5)
+    K = sp.tril(assemble(mesh, D1, _ones(mesh)).matrix).tocsr()
+    n = K.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(K.indptr))
+    order = np.argsort(np.r_[rows, rows], kind="stable")
+    doubled = sp.csr_matrix((np.r_[K.data, K.data][order],
+                             np.r_[K.indices, K.indices][order],
+                             2 * K.indptr), shape=K.shape)
+    assert not doubled.has_canonical_format
+    before = [a.copy() for a in (doubled.data, doubled.indices,
+                                 doubled.indptr)]
+    band = neumann._lower_band(doubled)
+    assert np.array_equal(band, 2 * neumann._lower_band(K))
+    for a, b in zip((doubled.data, doubled.indices, doubled.indptr), before):
+        assert np.array_equal(a, b)
 
 
 def test_indefinite_matrix_fails_the_factorization():

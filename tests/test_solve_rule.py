@@ -1,6 +1,8 @@
 """One solve path: in matmi, only neumann.LaggedFactor.solve factors an
 SPD system (`spd_factor`) and runs CG with that factor; the other CG is
-the factor-free Jacobi mass solve, functional._mass_solve.  Only
+the factor-free Jacobi mass solve, functional._mass_solve.  Both run the
+package's one CG loop, `neumann.pcg`: scipy's `cg` and the
+`LinearOperator` wrappers it needs are called nowhere.  Only
 spd_factor calls LAPACK's banded Cholesky and only its factor object
 solves with it; nothing calls scipy's sparse LU."""
 
@@ -14,7 +16,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmi"
 # callee -> the (module, function) pairs allowed to call it
 ALLOWED = {
     "spd_factor": {("neumann", "LaggedFactor.solve")},
-    "cg": {("neumann", "LaggedFactor.solve"), ("functional", "_mass_solve")},
+    "pcg": {("neumann", "LaggedFactor.solve"), ("functional", "_mass_solve")},
+    "cg": set(),
+    "LinearOperator": set(),
     "cholesky_banded": {("neumann", "spd_factor")},
     "cho_solve_banded": {("neumann", "_BandCholesky.solve")},
     "splu": set(),
@@ -56,7 +60,7 @@ _LAGGED = """
 class LaggedFactor:
     def solve(self, A, rhs):
         self.lu = spd_factor(A)
-        return spla.cg(A, rhs, M=self.lu)
+        return pcg(A, rhs, None, 1e-10, 20, self.lu.solve)
 """
 
 
@@ -64,9 +68,18 @@ def test_the_rule_sees_calls_by_scope_and_module():
     assert _violations(_LAGGED, "neumann") == []
     assert _violations(_LAGGED, "transport") == [
         ("spd_factor", "LaggedFactor.solve", 4),
-        ("cg", "LaggedFactor.solve", 5)]
-    assert _violations("def _mass_solve(M, r):\n    return cg(M, r)",
+        ("pcg", "LaggedFactor.solve", 5)]
+    assert _violations("def _mass_solve(M, r):\n"
+                       "    return pcg(M, r, None, 1e-13, 200, jacobi)",
                        "functional") == []
+    assert _violations("class LaggedFactor:\n"
+                       "    def solve(self, A, b):\n"
+                       "        M = spla.LinearOperator(A.shape, self.f)\n"
+                       "        return spla.cg(A, b, M=M)", "neumann") == [
+        ("LinearOperator", "LaggedFactor.solve", 3),
+        ("cg", "LaggedFactor.solve", 4)]
+    assert _violations("def _mass_solve(M, r):\n    return cg(M, r)",
+                       "functional") == [("cg", "_mass_solve", 2)]
     assert _violations("def step(A, r):\n    lu = spd_factor(A)\n"
                        "    return lu.solve(r)", "transport") == [
         ("spd_factor", "step", 2)]
