@@ -23,6 +23,7 @@ from .reconstruction import (CONVERGENCE_TOL, ConfigError, ReconConfig,
                              ReconError, reconstruct)
 from .stability import (contraction_report, field_difference_sweep,
                         smooth_perturbations, stability_sweep)
+from .transport import PICARD_REL_TOL
 from .vtkio import write_nodal_csv, write_slice_csv, write_vtk
 
 __all__ = ["main"]
@@ -38,27 +39,23 @@ def _out_root(args):
     return os.environ.get("MATMI_OUT_DIR", "artifacts")
 
 
-def _build_config(args, extra_overrides=None):
+def _build_config(args):
     """ReconConfig from --preset/--config plus key=value overrides."""
     overrides = {}
-    for kv in getattr(args, "overrides", []) or []:
+    for kv in args.overrides:
         if "=" not in kv:
             raise ConfigError("override %r is not a key=value pair" % kv)
         parsed = ReconConfig.from_text(kv)
         for key in parsed.explicit:
             overrides[key] = parsed.values[key]
     for key in ("n", "iterations", "refine"):
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             overrides[key] = val
-    if extra_overrides:
-        overrides.update(extra_overrides)
     if args.config:
         return ReconConfig.from_file(args.config).with_overrides(**overrides)
-    if args.preset:
-        overrides["preset"] = args.preset
-        return ReconConfig(**overrides)
-    raise ConfigError("either --preset or --config is required")
+    overrides["preset"] = args.preset
+    return ReconConfig(**overrides)
 
 
 def _run_name(args):
@@ -117,14 +114,15 @@ def cmd_run(args):
     print("final data residual: %.6g (initial %.6g)"
           % (trace.data_residual[-1], trace.initial_residual))
     print(_outer_loop_end(trace))
-    rel_tol = cfg["picard.rel_tol"]
-    open_loops = [k + 1 for k, hist in enumerate(trace.picard_changes)
-                  if hist and hist[-1] > rel_tol]
+    open_loops = [(k + 1, len(hist))
+                  for k, hist in enumerate(trace.picard_changes)
+                  if hist and hist[-1] > PICARD_REL_TOL]
     if open_loops:
+        rows, steps = zip(*open_loops)
         print("inner loop not converged: iteration(s) %s of %d stopped "
-              "after picard.max_outer = %d steps above picard.rel_tol = %g"
-              % (", ".join(map(str, open_loops)), len(trace.iterates),
-                 cfg["picard.max_outer"], rel_tol))
+              "after %s steps above the change tolerance %g"
+              % (", ".join(map(str, rows)), len(trace.iterates),
+                 ", ".join(map(str, steps)), PICARD_REL_TOL))
     return EXIT_OK
 
 
@@ -346,8 +344,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a preset or a config file")
-    run.add_argument("--preset", choices=PRESET_NAMES)
-    run.add_argument("--config", help="path to a key=value config file")
+    source = run.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=PRESET_NAMES)
+    source.add_argument("--config", help="path to a key=value config file")
     run.add_argument("--out", help="output root (default $MATMI_OUT_DIR "
                                    "or ./artifacts)")
     run.add_argument("--n", type=int, help="mesh resolution override")

@@ -240,28 +240,26 @@ class LaggedFactor:
     def __init__(self):
         self.factor = None
 
-    def solve(self, A, rhs, x0, rtol, maxiter, matrix=None, history=None):
+    def solve(self, matvec, matrix, rhs, x0, rtol, maxiter, history=None):
         """Solve the SPD system A x = rhs by CG (`pcg`) from x0 (None:
         zero) to a relative residual of rtol, preconditioned with the
-        held factor.  A is a sparse matrix or a callable x -> A x.
+        held factor.  `matvec` applies A (x -> A x), and `matrix()`
+        returns A as a sparse matrix, called only when A is factored.
 
         When the holder is empty, holds a factor of another size, or CG
-        has not converged within maxiter iterations, `matrix()` (default:
-        A itself, which must then be a sparse matrix) is factored, kept
-        here, and CG runs again from x0.  `history` collects the
-        relative residual of every CG iteration of either attempt (see
-        `pcg`).  Raises SolverError when the factorization fails or CG
-        misses even with the fresh factor.
+        has not converged within maxiter iterations, `matrix()` is
+        factored, kept here, and CG runs again from x0.  `history`
+        collects the relative residual of every CG iteration of either
+        attempt (see `pcg`).  Raises SolverError when the factorization
+        fails or CG misses even with the fresh factor.
         """
         n = rhs.shape[0]
-        matvec = A if callable(A) else A.dot
         lagged = self.factor is not None and self.factor.shape == (n, n)
         for fresh in ((False, True) if lagged else (True,)):
             if fresh:
                 self.factor = None          # release the old factor first
                 try:
-                    self.factor = spd_factor(A if matrix is None
-                                             else matrix())
+                    self.factor = spd_factor(matrix())
                 except RuntimeError as exc:
                     raise SolverError("factorization failed: %s" % exc, [])
             # the preconditioner is passed inline: a name bound to it would
@@ -305,9 +303,10 @@ def solve_mean_zero(system, tol=1e-10, factor=None):
 
     history = [1.0]
     holder = factor if factor is not None else LaggedFactor()
+    K1 = K[1:, 1:]
     try:
-        x1 = holder.solve(K[1:, 1:], b[1:], None, min(tol, _LAG_RTOL),
-                          _LAG_MAXITER, history=history)
+        x1 = holder.solve(K1.dot, lambda: K1, b[1:], None,
+                          min(tol, _LAG_RTOL), _LAG_MAXITER, history=history)
     except SolverError as exc:
         raise SolverError("pinned Neumann system: %s" % exc, history)
     x = np.r_[0.0, x1]

@@ -90,8 +90,7 @@ PRESETS = {
     "example2": ExperimentPreset(
         "example2", "D2", _two_gaussians, 48, 10, 100.0, (-0.5, 1.6),
         description="quadratic diagonal, two-Gaussian target",
-        config_defaults={"picard.adaptive": False, "picard.alpha": 4e-3,
-                         "picard.max_outer": 200}),
+        config_defaults={"picard.adaptive": False, "picard.alpha": 4e-3}),
     "example3": ExperimentPreset(
         "example3", "D3", _cosine_rings, 64, 10, 100.0, (-0.5, 2.5),
         description="nonlinear off-diagonal, oscillatory ring target"),

@@ -129,15 +129,12 @@ _DEFAULTS = {
     "t_hi": None,
     "data": None,
     "boundary_value": 1.0,
-    "picard.max_outer": 50,
-    "picard.rel_tol": 1e-6,
     "picard.alpha": 1e-2,
     "picard.adaptive": True,
 }
 
-_INT_KEYS = {"dim", "n", "iterations", "refine", "picard.max_outer"}
-_FLOAT_KEYS = {"lambda", "t_lo", "t_hi", "boundary_value",
-               "picard.rel_tol", "picard.alpha"}
+_INT_KEYS = {"dim", "n", "iterations", "refine"}
+_FLOAT_KEYS = {"lambda", "t_lo", "t_hi", "boundary_value", "picard.alpha"}
 _BOOL_KEYS = {"picard.adaptive"}
 
 
@@ -145,8 +142,9 @@ class ReconConfig:
     """Flat key=value reconstruction configuration.
 
     Recognized keys: preset, family, dim, n, iterations, refine, lambda,
-    t_lo, t_hi, data, boundary_value, and the picard.* transport-solver
-    controls.  Preset values fill any key left unset.
+    t_lo, t_hi, data, boundary_value, and the update's controls
+    picard.alpha and picard.adaptive.  Preset values fill any key left
+    unset.
     """
 
     def __init__(self, **kwargs):
@@ -249,11 +247,6 @@ class ReconConfig:
             raise ConfigError("iterations must be >= 1")
         if out["refine"] < 1:
             raise ConfigError("refine must be >= 1")
-        if out["picard.max_outer"] < 1:
-            raise ConfigError("picard.max_outer must be >= 1")
-        if not 0.0 < out["picard.rel_tol"] < 1.0:
-            raise ConfigError("picard.rel_tol must lie in (0, 1), got %g"
-                              % out["picard.rel_tol"])
         if not out["picard.alpha"] > 0.0:
             raise ConfigError("picard.alpha must be > 0, got %g"
                               % out["picard.alpha"])
@@ -280,8 +273,7 @@ _STEP_DAMPINGS = (1.0, 0.5)
 CONVERGENCE_TOL = 1e-2
 
 
-def _ls_update(problem, cfg, alpha, anchor, boundary_values, residual_fn,
-               res_prev):
+def _ls_update(problem, cfg, alpha, boundary_values, residual_fn, res_prev):
     """One outer update: least-squares transport solves, steps from the
     current iterate toward each solution, and their projections.
 
@@ -292,7 +284,9 @@ def _ls_update(problem, cfg, alpha, anchor, boundary_values, residual_fn,
     outer loop is monotone in the (observable) data misfit even where
     the plain fixed-point map is locally expansive.  The plain update is
     the one-candidate case: weight `alpha`, a full step, always
-    accepted.  A candidate whose solve fails is skipped.
+    accepted.  A candidate whose solve fails is skipped.  Each solve
+    (`solve_nonlinear_ls`) is anchored at the background value 1 and
+    stops by the inner-loop constants of `matmi.transport`.
 
     Every weight is solved before any residual is evaluated, so the
     least-squares factors are freed before the forward solves start.
@@ -308,9 +302,7 @@ def _ls_update(problem, cfg, alpha, anchor, boundary_values, residual_fn,
     for mult in mults:
         a = alpha * mult
         try:
-            solved.append((a, solve_nonlinear_ls(
-                problem, cfg["picard.max_outer"], cfg["picard.rel_tol"],
-                alpha=a, anchor=anchor)))
+            solved.append((a, solve_nonlinear_ls(problem, a)))
         except TransportError as exc:
             failures.append(str(exc))
     if not solved:
@@ -379,7 +371,6 @@ def reconstruct(config):
         raise ConfigError("cannot prepare the data: %s" % exc) from exc
     trace.data = data
 
-    gamma0 = NodalField(mesh, np.ones(mesh.num_vertices))
     et = etilde(mesh.cell_centroids)
     target_norm = (l2_norm_nodal(mesh, target.values)
                    if target is not None else float("nan"))
@@ -399,7 +390,8 @@ def reconstruct(config):
         return (float(np.sqrt(diff @ (mesh.h1 @ diff))),
                 l2_norm_nodal(mesh, diff), forward.field)
 
-    gamma = project(gamma0, cfg["box"], boundary_values)
+    gamma = project(NodalField(mesh, np.ones(mesh.num_vertices)), cfg["box"],
+                    boundary_values)
     trace.initial_error = rel_error(gamma)
     try:
         res_h1, trace.initial_residual, E = residual(gamma)
@@ -420,8 +412,7 @@ def reconstruct(config):
             try:
                 problem = FluxFit(mesh, family, E, data, gamma)
                 cand, alpha, changes, res = _ls_update(
-                    problem, cfg, alpha, gamma0, boundary_values, residual,
-                    res_h1)
+                    problem, cfg, alpha, boundary_values, residual, res_h1)
                 if cand is None:
                     trace.stalled_at = k + 1
                 else:

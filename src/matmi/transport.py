@@ -99,6 +99,11 @@ def _flux_operator(problem, gamma_bar_c):
     return assemble_p1(mesh, ke), c
 
 
+# The inner Picard loop stops once its plain change is at most
+# PICARD_REL_TOL, or after PICARD_MAX_STEPS steps.
+PICARD_REL_TOL = 1e-6
+PICARD_MAX_STEPS = 50
+
 # CG controls for the inner Picard steps: the frozen coefficients move
 # little from step to step, so an earlier step's factor is a near-exact
 # preconditioner.  A step after the first stops at _PCG_FORCING times the
@@ -112,10 +117,10 @@ _PCG_MAXITER = 50
 
 def _ls_system(problem, gamma, alpha, R_anchor, R_diag_mean):
     """One step of the regularized normal equations
-    (L^T L + scale R) x = L^T (b - c) + scale R anchor, frozen at the
-    iterate gamma, given R anchor and the mean of R's diagonal (which
-    no step changes).  Returns (L, rhs, scale); the normal matrix itself
-    is formed only to be factored (`_normal_matrix`).
+    (L^T L + scale R) x = L^T (b - c) + scale R 1, frozen at the
+    iterate gamma, given R_anchor = R 1 and the mean of R's diagonal
+    (which no step changes).  Returns (L, rhs, scale); the normal
+    matrix itself is formed only to be factored (`_normal_matrix`).
     """
     mesh = problem.mesh
     lo, hi = problem.family.t_range
@@ -172,14 +177,13 @@ def _anderson_step(fs, gs):
     return mixed
 
 
-def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor):
+def solve_nonlinear_ls(problem, alpha):
     """Picard iteration solving the frozen flux equation in least squares.
 
     Each step G minimizes ||L(gamma_bar) gamma - b||^2 plus an H1 penalty
-    alpha * ||gamma - anchor||_H1^2 (scaled to the normal matrix), with
-    `anchor` a NodalField; `reconstruct` passes the fixed background
-    field, so the penalty stays stationary across the outer loop but
-    pulls its limit toward that background.  It damps the
+    alpha * ||gamma - 1||_H1^2 (scaled to the normal matrix), anchored at
+    the background value 1, so the penalty stays stationary across the
+    outer loop but pulls its limit toward that background.  It damps the
     near-null-space components that arise on closed streamlines of
     the rotational field.  Every vertex value is an unknown: the boundary
     trace is left to the caller's projection.
@@ -192,9 +196,9 @@ def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor):
     mixing problem is too ill-conditioned or the mix is not finite.
     The recorded history is the plain change
     ||G(x_k) - x_k||_M / ||x_k||_M, and the loop stops once it is at
-    most rel_tol or after max_outer (>= 1) steps.  Either way the result is the
-    last plain step G(x_k), carrying the history as `picard_history`; a
-    caller that needs convergence reads it there.
+    most PICARD_REL_TOL or after PICARD_MAX_STEPS steps.  Either way the
+    result is the last plain step G(x_k), carrying the history as
+    `picard_history`; a caller that needs convergence reads it there.
 
     Every step runs CG warm-started from the current iterate, to a
     relative residual of _PCG_RTOL on the first step and of
@@ -214,14 +218,16 @@ def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor):
     holder = LaggedFactor()
     fs, gs = deque(maxlen=_AA_DEPTH + 1), deque(maxlen=_AA_DEPTH + 1)
     rtol = _PCG_RTOL
-    R_anchor, R_diag_mean = R @ anchor.values, R.diagonal().mean()
-    for _ in range(max_outer):
+    R_anchor = R @ np.ones(mesh.num_vertices)
+    R_diag_mean = R.diagonal().mean()
+    for _ in range(PICARD_MAX_STEPS):
         L, rhs, scale = _ls_system(problem, gamma, alpha, R_anchor,
                                    R_diag_mean)
         try:
             new_vals = holder.solve(
-                _normal_operator(L, R, scale), rhs, gamma, rtol,
-                _PCG_MAXITER, matrix=lambda: _normal_matrix(L, R, scale))
+                _normal_operator(L, R, scale),
+                lambda: _normal_matrix(L, R, scale), rhs, gamma, rtol,
+                _PCG_MAXITER)
         except SolverError as exc:
             raise TransportError("least-squares step: %s" % exc, history)
         if not np.all(np.isfinite(new_vals)):
@@ -230,7 +236,7 @@ def solve_nonlinear_ls(problem, max_outer, rel_tol, alpha, anchor):
         change = l2_norm_nodal(mesh, new_vals - gamma)
         scale_g = max(l2_norm_nodal(mesh, gamma), 1e-30)
         history.append(change / scale_g)
-        if history[-1] <= rel_tol:
+        if history[-1] <= PICARD_REL_TOL:
             break
         rtol = max(_PCG_RTOL, _PCG_FORCING * history[-1])
         fs.append(new_vals - gamma)

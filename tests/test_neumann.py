@@ -349,7 +349,8 @@ def test_indefinite_matrix_fails_the_factorization():
     # shifted by its mean diagonal, K has eigenvalues of both signs
     A = (K - K.diagonal().mean() * sp.identity(K.shape[0])).tocsr()
     with pytest.raises(SolverError, match="factorization failed"):
-        neumann.LaggedFactor().solve(A, np.ones(A.shape[0]), None, 1e-10, 20)
+        neumann.LaggedFactor().solve(A.dot, lambda: A, np.ones(A.shape[0]),
+                                     None, 1e-10, 20)
 
 
 @pytest.mark.parametrize("builder", [build_unit_square, build_unit_cube])

@@ -109,24 +109,27 @@ def test_dg0_same_mesh_data_pairing():
     assert np.abs(sol.values - gstar.cell_means()).max() <= 2.0 / mesh.n
 
 
-def test_ls_picard_recovers_truth_with_true_field():
+def test_ls_picard_recovers_truth_with_true_field(monkeypatch):
+    _tight_inner_loop(monkeypatch)
     mesh, fam, fn, gstar, data, E = _gaussian_case()
     ones = NodalField(mesh, np.ones(mesh.num_vertices))
     prob = tr.FluxFit(mesh, fam, E, data, ones)
-    sol = tr.solve_nonlinear_ls(prob, 40, 1e-9, alpha=1e-2, anchor=ones)
+    sol = tr.solve_nonlinear_ls(prob, alpha=1e-2)
     err = l2_norm_nodal(mesh, sol.values - gstar.values)
     err /= l2_norm_nodal(mesh, gstar.values)
     assert err <= 0.05 * l2_norm_nodal(mesh, 1.0 - gstar.values) \
         / l2_norm_nodal(mesh, gstar.values) + 0.05
 
 
-def test_max_outer_returns_the_last_step_with_its_history():
-    # an inner loop cut off before rel_tol is not an error: the caller
-    # reads the history to see that it stopped early
+def test_max_outer_returns_the_last_step_with_its_history(monkeypatch):
+    # an inner loop cut off before its tolerance is not an error: the
+    # caller reads the history to see that it stopped early
+    monkeypatch.setattr(tr, "PICARD_MAX_STEPS", 1)
+    monkeypatch.setattr(tr, "PICARD_REL_TOL", 1e-14)
     mesh, fam, fn, gstar, data, E = _gaussian_case(n=16)
     ones = NodalField(mesh, np.ones(mesh.num_vertices))
     prob = tr.FluxFit(mesh, fam, E, data, ones)
-    sol = tr.solve_nonlinear_ls(prob, 1, 1e-14, alpha=1e-2, anchor=ones)
+    sol = tr.solve_nonlinear_ls(prob, alpha=1e-2)
     assert np.all(np.isfinite(sol.values))
     assert len(sol.picard_history) == 1
     assert sol.picard_history[0] > 1e-14
@@ -267,33 +270,39 @@ def _d4_case(n=16):
     ones = NodalField(mesh, np.ones(mesh.num_vertices))
     data = synthesize(fam, p.gamma_star, mesh)
     _, E = solve_field(mesh, fam, ones)
-    prob = tr.FluxFit(mesh, fam, E, data, ones)
-    opts = (40, 1e-9)                   # max_outer, rel_tol
-    return prob, opts, ones
+    return tr.FluxFit(mesh, fam, E, data, ones)
 
 
-def _reference_ls(prob, opts, alpha, anchor):
+def _tight_inner_loop(monkeypatch):
+    """Up to 40 inner steps to a change of 1e-9, tighter than the
+    constants, for the tests that compare a solve with a reference
+    solution to 1e-8 or with the truth."""
+    monkeypatch.setattr(tr, "PICARD_MAX_STEPS", 40)
+    monkeypatch.setattr(tr, "PICARD_REL_TOL", 1e-9)
+
+
+def _reference_ls(prob, alpha):
     """The least-squares Picard loop with the normal matrix formed
-    explicitly and a direct spsolve per step."""
+    explicitly and a direct spsolve per step, under the inner-loop
+    constants of `matmi.transport`."""
     mesh = prob.mesh
     gamma = prob.gamma_ref.values.copy()
     R = mesh.h1
     steps = 0
-    max_outer, rel_tol = opts
-    for _ in range(max_outer):
+    for _ in range(tr.PICARD_MAX_STEPS):
         gbar = np.clip(NodalField(mesh, gamma).cell_means(),
                        *prob.family.t_range)
         L, c = tr._flux_operator(prob, gbar)
         N = (L.T @ L).tocsr()
         scale = alpha * N.diagonal().mean() / R.diagonal().mean()
         A = N + scale * R
-        rhs = L.T @ (prob.data.p1_weak - c) + scale * (R @ anchor.values)
+        rhs = L.T @ (prob.data.p1_weak - c) + scale * (R @ np.ones(gamma.size))
         new = spla.spsolve(A.tocsc(), rhs)
         change = (l2_norm_nodal(mesh, new - gamma)
                   / l2_norm_nodal(mesh, gamma))
         gamma = new
         steps += 1
-        if change <= rel_tol:
+        if change <= tr.PICARD_REL_TOL:
             break
     return gamma, steps
 
@@ -327,19 +336,20 @@ def _exact_picard(monkeypatch):
 
 def test_lagged_factor_matches_direct_picard(monkeypatch):
     _exact_picard(monkeypatch)
-    prob, opts, ones = _d4_case()
-    ref, steps = _reference_ls(prob, opts, 1e-2, ones)
+    _tight_inner_loop(monkeypatch)
+    prob = _d4_case()
+    ref, steps = _reference_ls(prob, 1e-2)
     assert steps >= 4
     factor_calls = _count_factors(monkeypatch)
-    sol = tr.solve_nonlinear_ls(prob, *opts, alpha=1e-2, anchor=ones)
+    sol = tr.solve_nonlinear_ls(prob, alpha=1e-2)
     _assert_matches_reference(sol, ref, steps)
     # later steps reuse an earlier factor instead of factoring their own
     assert len(factor_calls) < steps
 
 
 def test_normal_operator_matches_explicit_matrix():
-    prob, opts, ones = _d4_case()
-    gbar = np.clip(ones.cell_means(), *prob.family.t_range)
+    prob = _d4_case()
+    gbar = np.clip(prob.gamma_ref.cell_means(), *prob.family.t_range)
     L, _ = tr._flux_operator(prob, gbar)
     A = tr._normal_matrix(L, prob.mesh.h1, 0.3)
     op = tr._normal_operator(L, prob.mesh.h1, 0.3)
@@ -351,8 +361,9 @@ def test_normal_operator_matches_explicit_matrix():
 
 def test_refactors_when_pcg_gives_up(monkeypatch):
     _exact_picard(monkeypatch)
-    prob, opts, ones = _d4_case()
-    ref, steps = _reference_ls(prob, opts, 1e-2, ones)
+    _tight_inner_loop(monkeypatch)
+    prob = _d4_case()
+    ref, steps = _reference_ls(prob, 1e-2)
     factor_calls = _count_factors(monkeypatch)
     real_pcg, factors_seen = neumann.pcg, [0]
 
@@ -363,7 +374,7 @@ def test_refactors_when_pcg_gives_up(monkeypatch):
         factors_seen[0] = len(factor_calls)
         return real_pcg(matvec, b, x0, rtol, maxiter, *args)
     monkeypatch.setattr(neumann, "pcg", lagged_gives_up)
-    sol = tr.solve_nonlinear_ls(prob, *opts, alpha=1e-2, anchor=ones)
+    sol = tr.solve_nonlinear_ls(prob, alpha=1e-2)
     _assert_matches_reference(sol, ref, steps)
     assert len(factor_calls) == steps
 
@@ -372,19 +383,21 @@ def test_cg_missing_with_a_fresh_factor_is_a_transport_error(monkeypatch):
     # the CG loop tests convergence at the top of the next iteration, so
     # with maxiter=1 even the exact fresh factor reports a miss: the step
     # must fail loudly rather than return an unconverged solve
-    prob, opts, ones = _d4_case(n=8)
+    prob = _d4_case(n=8)
     factor_calls = _count_factors(monkeypatch)
     monkeypatch.setattr(tr, "_PCG_MAXITER", 1)
     with pytest.raises(tr.TransportError, match="fresh factor") as err:
-        tr.solve_nonlinear_ls(prob, *opts, alpha=1e-2, anchor=ones)
+        tr.solve_nonlinear_ls(prob, alpha=1e-2)
     assert len(factor_calls) == 1
     assert err.value.history == []
 
 
-def test_anderson_mixing_reaches_the_same_fixed_point_in_fewer_steps():
-    prob, opts, ones = _d4_case()
-    ref, steps = _reference_ls(prob, opts, 1e-2, ones)
-    sol = tr.solve_nonlinear_ls(prob, *opts, alpha=1e-2, anchor=ones)
+def test_anderson_mixing_reaches_the_same_fixed_point_in_fewer_steps(
+        monkeypatch):
+    _tight_inner_loop(monkeypatch)
+    prob = _d4_case()
+    ref, steps = _reference_ls(prob, 1e-2)
+    sol = tr.solve_nonlinear_ls(prob, alpha=1e-2)
     assert len(sol.picard_history) < steps
     assert np.abs(sol.values - ref).max() <= 1e-8 * np.abs(ref).max()
 
@@ -432,10 +445,10 @@ def test_anderson_step_is_plain_when_the_mix_is_not_finite():
 
 
 def test_factorization_failure_is_a_transport_error(monkeypatch):
-    prob, opts, ones = _d4_case(n=8)
+    prob = _d4_case(n=8)
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
     monkeypatch.setattr(neumann, "spd_factor", singular)
     with pytest.raises(tr.TransportError, match="factorization failed"):
-        tr.solve_nonlinear_ls(prob, *opts, alpha=1e-2, anchor=ones)
+        tr.solve_nonlinear_ls(prob, alpha=1e-2)
