@@ -286,7 +286,8 @@ def _ls_update(problem, cfg, alpha, boundary_values, residual_fn, res_prev):
     the one-candidate case: weight `alpha`, a full step, always
     accepted.  A candidate whose solve fails is skipped.  Each solve
     (`solve_nonlinear_ls`) is anchored at the background value 1 and
-    stops by the inner-loop constants of `matmi.transport`.
+    stops by the inner-loop constants of `matmi.transport` (a change of
+    1e-4); the weights share `problem` and what it caches.
 
     Every weight is solved before any residual is evaluated, so the
     least-squares factors are freed before the forward solves start.

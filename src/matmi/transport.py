@@ -75,6 +75,13 @@ class FluxFit:
         the candidate weights of one adaptive update share it."""
         return FluxSplit(self.mesh, self.family, self.E)
 
+    @functools.cached_property
+    def first_system(self):
+        """`_frozen_parts` and L^T L at gamma_ref, where every weight's
+        inner loop starts: the weights of one update share them too."""
+        L, Ltb, diag_mean = _frozen_parts(self, self.gamma_ref.values)
+        return L, Ltb, diag_mean, (L.T @ L).tocsr()
+
 
 # -- least-squares P1 Picard solver -------------------------------------
 
@@ -95,13 +102,15 @@ def _flux_operator(problem, gamma_bar_c):
     nloc = mesh.dim + 1
     rows, c = problem.flux_split.weak_divergence(gamma_bar_c)
     rows /= nloc
-    ke = np.broadcast_to(rows[:, :, None], rows.shape + (nloc,))
+    ke = np.repeat(rows, nloc, axis=1).reshape(rows.shape + (nloc,))
     return assemble_p1(mesh, ke), c
 
 
 # The inner Picard loop stops once its plain change is at most
-# PICARD_REL_TOL, or after PICARD_MAX_STEPS steps.
-PICARD_REL_TOL = 1e-6
+# PICARD_REL_TOL, or after PICARD_MAX_STEPS steps.  The outer loop ranks
+# candidates by forward residual only, and a change below 1e-4 alters
+# neither which one wins nor how the run ends (an inexact solve, as CG's).
+PICARD_REL_TOL = 1e-4
 PICARD_MAX_STEPS = 50
 
 # CG controls for the inner Picard steps: the frozen coefficients move
@@ -115,27 +124,33 @@ _PCG_FORCING = 1e-2
 _PCG_MAXITER = 50
 
 
-def _ls_system(problem, gamma, alpha, R_anchor, R_diag_mean):
-    """One step of the regularized normal equations
-    (L^T L + scale R) x = L^T (b - c) + scale R 1, frozen at the
-    iterate gamma, given R_anchor = R 1 and the mean of R's diagonal
-    (which no step changes).  Returns (L, rhs, scale); the normal
-    matrix itself is formed only to be factored (`_normal_matrix`).
-    """
+def _frozen_parts(problem, gamma):
+    """(L, L^T (b - c), mean of diag(L^T L)) frozen at the iterate gamma."""
     mesh = problem.mesh
     lo, hi = problem.family.t_range
     gbar_c = np.clip(NodalField(mesh, gamma).cell_means(), lo, hi)
     L, c = _flux_operator(problem, gbar_c)
     # diag(L^T L) holds the squared norms of the columns of L
     diag_n = np.bincount(L.indices, L.data ** 2, minlength=mesh.num_vertices)
-    scale = alpha * diag_n.mean() / R_diag_mean
-    rhs = L.T @ (problem.data.p1_weak - c) + scale * R_anchor
-    return L, rhs, scale
+    return L, L.T @ (problem.data.p1_weak - c), diag_n.mean()
 
 
-def _normal_matrix(L, R, scale):
-    """L^T L + scale R as an explicit CSR matrix."""
-    return (L.T @ L).tocsr() + scale * R
+def _ls_system(problem, gamma, alpha, R_anchor, R_diag_mean):
+    """One step of the regularized normal equations
+    (L^T L + scale R) x = L^T (b - c) + scale R 1 frozen at gamma
+    (`first_system` at gamma_ref itself), given R_anchor = R 1 and the
+    mean of R's diagonal.  Returns (L, rhs, scale); the normal matrix
+    is formed only to be factored (`_normal_matrix`)."""
+    L, Ltb, diag_mean = (problem.first_system[:3]
+                         if gamma is problem.gamma_ref.values
+                         else _frozen_parts(problem, gamma))
+    scale = alpha * diag_mean / R_diag_mean
+    return L, Ltb + scale * R_anchor, scale
+
+
+def _normal_matrix(L, R, scale, LtL=None):
+    """L^T L + scale R as an explicit CSR matrix (LtL: L^T L, if held)."""
+    return ((L.T @ L).tocsr() if LtL is None else LtL) + scale * R
 
 
 def _normal_operator(L, R, scale):
@@ -204,12 +219,12 @@ def solve_nonlinear_ls(problem, alpha):
     relative residual of _PCG_RTOL on the first step and of
     max(_PCG_RTOL, _PCG_FORCING * last recorded change) after it,
     applying the normal matrix through L and R without forming L^T L,
-    through one neumann.LaggedFactor per call: the first step forms its
-    normal matrix and factors it, and later steps are preconditioned
-    with the latest factor and factor their own system only if CG has
-    not converged within _PCG_MAXITER iterations.  A failed
-    factorization, CG missing even with a fresh factor, or a non-finite
-    step is a TransportError.
+    through one neumann.LaggedFactor per call: the first step factors
+    its normal matrix (from the problem's `first_system`), and later
+    steps are preconditioned with the latest factor and factor their
+    own system only if CG has not converged within _PCG_MAXITER
+    iterations.  A failed factorization, CG missing even with a fresh
+    factor, or a non-finite step is a TransportError.
     """
     mesh = problem.mesh
     R = mesh.h1
@@ -220,13 +235,14 @@ def solve_nonlinear_ls(problem, alpha):
     rtol = _PCG_RTOL
     R_anchor = R @ np.ones(mesh.num_vertices)
     R_diag_mean = R.diagonal().mean()
+    LtL = problem.first_system[3]        # the first step's, at gamma_ref
     for _ in range(PICARD_MAX_STEPS):
         L, rhs, scale = _ls_system(problem, gamma, alpha, R_anchor,
                                    R_diag_mean)
         try:
             new_vals = holder.solve(
                 _normal_operator(L, R, scale),
-                lambda: _normal_matrix(L, R, scale), rhs, gamma, rtol,
+                lambda: _normal_matrix(L, R, scale, LtL), rhs, gamma, rtol,
                 _PCG_MAXITER)
         except SolverError as exc:
             raise TransportError("least-squares step: %s" % exc, history)
@@ -242,6 +258,7 @@ def solve_nonlinear_ls(problem, alpha):
         fs.append(new_vals - gamma)
         gs.append(new_vals)
         gamma = _anderson_step(fs, gs)
+        LtL = None
     out = NodalField(mesh, new_vals)
     out.picard_history = history
     return out

@@ -218,6 +218,26 @@ def test_per_call_invariants_are_built_once(monkeypatch, count_calls):
                       "FluxSplit": 2, "_normal_matrix": factored}
 
 
+def test_each_update_builds_its_first_frozen_system_once(monkeypatch):
+    # the three weights of an adaptive update all start at gamma_ref:
+    # the flux operator there is built once per update, not per weight
+    from matmi import reconstruction as rc
+    from matmi import transport as tr
+    at_ref, real = [], tr._flux_operator
+
+    def recording(problem, gamma_bar_c):
+        ref = np.clip(problem.gamma_ref.cell_means(), *problem.family.t_range)
+        if np.array_equal(gamma_bar_c, ref):
+            at_ref.append(problem)
+        return real(problem, gamma_bar_c)
+    monkeypatch.setattr(tr, "_flux_operator", recording)
+    lsq = _counting(monkeypatch, rc, "solve_nonlinear_ls")
+    trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=2))
+    assert len(trace.iterates) == 2
+    assert len(lsq) == 2 * len(rc._ALPHA_MULTIPLIERS)
+    assert len(at_ref) == 2 and at_ref[0] is not at_ref[1]
+
+
 def _counting(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)

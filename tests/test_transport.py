@@ -196,6 +196,27 @@ def test_flux_operator_matches_facet_loop(builder, n, preset):
     assert np.array_equal(c, c_ref)
 
 
+@pytest.mark.parametrize("builder, n, preset",
+                         [(build_unit_square, 9, "example4"),
+                          (build_unit_cube, 4, "example6")])
+def test_flux_operator_sums_the_rows_broadcast_over_the_columns(
+        builder, n, preset):
+    # L's local matrices repeat each local row over the columns in a
+    # contiguous array: the same values in the same order as the
+    # broadcast view of the rows, so the same sums
+    p = get_preset(preset)
+    mesh = builder(n)
+    fam = p.family()
+    gs = interpolate_nodal(mesh, p.gamma_star)
+    _, E = solve_field(mesh, fam, gs)
+    prob = tr.FluxFit(mesh, fam, E, None, gs)
+    gbar = np.clip(gs.cell_means(), *fam.t_range)
+    L, _ = tr._flux_operator(prob, gbar)
+    rows = prob.flux_split.weak_divergence(gbar)[0] / (mesh.dim + 1)
+    ke = np.broadcast_to(rows[:, :, None], rows.shape + (mesh.dim + 1,))
+    assert np.array_equal(L.data, tr.assemble_p1(mesh, ke).data)
+
+
 @pytest.mark.parametrize("builder, n", [(build_unit_square, 8),
                                         (build_unit_cube, 4)])
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -271,6 +292,20 @@ def _d4_case(n=16):
     data = synthesize(fam, p.gamma_star, mesh)
     _, E = solve_field(mesh, fam, ones)
     return tr.FluxFit(mesh, fam, E, data, ones)
+
+
+def test_weights_sharing_the_first_system_match_fresh_problems():
+    # the weights of one adaptive update solve one problem, whose first
+    # frozen system is built once; each solve is bit-identical to the
+    # same weight's solve of a problem of its own
+    prob = _d4_case()
+    for alpha in (4e-3, 1e-2, 2.5e-2):
+        fresh = tr.FluxFit(prob.mesh, prob.family, prob.E, prob.data,
+                           prob.gamma_ref)
+        shared = tr.solve_nonlinear_ls(prob, alpha)
+        alone = tr.solve_nonlinear_ls(fresh, alpha)
+        assert np.array_equal(shared.values, alone.values)
+        assert shared.picard_history == alone.picard_history
 
 
 def _tight_inner_loop(monkeypatch):
