@@ -269,8 +269,7 @@ def _verify_preset(name, outdir):
 
 
 def cmd_verify(args):
-    names = args.preset_names or ([args.preset] if args.preset
-                                  else list(PRESET_NAMES))
+    names = args.preset_names or list(PRESET_NAMES)
     root = _out_root(args)
     all_ok = True
     for name in names:
@@ -286,7 +285,7 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     family = builtin(args.family).with_t_range(args.t_lo, args.t_hi)
-    sizes = args.n or [32, 64]
+    sizes = args.n or ([32, 64] if args.dim == 2 else [8, 16])
     if min(sizes) < 2:
         raise ConfigError("--n must be at least 2, got %d" % min(sizes))
     if args.count < 1:
@@ -365,7 +364,6 @@ def build_parser():
                                  "thresholds")
     verify.add_argument("preset_names", nargs="*", metavar="preset",
                         help="preset names (default: all six)")
-    verify.add_argument("--preset", choices=PRESET_NAMES)
     verify.add_argument("--out")
     verify.set_defaults(func=cmd_verify)
 
@@ -374,7 +372,8 @@ def build_parser():
     sweep.add_argument("--family", default="D1")
     sweep.add_argument("--dim", type=int, default=2, choices=(2, 3))
     sweep.add_argument("--n", type=int, action="append",
-                       help="mesh resolution(s); repeatable")
+                       help="mesh resolution(s); repeatable (default: "
+                            "32 and 64 in 2D, 8 and 16 in 3D)")
     sweep.add_argument("--count", type=int, default=20)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--amplitude", type=float, default=0.05)
@@ -391,7 +390,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ConfigError, KeyError) as exc:
-        print("configuration error: %s" % exc, file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print("configuration error: %s" % message, file=sys.stderr)
         return EXIT_CONFIG
     except (ReconError, SolverError) as exc:
         print("solver error: %s" % exc, file=sys.stderr)

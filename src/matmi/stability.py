@@ -95,9 +95,7 @@ def _in_range(values, family):
 
 
 def _grad_condition(mesh, delta, norm_delta):
-    grads = NodalField(mesh, delta).cell_gradients()
-    gnorm = float(np.sqrt(np.dot(mesh.cell_volumes,
-                                 (grads * grads).sum(axis=1))))
+    gnorm = l2_norm_cell(mesh, NodalField(mesh, delta).cell_gradients())
     return gnorm / norm_delta if norm_delta > 0 else 0.0
 
 

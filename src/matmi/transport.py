@@ -135,30 +135,6 @@ def _frozen_parts(problem, gamma):
     return L, L.T @ (problem.data.p1_weak - c), diag_n.mean()
 
 
-def _ls_system(problem, gamma, alpha, R_anchor, R_diag_mean):
-    """One step of the regularized normal equations
-    (L^T L + scale R) x = L^T (b - c) + scale R 1 frozen at gamma
-    (`first_system` at gamma_ref itself), given R_anchor = R 1 and the
-    mean of R's diagonal.  Returns (L, rhs, scale); the normal matrix
-    is formed only to be factored (`_normal_matrix`)."""
-    L, Ltb, diag_mean = (problem.first_system[:3]
-                         if gamma is problem.gamma_ref.values
-                         else _frozen_parts(problem, gamma))
-    scale = alpha * diag_mean / R_diag_mean
-    return L, Ltb + scale * R_anchor, scale
-
-
-def _normal_matrix(L, R, scale, LtL=None):
-    """L^T L + scale R as an explicit CSR matrix (LtL: L^T L, if held)."""
-    return ((L.T @ L).tocsr() if LtL is None else LtL) + scale * R
-
-
-def _normal_operator(L, R, scale):
-    """x -> (L^T L + scale R) x, applying L, L^T and R."""
-    LT = L.T
-    return lambda x: LT @ (L @ x) + scale * (R @ x)
-
-
 # Anderson mixing of the inner Picard steps: the number of differences
 # kept, and the largest condition number of the difference matrix used.
 _AA_DEPTH = 3
@@ -215,15 +191,18 @@ def solve_nonlinear_ls(problem, alpha):
     result is the last plain step G(x_k), carrying the history as
     `picard_history`; a caller that needs convergence reads it there.
 
-    Every step runs CG warm-started from the current iterate, to a
-    relative residual of _PCG_RTOL on the first step and of
-    max(_PCG_RTOL, _PCG_FORCING * last recorded change) after it,
-    applying the normal matrix through L and R without forming L^T L,
-    through one neumann.LaggedFactor per call: the first step factors
-    its normal matrix (from the problem's `first_system`), and later
-    steps are preconditioned with the latest factor and factor their
-    own system only if CG has not converged within _PCG_MAXITER
-    iterations.  A failed factorization, CG missing even with a fresh
+    Every step solves (L^T L + scale R) x = L^T (b - c) + scale R 1,
+    scale = alpha * mean diag(L^T L) / mean diag(R), frozen at the
+    current iterate: from the problem's `first_system` on the first
+    step, from `_frozen_parts` at the mixed iterate after it.  CG runs
+    warm-started from the current iterate, to a relative residual of
+    _PCG_RTOL on the first step and of max(_PCG_RTOL, _PCG_FORCING *
+    last recorded change) after it, applying the normal matrix through
+    L and R, through one neumann.LaggedFactor per call: the first step
+    factors its normal matrix, and later steps are preconditioned with
+    the latest factor and factor their own only if CG has not converged
+    within _PCG_MAXITER iterations; a normal matrix is formed only to be
+    factored.  A failed factorization, CG missing even with a fresh
     factor, or a non-finite step is a TransportError.
     """
     mesh = problem.mesh
@@ -235,15 +214,17 @@ def solve_nonlinear_ls(problem, alpha):
     rtol = _PCG_RTOL
     R_anchor = R @ np.ones(mesh.num_vertices)
     R_diag_mean = R.diagonal().mean()
-    LtL = problem.first_system[3]        # the first step's, at gamma_ref
-    for _ in range(PICARD_MAX_STEPS):
-        L, rhs, scale = _ls_system(problem, gamma, alpha, R_anchor,
-                                   R_diag_mean)
+    # the system frozen at gamma; L^T L is held on the first step only
+    L, Ltb, diag_mean, LtL = problem.first_system
+    while True:
+        LT = L.T
+        scale = alpha * diag_mean / R_diag_mean
         try:
             new_vals = holder.solve(
-                _normal_operator(L, R, scale),
-                lambda: _normal_matrix(L, R, scale, LtL), rhs, gamma, rtol,
-                _PCG_MAXITER)
+                lambda x: LT @ (L @ x) + scale * (R @ x),
+                lambda: ((LT @ L).tocsr() if LtL is None else LtL)
+                + scale * R,
+                Ltb + scale * R_anchor, gamma, rtol, _PCG_MAXITER)
         except SolverError as exc:
             raise TransportError("least-squares step: %s" % exc, history)
         if not np.all(np.isfinite(new_vals)):
@@ -252,12 +233,13 @@ def solve_nonlinear_ls(problem, alpha):
         change = l2_norm_nodal(mesh, new_vals - gamma)
         scale_g = max(l2_norm_nodal(mesh, gamma), 1e-30)
         history.append(change / scale_g)
-        if history[-1] <= PICARD_REL_TOL:
+        if history[-1] <= PICARD_REL_TOL or len(history) >= PICARD_MAX_STEPS:
             break
         rtol = max(_PCG_RTOL, _PCG_FORCING * history[-1])
         fs.append(new_vals - gamma)
         gs.append(new_vals)
         gamma = _anderson_step(fs, gs)
+        L, Ltb, diag_mean = _frozen_parts(problem, gamma)
         LtL = None
     out = NodalField(mesh, new_vals)
     out.picard_history = history

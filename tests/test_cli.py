@@ -471,6 +471,44 @@ def test_sweep_rejects_bad_input_with_exit_2(tmp_path, capsys, args,
     assert not (tmp_path / "sweeps").exists()
 
 
+@pytest.mark.parametrize("command,message", [
+    (["verify", "example9"], "unknown preset 'example9'; choose from "),
+    (["sweep", "--family", "D9"], "unknown builtin family 'D9' "),
+], ids=["verify", "sweep"])
+def test_unknown_name_prints_the_message_unquoted(tmp_path, capsys, command,
+                                                  message):
+    code = main([*command, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: "
+                                              + message)
+
+
+def test_verify_takes_presets_by_position_only(capsys):
+    # a --preset flag next to positional names was silently dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--preset", "example1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim, builder, sizes",
+                         [(2, "build_unit_square", [32, 64]),
+                          (3, "build_unit_cube", [8, 16])])
+def test_sweep_default_sizes_follow_the_dimension(tmp_path, monkeypatch,
+                                                  dim, builder, sizes):
+    # the sizes are recorded and a small mesh is built in their place: a
+    # 3D band at n=64 would not fit in memory
+    real, built = getattr(cli, builder), []
+
+    def recording(n):
+        built.append(n)
+        return real(4 if dim == 2 else 2)
+    monkeypatch.setattr(cli, builder, recording)
+    assert main(["sweep", "--dim", str(dim), "--count", "1",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert built == sizes
+
+
 def test_run_writes_partial_artifacts_when_an_update_fails(tmp_path, capsys,
                                                           monkeypatch):
     # every update after the first fails: the first row is written, and

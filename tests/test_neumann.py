@@ -172,6 +172,30 @@ def test_shared_holder_refactors_on_a_size_change(monkeypatch):
     assert holder.factor.shape == (nv - 1, nv - 1)
 
 
+def test_lagged_factor_forms_the_matrix_only_to_factor_it(monkeypatch):
+    # matrix() is called once per factorization -- on an empty holder, a
+    # size change and a CG miss -- and never when the lagged factor
+    # suffices
+    small = _perturbed_systems(8, count=2)
+    large = _perturbed_systems(12, count=2)
+    factor_calls = _count_factors(monkeypatch)
+    holder = neumann.LaggedFactor()
+    formed = []
+    # two lagged iterations miss 1e-13 on the second large system
+    for system, maxiter, factored in ((small[0], 20, 1), (small[1], 20, 1),
+                                      (large[0], 20, 2), (large[1], 2, 3)):
+        K = system.matrix[1:, 1:]
+        b = (system.rhs - system.rhs.mean())[1:]
+
+        def matrix():
+            formed.append(K.shape)
+            return K
+        x = holder.solve(K.dot, matrix, b, None, 1e-13, maxiter)
+        _assert_close(x, spla.spsolve(K.tocsc(), b))
+        assert len(formed) == len(factor_calls) == factored
+        assert formed[-1] == K.shape
+
+
 def test_lagged_factor_is_released_before_refactoring(monkeypatch):
     # the two factors of a refactoring solve never coexist
     first, second = _perturbed_systems(count=2)
@@ -216,6 +240,19 @@ def test_failed_refactorization_is_solver_error(monkeypatch):
         solve_mean_zero(second, factor=holder)
 
 
+def _normal_system(prob, gamma, alpha=1e-2):
+    """The normal matrix L^T L + scale R of a least-squares step frozen
+    at gamma, its operator and its right-hand side, built from the
+    step's frozen parts and the H1 matrix R as `solve_nonlinear_ls`
+    builds them."""
+    R = prob.mesh.h1
+    L, Ltb, diag_mean = tr._frozen_parts(prob, gamma)
+    scale = alpha * diag_mean / R.diagonal().mean()
+    return ((L.T @ L).tocsr() + scale * R,
+            lambda x: L.T @ (L @ x) + scale * (R @ x),
+            Ltb + scale * (R @ np.ones(gamma.size)))
+
+
 def _spd_matrices(builder, n, preset):
     """The pinned Neumann block at the preset's true gamma and the normal
     matrix of the first least-squares update from gamma = 1."""
@@ -225,11 +262,8 @@ def _spd_matrices(builder, n, preset):
     ones = NodalField(mesh, np.ones(mesh.num_vertices))
     _, E = solve_field(mesh, fam, ones)
     prob = tr.FluxFit(mesh, fam, E, synthesize(fam, gamma, mesh), ones)
-    R = mesh.h1
-    L, _, scale = tr._ls_system(prob, ones.values, 1e-2, R @ ones.values,
-                                R.diagonal().mean())
     return (assemble(mesh, fam, gamma).matrix[1:, 1:],
-            tr._normal_matrix(L, mesh.h1, scale))
+            _normal_system(prob, ones.values)[0])
 
 
 def _cg_case(kind):
@@ -248,17 +282,15 @@ def _cg_case(kind):
         dinv = 1.0 / mesh.mass.diagonal()
         return mesh.mass, rhs, None, 1e-13, 200, lambda r: dinv * r
     p = get_preset("example4")
-    fam, R = p.family(), mesh.h1
+    fam = p.family()
     ones = NodalField(mesh, np.ones(mesh.num_vertices))
     gstar = interpolate_nodal(mesh, p.gamma_star)
     _, E = solve_field(mesh, fam, ones)
     prob = tr.FluxFit(mesh, fam, E, synthesize(fam, gstar, mesh), ones)
-    penalty = (R @ ones.values, R.diagonal().mean())
-    L0, _, s0 = tr._ls_system(prob, ones.values, 1e-2, *penalty)
+    first = _normal_system(prob, ones.values)[0]
     gamma = 0.5 * (ones.values + gstar.values)
-    L, rhs, scale = tr._ls_system(prob, gamma, 1e-2, *penalty)
-    return (tr._normal_operator(L, R, scale), rhs, gamma, 1e-10, 50,
-            spd_factor(tr._normal_matrix(L0, R, s0)).solve)
+    _, operator, rhs = _normal_system(prob, gamma)
+    return operator, rhs, gamma, 1e-10, 50, spd_factor(first).solve
 
 
 @pytest.mark.parametrize("kind, maxiter", [("lagged neumann", None),

@@ -189,15 +189,13 @@ def test_trace_csv_is_deterministic(tmp_path):
 def test_per_call_invariants_are_built_once(monkeypatch, count_calls):
     # the mass and H1 matrices are built once per reconstruct, whichever
     # module uses them; the flux split once per outer iteration (not
-    # once per candidate weight); no inflow facet is classified; and the
-    # normal matrix is formed only on the steps that factor it
+    # once per candidate weight); and no inflow facet is classified
     from matmi import fields, mesh, neumann
     from matmi import transport as tr
     calls = {name: count_calls(getattr(fields, name))
              for name in ("mass_matrix", "h1_matrix")}
     calls["classify_inflow"] = count_calls(mesh.classify_inflow)
-    for name in ("FluxSplit", "_normal_matrix"):
-        calls[name] = _counting(monkeypatch, tr, name)
+    calls["FluxSplit"] = _counting(monkeypatch, tr, "FluxSplit")
     shapes = []
     real_factor = neumann.spd_factor
 
@@ -215,7 +213,7 @@ def test_per_call_invariants_are_built_once(monkeypatch, count_calls):
     assert factored + shapes.count((nv - 1, nv - 1)) == len(shapes)
     assert factored >= 6
     assert counts == {"mass_matrix": 1, "h1_matrix": 1, "classify_inflow": 0,
-                      "FluxSplit": 2, "_normal_matrix": factored}
+                      "FluxSplit": 2}
 
 
 def test_each_update_builds_its_first_frozen_system_once(monkeypatch):

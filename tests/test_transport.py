@@ -382,18 +382,6 @@ def test_lagged_factor_matches_direct_picard(monkeypatch):
     assert len(factor_calls) < steps
 
 
-def test_normal_operator_matches_explicit_matrix():
-    prob = _d4_case()
-    gbar = np.clip(prob.gamma_ref.cell_means(), *prob.family.t_range)
-    L, _ = tr._flux_operator(prob, gbar)
-    A = tr._normal_matrix(L, prob.mesh.h1, 0.3)
-    op = tr._normal_operator(L, prob.mesh.h1, 0.3)
-    x = np.random.default_rng(2).standard_normal(prob.mesh.num_vertices)
-    want = A @ x
-    assert A.shape == (x.size, x.size)
-    assert np.abs(op(x) - want).max() <= 1e-12 * np.abs(want).max()
-
-
 def test_refactors_when_pcg_gives_up(monkeypatch):
     _exact_picard(monkeypatch)
     _tight_inner_loop(monkeypatch)
