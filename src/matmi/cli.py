@@ -40,22 +40,38 @@ def _out_root(args):
 
 
 def _build_config(args):
-    """ReconConfig from --preset/--config plus key=value overrides."""
-    overrides = {}
+    """One ReconConfig of the --config file's keys, then the key=value
+    overrides, then --n/--iterations/--refine, then --preset."""
+    keys = {}
+    if args.config:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("cannot read config file %s: %s"
+                              % (args.config, exc))
+        keys.update(ReconConfig.from_text(text).values)
     for kv in args.overrides:
         if "=" not in kv:
             raise ConfigError("override %r is not a key=value pair" % kv)
-        parsed = ReconConfig.from_text(kv)
-        for key in parsed.explicit:
-            overrides[key] = parsed.values[key]
+        keys.update(ReconConfig.from_text(kv).values)
     for key in ("n", "iterations", "refine"):
         val = getattr(args, key)
         if val is not None:
-            overrides[key] = val
-    if args.config:
-        return ReconConfig.from_file(args.config).with_overrides(**overrides)
-    overrides["preset"] = args.preset
-    return ReconConfig(**overrides)
+            keys[key] = val
+    if args.preset:
+        keys["preset"] = args.preset
+    return ReconConfig(**keys)
+
+
+def _make_dir(path):
+    """Create an output directory; one that cannot be made is a
+    configuration error, found before anything is solved."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create output directory %s: %s"
+                          % (path, exc))
 
 
 def _run_name(args):
@@ -65,7 +81,6 @@ def _run_name(args):
 
 
 def _write_artifacts(outdir, config, trace, dump_fields=False):
-    os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "config.txt"), "w") as fh:
         fh.write(config.to_text())
     trace.to_csv(os.path.join(outdir, "trace.csv"))
@@ -90,6 +105,7 @@ def cmd_run(args):
     config = _build_config(args)
     cfg = config.resolve()
     outdir = os.path.join(_out_root(args), _run_name(args))
+    _make_dir(outdir)
     try:
         trace, failure = reconstruct(config), None
     except ReconError as exc:
@@ -150,78 +166,68 @@ def _outer_loop_end(trace):
             "ratio %.3g" % (trace.outer_change[-1], CONVERGENCE_TOL, ratio))
 
 
-class _Checks:
-    def __init__(self):
-        self.rows = []
-
-    def add(self, label, passed, detail):
-        self.rows.append((label, bool(passed), detail))
-
-    def render(self, name):
-        lines = ["== verify %s ==" % name]
-        for label, passed, detail in self.rows:
-            lines.append("  %-34s %s  %s"
-                         % (label, "PASS" if passed else "FAIL", detail))
-        return "\n".join(lines)
-
-    @property
-    def ok(self):
-        return all(p for _, p, _ in self.rows)
+def _render_checks(name, rows):
+    """The verify report of one preset: a header, then one line per
+    (label, passed, detail) row."""
+    lines = ["== verify %s ==" % name]
+    for label, passed, detail in rows:
+        lines.append("  %-34s %s  %s"
+                     % (label, "PASS" if passed else "FAIL", detail))
+    return "\n".join(lines)
 
 
 def _verify_preset(name, outdir):
     preset = get_preset(name)
     config = ReconConfig(preset=name)
-    checks = _Checks()
+    rows = []
     t0 = time.perf_counter()
     try:
         trace = reconstruct(config)
     except ReconError as exc:
-        checks.add("reconstruction", False, str(exc))
-        return checks, None
+        rows.append(("reconstruction", False, str(exc)))
+        return rows, None
     elapsed = time.perf_counter() - t0
-
-    os.makedirs(outdir, exist_ok=True)
-    trace.to_csv(os.path.join(outdir, "trace.csv"))
+    _write_artifacts(outdir, config, trace)
 
     final = trace.final_error()
     target = 0.1 * trace.initial_error
-    checks.add("final error <= 0.1 x initial", final <= target,
-               "%.4g <= %.4g" % (final, target))
+    rows.append(("final error <= 0.1 x initial", final <= target,
+                 "%.4g <= %.4g" % (final, target)))
 
     verdict = contraction_report(trace)["verdict"]
-    checks.add("contraction verdict", verdict == "contractive", verdict)
+    rows.append(("contraction verdict", verdict == "contractive", verdict))
 
     if preset.dim == 2:
-        checks.add("runtime <= 300 s", elapsed <= 300.0, "%.1f s" % elapsed)
+        rows.append(("runtime <= 300 s", elapsed <= 300.0, "%.1f s" % elapsed))
     else:
-        checks.add("runtime (informational)", True, "%.1f s" % elapsed)
-    checks.add("outer loop end (informational)", True,
-               _outer_loop_end(trace))
+        rows.append(("runtime (informational)", True, "%.1f s" % elapsed))
+    rows.append(("outer loop end (informational)", True,
+                 _outer_loop_end(trace)))
     not_pd, outside = trace.target_shares
-    checks.add("target shares (informational)", True,
-               "A(x, gamma*) not positive definite on %.1f%% of the cells, "
-               "outside the box on %.1f%%" % (100 * not_pd, 100 * outside))
+    rows.append(("target shares (informational)", True,
+                 "A(x, gamma*) not positive definite on %.1f%% of the cells, "
+                 "outside the box on %.1f%%" % (100 * not_pd, 100 * outside)))
 
     cfg = config.resolve()
     box_lo, box_hi = cfg["box"]
     in_box = all(it.values.min() >= box_lo - 1e-12
                  and it.values.max() <= box_hi + 1e-12
                  for it in trace.iterates)
-    checks.add("iterates inside box", in_box,
-               "[%.3g, %.3g]" % (box_lo, box_hi))
+    rows.append(("iterates inside box", in_box,
+                 "[%.3g, %.3g]" % (box_lo, box_hi)))
 
     mesh = trace.iterates[-1].mesh
     bidx = mesh.boundary_vertex_indices()
     bstar = np.clip(preset.gamma_star(mesh.vertices[bidx]), box_lo, box_hi)
     bdev = max(np.abs(it.values[bidx] - bstar).max()
                for it in trace.iterates)
-    checks.add("boundary trace fidelity", bdev <= 1e-12, "max dev %.2e" % bdev)
+    rows.append(("boundary trace fidelity", bdev <= 1e-12,
+                 "max dev %.2e" % bdev))
 
-    checks.add("final residual <= initial",
-               trace.data_residual[-1] <= trace.initial_residual,
-               "%.4g <= %.4g" % (trace.data_residual[-1],
-                                 trace.initial_residual))
+    rows.append(("final residual <= initial",
+                 trace.data_residual[-1] <= trace.initial_residual,
+                 "%.4g <= %.4g" % (trace.data_residual[-1],
+                                   trace.initial_residual)))
 
     # the iterates lie in the box, so lambda is estimated there: a family
     # range that reaches t <= 0 makes it infinite and the check vacuous
@@ -230,8 +236,8 @@ def _verify_preset(name, outdir):
         cfg["lambda"]).lambda_est
     bound = lam_est * l2_norm_cell(mesh, etilde(mesh.cell_centroids))
     energy = max(trace.field_energy)
-    checks.add("energy bound on all solves", energy <= bound,
-               "max ratio %.3f" % (energy / bound))
+    rows.append(("energy bound on all solves", energy <= bound,
+                 "max ratio %.3f" % (energy / bound)))
 
     path = os.path.join(outdir, "data.bin")
     save_functional_data(trace.data, path)
@@ -247,37 +253,36 @@ def _verify_preset(name, outdir):
             tamper_detected = False
         except ValueError:
             tamper_detected = True
-        checks.add("data container integrity", tamper_detected,
-                   "round trip ok, tampering rejected"
-                   if tamper_detected else "tampered file accepted")
+        rows.append(("data container integrity", tamper_detected,
+                     "round trip ok, tampering rejected"
+                     if tamper_detected else "tampered file accepted"))
     except ValueError as exc:
-        checks.add("data container integrity", False, str(exc))
+        rows.append(("data container integrity", False, str(exc)))
 
     if preset.dim == 3:
         c = level_set_centroid(trace.iterates[-1], 1.5)
         offset = float(np.abs(c - 0.5).max())
-        checks.add("1.5-level-set centroid", offset <= 0.1,
-                   "(%.3f, %.3f, %.3f)" % tuple(c))
-        slices_ok = True
-        for z in SLICE_LEVELS:
-            path = os.path.join(outdir, "slice_z%.3f.csv" % z)
-            write_slice_csv(trace.iterates[-1], z, path)
-            slices_ok = slices_ok and os.path.getsize(path) > 0
-        checks.add("slice exports", slices_ok,
-                   "z in {%s}" % ", ".join("%g" % z for z in SLICE_LEVELS))
-    return checks, trace
+        rows.append(("1.5-level-set centroid", offset <= 0.1,
+                     "(%.3f, %.3f, %.3f)" % tuple(c)))
+        slices_ok = all(os.path.getsize(os.path.join(
+            outdir, "slice_z%.3f.csv" % z)) > 0 for z in SLICE_LEVELS)
+        rows.append(("slice exports", slices_ok,
+                     "z in {%s}" % ", ".join("%g" % z for z in SLICE_LEVELS)))
+    return rows, trace
 
 
 def cmd_verify(args):
     names = args.preset_names or list(PRESET_NAMES)
-    root = _out_root(args)
+    # fail early on unknown names, then on unusable output directories
+    outdirs = [os.path.join(_out_root(args), get_preset(name).name)
+               for name in names]
+    for outdir in outdirs:
+        _make_dir(outdir)
     all_ok = True
-    for name in names:
-        get_preset(name)              # fail early on unknown names
-    for name in names:
-        checks, _ = _verify_preset(name, os.path.join(root, name))
-        print(checks.render(name))
-        all_ok = all_ok and checks.ok
+    for name, outdir in zip(names, outdirs):
+        rows, _ = _verify_preset(name, outdir)
+        print(_render_checks(name, rows))
+        all_ok = all_ok and all(passed for _, passed, _ in rows)
     print("verify: %s" % ("all checks passed" if all_ok
                           else "FAILURES detected"))
     return EXIT_OK if all_ok else EXIT_SOLVER
@@ -301,7 +306,7 @@ def cmd_sweep(args):
         raise ConfigError("the range [%g, %g] does not contain the base "
                           "parameter 1" % (lo, hi))
     root = _out_root(args)
-    os.makedirs(root, exist_ok=True)
+    _make_dir(root)
     results = {}
     for n in sizes:
         mesh = build_unit_square(n) if args.dim == 2 else build_unit_cube(n)

@@ -117,25 +117,29 @@ class ReconTrace:
                     fh.write("%d,%d,%.17g\n" % (k + 1, j + 1, ch))
 
 
-_DEFAULTS = {
-    "preset": None,
-    "family": None,
-    "dim": 2,
-    "n": 32,
-    "iterations": 10,
-    "refine": 1,
-    "lambda": 4.0,
-    "t_lo": None,
-    "t_hi": None,
-    "data": None,
-    "boundary_value": 1.0,
-    "picard.alpha": 1e-2,
-    "picard.adaptive": True,
-}
+def _flag(text):
+    """A true/false/0/1 config value."""
+    if text.lower() not in ("true", "false", "0", "1"):
+        raise ValueError(text)
+    return text.lower() in ("true", "1")
 
-_INT_KEYS = {"dim", "n", "iterations", "refine"}
-_FLOAT_KEYS = {"lambda", "t_lo", "t_hi", "boundary_value", "picard.alpha"}
-_BOOL_KEYS = {"picard.adaptive"}
+
+# every config key: its default and the parser of its text
+_DEFAULTS = {
+    "preset": (None, str),
+    "family": (None, str),
+    "dim": (2, int),
+    "n": (32, int),
+    "iterations": (10, int),
+    "refine": (1, int),
+    "lambda": (4.0, float),
+    "t_lo": (None, float),
+    "t_hi": (None, float),
+    "data": (None, str),
+    "boundary_value": (1.0, float),
+    "picard.alpha": (1e-2, float),
+    "picard.adaptive": (True, _flag),
+}
 
 
 class ReconConfig:
@@ -143,23 +147,18 @@ class ReconConfig:
 
     Recognized keys: preset, family, dim, n, iterations, refine, lambda,
     t_lo, t_hi, data, boundary_value, and the update's controls
-    picard.alpha and picard.adaptive.  Preset values fill any key left
-    unset.
+    picard.alpha and picard.adaptive.  `values` holds the keys a caller
+    set; preset values fill any key left unset.
     """
 
-    def __init__(self, **kwargs):
-        values = dict(_DEFAULTS)
-        explicit = set()
-        for key, val in kwargs.items():
-            if key not in values:
+    def __init__(self, **values):
+        for key in values:
+            if key not in _DEFAULTS:
                 raise ConfigError("unknown config key %r" % key)
-            values[key] = val
-            explicit.add(key)
         self.values = values
-        self.explicit = explicit
 
     def __getitem__(self, key):
-        return self.values[key]
+        return self.values.get(key, _DEFAULTS[key][0])
 
     @classmethod
     def from_text(cls, text):
@@ -177,29 +176,11 @@ class ReconConfig:
                 raise ConfigError("unknown config key %r (line %d)"
                                   % (key, lineno))
             try:
-                if key in _INT_KEYS:
-                    val = int(val)
-                elif key in _FLOAT_KEYS:
-                    val = float(val)
-                elif key in _BOOL_KEYS:
-                    if val.lower() not in ("true", "false", "0", "1"):
-                        raise ValueError
-                    val = val.lower() in ("true", "1")
+                kwargs[key] = _DEFAULTS[key][1](val)
             except ValueError:
                 raise ConfigError("invalid value %r for key %r (line %d)"
                                   % (val, key, lineno))
-            kwargs[key] = val
         return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as fh:
-            return cls.from_text(fh.read())
-
-    def with_overrides(self, **overrides):
-        merged = {k: self.values[k] for k in self.explicit}
-        merged.update(overrides)
-        return ReconConfig(**merged)
 
     def to_text(self):
         """The resolved configuration as `key = value` lines, one per key
@@ -209,36 +190,34 @@ class ReconConfig:
                        for key in sorted(_DEFAULTS) if cfg[key] is not None)
 
     def resolve(self):
-        """Fill unset keys from the preset, then t_lo/t_hi from the
-        family; returns a plain dict, with the admissible box as "box"."""
-        out = dict(self.values)
-        if out["preset"] is not None:
+        """Layer the defaults, the preset's values and the keys set, then
+        fill t_lo/t_hi from the family; returns a plain dict, with the
+        admissible box as "box"."""
+        out = {key: default for key, (default, _) in _DEFAULTS.items()}
+        out["gamma_star"] = None
+        if self["preset"] is not None:
             from .presets import get_preset
-            p = get_preset(out["preset"])
-            if "dim" in self.explicit and out["dim"] != p.dim:
+            p = get_preset(self["preset"])
+            if self.values.get("dim", p.dim) != p.dim:
                 raise ConfigError("preset %s is %dD; its target is not "
                                   "defined for dim = %d"
-                                  % (p.name, p.dim, out["dim"]))
-            fills = {"family": p.family_name, "dim": p.dim,
-                     "n": p.resolution, "iterations": p.iterations,
-                     "lambda": p.lam, "t_lo": p.t_range[0],
-                     "t_hi": p.t_range[1]}
-            fills.update(p.config_defaults)
-            for key, val in fills.items():
-                if key not in self.explicit:
-                    out[key] = val
-            out["gamma_star"] = p.gamma_star
-        else:
-            out["gamma_star"] = None
-            if out["family"] is None:
-                raise ConfigError("config needs either a preset or a family")
-            if out["data"] is None:
-                raise ConfigError("custom configs need a data file (the "
-                                  "target is otherwise unknown)")
+                                  % (p.name, p.dim, self["dim"]))
+            out.update({"family": p.family_name, "dim": p.dim,
+                        "n": p.resolution, "iterations": p.iterations,
+                        "lambda": p.lam, "t_lo": p.t_range[0],
+                        "t_hi": p.t_range[1], "gamma_star": p.gamma_star})
+            out.update(p.config_defaults)
+        elif self["family"] is None:
+            raise ConfigError("config needs either a preset or a family")
+        elif self["data"] is None:
+            raise ConfigError("custom configs need a data file (the "
+                              "target is otherwise unknown)")
+        out.update(self.values)
         if out["dim"] not in (2, 3):
             raise ConfigError("dim must be 2 or 3, got %d" % out["dim"])
-        for key in sorted(_FLOAT_KEYS):
-            if out[key] is not None and not np.isfinite(out[key]):
+        for key, (_, parse) in sorted(_DEFAULTS.items()):
+            if (parse is float and out[key] is not None
+                    and not np.isfinite(out[key])):
                 raise ConfigError("%s must be finite, got %g"
                                   % (key, out[key]))
         if out["n"] < 2:

@@ -66,10 +66,10 @@ def test_verify_solves_nothing_beyond_the_run(tmp_path, monkeypatch):
     for module in (functional, neumann, stability):
         monkeypatch.setattr(module, "solve_field",
                             counted(module.solve_field))
-    checks, trace = cli._verify_preset("example1", str(tmp_path))
+    rows, trace = cli._verify_preset("example1", str(tmp_path))
     assert trace.stalled_at == 3
     assert inside and not outside
-    row = {label: (ok, detail) for label, ok, detail in checks.rows}
+    row = {label: (ok, detail) for label, ok, detail in rows}
     assert row["energy bound on all solves"][0]
     assert row["data container integrity"] == (
         True, "round trip ok, tampering rejected")
@@ -83,8 +83,8 @@ def test_verify_reports_the_target_shares(tmp_path, monkeypatch, preset,
     # its own n=48; the row is informational and always passes
     monkeypatch.setattr(cli, "ReconConfig", lambda preset: ReconConfig(
         preset=preset, n=8, iterations=3))
-    checks, _ = cli._verify_preset(preset, str(tmp_path))
-    row = {label: (ok, detail) for label, ok, detail in checks.rows}
+    rows, _ = cli._verify_preset(preset, str(tmp_path))
+    row = {label: (ok, detail) for label, ok, detail in rows}
     assert row["target shares (informational)"] == (
         True, "A(x, gamma*) not positive definite on %s%% of the cells, "
         "outside the box on %s%%" % (not_pd, outside))
@@ -96,8 +96,8 @@ def test_verify_energy_bound_is_not_vacuous(tmp_path, monkeypatch):
     # energy ratio of a nonzero field must read above zero
     monkeypatch.setattr(cli, "ReconConfig", lambda preset: ReconConfig(
         preset=preset, n=8, iterations=3))
-    checks, _ = cli._verify_preset("example2", str(tmp_path))
-    row = {label: (ok, detail) for label, ok, detail in checks.rows}
+    rows, _ = cli._verify_preset("example2", str(tmp_path))
+    row = {label: (ok, detail) for label, ok, detail in rows}
     ok, detail = row["energy bound on all solves"]
     assert ok and float(detail.split()[-1]) > 0.0
 
@@ -111,8 +111,8 @@ def test_verify_names_how_the_outer_loop_ended(tmp_path, monkeypatch, preset,
                                                n, iterations, ending):
     monkeypatch.setattr(cli, "ReconConfig", lambda preset: ReconConfig(
         preset=preset, n=n, iterations=iterations))
-    checks, _ = cli._verify_preset(preset, str(tmp_path))
-    row = {label: (ok, detail) for label, ok, detail in checks.rows}
+    rows, _ = cli._verify_preset(preset, str(tmp_path))
+    row = {label: (ok, detail) for label, ok, detail in rows}
     ok, detail = row["outer loop end (informational)"]
     assert ok and detail.startswith(ending)
 
@@ -537,6 +537,62 @@ def test_run_writes_partial_artifacts_when_an_update_fails(tmp_path, capsys,
         rows = fh.read().splitlines()
     assert rows[0] == "iteration,error_L2,residual,ratio"
     assert len(rows) == 2 and rows[1].startswith("1,")
+
+
+def test_config_file_then_overrides_then_flags(tmp_path):
+    # the file's keys, then the key=value overrides, then --n
+    cfg = tmp_path / "case.txt"
+    cfg.write_text("preset = example1\nn = 6\niterations = 5\n")
+    out = tmp_path / "artifacts"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--n", "4", "iterations=2"]) == EXIT_OK
+    text = (out / "case" / "config.txt").read_text()
+    assert "n = 4\n" in text and "iterations = 2\n" in text
+
+
+def test_preset_flag_wins_over_a_preset_override(tmp_path):
+    out = tmp_path / "artifacts"
+    assert main(["run", "--preset", "example1", "--out", str(out), "--n",
+                 "4", "--iterations", "1", "preset=example4"]) == EXIT_OK
+    assert os.listdir(out) == ["example1"]
+    assert "preset = example1\n" in (out / "example1" /
+                                       "config.txt").read_text()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "case.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"preset = example1\n# \xff\n")
+    out = tmp_path / "artifacts"
+    assert main(["run", "--config", str(path), "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read config file "
+                          "%s: " % path)
+    assert not out.exists()
+
+
+def _solving_nothing(*args, **kwargs):
+    raise AssertionError("solved before the output directory was made")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--preset", "example1"], ["verify", "example1"],
+    ["sweep", "--n", "4", "--count", "1"]], ids=lambda a: a[0])
+def test_an_output_root_that_is_a_file_exits_2(tmp_path, capsys,
+                                               monkeypatch, argv):
+    # found before anything is solved
+    monkeypatch.setattr(cli, "reconstruct", _solving_nothing)
+    monkeypatch.setattr(cli, "stability_sweep", _solving_nothing)
+    root = tmp_path / "root"
+    root.write_text("")
+    assert main(argv + ["--out", str(root)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot create output "
+                          "directory %s" % root)
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

@@ -105,11 +105,20 @@ def test_config_text_round_trip():
     assert back.resolve()["iterations"] == 4
 
 
-def test_with_overrides_keeps_explicit_values():
-    cfg = ReconConfig(preset="example1", n=20)
-    out = cfg.with_overrides(iterations=3)
-    r = out.resolve()
-    assert r["n"] == 20 and r["iterations"] == 3
+def test_config_text_round_trip_keeps_every_keys_value_and_type():
+    # every key set to a value other than its default, so the text holds
+    # a line for each key of the table and each is parsed back
+    cfg = ReconConfig(**{
+        "preset": "example1", "family": "D1", "dim": 2, "n": 12,
+        "iterations": 3, "refine": 2, "lambda": 3.0, "t_lo": 0.75,
+        "t_hi": 2.25, "data": "data.bin", "boundary_value": 1.5,
+        "picard.alpha": 5e-3, "picard.adaptive": False})
+    assert set(cfg.values) == set(_DEFAULTS)
+    back = ReconConfig.from_text(cfg.to_text())
+    assert set(back.values) == set(_DEFAULTS)
+    for key in _DEFAULTS:
+        assert back[key] == cfg[key], key
+        assert type(back[key]) is type(cfg[key]), key
 
 
 def test_resolve_requires_family_or_preset():

@@ -15,7 +15,6 @@ KEY = "picard.adaptive"
 # module-level tables that declare the key or set it for a preset
 ALLOWED = {("reconstruction", "_ls_update"),
            ("reconstruction", "_DEFAULTS"),
-           ("reconstruction", "_BOOL_KEYS"),
            ("presets", "PRESETS")}
 
 
