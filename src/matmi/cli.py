@@ -295,6 +295,8 @@ def cmd_sweep(args):
         raise ConfigError("--n must be at least 2, got %d" % min(sizes))
     if args.count < 1:
         raise ConfigError("--count must be at least 1, got %d" % args.count)
+    if args.seed < 0:
+        raise ConfigError("--seed must be at least 0, got %d" % args.seed)
     if not args.amplitude > 0:
         raise ConfigError("--amplitude must be above 0, got %g"
                           % args.amplitude)

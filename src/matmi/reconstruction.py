@@ -243,10 +243,12 @@ class ReconConfig:
         return out
 
 
-# regularization multipliers and step dampings tried per outer iteration
-# by the adaptive least-squares update
-_ALPHA_MULTIPLIERS = (0.4, 1.0, 2.5)
+# the adaptive least-squares update tries these regularization
+# multipliers in order and each one's full and then half step; it accepts
+# the first candidate whose misfit is below this fraction of the last one
+_ALPHA_MULTIPLIERS = (1.0, 0.4, 2.5)
 _STEP_DAMPINGS = (1.0, 0.5)
+_SUFFICIENT_DECREASE = 0.9
 # the outer loop stops once an update moves gamma by at most this
 # fraction of the data residual ratio r_k / r_0 it reached
 CONVERGENCE_TOL = 1e-2
@@ -256,53 +258,51 @@ def _ls_update(problem, cfg, alpha, boundary_values, residual_fn, res_prev):
     """One outer update: least-squares transport solves, steps from the
     current iterate toward each solution, and their projections.
 
-    The adaptive update (`picard.adaptive`) solves for a few
-    regularization weights around `alpha`, forms full and half steps of
-    each, and keeps the candidate whose forward data residual is
-    smallest.  It is accepted only if it lowers the residual, so the
-    outer loop is monotone in the (observable) data misfit even where
-    the plain fixed-point map is locally expansive.  The plain update is
-    the one-candidate case: weight `alpha`, a full step, always
-    accepted.  A candidate whose solve fails is skipped.  Each solve
-    (`solve_nonlinear_ls`) is anchored at the background value 1 and
-    stops by the inner-loop constants of `matmi.transport` (a change of
-    1e-4); the weights share `problem` and what it caches.
+    The adaptive update (`picard.adaptive`) solves at the weights
+    `_ALPHA_MULTIPLIERS` times `alpha` in order, and right after each
+    solve evaluates its full and then its half step.  It accepts the
+    first candidate whose forward data misfit is below
+    `_SUFFICIENT_DECREASE` times `res_prev`, failing that the smallest
+    if it is below `res_prev`, and otherwise none, so the outer loop is
+    monotone in the recorded misfit even where the plain fixed-point map
+    is locally expansive.  The plain update is the one-candidate case:
+    weight `alpha`, a full step, always accepted.  A weight whose solve
+    fails is skipped.  Each solve (`solve_nonlinear_ls`) is anchored at
+    the background value 1 and stops by the inner-loop constants of
+    `matmi.transport` (a change of 1e-4); the weights share `problem`
+    and what it caches.
 
-    Every weight is solved before any residual is evaluated, so the
-    least-squares factors are freed before the forward solves start.
-    The candidates' residuals, `residual_fn(gamma, factor)`, share one
+    The candidates' misfits, `residual_fn(gamma, factor)`, share one
     neumann.LaggedFactor per update.  Returns (gamma or None, alpha,
     history, residual_fn result of the accepted candidate or None).
     """
     adaptive = cfg["picard.adaptive"]
     mults, omegas = ((_ALPHA_MULTIPLIERS, _STEP_DAMPINGS) if adaptive
                      else ((1.0,), (1.0,)))
-    gamma = problem.gamma_ref
-    solved, failures = [], []
+    factor = LaggedFactor()
+    best, failures = None, []
     for mult in mults:
         a = alpha * mult
         try:
-            solved.append((a, solve_nonlinear_ls(problem, a)))
+            sol = solve_nonlinear_ls(problem, a)
         except TransportError as exc:
             failures.append(str(exc))
-    if not solved:
-        raise TransportError("every least-squares candidate failed: "
-                             + "; ".join(failures))
-    factor = LaggedFactor()
-    best = None
-    for a, sol in solved:
+            continue
         for omega in omegas:
-            mixed = NodalField(problem.mesh,
-                               omega * sol.values
-                               + (1.0 - omega) * gamma.values)
+            mixed = NodalField(problem.mesh, omega * sol.values
+                               + (1.0 - omega) * problem.gamma_ref.values)
             cand = project(mixed, cfg["box"], boundary_values)
             res = residual_fn(cand, factor)
-            if best is None or res[0] < best[0][0]:
-                best = (res, cand, a, sol.picard_history)
-    if adaptive and best[0][0] >= res_prev:
+            if res[0] < _SUFFICIENT_DECREASE * res_prev:
+                return cand, a, sol.picard_history, res
+            if best is None or res[0] < best[3][0]:
+                best = cand, a, sol.picard_history, res
+    if best is None:
+        raise TransportError("every least-squares candidate failed: "
+                             + "; ".join(failures))
+    if adaptive and best[3][0] >= res_prev:
         return None, alpha, [], None
-    res, cand, a, history = best
-    return cand, a, history, res
+    return best
 
 
 def _target_shares(mesh, family, target, box):
@@ -361,20 +361,18 @@ def reconstruct(config):
         return l2_norm_nodal(mesh, gamma.values - target.values) / target_norm
 
     def residual(gamma, factor=None):
-        """(H1 selection norm, reported L2 norm) of the forward data
-        misfit, and the field E of gamma that the forward solve computed;
-        `factor` is an optional neumann.LaggedFactor for that solve."""
+        """The L2 norm of the forward data misfit, and the field E of
+        gamma that the forward solve computed; `factor` is an optional
+        neumann.LaggedFactor for that solve."""
         forward = synthesize(family, gamma, mesh, factor=factor)
-        diff = (forward.nodal_projection.values
-                - data.nodal_projection.values)
-        return (float(np.sqrt(diff @ (mesh.h1 @ diff))),
-                l2_norm_nodal(mesh, diff), forward.field)
+        diff = forward.nodal_projection.values - data.nodal_projection.values
+        return l2_norm_nodal(mesh, diff), forward.field
 
     gamma = project(NodalField(mesh, np.ones(mesh.num_vertices)), cfg["box"],
                     boundary_values)
     trace.initial_error = rel_error(gamma)
     try:
-        res_h1, trace.initial_residual, E = residual(gamma)
+        trace.initial_residual, E = residual(gamma)
     except (SolverError, ValueError) as exc:
         raise ReconError("forward solve for the initial residual failed: %s"
                          % exc, trace)
@@ -392,14 +390,14 @@ def reconstruct(config):
             try:
                 problem = FluxFit(mesh, family, E, data, gamma)
                 cand, alpha, changes, res = _ls_update(
-                    problem, cfg, alpha, boundary_values, residual, res_h1)
+                    problem, cfg, alpha, boundary_values, residual, res_l2)
                 if cand is None:
                     trace.stalled_at = k + 1
                 else:
                     change = (l2_norm_nodal(mesh, cand.values - gamma.values)
                               / l2_norm_nodal(mesh, cand.values))
                     gamma = cand
-                    res_h1, res_l2, E = res
+                    res_l2, E = res
                     # d_k <= tol * r_k / r_0, multiplied out for r_0 = 0
                     if (change * trace.initial_residual
                             <= CONVERGENCE_TOL * res_l2):

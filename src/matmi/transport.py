@@ -107,9 +107,9 @@ def _flux_operator(problem, gamma_bar_c):
 
 
 # The inner Picard loop stops once its plain change is at most
-# PICARD_REL_TOL, or after PICARD_MAX_STEPS steps.  The outer loop ranks
-# candidates by forward residual only, and a change below 1e-4 alters
-# neither which one wins nor how the run ends (an inexact solve, as CG's).
+# PICARD_REL_TOL, or after PICARD_MAX_STEPS steps.  The outer loop accepts
+# candidates by forward residual only, and a change below 1e-4 does not
+# alter how a preset's run ends (an inexact solve, as CG's).
 PICARD_REL_TOL = 1e-4
 PICARD_MAX_STEPS = 50
 

@@ -32,8 +32,8 @@ def test_run_writes_artifacts(tmp_path, capsys):
 def test_run_reports_a_stall(tmp_path, capsys):
     out = str(tmp_path / "artifacts")
     assert main(["run", "--preset", "example1", "--out", out,
-                 "--n", "6", "--iterations", "4"]) == EXIT_OK
-    assert ("stalled: iteration 3 of 4 rejected every candidate step"
+                 "--n", "4", "--iterations", "4"]) == EXIT_OK
+    assert ("stalled: iteration 2 of 4 rejected every candidate step"
             in capsys.readouterr().out)
     code, _ = _run(tmp_path)
     assert code == EXIT_OK
@@ -42,11 +42,11 @@ def test_run_reports_a_stall(tmp_path, capsys):
 
 def test_verify_solves_nothing_beyond_the_run(tmp_path, monkeypatch):
     # the energy check and the data container read what the run recorded
-    # (example1 at n=6 stalls at iteration 3 of 6), so every forward
+    # (example1 at n=4 stalls at iteration 2 of 6), so every forward
     # solve of verify is one that reconstruct makes
     from matmi import functional, neumann, stability
     monkeypatch.setattr(cli, "ReconConfig", lambda preset: ReconConfig(
-        preset=preset, n=6, iterations=6))
+        preset=preset, n=4, iterations=6))
     running, inside, outside = [], [], []
     real_reconstruct = cli.reconstruct
 
@@ -67,7 +67,7 @@ def test_verify_solves_nothing_beyond_the_run(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "solve_field",
                             counted(module.solve_field))
     rows, trace = cli._verify_preset("example1", str(tmp_path))
-    assert trace.stalled_at == 3
+    assert trace.stalled_at == 2
     assert inside and not outside
     row = {label: (ok, detail) for label, ok, detail in rows}
     assert row["energy bound on all solves"][0]
@@ -103,7 +103,7 @@ def test_verify_energy_bound_is_not_vacuous(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("preset,n,iterations,ending", [
-    ("example1", 6, 6, "stalled: iteration 3 of 6 "),
+    ("example1", 4, 6, "stalled: iteration 2 of 6 "),
     ("example6", 4, 10, "converged: iteration 3 of 10 "),
     ("example2", 8, 3, "outer loop not converged: "),
 ])
@@ -455,13 +455,15 @@ def test_sweep_drift_pairs_rows_by_label(tmp_path, capsys):
 @pytest.mark.parametrize("args,message", [
     (["--n", "0", "--count", "1"], "--n must be at least 2, got 0"),
     (["--n", "4", "--count", "-2"], "--count must be at least 1, got -2"),
+    (["--n", "4", "--count", "1", "--seed", "-1"],
+     "--seed must be at least 0, got -1"),
     (["--n", "4", "--count", "1", "--amplitude", "0"],
      "--amplitude must be above 0, got 0"),
     (["--n", "4", "--count", "1", "--amplitude", "inf"],
      "--amplitude must be finite, got inf"),
     (["--n", "4", "--count", "1", "--t-lo", "1.5"],
      "the range [1.5, 2] does not contain the base parameter 1"),
-], ids=["n", "count", "amplitude", "amplitude-inf", "range"])
+], ids=["n", "count", "seed", "amplitude", "amplitude-inf", "range"])
 def test_sweep_rejects_bad_input_with_exit_2(tmp_path, capsys, args,
                                              message):
     code = main(["sweep", *args, "--out", str(tmp_path / "sweeps")])

@@ -198,9 +198,12 @@ def test_trace_csv_is_deterministic(tmp_path):
 def test_per_call_invariants_are_built_once(monkeypatch, count_calls):
     # the mass and H1 matrices are built once per reconstruct, whichever
     # module uses them; the flux split once per outer iteration (not
-    # once per candidate weight); and no inflow facet is classified
+    # once per candidate weight); and no inflow facet is classified.
+    # No candidate is accepted early, so every update tries every weight
     from matmi import fields, mesh, neumann
+    from matmi import reconstruction as rc
     from matmi import transport as tr
+    monkeypatch.setattr(rc, "_SUFFICIENT_DECREASE", 0.0)
     calls = {name: count_calls(getattr(fields, name))
              for name in ("mass_matrix", "h1_matrix")}
     calls["classify_inflow"] = count_calls(mesh.classify_inflow)
@@ -228,8 +231,10 @@ def test_per_call_invariants_are_built_once(monkeypatch, count_calls):
 def test_each_update_builds_its_first_frozen_system_once(monkeypatch):
     # the three weights of an adaptive update all start at gamma_ref:
     # the flux operator there is built once per update, not per weight
+    # (no candidate is accepted early, so every update tries all three)
     from matmi import reconstruction as rc
     from matmi import transport as tr
+    monkeypatch.setattr(rc, "_SUFFICIENT_DECREASE", 0.0)
     at_ref, real = [], tr._flux_operator
 
     def recording(problem, gamma_bar_c):
@@ -279,7 +284,10 @@ def _record_neumann(monkeypatch):
 def test_adaptive_update_shares_one_neumann_factor(monkeypatch):
     # the data and the initial residual factor their own pinned Neumann
     # block; the six candidate residuals of an update share one holder,
-    # so an update factors once (more only when lagged CG misses)
+    # so an update factors once (more only when lagged CG misses).  No
+    # candidate is accepted early, so every update evaluates all six
+    from matmi import reconstruction as rc
+    monkeypatch.setattr(rc, "_SUFFICIENT_DECREASE", 0.0)
     shapes, holders = _record_neumann(monkeypatch)
     trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=2))
     assert trace.stalled_at is None and trace.converged_at is None
@@ -307,25 +315,25 @@ def test_plain_update_residual_gets_one_holder(monkeypatch):
 
 
 def test_stalled_run_repeats_the_rejected_row(monkeypatch):
-    # example1 at n=6 rejects every candidate at iteration 3; the state is
+    # example1 at n=4 rejects every candidate at iteration 2; the state is
     # then unchanged, so later iterations record that row without solving
     from matmi import reconstruction as rc
     lsq = _counting(monkeypatch, rc, "solve_nonlinear_ls")
-    short = reconstruct(ReconConfig(preset="example1", n=6, iterations=3))
+    short = reconstruct(ReconConfig(preset="example1", n=4, iterations=2))
     short_calls = len(lsq)
-    assert short.stalled_at == 3
-    assert short.picard_changes[2] == []
-    assert short.iterates[2] is short.iterates[1]
+    assert short.stalled_at == 2
+    assert short.picard_changes[1] == []
+    assert short.iterates[1] is short.iterates[0]
     lsq.clear()
-    long = reconstruct(ReconConfig(preset="example1", n=6, iterations=6))
+    long = reconstruct(ReconConfig(preset="example1", n=4, iterations=5))
     assert len(lsq) == short_calls
-    assert long.stalled_at == 3
-    assert long.error_l2[:3] == short.error_l2
-    assert long.data_residual[:3] == short.data_residual
-    for k in range(3, 6):
-        assert long.iterates[k] is long.iterates[2]
-        assert long.error_l2[k] == long.error_l2[2]
-        assert long.data_residual[k] == long.data_residual[2]
+    assert long.stalled_at == 2
+    assert long.error_l2[:2] == short.error_l2
+    assert long.data_residual[:2] == short.data_residual
+    for k in range(2, 5):
+        assert long.iterates[k] is long.iterates[1]
+        assert long.error_l2[k] == long.error_l2[1]
+        assert long.data_residual[k] == long.data_residual[1]
         assert long.picard_changes[k] == []
 
 
@@ -364,6 +372,33 @@ def test_contracting_run_does_not_stop():
     assert trace.converged_at is None and trace.stalled_at is None
     assert all(b < a for a, b in zip(trace.error_l2, trace.error_l2[1:]))
     assert len({id(it) for it in trace.iterates}) == 10
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("preset",
+                         ["example1", "example3", "example4", "example5"])
+def test_adaptive_runs_never_raise_the_recorded_residual(preset, refine, n):
+    # the adaptive update accepts a candidate by the L2 misfit that the
+    # trace records, so no row's residual exceeds the one before it
+    trace = reconstruct(ReconConfig(preset=preset, n=n, iterations=6,
+                                    refine=refine))
+    residuals = [trace.initial_residual] + trace.data_residual
+    assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+
+
+def test_a_sufficient_first_candidate_ends_the_update(monkeypatch):
+    # example4's first full step at the current weight lowers the misfit
+    # below _SUFFICIENT_DECREASE x the initial one: the update makes one
+    # transport solve and one candidate forward solve, after the data
+    # and the initial residual
+    from matmi import reconstruction as rc
+    lsq = _counting(monkeypatch, rc, "solve_nonlinear_ls")
+    synthesized = _counting(monkeypatch, rc, "synthesize")
+    trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=1))
+    assert trace.data_residual[0] < (rc._SUFFICIENT_DECREASE
+                                     * trace.initial_residual)
+    assert (len(lsq), len(synthesized)) == (1, 2 + 1)
 
 
 def test_plain_update_is_one_candidate_per_iteration(monkeypatch):
@@ -440,8 +475,10 @@ def _failing_lsq(monkeypatch, fails):
 
 def test_a_failing_candidate_is_skipped(monkeypatch):
     # an update whose first weight's solve fails keeps the candidates of
-    # the others: the run is the one without that weight
+    # the others: the run is the one without that weight.  No candidate
+    # is accepted early, so every update tries every weight
     from matmi import reconstruction as rc
+    monkeypatch.setattr(rc, "_SUFFICIENT_DECREASE", 0.0)
     config = ReconConfig(preset="example4", n=8, iterations=2)
     mults = rc._ALPHA_MULTIPLIERS
     with monkeypatch.context() as m:
@@ -461,16 +498,19 @@ def test_a_failing_candidate_is_skipped(monkeypatch):
 def test_an_update_with_every_candidate_failing_ends_the_run(monkeypatch,
                                                              adaptive):
     # the second update fails: ReconError names iteration 2 and carries
-    # the first iteration's row
+    # the first iteration's row; the failing update tries every weight
     from matmi import reconstruction as rc
-    per_update = len(rc._ALPHA_MULTIPLIERS) if adaptive else 1
-    raised = _failing_lsq(monkeypatch, lambda call: call >= per_update)
+    first = _counting(monkeypatch, rc, "solve_nonlinear_ls")
+    reconstruct(ReconConfig(preset="example4", n=8, iterations=1,
+                            **{"picard.adaptive": adaptive}))
+    first_update = len(first)
+    raised = _failing_lsq(monkeypatch, lambda call: call >= first_update)
     config = ReconConfig(preset="example4", n=8, iterations=3,
                          **{"picard.adaptive": adaptive})
     with pytest.raises(ReconError, match="iteration 2 failed: every "
                        "least-squares candidate failed") as err:
         reconstruct(config)
-    assert len(raised) == per_update
+    assert len(raised) == (len(rc._ALPHA_MULTIPLIERS) if adaptive else 1)
     trace = err.value.trace
     assert len(trace.iterates) == len(trace.error_l2) == 1
     assert len(trace.data_residual) == len(trace.picard_changes) == 1
@@ -527,10 +567,10 @@ def test_a_failed_data_synthesis_ends_the_run_with_the_target_report():
 
 
 def test_trace_records_the_fitted_data_and_each_rows_field_energy():
-    # example1 at n=6 stalls at iteration 3 of 6: each row's energy is
+    # example1 at n=4 stalls at iteration 2 of 6: each row's energy is
     # ||grad u|| of its iterate's own field, repeated with the iterate
-    trace = reconstruct(ReconConfig(preset="example1", n=6, iterations=6))
-    assert trace.stalled_at == 3
+    trace = reconstruct(ReconConfig(preset="example1", n=4, iterations=6))
+    assert trace.stalled_at == 2
     mesh = trace.iterates[0].mesh
     preset = get_preset("example1")
     family = preset.family()
