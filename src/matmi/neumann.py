@@ -9,10 +9,12 @@ with Etilde = 0.5 * (-y, x, 0), and the electric field is recovered as
 E = Etilde + grad u (per cell, exact P1 gradient).
 
 Every SPD system of the package (this pinned block and the normal matrix
-of the least-squares update) is solved here by `LaggedFactor`: CG
-preconditioned with a banded Cholesky factor in the mesh's lexicographic
-vertex order.  `pcg` is the package's one CG loop, used by that holder
-and by the Jacobi mass solve of `functional`.
+of the least-squares update) is solved here by `LaggedFactor`: CG in
+double precision, preconditioned with a banded Cholesky factor in the
+mesh's lexicographic vertex order.  The factor is only ever a
+preconditioner, so its band is stored and factored in single precision
+(half the bytes); CG recovers the digits.  `pcg` is the package's one CG
+loop, used by that holder and by the Jacobi mass solve of `functional`.
 """
 
 import mmap
@@ -117,14 +119,19 @@ def load_vector(mesh, f):
 
 class _BandCholesky:
     """Banded Cholesky factor of an SPD matrix, lower band in LAPACK's
-    (bandwidth + 1, n) layout."""
+    (bandwidth + 1, n) layout, in single precision."""
 
     def __init__(self, band):
         self.band = band
         self.shape = (band.shape[1],) * 2
 
     def solve(self, b):
-        return sla.cho_solve_banded((self.band, True), b, check_finite=False)
+        """A^-1 b through the factor, for a float64 b and as float64.  b
+        is rounded to float32 first: a float64 b would make scipy solve
+        with a float64 copy of the band."""
+        x = sla.cho_solve_banded((self.band, True), b.astype(np.float32),
+                                 overwrite_b=True, check_finite=False)
+        return x.astype(float)
 
 
 def _lower_band(A):
@@ -148,30 +155,49 @@ def _lower_band(A):
 
 
 def _mapped_zeros(rows, n):
-    """Fortran-ordered (rows, n) zeros in an anonymous mapping of their
-    own, unmapped when the last view is dropped.  Left to malloc, a band
-    of tens of MB lands in the heap once the first one freed has raised
-    malloc's dynamic mmap threshold, and small blocks allocated after it
-    can keep its pages from ever being returned."""
-    buf = mmap.mmap(-1, max(rows * n, 1) * 8)
-    return np.frombuffer(buf, dtype=float, count=rows * n).reshape(n, rows).T
+    """Fortran-ordered (rows, n) float32 zeros in an anonymous mapping of
+    their own, unmapped when the last view is dropped.  Left to malloc, a
+    band of tens of MB lands in the heap once the first one freed has
+    raised malloc's dynamic mmap threshold, and small blocks allocated
+    after it can keep its pages from ever being returned.  Raises
+    SolverError, naming the band's size, when it cannot be mapped."""
+    size = rows * n * 4
+    try:
+        buf = mmap.mmap(-1, max(size, 4))
+    except (OSError, MemoryError) as exc:
+        raise SolverError("cannot map the %d x %d single-precision band "
+                          "(%d bytes): %s" % (rows, n, size, exc), [])
+    return (np.frombuffer(buf, dtype=np.float32, count=rows * n)
+            .reshape(n, rows).T)
 
 
 def spd_factor(A):
-    """Banded Cholesky factor (LAPACK pbtrf) of the symmetric positive
-    definite sparse matrix A, in its own row order: with no reordering,
-    the lexicographic vertex numbers of the structured meshes keep the
-    half bandwidth at about n + 2 in 2D and (n + 1)^2 + n + 2 in 3D, twice
-    that for the normal matrix.  Only the lower triangle is read.
-    Returns an object with `.shape` and `.solve(b)`; raises RuntimeError
-    when A is not positive definite."""
+    """Single-precision banded Cholesky factor (LAPACK spbtrf) of the
+    symmetric positive definite sparse matrix A, in its own row order:
+    with no reordering, the lexicographic vertex numbers of the structured
+    meshes keep the half bandwidth at about n + 2 in 2D and
+    (n + 1)^2 + n + 2 in 3D, twice that for the normal matrix.  Only the
+    lower triangle is read, rounded to float32.  Returns an object with
+    `.shape` and `.solve(b)` (float64 in and out, about 1e-6 relative: a
+    preconditioner, not a solver).  Raises RuntimeError when A is not
+    positive definite in float32 (an SPD A may not be, past a condition
+    number of about 1e7), and SolverError when the band cannot be
+    mapped."""
     band = _lower_band(A)        # its temporaries are freed by now
+    # Factored as is, the fill-in that decays away from the diagonal can
+    # reach float32's subnormal range, where spbtrf runs about three times
+    # slower than dpbtrf (the 3D D1 block at n = 24).  A power of two,
+    # exact, lifts the largest diagonal entry to about 2^100 for the
+    # factorization, and its square root is taken out of the factor.
+    k = (100 - np.frexp(band[0].max(initial=0.0))[1]) // 2
+    np.ldexp(band, 2 * k, out=band)
     try:
         band = sla.cholesky_banded(band, lower=True, overwrite_ab=True,
                                    check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(str(exc)) from None
-    return _BandCholesky(band)
+        raise RuntimeError("single-precision band factorization failed: %s"
+                           % exc) from None
+    return _BandCholesky(np.ldexp(band, -k, out=band))
 
 
 def pcg(matvec, b, x0, rtol, maxiter, precondition, history=None):
@@ -215,11 +241,12 @@ def pcg(matvec, b, x0, rtol, maxiter, precondition, history=None):
 
 # CG iterations per attempt of a Neumann solve: a lagged factor that
 # needs more is replaced by the solve's own (about what one factorization
-# costs in iterations), and that one needs one or two.
+# costs in iterations), and that one needs three or four.
 _LAG_MAXITER = 20
 # Relative residual a Neumann solve reaches, whatever looser tol the
-# caller asked for.  With its own factor, CG ends at 1e-15 to 5e-13 after
-# one iteration; stopping a lagged solve at tol (1e-10) instead would make
+# caller asked for.  With its own single-precision factor, CG reads about
+# 1e-6 and 1e-11 after one and two iterations and gets there after three
+# or four; stopping a lagged solve at tol (1e-10) instead would make
 # results depend on which factor a holder kept, e.g. a field sweep's
 # ratio on the order of its pairs (by 1e-9 relative).  The two extra
 # iterations this takes cost far less than a factor.

@@ -1,3 +1,4 @@
+import errno
 import mmap
 import weakref
 
@@ -84,7 +85,7 @@ def test_solve_matches_pinned_direct_solve(builder, n, preset):
     vals, history = solve_mean_zero(system, tol=1e-10)
     ref = _pinned_reference(system)
     assert np.linalg.norm(vals - ref) <= 1e-10 * np.linalg.norm(ref)
-    # the pinned factor is an exact preconditioner: a weak one would
+    # the pinned factor is a near-exact preconditioner: a weak one would
     # need tens to hundreds of iterations here
     assert len(history) - 1 <= 3
 
@@ -124,8 +125,25 @@ def _perturbed_systems(n=12, count=4):
     return out
 
 
+def _mapping_of(band):
+    """The buffer under a band's chain of views."""
+    while isinstance(band, np.ndarray):
+        band = band.base
+    return band.obj                     # through a memoryview
+
+
 def _assert_close(vals, ref):
     assert np.linalg.norm(vals - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+# A CG cap that a fresh factor meets and a lagged one misses.  On the
+# perturbed systems (n = 8 and 12) CG at rtol = 1e-13 with the system's
+# own single-precision factor reads about 2e-6, then 5e-13 to 6e-11, then
+# below 1e-15; with the factor of a neighbouring system it needs 8 to 12
+# iterations and still reads 4e-7 or more after four.  pcg tests
+# convergence at the top of the next iteration, so the fresh factor's
+# three iterations need a cap of 4.
+_FRESH_MAXITER = 4
 
 
 def test_shared_factor_matches_fresh_solves(monkeypatch):
@@ -145,10 +163,9 @@ def test_shared_factor_refactors_when_lagged_cg_gives_up(monkeypatch):
     systems = _perturbed_systems()
     fresh = [solve_mean_zero(s)[0] for s in systems]
     factor_calls = _count_factors(monkeypatch)
-    # two lagged iterations do not reach 1e-13 here; the fresh factor does
-    # in one (a cap of 1 would fail it too: scipy's cg tests convergence
-    # at the top of the next iteration, so maxiter=1 always reports a miss)
-    monkeypatch.setattr(neumann, "_LAG_MAXITER", 2)
+    # four lagged iterations do not reach 1e-13 here; the fresh factor's
+    # three do (see _FRESH_MAXITER)
+    monkeypatch.setattr(neumann, "_LAG_MAXITER", _FRESH_MAXITER)
     holder = neumann.LaggedFactor()
     for s, ref in zip(systems, fresh):
         vals, _ = solve_mean_zero(s, factor=holder)
@@ -181,9 +198,10 @@ def test_lagged_factor_forms_the_matrix_only_to_factor_it(monkeypatch):
     factor_calls = _count_factors(monkeypatch)
     holder = neumann.LaggedFactor()
     formed = []
-    # two lagged iterations miss 1e-13 on the second large system
+    # four lagged iterations miss 1e-13 on the second large system
     for system, maxiter, factored in ((small[0], 20, 1), (small[1], 20, 1),
-                                      (large[0], 20, 2), (large[1], 2, 3)):
+                                      (large[0], 20, 2),
+                                      (large[1], _FRESH_MAXITER, 3)):
         K = system.matrix[1:, 1:]
         b = (system.rhs - system.rhs.mean())[1:]
 
@@ -221,7 +239,7 @@ def test_lagged_factor_is_released_before_refactoring(monkeypatch):
         released.append(held() is None)
         return real(A)
     monkeypatch.setattr(neumann, "spd_factor", factoring)
-    monkeypatch.setattr(neumann, "_LAG_MAXITER", 2)
+    monkeypatch.setattr(neumann, "_LAG_MAXITER", _FRESH_MAXITER)
     vals, _ = solve_mean_zero(second, factor=holder)
     _assert_close(vals, ref)
     assert released == [True]
@@ -322,12 +340,97 @@ def test_pcg_repeats_scipy_cg_bit_for_bit(kind, maxiter):
                           (build_unit_cube, 4, "example6")])
 def test_band_cholesky_solves_the_neumann_and_normal_matrices(builder, n,
                                                               preset):
+    # one solve with the single-precision factor is a preconditioner's,
+    # accurate to 5e-6 to 8e-6 here; CG with a fresh factor reaches 1e-13
+    # within the cap a lagged factor misses
     for A in _spd_matrices(builder, n, preset):
         b = np.random.default_rng(3).standard_normal(A.shape[0])
         factor = spd_factor(A)
         x = factor.solve(b)
         assert factor.shape == A.shape
-        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-4 * np.linalg.norm(b)
+        x = neumann.LaggedFactor().solve(A.dot, lambda: A, b, None, 1e-13,
+                                         _FRESH_MAXITER)
+        assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_band_is_a_mapped_single_precision_array_and_solves_in_float64(
+        monkeypatch):
+    mesh = build_unit_square(6)
+    K = assemble(mesh, D1, _ones(mesh)).matrix[1:, 1:]
+    n, bw = K.shape[0], 8               # half bandwidth n + 2 at n = 6
+    factor = spd_factor(K)
+    band = factor.band
+    assert band.dtype == np.float32 and band.flags.f_contiguous
+    assert band.shape == (bw + 1, n) and band.nbytes == (bw + 1) * n * 4
+    assert isinstance(_mapping_of(band), mmap.mmap)  # factored in place
+    # a float64 right-hand side would make scipy solve with a float64
+    # copy of the band
+    handed = []
+    real = neumann.sla.cho_solve_banded
+
+    def recording(cb_and_lower, b, **kwargs):
+        handed.append((cb_and_lower[0].dtype, b.dtype))
+        return real(cb_and_lower, b, **kwargs)
+    monkeypatch.setattr(neumann.sla, "cho_solve_banded", recording)
+    x = factor.solve(np.ones(n))
+    assert handed == [(np.float32, np.float32)]
+    assert x.dtype == np.float64
+
+
+@pytest.mark.parametrize("power", [-120, -100, 60])
+def test_band_is_factored_at_a_fixed_scale(power):
+    # the factor of 2^p A is 2^(p/2) times that of A wherever the latter
+    # stays in float32's normal range: factored as is, 2^-100 A would put
+    # the decaying fill-in into the subnormal range and round it there
+    mesh = build_unit_square(16)
+    K = assemble(mesh, D1, _ones(mesh)).matrix[1:, 1:]
+    ref = spd_factor(K).band
+    got = spd_factor(K * 2.0 ** power).band
+    normal = np.abs(ref) >= 2.0 ** -60
+    assert np.array_equal(got[normal], ref[normal] * 2.0 ** (power // 2))
+
+
+def test_single_precision_breakdown_is_named_and_not_retried(monkeypatch):
+    # SPD in float64 (condition number 2e9), singular once rounded to
+    # float32: the factorization fails with LAPACK's message, and no
+    # second factorization in float64 follows
+    A = sp.csr_matrix(np.array([[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]]))
+    factored = []
+    real = neumann.sla.cholesky_banded
+
+    def recording(ab, **kwargs):
+        factored.append(ab.dtype)
+        return real(ab, **kwargs)
+    monkeypatch.setattr(neumann.sla, "cholesky_banded", recording)
+    message = ("single-precision band factorization failed: 2-th leading "
+               "minor not positive definite")
+    with pytest.raises(RuntimeError, match=message):
+        spd_factor(A)
+    with pytest.raises(SolverError, match="factorization failed: " + message):
+        neumann.LaggedFactor().solve(A.dot, lambda: A, np.ones(2), None,
+                                     1e-10, 20)
+    assert factored == [np.float32, np.float32]
+
+
+@pytest.mark.parametrize("failure", [OSError(errno.ENOMEM, "Cannot allocate "
+                                             "memory"), MemoryError()])
+def test_a_band_that_cannot_be_mapped_is_a_solver_error(monkeypatch,
+                                                        failure):
+    def refusing(*args, **kwargs):
+        raise failure
+    monkeypatch.setattr(neumann.mmap, "mmap", refusing)
+    mesh = build_unit_square(6)
+    system = assemble(mesh, D1, _ones(mesh))
+    K = system.matrix[1:, 1:]
+    n, bw = K.shape[0], 8
+    size = r"the %d x %d single-precision band \(%d bytes\)" % (
+        bw + 1, n, (bw + 1) * n * 4)
+    with pytest.raises(SolverError, match="cannot map " + size):
+        spd_factor(K)
+    with pytest.raises(SolverError, match="pinned Neumann system: "
+                       "factorization failed: cannot map " + size):
+        solve_mean_zero(system)
 
 
 def test_band_cholesky_reads_only_the_lower_triangle():
@@ -349,10 +452,7 @@ def test_band_sums_duplicates_into_its_own_mapping():
     assert band.flags.f_contiguous and band.flags.writeable
     assert np.array_equal(band, 2 * neumann._lower_band(K))
     # the band's memory is an anonymous mapping, not a malloc block
-    owner = band
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    assert isinstance(owner.obj, mmap.mmap)     # through a memoryview
+    assert isinstance(_mapping_of(band), mmap.mmap)
 
 
 def test_band_of_a_csr_with_duplicates_leaves_it_as_it_is():
@@ -441,7 +541,7 @@ def test_solver_error_carries_history():
     system = assemble(mesh, D1, _ones(mesh))
     system.rhs = load_vector(mesh, lambda p: p[:, 0])
     # the pinned-factor preconditioner meets any reachable tolerance
-    # within two iterations, so only tol=0 still fails
+    # within three iterations, so only tol=0 still fails
     with pytest.raises(SolverError) as err:
         solve_mean_zero(system, tol=0.0)
     assert len(err.value.residuals) > 0
