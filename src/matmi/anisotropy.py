@@ -96,13 +96,6 @@ class AnisotropyFamily:
             return np.zeros((len(ts), 3, 3))
         return self._rational_fn(xs, ts)
 
-    def rational_dt(self, xs, ts):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if self._rational_dt_fn is None:
-            return np.zeros((len(ts), 3, 3))
-        return self._rational_dt_fn(xs, ts)
-
     def eval_many(self, xs, ts, check_range=True):
         """A(x_i, t_i) for paired samples, shape (N, 3, 3)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -146,10 +139,9 @@ def power_series(coeffs, t):
 class AdmissibilityReport:
     """Sampled ellipticity estimates for a family."""
 
-    def __init__(self, family_name, lambda_declared, lambda_min, lambda_max,
-                 lambda_est, ellipticity_pass):
+    def __init__(self, family_name, lambda_min, lambda_max, lambda_est,
+                 ellipticity_pass):
         self.family_name = family_name
-        self.lambda_declared = lambda_declared
         self.lambda_min = lambda_min
         self.lambda_max = lambda_max
         self.lambda_est = lambda_est
@@ -187,8 +179,8 @@ def check_admissibility(family, grid_density, lambda_declared):
         lam_est = np.inf
     ok = (lam_min >= 1.0 / lambda_declared - 1e-12
           and lam_max <= lambda_declared + 1e-12)
-    return AdmissibilityReport(family.name, lambda_declared, lam_min,
-                               lam_max, lam_est, bool(ok))
+    return AdmissibilityReport(family.name, lam_min, lam_max, lam_est,
+                               bool(ok))
 
 
 # -- builtin families ---------------------------------------------------

@@ -1,9 +1,11 @@
 """The forward data map: gamma -> F(gamma) = div(A(x, gamma) (E x B0)).
 
 F is kept in weak form, tested against the P1 nodal basis, together with
-its L2 projection onto P1.  `FluxSplit`, the one evaluator of the flux
-at the cell centroids, and `weak_p1_rows`, the one P1 weak divergence of
-a per-cell flux, are shared by the data and the least-squares update.
+its L2 projection onto P1.  `field_data` computes both from a solved
+field E, for `synthesize`, the outer loop's residual and the data sweep.
+`FluxSplit`, the one evaluator of the flux at the cell centroids, and
+`weak_p1_rows`, the one P1 weak divergence of a per-cell flux, are
+shared by the data and the least-squares update.
 """
 
 import functools
@@ -63,19 +65,14 @@ class FunctionalData:
         data residual compares against it.
     source_mesh_resolution : int
         Resolution of the mesh the data was generated on.
-    field : CellField or None
-        The electric field E of the Neumann solve when data was generated
-        on this mesh, so a caller need not solve for it again; None when
-        restricted from a finer mesh or loaded from a file (not stored).
     """
 
     def __init__(self, mesh, p1_weak, nodal_projection,
-                 source_mesh_resolution, field=None):
+                 source_mesh_resolution):
         self.mesh = mesh
         self.p1_weak = p1_weak
         self.nodal_projection = nodal_projection
         self.source_mesh_resolution = int(source_mesh_resolution)
-        self.field = field
 
 
 class FluxSplit:
@@ -211,7 +208,7 @@ def _mass_solve(mesh, rhs):
         resid = np.linalg.norm(rhs - M @ x) / np.linalg.norm(rhs)
         raise SolverError("mass-matrix CG did not reach rtol=%g in %d "
                           "iterations (residual %.3g)"
-                          % (_MASS_RTOL, _MASS_MAXITER, resid), [resid])
+                          % (_MASS_RTOL, _MASS_MAXITER, resid))
     return x
 
 
@@ -221,10 +218,10 @@ def field_data(mesh, family, gamma, E):
     p1 = weak_p1_from_flux(mesh, flux_field(mesh, family,
                                             gamma.cell_means(), E))
     proj = NodalField(mesh, _mass_solve(mesh, p1))
-    return FunctionalData(mesh, p1, proj, mesh.n, field=E)
+    return FunctionalData(mesh, p1, proj, mesh.n)
 
 
-def synthesize(family, gamma_star, mesh, refine=1, factor=None):
+def synthesize(family, gamma_star, mesh, refine=1):
     """Generate the weak acoustic-source data F(gamma_star) on `mesh`.
 
     gamma_star is a callable of the vertex coordinates or, at refine=1
@@ -232,8 +229,6 @@ def synthesize(family, gamma_star, mesh, refine=1, factor=None):
     on a refine-times finer mesh, on which the callable is interpolated,
     and the nodal projection of F is restricted to `mesh` by P1
     interpolation at the coarse vertices, avoiding the inverse crime.
-    `factor` is an optional neumann.LaggedFactor shared with other
-    solves.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
@@ -248,7 +243,7 @@ def synthesize(family, gamma_star, mesh, refine=1, factor=None):
         fine = builder(mesh.n * refine)
     gamma = (interpolate_nodal(fine, gamma_star) if callable(gamma_star)
              else gamma_star)
-    _, E = solve_field(fine, family, gamma, factor=factor)
+    _, E = solve_field(fine, family, gamma)
     data = field_data(fine, family, gamma, E)
     if fine is mesh:
         return data

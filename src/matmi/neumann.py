@@ -41,11 +41,8 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Iterative solver failure; carries the residual history."""
-
-    def __init__(self, message, residuals):
-        super().__init__(message)
-        self.residuals = residuals
+    """A failed solve; the message says why, with the residual reached
+    when CG missed its tolerance."""
 
 
 class SparseSystem:
@@ -166,7 +163,7 @@ def _mapped_zeros(rows, n):
         buf = mmap.mmap(-1, max(size, 4))
     except (OSError, MemoryError) as exc:
         raise SolverError("cannot map the %d x %d single-precision band "
-                          "(%d bytes): %s" % (rows, n, size, exc), [])
+                          "(%d bytes): %s" % (rows, n, size, exc))
     return (np.frombuffer(buf, dtype=np.float32, count=rows * n)
             .reshape(n, rows).T)
 
@@ -288,7 +285,7 @@ class LaggedFactor:
                 try:
                     self.factor = spd_factor(matrix())
                 except RuntimeError as exc:
-                    raise SolverError("factorization failed: %s" % exc, [])
+                    raise SolverError("factorization failed: %s" % exc)
             # the preconditioner is passed inline: a name bound to it would
             # keep the lagged factor alive while the fresh one is built
             x, info = pcg(matvec, rhs, x0, rtol, maxiter, self.factor.solve,
@@ -301,8 +298,7 @@ class LaggedFactor:
         detail = ("residual %.3g" % resid if np.isfinite(resid)
                   else "non-finite iterate")
         raise SolverError("CG did not reach rtol=%g in %d iterations with "
-                          "a fresh factor (%s)" % (rtol, maxiter, detail),
-                          [resid])
+                          "a fresh factor (%s)" % (rtol, maxiter, detail))
 
 
 def solve_mean_zero(system, tol=1e-10, factor=None):
@@ -319,7 +315,7 @@ def solve_mean_zero(system, tol=1e-10, factor=None):
     values and the residual history: 1.0, then the relative residual of
     the pinned block after every CG iteration, as CG's recurrence
     carries it (not recomputed from the iterate).  Raises SolverError
-    (with that history) on non-convergence or a failed factorization.
+    on non-convergence or a failed factorization.
     """
     K = system.matrix
     n = K.shape[0]
@@ -335,7 +331,7 @@ def solve_mean_zero(system, tol=1e-10, factor=None):
         x1 = holder.solve(K1.dot, lambda: K1, b[1:], None,
                           min(tol, _LAG_RTOL), _LAG_MAXITER, history=history)
     except SolverError as exc:
-        raise SolverError("pinned Neumann system: %s" % exc, history)
+        raise SolverError("pinned Neumann system: %s" % exc)
     x = np.r_[0.0, x1]
     return x - x.mean(), history
 

@@ -65,8 +65,7 @@ class ExperimentPreset:
     """A named reconstruction benchmark with its defaults."""
 
     def __init__(self, name, family_name, gamma_star, resolution, iterations,
-                 lam, t_range, dim=2, description="",
-                 config_defaults=None):
+                 lam, t_range, dim=2, config_defaults=None):
         self.name = name
         self.family_name = family_name
         self.gamma_star = gamma_star
@@ -75,7 +74,6 @@ class ExperimentPreset:
         self.lam = float(lam)
         self.t_range = (float(t_range[0]), float(t_range[1]))
         self.dim = int(dim)
-        self.description = description
         self.config_defaults = dict(config_defaults or {})
 
     def family(self):
@@ -85,26 +83,19 @@ class ExperimentPreset:
 
 PRESETS = {
     "example1": ExperimentPreset(
-        "example1", "D1", _gaussian_bump, 48, 10, 4.0, (0.5, 2.5),
-        description="isotropic in-plane, Gaussian bump target"),
+        "example1", "D1", _gaussian_bump, 48, 10, 4.0, (0.5, 2.5)),
     "example2": ExperimentPreset(
         "example2", "D2", _two_gaussians, 48, 10, 100.0, (-0.5, 1.6),
-        description="quadratic diagonal, two-Gaussian target",
         config_defaults={"picard.adaptive": False, "picard.alpha": 4e-3}),
     "example3": ExperimentPreset(
-        "example3", "D3", _cosine_rings, 64, 10, 100.0, (-0.5, 2.5),
-        description="nonlinear off-diagonal, oscillatory ring target"),
+        "example3", "D3", _cosine_rings, 64, 10, 100.0, (-0.5, 2.5)),
     "example4": ExperimentPreset(
-        "example4", "D4", _tent_profile, 48, 10, 4.0, (0.5, 2.5),
-        description="rational off-diagonal, piecewise-affine target"),
+        "example4", "D4", _tent_profile, 48, 10, 4.0, (0.5, 2.5)),
     "example5": ExperimentPreset(
-        "example5", "D5", _sine_product, 48, 10, 100.0, (-0.5, 2.4),
-        description="spatially varying off-diagonal, sine-product target"),
+        "example5", "D5", _sine_product, 48, 10, 100.0, (-0.5, 2.4)),
     "example6": ExperimentPreset(
         "example6", "D6", _spherical_inclusion, 16, 10, 4.0, (0.5, 2.5),
-        dim=3,
-        description="3D spatially varying family, spherical inclusion",
-        config_defaults={"picard.adaptive": False}),
+        dim=3, config_defaults={"picard.adaptive": False}),
 }
 
 PRESET_NAMES = tuple(sorted(PRESETS))

@@ -12,9 +12,10 @@ import numpy as np
 
 from .anisotropy import builtin
 from .fields import NodalField, interpolate_nodal, l2_norm_cell, l2_norm_nodal
-from .functional import load_functional_data, synthesize
+from .functional import field_data, load_functional_data, synthesize
 from .mesh import build_unit_cube, build_unit_square
-from .neumann import LaggedFactor, SolverError, conductivity_blocks, etilde
+from .neumann import (LaggedFactor, SolverError, conductivity_blocks, etilde,
+                      solve_field)
 from .transport import FluxFit, TransportError, solve_nonlinear_ls
 
 __all__ = [
@@ -267,10 +268,11 @@ def _ls_update(problem, cfg, alpha, boundary_values, residual_fn, res_prev):
     monotone in the recorded misfit even where the plain fixed-point map
     is locally expansive.  The plain update is the one-candidate case:
     weight `alpha`, a full step, always accepted.  A weight whose solve
-    fails is skipped.  Each solve (`solve_nonlinear_ls`) is anchored at
-    the background value 1 and stops by the inner-loop constants of
-    `matmi.transport` (a change of 1e-4); the weights share `problem`
-    and what it caches.
+    fails is skipped; if every one fails, the TransportError lists each
+    weight with its failure.  Each solve (`solve_nonlinear_ls`) is
+    anchored at the background value 1 and stops by the inner-loop
+    constants of `matmi.transport` (a change of 1e-4); the weights share
+    `problem` and what it caches.
 
     The candidates' misfits, `residual_fn(gamma, factor)`, share one
     neumann.LaggedFactor per update.  Returns (gamma or None, alpha,
@@ -286,7 +288,7 @@ def _ls_update(problem, cfg, alpha, boundary_values, residual_fn, res_prev):
         try:
             sol = solve_nonlinear_ls(problem, a)
         except TransportError as exc:
-            failures.append(str(exc))
+            failures.append("weight %g: %s" % (a, exc))
             continue
         for omega in omegas:
             mixed = NodalField(problem.mesh, omega * sol.values
@@ -364,9 +366,10 @@ def reconstruct(config):
         """The L2 norm of the forward data misfit, and the field E of
         gamma that the forward solve computed; `factor` is an optional
         neumann.LaggedFactor for that solve."""
-        forward = synthesize(family, gamma, mesh, factor=factor)
+        _, E = solve_field(mesh, family, gamma, factor=factor)
+        forward = field_data(mesh, family, gamma, E)
         diff = forward.nodal_projection.values - data.nodal_projection.values
-        return l2_norm_nodal(mesh, diff), forward.field
+        return l2_norm_nodal(mesh, diff), E
 
     gamma = project(NodalField(mesh, np.ones(mesh.num_vertices)), cfg["box"],
                     boundary_values)

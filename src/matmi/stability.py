@@ -119,7 +119,7 @@ def _solved_field(mesh, family, gamma, factor):
     return E
 
 
-def stability_sweep(family, base_gamma, perturbations, mesh=None):
+def stability_sweep(family, base_gamma, perturbations, mesh):
     """Empirical data-to-parameter stability ratios.
 
     For each boundary-vanishing perturbation delta, synthesizes the
@@ -130,7 +130,6 @@ def stability_sweep(family, base_gamma, perturbations, mesh=None):
     solves share one lagged Neumann factor, and a parameter already
     solved on this mesh for this family is not solved again.
     """
-    mesh = mesh if mesh is not None else base_gamma.mesh
     bidx = mesh.boundary_vertex_indices()
     report = StabilityReport("data")
     factor = LaggedFactor()

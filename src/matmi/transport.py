@@ -40,11 +40,7 @@ __all__ = [
 
 
 class TransportError(RuntimeError):
-    """Transport solve failure; may carry a Picard change history."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history or []
+    """A failed least-squares update; the message says why."""
 
 
 class FluxFit:
@@ -226,10 +222,10 @@ def solve_nonlinear_ls(problem, alpha):
                 + scale * R,
                 Ltb + scale * R_anchor, gamma, rtol, _PCG_MAXITER)
         except SolverError as exc:
-            raise TransportError("least-squares step: %s" % exc, history)
+            raise TransportError("least-squares step: %s" % exc)
         if not np.all(np.isfinite(new_vals)):
             raise TransportError("least-squares Picard produced non-finite "
-                                 "values", history)
+                                 "values")
         change = l2_norm_nodal(mesh, new_vals - gamma)
         scale_g = max(l2_norm_nodal(mesh, gamma), 1e-30)
         history.append(change / scale_g)

@@ -65,7 +65,8 @@ def test_many_evaluations_match_the_per_power_expression(name):
         dA += m * P[:, m] * tp[:, None, None]
         tp = tp * ts
     A += fam.rational(xs, ts)
-    dA += fam.rational_dt(xs, ts)
+    if fam._rational_dt_fn is not None:
+        dA += fam._rational_dt_fn(xs, ts)
     assert np.array_equal(fam.eval_many(xs, ts), A)
     assert np.array_equal(fam.deriv_t_many(xs, ts), dA)
 

@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ def test_run_dump_fields_writes_iterates(tmp_path):
 def test_run_overrides_are_recorded(tmp_path):
     code, outdir = _run(tmp_path, "picard.alpha=2e-2")
     assert code == EXIT_OK
-    text = open(os.path.join(outdir, "config.txt")).read()
+    text = Path(outdir, "config.txt").read_text()
     assert "n = 10" in text
     assert "picard.alpha = 0.02" in text
 
@@ -229,8 +230,8 @@ def test_run_reports_the_outer_loop_stop(tmp_path, capsys):
                      r"<= 0\.01 x residual ratio \S+; later iterations "
                      r"repeat its iterate$", text, re.M)
     assert "not converged" not in text
-    assert len(open(os.path.join(out, "example6", "trace.csv"))
-               .read().split()) == 1 + 10
+    assert len(Path(out, "example6", "trace.csv").read_text()
+               .split()) == 1 + 10
 
 
 def test_run_reports_an_unconverged_outer_loop(tmp_path, capsys):
@@ -385,8 +386,8 @@ def test_config_file_round_trip(tmp_path):
 def test_trace_is_byte_identical_across_runs(tmp_path):
     _, out1 = _run(tmp_path / "one")
     _, out2 = _run(tmp_path / "two")
-    a = open(os.path.join(out1, "trace.csv"), "rb").read()
-    b = open(os.path.join(out2, "trace.csv"), "rb").read()
+    a = Path(out1, "trace.csv").read_bytes()
+    b = Path(out2, "trace.csv").read_bytes()
     assert a == b
 
 
@@ -530,7 +531,8 @@ def test_run_writes_partial_artifacts_when_an_update_fails(tmp_path, capsys,
     assert code == cli.EXIT_SOLVER
     err = capsys.readouterr().err
     assert "reconstruction failed: iteration 2 failed: every least-squares " \
-        "candidate failed: injected failure" in err
+        "candidate failed: weight 0.01: injected failure; weight 0.004: " \
+        "injected failure; weight 0.025: injected failure" in err
     assert err.endswith("partial artifacts in %s\n" % outdir)
     config = ReconConfig(preset="example1", n=10, iterations=3)
     with open(os.path.join(outdir, "config.txt")) as fh:
@@ -637,6 +639,6 @@ def test_custom_data_run_lowers_residual(tmp_path, capsys):
     assert code == EXIT_OK
     initial = float(re.search(r"final data residual: \S+ \(initial (\S+)\)",
                               capsys.readouterr().out).group(1))
-    rows = open(os.path.join(out, "custom", "trace.csv")).read().split()
+    rows = Path(out, "custom", "trace.csv").read_text().split()
     final = float(rows[-1].split(",")[2])
     assert final <= initial

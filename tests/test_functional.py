@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,9 +124,9 @@ def test_load_rejects_corrupted_payload(tmp_path):
     data = synthesize(D1, _gamma, mesh)
     path = str(tmp_path / "data.bin")
     save_functional_data(data, path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[8 + 64 + 64 + 150] ^= 0xFF          # flip one payload byte
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="corrupted"):
         load_functional_data(mesh, path)
 
@@ -177,8 +178,8 @@ def test_load_refuses_the_old_container(tmp_path):
     mesh = build_unit_square(8)
     path = str(tmp_path / "data.bin")
     save_functional_data(synthesize(D1, _gamma, mesh), path)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(b"MATMIFN1" + raw[8:])
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(b"MATMIFN1" + raw[8:])
     with pytest.raises(ValueError, match="MATMIFN1 .* no longer read; "
                                          "save the data again"):
         load_functional_data(mesh, path)
@@ -186,7 +187,7 @@ def test_load_refuses_the_old_container(tmp_path):
 
 def test_load_rejects_bad_magic(tmp_path):
     path = str(tmp_path / "junk.bin")
-    open(path, "wb").write(b"NOTMAGIC" + b"\x00" * 200)
+    Path(path).write_bytes(b"NOTMAGIC" + b"\x00" * 200)
     with pytest.raises(ValueError, match="magic"):
         load_functional_data(build_unit_square(4), path)
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from matmi.anisotropy import builtin
-from matmi.fields import NodalField, interpolate_nodal, l2_norm_cell
+from matmi.fields import (NodalField, interpolate_nodal, l2_norm_cell,
+                          l2_norm_nodal)
 from matmi.mesh import build_unit_square
 from matmi.functional import save_functional_data, synthesize
 from matmi.neumann import SolverError, solve_field
@@ -263,21 +264,22 @@ def _counting(monkeypatch, module, name):
 
 def _record_neumann(monkeypatch):
     """Record the shape of every SPD factorization and the `factor`
-    argument of every synthesize call the reconstruction loop makes."""
+    argument of every forward solve of the reconstruction loop's
+    residual (the data synthesis solves through `functional`)."""
     from matmi import neumann
     from matmi import reconstruction as rc
     shapes, holders = [], []
-    real_factor, real_synthesize = neumann.spd_factor, rc.synthesize
+    real_factor, real_solve = neumann.spd_factor, rc.solve_field
 
     def factoring(A):
         shapes.append(A.shape)
         return real_factor(A)
 
-    def synthesizing(*args, factor=None, **kwargs):
+    def solving(*args, factor=None, **kwargs):
         holders.append(factor)
-        return real_synthesize(*args, factor=factor, **kwargs)
+        return real_solve(*args, factor=factor, **kwargs)
     monkeypatch.setattr(neumann, "spd_factor", factoring)
-    monkeypatch.setattr(rc, "synthesize", synthesizing)
+    monkeypatch.setattr(rc, "solve_field", solving)
     return shapes, holders
 
 
@@ -293,8 +295,8 @@ def test_adaptive_update_shares_one_neumann_factor(monkeypatch):
     assert trace.stalled_at is None and trace.converged_at is None
     nv = trace.iterates[-1].mesh.num_vertices
     assert shapes.count((nv - 1, nv - 1)) <= 1 + 1 + 2
-    assert holders[:2] == [None, None] and len(holders) == 2 + 2 * 6
-    first, second = holders[2:8], holders[8:]
+    assert holders[:1] == [None] and len(holders) == 1 + 2 * 6
+    first, second = holders[1:7], holders[7:]
     assert first[0] is not None and second[0] is not None
     assert first[0] is not second[0]
     assert all(h is first[0] for h in first)
@@ -309,8 +311,8 @@ def test_plain_update_residual_gets_one_holder(monkeypatch):
                                     **{"picard.adaptive": False}))
     assert trace.stalled_at is None and trace.converged_at is None
     nv = trace.iterates[-1].mesh.num_vertices
-    assert holders[:2] == [None, None] and len(holders) == 2 + 2
-    assert None not in holders[2:] and holders[2] is not holders[3]
+    assert holders[:1] == [None] and len(holders) == 1 + 2
+    assert None not in holders[1:] and holders[1] is not holders[2]
     assert shapes.count((nv - 1, nv - 1)) == 2 + 2
 
 
@@ -391,14 +393,15 @@ def test_a_sufficient_first_candidate_ends_the_update(monkeypatch):
     # example4's first full step at the current weight lowers the misfit
     # below _SUFFICIENT_DECREASE x the initial one: the update makes one
     # transport solve and one candidate forward solve, after the data
-    # and the initial residual
+    # synthesis and the initial residual's forward solve
     from matmi import reconstruction as rc
     lsq = _counting(monkeypatch, rc, "solve_nonlinear_ls")
     synthesized = _counting(monkeypatch, rc, "synthesize")
+    solved = _counting(monkeypatch, rc, "solve_field")
     trace = reconstruct(ReconConfig(preset="example4", n=8, iterations=1))
     assert trace.data_residual[0] < (rc._SUFFICIENT_DECREASE
                                      * trace.initial_residual)
-    assert (len(lsq), len(synthesized)) == (1, 2 + 1)
+    assert (len(lsq), len(synthesized), len(solved)) == (1, 1, 1 + 1)
 
 
 def test_plain_update_is_one_candidate_per_iteration(monkeypatch):
@@ -508,30 +511,36 @@ def test_an_update_with_every_candidate_failing_ends_the_run(monkeypatch,
     config = ReconConfig(preset="example4", n=8, iterations=3,
                          **{"picard.adaptive": adaptive})
     with pytest.raises(ReconError, match="iteration 2 failed: every "
-                       "least-squares candidate failed") as err:
+                       "least-squares candidate failed: weight ") as err:
         reconstruct(config)
-    assert len(raised) == (len(rc._ALPHA_MULTIPLIERS) if adaptive else 1)
+    mults = rc._ALPHA_MULTIPLIERS if adaptive else (1.0,)
+    assert len(raised) == len(mults)
+    # the message names each weight tried, in order, with its failure
+    weights = [float(w) for w in re.findall(r"weight (\S+): injected "
+                                            r"failure", str(err.value))]
+    assert len(weights) == len(mults)
+    assert [w / weights[0] for w in weights] == pytest.approx(mults, rel=1e-4)
     trace = err.value.trace
     assert len(trace.iterates) == len(trace.error_l2) == 1
     assert len(trace.data_residual) == len(trace.picard_changes) == 1
 
 
 def test_a_failed_initial_forward_solve_ends_the_run(monkeypatch):
-    # the first synthesize call makes the data; the second, the initial
-    # residual's forward solve, fails before any iteration
+    # the data are synthesized through `functional`; the loop's first
+    # forward solve, the initial residual's, fails before any iteration
     from matmi import reconstruction as rc
-    real, calls = rc.synthesize, []
+    real, calls = rc.solve_field, []
 
-    def synthesizing(*args, **kwargs):
+    def solving(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 2:
-            raise SolverError("injected failure", [1.0])
+        if len(calls) == 1:
+            raise SolverError("injected failure")
         return real(*args, **kwargs)
-    monkeypatch.setattr(rc, "synthesize", synthesizing)
+    monkeypatch.setattr(rc, "solve_field", solving)
     with pytest.raises(ReconError, match="forward solve for the initial "
                        "residual failed: injected failure") as err:
         reconstruct(ReconConfig(preset="example4", n=8, iterations=2))
-    assert len(calls) == 2
+    assert len(calls) == 1
     trace = err.value.trace
     assert trace.iterates == [] and trace.error_l2 == []
     assert np.isfinite(trace.initial_error)
@@ -568,8 +577,11 @@ def test_a_failed_data_synthesis_ends_the_run_with_the_target_report():
 
 def test_trace_records_the_fitted_data_and_each_rows_field_energy():
     # example1 at n=4 stalls at iteration 2 of 6: each row's energy is
-    # ||grad u|| of its iterate's own field, repeated with the iterate
-    trace = reconstruct(ReconConfig(preset="example1", n=4, iterations=6))
+    # ||grad u|| of its iterate's own field, repeated with the iterate,
+    # and each residual is the misfit of the public forward map at the
+    # row's iterate (the run's solves use lagged factors, hence rel=1e-9)
+    config = ReconConfig(preset="example1", n=4, iterations=6)
+    trace = reconstruct(config)
     assert trace.stalled_at == 2
     mesh = trace.iterates[0].mesh
     preset = get_preset("example1")
@@ -578,11 +590,22 @@ def test_trace_records_the_fitted_data_and_each_rows_field_energy():
     np.testing.assert_allclose(trace.data.p1_weak,
                                synthesize(family, target, mesh).p1_weak,
                                rtol=1e-9, atol=1e-12)
+
+    def misfit(gamma):
+        forward = synthesize(family, gamma, mesh).nodal_projection.values
+        return l2_norm_nodal(mesh,
+                             forward - trace.data.nodal_projection.values)
+    bidx = mesh.boundary_vertex_indices()
+    start = project(_ones(mesh), config.resolve()["box"],
+                    preset.gamma_star(mesh.vertices[bidx]))
+    assert trace.initial_residual == pytest.approx(misfit(start), rel=1e-9)
     assert len(trace.field_energy) == len(trace.iterates) == 6
+    assert len(trace.data_residual) == 6
     for k, it in enumerate(trace.iterates):
         u, _ = solve_field(mesh, family, it)
         assert trace.field_energy[k] == pytest.approx(
             l2_norm_cell(mesh, u.cell_gradients()), rel=1e-9)
+        assert trace.data_residual[k] == pytest.approx(misfit(it), rel=1e-9)
         if k and it is trace.iterates[k - 1]:
             assert trace.field_energy[k] == trace.field_energy[k - 1]
 
