@@ -27,13 +27,18 @@ class AnisotropyFamily:
     ----------
     name : str
     poly_fn : callable
-        xs (N, d>=2) -> (N, M, 3, 3): coefficients of t^0 .. t^(M-1).
+        xs (N, d>=2) -> (M, 3, 3, N): coefficients of t^0 .. t^(M-1),
+        sample-last.
     poly_grad_fn : callable or None
-        xs -> (N, 3, M, 3, 3): spatial gradient of the coefficients
+        xs -> (3, M, 3, 3, N): spatial gradient of the coefficients
         (z-component included, zero where absent).  None means zero.
     rational_fn, rational_dt_fn : callable or None
-        (xs, ts) -> (N, 3, 3): non-polynomial remainder and its
+        (xs, ts) -> (3, 3, N): non-polynomial remainder and its
         t-derivative.  None means zero.
+
+    The per-sample arrays are sample-last, so that the per-cell kernels
+    run over rows of N values; `eval_many` and `deriv_t_many` return
+    (N, 3, 3).
     t_range : (float, float)
         Admissible parameter interval.
     """
@@ -77,62 +82,64 @@ class AnisotropyFamily:
                 "range [%g, %g]" % (ts[i], where, i, lo, hi))
 
     def poly_coeffs(self, xs):
-        """(N, M, 3, 3) polynomial coefficients at xs; may be read-only."""
+        """(M, 3, 3, N) polynomial coefficients at xs, sample-last; may
+        be read-only."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return self._poly_fn(xs)
 
     def poly_coeffs_grad(self, xs):
-        """(N, 3, M, 3, 3) spatial gradients of the coefficients."""
+        """(3, M, 3, 3, N) spatial gradients of the coefficients."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if self._poly_grad_fn is None:
-            P = self._poly_fn(xs)
-            return np.zeros((xs.shape[0], 3) + P.shape[1:])
+            return np.zeros((3,) + self._poly_fn(xs).shape)
         return self._poly_grad_fn(xs)
 
     def rational(self, xs, ts):
+        """(3, 3, N) non-polynomial remainder R(x_i, t_i), sample-last."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if self._rational_fn is None:
-            return np.zeros((len(ts), 3, 3))
+            return np.zeros((3, 3, len(ts)))
         return self._rational_fn(xs, ts)
 
     def eval_many(self, xs, ts, check_range=True):
-        """A(x_i, t_i) for paired samples, shape (N, 3, 3)."""
+        """A(x_i, t_i) for paired samples, shape (N, 3, 3): the
+        transposed view of the sample-last sum."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if check_range:
             self._check_range(ts)
-        out = power_series(self.poly_coeffs(xs).swapaxes(0, 1), ts)
+        out = power_series(self.poly_coeffs(xs), ts)
         if self._rational_fn is not None:
             out += self._rational_fn(xs, ts)
-        return out
+        return out.transpose(2, 0, 1)
 
     def deriv_t_many(self, xs, ts, check_range=True):
-        """dA/dt(x_i, t_i), shape (N, 3, 3)."""
+        """dA/dt(x_i, t_i), shape (N, 3, 3), as `eval_many`."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if check_range:
             self._check_range(ts)
-        P = self.poly_coeffs(xs).swapaxes(0, 1)
+        P = self.poly_coeffs(xs)
         m = np.arange(1, len(P)).reshape(-1, 1, 1, 1)
         out = power_series(m * P[1:], ts)
         if self._rational_dt_fn is not None:
             out += self._rational_dt_fn(xs, ts)
-        return out
+        return out.transpose(2, 0, 1)
 
 
 def power_series(coeffs, t):
-    """sum_m coeffs[m] t^m per sample, for coeffs (M, N, ...) indexed by
-    power first and t of shape (N,).  The terms are added from t^0 upward
-    through one scratch buffer, rounding as one temporary per power."""
+    """sum_m coeffs[m] t^m per sample, for coeffs (M, ..., N) indexed by
+    power first and by sample last, and t of shape (N,); the result has
+    shape coeffs.shape[1:].  The terms are added from t^0 upward through
+    one scratch buffer, rounding as one temporary per power."""
     out = np.zeros(coeffs.shape[1:])
     buf = np.empty_like(out)
-    tcol = t.reshape(t.shape + (1,) * (out.ndim - 1))
-    tp = np.ones_like(tcol)
+    tp = np.ones_like(t)
     for c in coeffs:
         np.multiply(c, tp, out=buf)
         out += buf
-        tp = tp * tcol
+        tp = tp * t
     return out
 
 
@@ -186,26 +193,26 @@ def check_admissibility(family, grid_density, lambda_declared):
 # -- builtin families ---------------------------------------------------
 
 def _const_poly(mats):
-    mats = np.asarray(mats, dtype=float)
+    mats = np.asarray(mats, dtype=float)[..., None]
 
     def fn(xs):
-        return np.broadcast_to(mats, (xs.shape[0],) + mats.shape)
+        return np.broadcast_to(mats, mats.shape[:-1] + (xs.shape[0],))
     return fn
 
 
 def _d4_rational(xs, ts):
-    out = np.zeros((len(ts), 3, 3))
+    out = np.zeros((3, 3, len(ts)))
     v = 1.0 / (ts + 20.0)
-    out[:, 0, 1] = v
-    out[:, 1, 0] = v
+    out[0, 1] = v
+    out[1, 0] = v
     return out
 
 
 def _d4_rational_dt(xs, ts):
-    out = np.zeros((len(ts), 3, 3))
+    out = np.zeros((3, 3, len(ts)))
     v = -1.0 / (ts + 20.0) ** 2
-    out[:, 0, 1] = v
-    out[:, 1, 0] = v
+    out[0, 1] = v
+    out[1, 0] = v
     return out
 
 
@@ -216,26 +223,26 @@ def _radial_poly(cx, cy):
 
     def fn(xs):
         N = xs.shape[0]
-        P = np.zeros((N, 3, 3, 3))
-        P[:, 0] = base1          # t^0: 0.4 in the (1,1) slot
+        P = np.zeros((3, 3, 3, N))
+        P[0] = base1[..., None]  # t^0: 0.4 in the (1,1) slot
         r2 = 0.25 * ((xs[:, 0] - cx) ** 2 + (xs[:, 1] - cy) ** 2)
-        P[:, 1, 0, 0] = 0.8
-        P[:, 1, 1, 1] = 3.0
-        P[:, 1, 2, 2] = 1.0
-        P[:, 1, 0, 1] = r2
-        P[:, 1, 1, 0] = r2
-        P[:, 2, 0, 0] = 0.4
+        P[1, 0, 0] = 0.8
+        P[1, 1, 1] = 3.0
+        P[1, 2, 2] = 1.0
+        P[1, 0, 1] = r2
+        P[1, 1, 0] = r2
+        P[2, 0, 0] = 0.4
         return P
 
     def grad(xs):
         N = xs.shape[0]
-        G = np.zeros((N, 3, 3, 3, 3))
+        G = np.zeros((3, 3, 3, 3, N))
         gx = 0.5 * (xs[:, 0] - cx)
         gy = 0.5 * (xs[:, 1] - cy)
-        G[:, 0, 1, 0, 1] = gx
-        G[:, 0, 1, 1, 0] = gx
-        G[:, 1, 1, 0, 1] = gy
-        G[:, 1, 1, 1, 0] = gy
+        G[0, 1, 0, 1] = gx
+        G[0, 1, 1, 0] = gx
+        G[1, 1, 0, 1] = gy
+        G[1, 1, 1, 0] = gy
         return G
     return fn, grad
 

@@ -33,17 +33,19 @@ class NodalField:
 
     def cell_means(self):
         """Value at cell centroids (mean of the cell's vertex values):
-        the gathered vertex columns are added to zero in order and
+        the gathered vertex rows are added to zero in slot order and
         divided by nloc, which rounds as `.mean(axis=1)` does."""
         total = np.zeros(self.mesh.num_cells)
-        for col in self.mesh.cells.T:
-            total += self.values[col]
+        for slot in self.mesh.local_vertices:
+            total += self.values[slot]
         return total / (self.mesh.dim + 1)
 
     def cell_gradients(self):
-        """Exact per-cell P1 gradient, shape (nc, dim)."""
-        vals = self.values[self.mesh.cells]            # (nc, dim+1)
-        return np.einsum("ci,cid->cd", vals, self.mesh.cell_grads)
+        """Exact per-cell P1 gradient, shape (nc, dim): the transposed
+        view of the (dim, nc) sum over the slots, in slot order, of the
+        vertex value times the basis gradient."""
+        vals = self.values[self.mesh.local_vertices]   # (nloc, nc)
+        return np.einsum("ic,idc->dc", vals, self.mesh.local_grads).T
 
 
 class CellField:
@@ -63,10 +65,12 @@ class CellField:
 def assemble_p1(mesh, local):
     """CSR (nv, nv) matrix summing per-cell local P1 matrices.
 
-    local : (nc, nloc, nloc) array; entry [c, i, j] couples vertices
-    cells[c, i] and cells[c, j].  The entries are summed into the mesh's
-    fixed pattern (`Mesh.p1_pattern`), whose index arrays every
-    assembled matrix shares read-only.
+    local : (nloc, nloc, nc) array, cell-last; entry [i, j, c] couples
+    vertices cells[c, i] and cells[c, j].  The entries are summed into
+    the mesh's fixed pattern (`Mesh.p1_pattern`), whose index arrays
+    every assembled matrix shares read-only, in the order of `local`'s
+    memory: each global entry adds its (i, j) pairs in order, and the
+    cells in order within one pair.
     """
     indptr, indices, slot = mesh.p1_pattern
     nv = mesh.num_vertices
@@ -77,10 +81,10 @@ def assemble_p1(mesh, local):
 def scatter_p1(mesh, local):
     """(nv,) vector summing per-cell local P1 rows.
 
-    local : (nc, nloc) array; entry [c, i] is added to vertex
-    cells[c, i], cell by cell in order.
+    local : (nloc, nc) array, cell-last; entry [i, c] is added to vertex
+    cells[c, i], slot by slot and cell by cell within a slot.
     """
-    return np.bincount(mesh.cells.ravel(), local.ravel(),
+    return np.bincount(mesh.local_vertices.ravel(), local.ravel(),
                        minlength=mesh.num_vertices)
 
 
@@ -90,14 +94,14 @@ def mass_matrix(mesh):
     nloc = mesh.dim + 1
     # local P1 mass on a simplex: vol/((d+1)(d+2)) * (1 + delta_ij)
     local = (np.ones((nloc, nloc)) + np.eye(nloc)) / ((nloc) * (nloc + 1))
-    return assemble_p1(mesh, mesh.cell_volumes[:, None, None] * local)
+    return assemble_p1(mesh, local[:, :, None] * mesh.cell_volumes)
 
 
 def h1_matrix(mesh):
     """Unit-coefficient stiffness plus the mass matrix (an H1 inner
     product), built anew; callers use the mesh's copy, `Mesh.h1`."""
-    g = mesh.cell_grads
-    ke = np.einsum("c,cid,cjd->cij", mesh.cell_volumes, g, g)
+    g = mesh.local_grads
+    ke = np.einsum("c,idc,jdc->ijc", mesh.cell_volumes, g, g)
     return assemble_p1(mesh, ke) + mesh.mass
 
 
@@ -108,9 +112,9 @@ def l2_norm_nodal(mesh, values):
 
 
 def l2_norm_cell(mesh, values):
-    """L2(Omega) norm of a piecewise-constant field (scalar or vector)."""
+    """L2(Omega) norm of a piecewise-constant field, (nc,) or (nc, k)."""
     v = np.asarray(values, dtype=float)
-    sq = v * v if v.ndim == 1 else (v * v).sum(axis=1)
+    sq = v * v if v.ndim == 1 else np.einsum("ck,ck->c", v, v)
     return float(np.sqrt(np.dot(mesh.cell_volumes, sq)))
 
 
@@ -122,8 +126,8 @@ def cell_to_nodal(field):
     """
     mesh = field.mesh
     vals = field.values.reshape(mesh.num_cells, -1)
-    w = np.repeat(mesh.cell_volumes[:, None], mesh.dim + 1, axis=1)
-    num = np.column_stack([scatter_p1(mesh, vals[:, k, None] * w)
+    w = np.broadcast_to(mesh.cell_volumes, mesh.local_vertices.shape)
+    num = np.column_stack([scatter_p1(mesh, vals[:, k] * w)
                            for k in range(vals.shape[1])])
     out = num / scatter_p1(mesh, w)[:, None]
     return out.reshape((mesh.num_vertices,) + field.values.shape[1:])

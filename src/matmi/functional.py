@@ -44,7 +44,8 @@ _MASS_MAXITER = 200
 
 def cross_b0(E):
     """E x B0 with B0 = (0, 0, 1), row by row of an (N, 3) array: maps
-    (E1, E2, E3) to (E2, -E1, 0)."""
+    (E1, E2, E3) to (E2, -E1, 0).  The result has E's memory layout, so
+    the (3, N) rows of a transposed view stay contiguous."""
     out = np.zeros_like(E)
     out[:, 0] = E[:, 1]
     out[:, 1] = -E[:, 0]
@@ -79,21 +80,19 @@ class FluxSplit:
     """The in-plane flux A(x_c, gamma_c) w, w = E x B0, at the cell
     centroids, split as gamma_c * g + h: g = sum_{m>=1} gamma_c^(m-1)
     P_m w and h = P_0 w + R(gamma_c) w, for the family's polynomial
-    coefficients P_m and remainder R.  Holds `w` (nc, 3) and the
-    read-only `Pw` = (P_m w)[:, :dim], shape (M, nc, dim); a call with
-    gamma_c returns (g, h), each (nc, dim), and `weak_divergence` the
-    same split after the P1 weak divergence.
+    coefficients P_m and remainder R.  Every array is cell-last: it holds
+    `w` (3, nc) and the read-only `Pw` = (P_m w)[:dim], shape
+    (M, dim, nc); a call with gamma_c (nc,) returns (g, h), each
+    (dim, nc), and `weak_divergence` the same split after the P1 weak
+    divergence.
     """
 
     def __init__(self, mesh, family, E):
         self.mesh = mesh
         self.family = family
-        self.w = cross_b0(E.values)
-        # einsum runs 3-6x slower on the family's strided or zero-stride
-        # view than on a contiguous copy of the in-plane block
-        P = np.ascontiguousarray(
-            family.poly_coeffs(mesh.centroid_points)[:, :, :mesh.dim])
-        self.Pw = np.einsum("cmij,cj->mci", P, self.w)  # P: (nc, M, dim, 3)
+        self.w = cross_b0(E.values).T
+        P = family.poly_coeffs(mesh.centroid_points)[:, :mesh.dim]
+        self.Pw = np.einsum("mijc,jc->mic", P, self.w)  # P: (M, dim, 3, nc)
         self.Pw.flags.writeable = False     # a call hands out Pw[0] itself
 
     def __call__(self, gamma_c):
@@ -104,25 +103,25 @@ class FluxSplit:
 
     def _remainder_flux(self, gamma_c):
         rat = self.family.rational(self.mesh.centroid_points,
-                                   gamma_c)[:, :self.mesh.dim]
-        return np.einsum("cij,cj->ci", rat, self.w)
+                                   gamma_c)[:self.mesh.dim]
+        return np.einsum("ijc,jc->ic", rat, self.w)
 
     @functools.cached_property
     def _weak_powers(self):
-        """weak_p1_rows of each P_m w, m >= 1, shape (M - 1, nc, nloc),
+        """weak_p1_rows of each P_m w, m >= 1, shape (M - 1, nloc, nc),
         and the P1 weak divergence of P_0 w, both read-only; built on
         the first `weak_divergence`, so a split that only evaluates the
         flux never pays for them."""
         mesh = self.mesh
-        W = np.empty((len(self.Pw) - 1, mesh.num_cells, mesh.dim + 1))
+        W = np.empty((len(self.Pw) - 1, mesh.dim + 1, mesh.num_cells))
         for m in range(1, len(self.Pw)):
             W[m - 1] = weak_p1_rows(mesh, self.Pw[m])
-        c0 = weak_p1_from_flux(mesh, self.Pw[0])
+        c0 = weak_p1_from_flux(mesh, self.Pw[0].T)
         W.flags.writeable = c0.flags.writeable = False
         return W, c0
 
     def weak_divergence(self, gamma_c):
-        """(rows, c) at gamma_c: the local rows (nc, nloc) of g's P1 weak
+        """(rows, c) at gamma_c: the local rows (nloc, nc) of g's P1 weak
         divergence and h's P1 weak divergence (nv,).  The weak
         divergence is linear in the flux, so rows sums the cached rows
         of the P_m w by `power_series`, and c is the cached constant
@@ -132,39 +131,41 @@ class FluxSplit:
         rows = power_series(W, gamma_c)
         if not self.family.has_remainder:
             return rows, c0
-        return rows, c0 + weak_p1_from_flux(self.mesh,
-                                            self._remainder_flux(gamma_c))
+        return rows, c0 + weak_p1_from_flux(
+            self.mesh, self._remainder_flux(gamma_c).T)
 
 
 def flux_field(mesh, family, gamma_cell_values, E):
-    """Per-cell flux q = A(x, gamma) (E x B0), in-plane components.
+    """Per-cell flux q = A(x, gamma) (E x B0), in-plane components,
+    shape (nc, dim): the transposed view of its (dim, nc) rows.
 
     gamma_cell_values: (nc,) parameter values at cell centroids.
     E: CellField (nc, 3).
     """
     g, h = FluxSplit(mesh, family, E)(gamma_cell_values)
-    return gamma_cell_values[:, None] * g + h
+    return (gamma_cell_values * g + h).T
 
 
 def weak_p1_rows(mesh, q):
     """Per-cell local rows of the P1-weak divergence of a per-cell flux,
-    shape (nc, nloc): row [c, i] is -|c| q . grad phi_i plus, for each
-    boundary facet f of cell c through vertex i, the facet's share
-    (q . nu) |f| / dim = int_f (q . nu) phi_i ds, added in facet order.
+    cell-last: q has shape (dim, nc) and the rows (nloc, nc).  Row
+    [i, c] is -|c| q . grad phi_i plus, for each boundary facet f of
+    cell c through vertex i, the facet's share (q . nu) |f| / dim =
+    int_f (q . nu) phi_i ds, added in facet order.
     """
-    rows = -mesh.cell_volumes[:, None] * np.einsum("cid,cd->ci",
-                                                   mesh.cell_grads, q)
+    rows = -mesh.cell_volumes * np.einsum("idc,dc->ic", mesh.local_grads, q)
     fc = mesh.facet_cells
-    qn = np.einsum("fd,fd->f", q[fc], mesh.facet_normals)
+    qn = np.einsum("df,fd->f", q[:, fc], mesh.facet_normals)
     share = qn * mesh.facet_measures * (1.0 / mesh.dim)
-    np.add.at(rows, (fc[:, None], mesh.facet_local), share[:, None])
+    np.add.at(rows, (mesh.facet_local, fc[:, None]), share[:, None])
     return rows
 
 
 def weak_p1_from_flux(mesh, q):
-    """P1-weak divergence of a per-cell flux:
+    """P1-weak divergence of a per-cell flux q, shape (nc, dim), read
+    through its transpose (`weak_p1_rows`):
     r_i = -int q . grad phi_i dx + bdry int (q . nu) phi_i ds."""
-    return scatter_p1(mesh, weak_p1_rows(mesh, q))
+    return scatter_p1(mesh, weak_p1_rows(mesh, q.T))
 
 
 def eval_p1(field, points):

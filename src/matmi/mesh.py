@@ -46,6 +46,11 @@ _FACET_SLOTS = {dim: np.array([[k for k in range(dim + 1) if k != j]
 class Mesh:
     """Simplicial mesh with cached cell/facet geometry.
 
+    Per-cell arrays are stored cell-last, the cell index on the last and
+    contiguous axis, so that per-cell kernels run over rows of nc values;
+    the cell-first names are read-only transposed views of the same
+    memory, each array stored once.
+
     Attributes
     ----------
     dim : int
@@ -53,10 +58,20 @@ class Mesh:
     n : int
         Grid resolution (cells per axis).
     vertices : (nv, dim) float array
+    local_vertices : (dim+1, nc) int array
+        local_vertices[i, c] is the vertex in local slot i of cell c;
+        cells are positively oriented.
     cells : (nc, dim+1) int array
-        Vertex indices, positively oriented.
-    cell_centroids, cell_volumes, cell_grads : cell geometry
-        (nc, dim), (nc,) and (nc, dim+1, dim) P1 basis gradients.
+        Its transposed view: the vertices of each cell.
+    local_grads : (dim+1, dim, nc) float array
+        local_grads[i, :, c] is the gradient of the P1 basis function of
+        slot i on cell c.
+    cell_grads : (nc, dim+1, dim) float array
+        Its transposed view.
+    cell_volumes : (nc,) float array
+    cell_centroids, centroid_points : (nc, dim) and (nc, 3) float arrays
+        Cell centroids, and the same padded with zeros, where
+        coefficients are evaluated: views of one (3, nc) array.
     facet_cells : (nb,) int array
         The unique adjacent cell of each boundary facet (an edge in 2D, a
         triangle in 3D); the facet arrays share this order.
@@ -77,23 +92,24 @@ class Mesh:
         measure.
     p1_pattern : (indptr, indices, slot)
         CSR sparsity of the P1 matrices and the scatter of local
-        entries into it (`fields.assemble_p1`).
+        entries, cell-last, into it (`fields.assemble_p1`).
     mass, h1 : (nv, nv) CSR matrices
         P1 mass matrix (`fields.mass_matrix`) and H1 matrix, stiffness
         plus mass (`fields.h1_matrix`).
-    centroid_points : (nc, 3) float array
-        Cell centroids padded with zeros: where coefficients are evaluated.
 
-    The interior-face arrays and the last four are read-only and built on
-    first use, once per mesh; the faces (only the DG0 checks of
-    `matmi.oracles` read them) repeat the facet matching of the boundary.
+    The cell arrays are read-only.  The interior-face arrays, the P1
+    pattern and the two matrices are read-only and built on first use,
+    once per mesh; the faces (only the DG0 checks of `matmi.oracles`
+    read them) repeat the facet matching of the boundary.
     """
 
     def __init__(self, dim, n, vertices, cells):
         self.dim = dim
         self.n = n
         self.vertices = vertices
-        self.cells = cells
+        self.local_vertices = _frozen(np.ascontiguousarray(
+            np.asarray(cells).T))
+        self.cells = self.local_vertices.T
         self._build_geometry()
         self._build_boundary()
 
@@ -106,20 +122,26 @@ class Mesh:
         return self.cells.shape[0]
 
     def _build_geometry(self):
+        dim = self.dim
         x = self.vertices[self.cells]          # (nc, dim+1, dim)
-        self.cell_centroids = x.mean(axis=1)
+        centroids = np.zeros((3, self.num_cells))
+        centroids[:dim] = x.mean(axis=1).T
+        _frozen(centroids)
+        self.centroid_points = centroids.T
+        self.cell_centroids = centroids[:dim].T
         e = x[:, 1:, :] - x[:, :1, :]          # (nc, dim, dim) edge matrix
         det = np.linalg.det(e)
-        fact = 2.0 if self.dim == 2 else 6.0
-        self.cell_volumes = det / fact
+        fact = 2.0 if dim == 2 else 6.0
+        self.cell_volumes = _frozen(det / fact)
         if np.any(self.cell_volumes <= 0.0):
             raise ValueError("mesh contains a cell with non-positive volume")
         # P1 basis gradients: rows of inv(e) give gradients of barycentric
         # coordinates 1..dim; gradient of coordinate 0 closes the partition.
-        inv_e = np.linalg.inv(e)               # (nc, dim, dim)
-        g = np.transpose(inv_e, (0, 2, 1))     # (nc, dim, dim): grad lambda_1..dim
-        g0 = -g.sum(axis=1, keepdims=True)
-        self.cell_grads = np.concatenate([g0, g], axis=1)  # (nc, dim+1, dim)
+        grads = np.empty((dim + 1, dim, self.num_cells))
+        grads[1:] = np.linalg.inv(e).transpose(2, 1, 0)  # grad lambda_1..dim
+        grads[0] = -grads[1:].sum(axis=0)
+        self.local_grads = _frozen(grads)
+        self.cell_grads = grads.transpose(2, 0, 1)
 
     def _sorted_facets(self):
         """Every facet of every cell, matched by vertices: (verts, order,
@@ -191,12 +213,13 @@ class Mesh:
     @functools.cached_property
     def p1_pattern(self):
         """CSR pattern shared by every P1 matrix on the mesh, built on
-        first use: read-only (indptr, indices, slot), where slot[(c*nloc
-        + i)*nloc + j] is the position in `indices` of the coupling of
-        vertex cells[c, i] with vertex cells[c, j]."""
+        first use: read-only (indptr, indices, slot), where slot[(i*nloc
+        + j)*nc + c] is the position in `indices` of the coupling of
+        vertex cells[c, i] with vertex cells[c, j] (cell-last, as the
+        (nloc, nloc, nc) local matrices of `fields.assemble_p1`)."""
         nv, nloc = self.num_vertices, self.dim + 1
-        rows = np.repeat(self.cells, nloc, axis=1).ravel()
-        cols = np.tile(self.cells, (1, nloc)).ravel()
+        rows = np.repeat(self.local_vertices, nloc, axis=0).ravel()
+        cols = np.tile(self.local_vertices, (nloc, 1)).ravel()
         # canonical CSR: rows ascending, sorted unique columns in each row
         pat = sp.coo_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
                             shape=(nv, nv)).tocsr()
@@ -229,12 +252,6 @@ class Mesh:
     @functools.cached_property
     def h1(self):
         return _frozen(h1_matrix(self))
-
-    @functools.cached_property
-    def centroid_points(self):
-        out = np.zeros((self.num_cells, 3))
-        out[:, :self.dim] = self.cell_centroids
-        return _frozen(out)
 
 
 def _grid_vertices(n, dim):

@@ -54,15 +54,17 @@ class SparseSystem:
 
 
 def etilde(x):
-    """Reference field 0.5 * (-y, x, 0) at each row of an (N, d) array."""
-    out = np.zeros((x.shape[0], 3))
-    out[:, 0] = -0.5 * x[:, 1]
-    out[:, 1] = 0.5 * x[:, 0]
-    return out
+    """Reference field 0.5 * (-y, x, 0) at each row of an (N, d) array,
+    shape (N, 3): the transposed view of its (3, N) rows."""
+    out = np.zeros((3, x.shape[0]))
+    out[0] = -0.5 * x[:, 1]
+    out[1] = 0.5 * x[:, 0]
+    return out.T
 
 
 def conductivity_blocks(mesh, family, gamma):
-    """In-plane conductivity matrix per cell, shape (nc, dim, dim).
+    """In-plane conductivity matrix per cell, cell-last: shape
+    (dim, dim, nc).
 
     The vertex values of gamma (a NodalField) are range-checked, then
     the upper-left dim x dim block of A is evaluated at cell centroids
@@ -74,9 +76,9 @@ def conductivity_blocks(mesh, family, gamma):
     """
     family._check_range(gamma.values, "vertex")
     d, xs, t = mesh.dim, mesh.centroid_points, gamma.cell_means()
-    B = power_series(family.poly_coeffs(xs)[:, :, :d, :d].swapaxes(0, 1), t)
+    B = power_series(family.poly_coeffs(xs)[:, :d, :d], t)
     if family.has_remainder:
-        B += family.rational(xs, t)[:, :d, :d]
+        B += family.rational(xs, t)[:d, :d]
     return B
 
 
@@ -84,15 +86,17 @@ def assemble(mesh, family, gamma):
     """Neumann system for the field potential u (pure Neumann, singular).
 
     rhs_i = -int A(x, gamma) Etilde . grad phi_i dx, evaluated with the
-    same centroid quadrature as the stiffness matrix.
+    same centroid quadrature as the stiffness matrix.  Per cell, cell-last,
+    the volume-scaled gradients times the conductivity block, vgB[i, e] =
+    |c| sum_d grad phi_i[d] B[d, e], give both the local matrix
+    vgB grad phi_j and the local right-hand side -vgB Etilde.
     """
     B = conductivity_blocks(mesh, family, gamma)
-    g = mesh.cell_grads                       # (nc, nloc, dim)
-    vg = g * mesh.cell_volumes[:, None, None]
-    K = assemble_p1(mesh, vg @ B @ g.transpose(0, 2, 1))
-    et = etilde(mesh.cell_centroids)[:, :mesh.dim]
-    q = np.einsum("cde,ce->cd", B, et)        # A Etilde per cell, in-plane
-    b = scatter_p1(mesh, -np.einsum("cid,cd->ci", vg, q))
+    g = mesh.local_grads                      # (nloc, dim, nc)
+    vgB = np.einsum("idc,dec->iec", g * mesh.cell_volumes, B)
+    K = assemble_p1(mesh, np.einsum("iec,jec->ijc", vgB, g))
+    et = etilde(mesh.cell_centroids).T[:mesh.dim]
+    b = scatter_p1(mesh, -np.einsum("iec,ec->ic", vgB, et))
     return SparseSystem(K, b)
 
 
@@ -100,17 +104,17 @@ def load_vector(mesh, f):
     """Load vector int f phi_i dx via an edge-midpoint quadrature (2D,
     exact for quadratics) or the vertex rule (3D)."""
     nloc = mesh.dim + 1
-    x = mesh.vertices[mesh.cells]             # (nc, nloc, dim)
+    x = mesh.vertices[mesh.local_vertices]    # (nloc, nc, dim)
     vol = mesh.cell_volumes
-    local = np.zeros((mesh.num_cells, nloc))
+    local = np.zeros((nloc, mesh.num_cells))
     if mesh.dim == 2:
         # midpoints of edges (i, j); phi_k = 1/2 on its two adjacent edges
         for (i, j) in [(0, 1), (1, 2), (0, 2)]:
-            fv = np.asarray(f(0.5 * (x[:, i, :] + x[:, j, :])), dtype=float)
-            local[:, [i, j]] += (0.5 * vol / 3.0 * fv)[:, None]
+            fv = np.asarray(f(0.5 * (x[i] + x[j])), dtype=float)
+            local[[i, j]] += 0.5 * vol / 3.0 * fv
     else:
         for i in range(nloc):
-            local[:, i] = vol / nloc * np.asarray(f(x[:, i, :]), dtype=float)
+            local[i] = vol / nloc * np.asarray(f(x[i]), dtype=float)
     return scatter_p1(mesh, local)
 
 
@@ -151,14 +155,34 @@ def _lower_band(A):
     return band
 
 
+def _available_bytes():
+    """The memory the host reports it can still grant, MemAvailable plus
+    SwapFree of /proc/meminfo, in bytes; None where that is unreadable."""
+    try:
+        with open("/proc/meminfo") as fh:
+            fields = dict(line.split(":", 1) for line in fh)
+        return sum(int(fields[key].split()[0]) * 1024
+                   for key in ("MemAvailable", "SwapFree"))
+    except (OSError, KeyError, ValueError):
+        return None
+
+
 def _mapped_zeros(rows, n):
     """Fortran-ordered (rows, n) float32 zeros in an anonymous mapping of
     their own, unmapped when the last view is dropped.  Left to malloc, a
     band of tens of MB lands in the heap once the first one freed has
     raised malloc's dynamic mmap threshold, and small blocks allocated
     after it can keep its pages from ever being returned.  Raises
-    SolverError, naming the band's size, when it cannot be mapped."""
+    SolverError, naming the band's size, when it exceeds the memory the
+    host reports available (`_available_bytes`): the kernel would grant
+    the mapping and kill the process once its pages are touched.  Raises
+    it too when the band cannot be mapped."""
     size = rows * n * 4
+    available = _available_bytes()
+    if available is not None and size > available:
+        raise SolverError("the %d x %d single-precision band needs %d "
+                          "bytes, more than the %d bytes of memory and "
+                          "swap available" % (rows, n, size, available))
     try:
         buf = mmap.mmap(-1, max(size, 4))
     except (OSError, MemoryError) as exc:
@@ -178,8 +202,8 @@ def spd_factor(A):
     `.shape` and `.solve(b)` (float64 in and out, about 1e-6 relative: a
     preconditioner, not a solver).  Raises RuntimeError when A is not
     positive definite in float32 (an SPD A may not be, past a condition
-    number of about 1e7), and SolverError when the band cannot be
-    mapped."""
+    number of about 1e7), and SolverError when the band does not fit in
+    the available memory or cannot be mapped."""
     band = _lower_band(A)        # its temporaries are freed by now
     # Factored as is, the fill-in that decays away from the diagonal can
     # reach float32's subnormal range, where spbtrf runs about three times
@@ -337,9 +361,10 @@ def solve_mean_zero(system, tol=1e-10, factor=None):
 
 
 def electric_field(mesh, u):
-    """Per-cell electric field E = grad u + Etilde(centroid), shape (nc, 3)."""
+    """Per-cell electric field E = grad u + Etilde(centroid), shape
+    (nc, 3): the transposed view of its (3, nc) rows."""
     E = etilde(mesh.cell_centroids)
-    E[:, :mesh.dim] += u.cell_gradients()
+    E.T[:mesh.dim] += u.cell_gradients().T
     return CellField(mesh, E)
 
 

@@ -103,14 +103,13 @@ def solve_linear_dg(problem):
     averaging their face neighbors instead.
     """
     mesh, family = problem.mesh, problem.family
-    P = np.ascontiguousarray(
-        family.poly_coeffs(mesh.centroid_points)[:, :, :mesh.dim])
-    if P.shape[1] > 2 or family.has_remainder:
+    P = family.poly_coeffs(mesh.centroid_points)[:, :mesh.dim]
+    if P.shape[0] > 2 or family.has_remainder:
         raise ValueError("family %r is nonlinear in the parameter; the DG0 "
                          "oracle needs degree <= 1 in t" % family.name)
     w3 = cross_b0(problem.E.values)
     w = w3[:, :mesh.dim]
-    h, g = np.einsum("cmij,cj->mci", P, w3)         # P_0 w, P_1 w
+    h, g = np.einsum("mijc,cj->mci", P, w3)         # P_0 w, P_1 w
 
     zero_vel = np.where(np.linalg.norm(g, axis=1) < 1e-14)[0]
     if zero_vel.size == mesh.num_cells:
@@ -219,13 +218,13 @@ class ExpandedCoefficients:
         grad_E = recover_field_gradients(mesh, E)
         self.grad_w = _grad_w(mesh, grad_E)                   # (nc, dim, 3)
         xs = mesh.centroid_points
-        P = family.poly_coeffs(xs)                            # (nc, M, 3, 3)
-        Pg = family.poly_coeffs_grad(xs)                    # (nc, 3, M, 3, 3)
+        P = family.poly_coeffs(xs)                            # (M, 3, 3, nc)
+        Pg = family.poly_coeffs_grad(xs)                    # (3, M, 3, 3, nc)
         d = mesh.dim
         # d_m = P_m : grad_w + (div_x P_m) . w
         self.d_poly = (
-            np.einsum("cmij,cij->cm", P[:, :, :d, :], self.grad_w)
-            + np.einsum("cimij,cj->cm", Pg, self.w3))
+            np.einsum("mijc,cij->cm", P[:, :d], self.grad_w)
+            + np.einsum("imijc,cj->cm", Pg, self.w3))
         self.closed_form = closed_form_coefficients(family.name, E, grad_E)
 
     def divergence(self, gamma_c, grad_gamma):
@@ -240,7 +239,7 @@ class ExpandedCoefficients:
             D += self.d_poly[:, m] * tp
             tp = tp * gamma_c
         rat = self.family.rational(xs, gamma_c)
-        return adv + (D + np.einsum("cij,cij->c", rat[:, :d, :], self.grad_w))
+        return adv + (D + np.einsum("ijc,cij->c", rat[:d], self.grad_w))
 
 
 def expand_coefficients(family, E, mesh):

@@ -315,7 +315,7 @@ def _target_shares(mesh, family, target, box):
     outside the admissible box."""
     blocks = conductivity_blocks(mesh, family, target)
     t = target.cell_means()
-    return (float(np.mean(np.linalg.eigvalsh(blocks)[:, 0] <= 0.0)),
+    return (float(np.mean(np.linalg.eigvalsh(blocks.T)[:, 0] <= 0.0)),
             float(np.mean((t < box[0]) | (t > box[1]))))
 
 

@@ -97,8 +97,8 @@ def _flux_operator(problem, gamma_bar_c):
     mesh = problem.mesh
     nloc = mesh.dim + 1
     rows, c = problem.flux_split.weak_divergence(gamma_bar_c)
-    rows /= nloc
-    ke = np.repeat(rows, nloc, axis=1).reshape(rows.shape + (nloc,))
+    rows /= nloc                                 # (nloc, nc)
+    ke = np.repeat(rows[:, None], nloc, axis=1)  # ke[i, j] = rows[i]
     return assemble_p1(mesh, ke), c
 
 

@@ -53,22 +53,23 @@ def test_many_evaluations_match_the_per_power_expression(name):
     rng = np.random.default_rng(7)
     xs = np.column_stack([rng.random((200, 2)), np.zeros(200)])
     ts = rng.uniform(*fam.t_range, 200)
-    P = fam.poly_coeffs(xs)
-    A = np.zeros((200, 3, 3))
-    dA = np.zeros((200, 3, 3))
+    P = fam.poly_coeffs(xs)                 # (M, 3, 3, N), sample-last
+    assert P.shape == (len(P), 3, 3, 200)
+    A = np.zeros((3, 3, 200))
+    dA = np.zeros((3, 3, 200))
     tp = np.ones_like(ts)
-    for m in range(P.shape[1]):
-        A += P[:, m] * tp[:, None, None]
+    for m in range(P.shape[0]):
+        A += P[m] * tp
         tp = tp * ts
     tp = np.ones_like(ts)
-    for m in range(1, P.shape[1]):
-        dA += m * P[:, m] * tp[:, None, None]
+    for m in range(1, P.shape[0]):
+        dA += m * P[m] * tp
         tp = tp * ts
     A += fam.rational(xs, ts)
     if fam._rational_dt_fn is not None:
         dA += fam._rational_dt_fn(xs, ts)
-    assert np.array_equal(fam.eval_many(xs, ts), A)
-    assert np.array_equal(fam.deriv_t_many(xs, ts), dA)
+    assert np.array_equal(fam.eval_many(xs, ts), A.transpose(2, 0, 1))
+    assert np.array_equal(fam.deriv_t_many(xs, ts), dA.transpose(2, 0, 1))
 
 
 def test_derivative_matches_difference_quotient():
@@ -85,12 +86,12 @@ def test_spatial_gradient_matches_difference_quotient():
     h = 1e-6
     for name in ("D5", "D6"):
         fam = builtin(name)
-        G = fam.poly_coeffs_grad(x)[0]          # (3, M, 3, 3)
+        G = fam.poly_coeffs_grad(x)[..., 0]     # (3, M, 3, 3)
         for i in range(3):
             xp, xm = x.copy(), x.copy()
             xp[0, i] += h
             xm[0, i] -= h
-            fd = (fam.poly_coeffs(xp) - fam.poly_coeffs(xm))[0] / (2 * h)
+            fd = (fam.poly_coeffs(xp) - fam.poly_coeffs(xm))[..., 0] / (2 * h)
             assert np.allclose(G[i], fd, atol=1e-8)
 
 

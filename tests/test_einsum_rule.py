@@ -2,9 +2,10 @@
 operands.  numpy runs a three-operand einsum through its generic
 product loop, several times slower than the two-operand kernels, and
 the per-cell kernels of every forward solve can form the product of two
-of the operands first (`neumann.assemble` contracts `vg`, the gradients
-already scaled by the cell volumes).  The one exception is
-`fields.h1_matrix`, built once per mesh."""
+of the operands first (`neumann.assemble` contracts the gradients,
+already scaled by the cell volumes, with the conductivity block once,
+into `vgB`, and contracts that with the gradients and with Etilde).
+The one exception is `fields.h1_matrix`, built once per mesh."""
 
 import ast
 import pathlib
@@ -69,9 +70,9 @@ def _violations(source, module):
 
 
 _ASSEMBLE = """
-def assemble(mesh, q, vg):
-    b = np.einsum("cid,cd->ci", vg, q)
-    return -np.einsum("c,cid,cd->ci", mesh.cell_volumes, mesh.cell_grads, q)
+def assemble(mesh, q, vgB):
+    b = np.einsum("iec,ec->ic", vgB, q)
+    return -np.einsum("c,idc,dc->ic", mesh.cell_volumes, mesh.local_grads, q)
 """
 
 
@@ -97,7 +98,7 @@ def test_the_rule_counts_operands_by_scope_and_module():
     assert _violations("def f(ops):\n    return np.einsum('i,i', *ops)",
                        "functional") == [("f", None, 2)]
     assert _violations("class FluxSplit:\n    def __init__(self, P, w):\n"
-                       "        self.Pw = np.einsum('cmij,cj->mci', P, w)",
+                       "        self.Pw = np.einsum('mijc,jc->mic', P, w)",
                        "functional") == []
     assert _violations("from numpy import einsum as contract",
                        "transport") == [("", None, 1)]

@@ -22,15 +22,18 @@ def test_mass_matrix_integrates_one():
 
 
 def _local_matrices(mesh, kind):
+    """(nloc, nloc, nc) local matrices, cell-last."""
     nloc = mesh.dim + 1
     vol = mesh.cell_volumes[:, None, None]
     if kind == "mass":
-        return vol * (np.ones((nloc, nloc)) + np.eye(nloc)) / (nloc * (nloc + 1))
-    if kind == "stiffness":
+        local = vol * (np.ones((nloc, nloc)) + np.eye(nloc)) / (nloc * (nloc + 1))
+    elif kind == "stiffness":
         g = mesh.cell_grads
-        return vol * g @ g.transpose(0, 2, 1)
-    return np.random.default_rng(5).standard_normal((mesh.num_cells, nloc,
-                                                     nloc))
+        local = vol * g @ g.transpose(0, 2, 1)
+    else:
+        local = np.random.default_rng(5).standard_normal((mesh.num_cells,
+                                                          nloc, nloc))
+    return np.ascontiguousarray(local.transpose(1, 2, 0))
 
 
 @pytest.mark.parametrize("kind", ["mass", "stiffness", "random"])
@@ -48,8 +51,9 @@ def test_assemble_p1_matches_coo_conversion(builder, n, shuffle, kind):
         mesh = Mesh(mesh.dim, n, mesh.vertices, mesh.cells[perm])
     local = _local_matrices(mesh, kind)
     nloc, nv = mesh.dim + 1, mesh.num_vertices
-    rows = np.repeat(mesh.cells, nloc, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, nloc)).ravel()
+    shape = (nloc, nloc, mesh.num_cells)
+    rows = np.broadcast_to(mesh.cells.T[:, None, :], shape).ravel()
+    cols = np.broadcast_to(mesh.cells.T[None, :, :], shape).ravel()
     ref = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
     A = assemble_p1(mesh, local)
     assert A.shape == (nv, nv)
@@ -112,8 +116,9 @@ def test_round_trip_constant_field():
 
 
 def _scatter_loop(mesh, local):
+    """np.add.at of (nloc, nc) local rows, slot by slot."""
     out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.cells.ravel(), local.ravel())
+    np.add.at(out, mesh.cells.T.ravel(), local.ravel())
     return out
 
 
@@ -123,12 +128,12 @@ def test_scatter_p1_and_cell_to_nodal_match_add_at(builder, n):
     # one bincount adds the same values in the same order as np.add.at
     mesh = builder(n)
     rng = np.random.default_rng(2)
-    local = rng.standard_normal(mesh.cells.shape)
+    local = rng.standard_normal(mesh.cells.T.shape)
     assert np.array_equal(scatter_p1(mesh, local), _scatter_loop(mesh, local))
     vals = rng.standard_normal((mesh.num_cells, 2))
-    w = np.repeat(mesh.cell_volumes[:, None], mesh.dim + 1, axis=1)
+    w = np.repeat(mesh.cell_volumes[None, :], mesh.dim + 1, axis=0)
     denom = _scatter_loop(mesh, w)
-    want = np.column_stack([_scatter_loop(mesh, vals[:, k, None] * w)
+    want = np.column_stack([_scatter_loop(mesh, vals[None, :, k] * w)
                             for k in range(2)]) / denom[:, None]
     assert np.array_equal(cell_to_nodal(CellField(mesh, vals)), want)
     assert np.array_equal(cell_to_nodal(CellField(mesh, vals[:, 0])),

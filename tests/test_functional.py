@@ -261,17 +261,18 @@ def test_write_nodal_csv(tmp_path):
 
 
 def _weak_p1_rows_loop(mesh, q):
-    """weak_p1_rows with each facet's share added to a copy of the
-    volume rows facet by facet and vertex by vertex."""
-    rows = -mesh.cell_volumes[:, None] * np.einsum("cid,cd->ci",
-                                                   mesh.cell_grads, q)
+    """weak_p1_rows of the (nc, dim) flux q, (nloc, nc) rows, with each
+    facet's share added to a copy of the volume rows facet by facet and
+    vertex by vertex."""
+    rows = -mesh.cell_volumes * np.einsum("idc,dc->ic", mesh.local_grads,
+                                          q.T)
     for cell, verts, nrm, meas in zip(mesh.facet_cells, mesh.facet_vertices,
                                       mesh.facet_normals,
                                       mesh.facet_measures):
         qn = float(np.dot(q[cell], nrm))
         for v in verts:
             i = mesh.cells[cell].tolist().index(int(v))
-            rows[cell, i] += qn * meas * (1.0 / mesh.dim)
+            rows[i, cell] += qn * meas * (1.0 / mesh.dim)
     return rows
 
 
@@ -288,8 +289,8 @@ def test_weak_p1_boundary_term_matches_facet_loop(builder, n):
     q = rng.standard_normal((mesh.num_cells, mesh.dim))
     rows = _weak_p1_rows_loop(mesh, q)
     r = np.zeros(mesh.num_vertices)
-    np.add.at(r, mesh.cells.ravel(), rows.ravel())
-    assert np.array_equal(weak_p1_rows(mesh, q), rows)
+    np.add.at(r, mesh.cells.T.ravel(), rows.ravel())
+    assert np.array_equal(weak_p1_rows(mesh, q.T), rows)
     assert np.array_equal(weak_p1_from_flux(mesh, q), r)
 
 

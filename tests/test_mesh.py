@@ -336,8 +336,8 @@ def test_fixed_operators_are_shared_and_read_only(builder, n):
     # the values of a fresh build and of the former per-caller formulas
     M = mass_matrix(mesh)
     assert _same_csr(mesh.mass, M)
-    g = mesh.cell_grads
-    K = assemble_p1(mesh, np.einsum("c,cid,cjd->cij", mesh.cell_volumes,
+    g = mesh.local_grads
+    K = assemble_p1(mesh, np.einsum("c,idc,jdc->ijc", mesh.cell_volumes,
                                     g, g))
     assert _same_csr(mesh.h1, K + M)
     xs = np.zeros((mesh.num_cells, 3))

@@ -1,4 +1,5 @@
 import errno
+import io
 import mmap
 import weakref
 
@@ -433,6 +434,57 @@ def test_a_band_that_cannot_be_mapped_is_a_solver_error(monkeypatch,
         solve_mean_zero(system)
 
 
+def test_a_band_larger_than_the_available_memory_is_refused_unmapped(
+        monkeypatch):
+    # the probe reports less memory than the small band needs; nothing
+    # is mapped, and an unreadable probe (None) leaves the check out
+    mapped = []
+    real_mmap = neumann.mmap.mmap
+
+    def recording(*args, **kwargs):
+        mapped.append(args)
+        return real_mmap(*args, **kwargs)
+    monkeypatch.setattr(neumann.mmap, "mmap", recording)
+    mesh = build_unit_square(6)
+    system = assemble(mesh, D1, _ones(mesh))
+    K = system.matrix[1:, 1:]
+    n, bw = K.shape[0], 8
+    need = (bw + 1) * n * 4
+    monkeypatch.setattr(neumann, "_available_bytes", lambda: need - 1)
+    message = (r"the %d x %d single-precision band needs %d bytes, more "
+               r"than the %d bytes of memory and swap available"
+               % (bw + 1, n, need, need - 1))
+    with pytest.raises(SolverError, match=message):
+        spd_factor(K)
+    with pytest.raises(SolverError, match="pinned Neumann system: "
+                       "factorization failed: " + message):
+        solve_mean_zero(system)
+    assert mapped == []
+    for probe in (lambda: need, lambda: None):
+        monkeypatch.setattr(neumann, "_available_bytes", probe)
+        assert spd_factor(K).shape == K.shape
+    assert len(mapped) == 2
+
+
+def test_the_memory_probe_reads_a_size_or_nothing(monkeypatch):
+    available = neumann._available_bytes()
+    assert available is None or (isinstance(available, int)
+                                 and available > 0)
+
+    def reading(text):
+        def fake_open(*args, **kwargs):
+            if text is None:
+                raise PermissionError("unreadable")
+            return io.StringIO(text)
+        monkeypatch.setattr(neumann, "open", fake_open, raising=False)
+        return neumann._available_bytes()
+    assert reading("MemTotal: 9 kB\nMemAvailable:  2 kB\nSwapFree: 3 kB\n"
+                   ) == 5 * 1024
+    assert reading("MemTotal: 9 kB\nSwapFree: 3 kB\n") is None
+    assert reading("MemAvailable: many\nSwapFree: 3 kB\n") is None
+    assert reading(None) is None
+
+
 def test_band_cholesky_reads_only_the_lower_triangle():
     mesh = build_unit_square(7)
     K = assemble(mesh, D1, _ones(mesh)).matrix[1:, 1:]
@@ -495,7 +547,7 @@ def test_conductivity_blocks_are_the_in_plane_block(builder, name):
         mesh, lambda p: lo + (hi - lo) * (0.2 + 0.6 * p[:, 0] * p[:, 1]))
     full = fam.eval_many(mesh.centroid_points, gamma.cell_means())
     assert np.array_equal(neumann.conductivity_blocks(mesh, fam, gamma),
-                          full[:, :mesh.dim, :mesh.dim])
+                          full[:, :mesh.dim, :mesh.dim].transpose(1, 2, 0))
 
 
 def test_electric_field_composition():

@@ -136,16 +136,16 @@ def test_max_outer_returns_the_last_step_with_its_history(monkeypatch):
 
 
 def _weak_rows_loop(mesh, q):
-    """weak_p1_rows with the boundary terms folded into a copy of the
-    local volume rows facet by facet and vertex by vertex."""
-    rows = -mesh.cell_volumes[:, None] * np.einsum("cid,cd->ci",
-                                                   mesh.cell_grads, q)
+    """weak_p1_rows of the (dim, nc) flux q, (nloc, nc) rows, with the
+    boundary terms folded into a copy of the local volume rows facet by
+    facet and vertex by vertex."""
+    rows = -mesh.cell_volumes * np.einsum("idc,dc->ic", mesh.local_grads, q)
     for cell, verts, nrm, meas in zip(mesh.facet_cells, mesh.facet_vertices,
                                       mesh.facet_normals,
                                       mesh.facet_measures):
-        qn = float(np.dot(q[cell], nrm)) * meas * (1.0 / mesh.dim)
+        qn = float(np.dot(q[:, cell], nrm)) * meas * (1.0 / mesh.dim)
         for v in verts:
-            rows[cell, mesh.cells[cell].tolist().index(int(v))] += qn
+            rows[mesh.cells[cell].tolist().index(int(v)), cell] += qn
     return rows
 
 
@@ -161,15 +161,15 @@ def _flux_operator_loop(problem, gamma_bar_c):
 
     def scatter(rows):
         out = np.zeros(mesh.num_vertices)
-        np.add.at(out, mesh.cells.ravel(), rows.ravel())
+        np.add.at(out, mesh.cells.T.ravel(), rows.ravel())
         return out
     c = scatter(_weak_rows_loop(mesh, split.Pw[0]))
     if problem.family.has_remainder:
         rat = problem.family.rational(mesh.centroid_points,
-                                      gamma_bar_c)[:, :mesh.dim]
+                                      gamma_bar_c)[:mesh.dim]
         c = c + scatter(_weak_rows_loop(
-            mesh, np.einsum("cij,cj->ci", rat, split.w)))
-    ke = np.repeat((rg / nloc)[:, :, None], nloc, axis=2)
+            mesh, np.einsum("ijc,jc->ic", rat, split.w)))
+    ke = np.repeat((rg / nloc)[:, None, :], nloc, axis=1)
     return tr.assemble_p1(mesh, ke), c
 
 
@@ -213,7 +213,7 @@ def test_flux_operator_sums_the_rows_broadcast_over_the_columns(
     gbar = np.clip(gs.cell_means(), *fam.t_range)
     L, _ = tr._flux_operator(prob, gbar)
     rows = prob.flux_split.weak_divergence(gbar)[0] / (mesh.dim + 1)
-    ke = np.broadcast_to(rows[:, :, None], rows.shape + (mesh.dim + 1,))
+    ke = np.broadcast_to(rows[:, None, :], (mesh.dim + 1,) + rows.shape)
     assert np.array_equal(L.data, tr.assemble_p1(mesh, ke).data)
 
 
@@ -273,15 +273,15 @@ def test_flux_split_reproduces_the_flux(name):
     xs = np.column_stack([mesh.cell_centroids, np.zeros(mesh.num_cells)])
     want = np.einsum("cij,cj->ci", fam.eval_many(xs, gc),
                      cross_b0(E.values))[:, :2]
-    got = gc[:, None] * g + h
+    got = (gc * g + h).T                    # g, h: (dim, nc), cell-last
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     # without a remainder h is P_0 w itself, bit-identical to adding the
     # einsum of the zero remainder
     assert fam.has_remainder == (name == "D4")
     split = prob.flux_split
-    rat = fam.rational(xs, gc)[:, :2]
+    rat = fam.rational(xs, gc)[:2]
     assert np.array_equal(h, split.Pw[0]
-                          + np.einsum("cij,cj->ci", rat, split.w))
+                          + np.einsum("ijc,jc->ic", rat, split.w))
 
 
 def _d4_case(n=16):
