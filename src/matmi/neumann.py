@@ -17,8 +17,6 @@ preconditioner, so its band is stored and factored in single precision
 loop, used by that holder and by the Jacobi mass solve of `functional`.
 """
 
-import mmap
-
 import numpy as np
 import scipy.linalg as sla
 
@@ -119,27 +117,31 @@ def load_vector(mesh, f):
 
 
 class _BandCholesky:
-    """Banded Cholesky factor of an SPD matrix, lower band in LAPACK's
-    (bandwidth + 1, n) layout, in single precision."""
+    """Banded Cholesky factor of 2^exponent A for an SPD matrix A, lower
+    band in LAPACK's (bandwidth + 1, n) layout, in single precision."""
 
-    def __init__(self, band):
+    def __init__(self, band, exponent):
         self.band = band
+        self.exponent = exponent
         self.shape = (band.shape[1],) * 2
 
     def solve(self, b):
-        """A^-1 b through the factor, for a float64 b and as float64.  b
-        is rounded to float32 first: a float64 b would make scipy solve
-        with a float64 copy of the band."""
-        x = sla.cho_solve_banded((self.band, True), b.astype(np.float32),
-                                 overwrite_b=True, check_finite=False)
+        """A^-1 b through the factor of 2^exponent A, for a float64 b and
+        as float64: b is scaled by 2^exponent, exactly, and then rounded
+        to float32 (a float64 b would make scipy solve with a float64
+        copy of the band)."""
+        b = np.ldexp(b, self.exponent).astype(np.float32)
+        x = sla.cho_solve_banded((self.band, True), b, overwrite_b=True,
+                                 check_finite=False)
         return x.astype(float)
 
 
-def _lower_band(A):
-    """The lower band of the sparse matrix A, entries i >= j stored at
-    [i - j, j] of a Fortran-ordered (bandwidth + 1, n) array (duplicate
-    entries summed, on a copy: A is left as it is); the upper triangle
-    is not read."""
+def _lower_band(A, exponent):
+    """The lower band of the sparse matrix A times 2^exponent, entries
+    i >= j stored at [i - j, j] of a Fortran-ordered (bandwidth + 1, n)
+    float32 array (duplicate entries summed, on a copy: A is left as it
+    is); each entry is scaled, exactly, and then rounded once.  The upper
+    triangle is not read."""
     A = A.tocsr()
     if not A.has_canonical_format:
         A = A.copy()
@@ -150,8 +152,10 @@ def _lower_band(A):
     lower = i >= j
     i, j = i[lower], j[lower]
     bw = int((i - j).max(initial=0))
-    band = _mapped_zeros(bw + 1, n)
-    band.T.reshape(-1)[j * (bw + 1) + (i - j)] = A.data[lower]
+    band = _band_zeros(bw + 1, n)
+    data = A.data[lower]
+    band.T.reshape(-1)[j * (bw + 1) + (i - j)] = np.ldexp(data, exponent,
+                                                          out=data)
     return band
 
 
@@ -167,16 +171,12 @@ def _available_bytes():
         return None
 
 
-def _mapped_zeros(rows, n):
-    """Fortran-ordered (rows, n) float32 zeros in an anonymous mapping of
-    their own, unmapped when the last view is dropped.  Left to malloc, a
-    band of tens of MB lands in the heap once the first one freed has
-    raised malloc's dynamic mmap threshold, and small blocks allocated
-    after it can keep its pages from ever being returned.  Raises
-    SolverError, naming the band's size, when it exceeds the memory the
-    host reports available (`_available_bytes`): the kernel would grant
-    the mapping and kill the process once its pages are touched.  Raises
-    it too when the band cannot be mapped."""
+def _band_zeros(rows, n):
+    """Fortran-ordered (rows, n) float32 zeros.  Raises SolverError,
+    naming the band's size, when it exceeds the memory the host reports
+    available (`_available_bytes`): the kernel would grant the
+    allocation and kill the process once its pages are touched.  Raises
+    it too when the band cannot be allocated."""
     size = rows * n * 4
     available = _available_bytes()
     if available is not None and size > available:
@@ -184,12 +184,10 @@ def _mapped_zeros(rows, n):
                           "bytes, more than the %d bytes of memory and "
                           "swap available" % (rows, n, size, available))
     try:
-        buf = mmap.mmap(-1, max(size, 4))
-    except (OSError, MemoryError) as exc:
-        raise SolverError("cannot map the %d x %d single-precision band "
-                          "(%d bytes): %s" % (rows, n, size, exc))
-    return (np.frombuffer(buf, dtype=np.float32, count=rows * n)
-            .reshape(n, rows).T)
+        return np.zeros((n, rows), np.float32).T
+    except MemoryError as exc:
+        raise SolverError("cannot allocate the %d x %d single-precision "
+                          "band (%d bytes): %s" % (rows, n, size, exc))
 
 
 def spd_factor(A):
@@ -198,27 +196,27 @@ def spd_factor(A):
     with no reordering, the lexicographic vertex numbers of the structured
     meshes keep the half bandwidth at about n + 2 in 2D and
     (n + 1)^2 + n + 2 in 3D, twice that for the normal matrix.  Only the
-    lower triangle is read, rounded to float32.  Returns an object with
-    `.shape` and `.solve(b)` (float64 in and out, about 1e-6 relative: a
-    preconditioner, not a solver).  Raises RuntimeError when A is not
-    positive definite in float32 (an SPD A may not be, past a condition
-    number of about 1e7), and SolverError when the band does not fit in
-    the available memory or cannot be mapped."""
-    band = _lower_band(A)        # its temporaries are freed by now
+    lower triangle is read, scaled by a power of two and rounded to
+    float32.  Returns an object with `.shape` and `.solve(b)` (float64 in
+    and out, about 1e-6 relative: a preconditioner, not a solver).
+    Raises RuntimeError when A is not positive definite in float32 (an
+    SPD A may not be, past a condition number of about 1e7), and
+    SolverError when the band does not fit in the available memory or
+    cannot be allocated."""
     # Factored as is, the fill-in that decays away from the diagonal can
     # reach float32's subnormal range, where spbtrf runs about three times
     # slower than dpbtrf (the 3D D1 block at n = 24).  A power of two,
-    # exact, lifts the largest diagonal entry to about 2^100 for the
-    # factorization, and its square root is taken out of the factor.
-    k = (100 - np.frexp(band[0].max(initial=0.0))[1]) // 2
-    np.ldexp(band, 2 * k, out=band)
+    # exact, lifts the largest diagonal entry to about 2^100 before the
+    # band is rounded, and the factor keeps that scale.
+    k = (100 - np.frexp(A.diagonal().max(initial=0.0))[1]) // 2
+    band = _lower_band(A, 2 * k)     # its temporaries are freed by now
     try:
         band = sla.cholesky_banded(band, lower=True, overwrite_ab=True,
                                    check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("single-precision band factorization failed: %s"
                            % exc) from None
-    return _BandCholesky(np.ldexp(band, -k, out=band))
+    return _BandCholesky(band, 2 * k)
 
 
 def pcg(matvec, b, x0, rtol, maxiter, precondition, history=None):

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .anisotropy import power_series
 from .fields import CellField, cell_to_nodal
 from .functional import cross_b0, flux_field
 from .mesh import classify_inflow
@@ -233,11 +234,7 @@ class ExpandedCoefficients:
         dA = self.family.deriv_t_many(xs, gamma_c, check_range=False)
         beta = np.einsum("cij,cj->ci", dA, self.w3)[:, :d]
         adv = np.einsum("cd,cd->c", beta, grad_gamma[:, :d])
-        tp = np.ones_like(gamma_c)
-        D = np.zeros_like(gamma_c)
-        for m in range(self.d_poly.shape[1]):
-            D += self.d_poly[:, m] * tp
-            tp = tp * gamma_c
+        D = power_series(self.d_poly.T, gamma_c)
         rat = self.family.rational(xs, gamma_c)
         return adv + (D + np.einsum("ijc,cij->c", rat[:d], self.grad_w))
 

@@ -202,6 +202,23 @@ def test_bad_picard_control_exits_2(tmp_path, capsys, override, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1e46", "1e120"])
+def test_a_huge_regularization_weight_is_a_run_like_any_other(tmp_path,
+                                                              capsys, alpha):
+    # the normal matrix's entries reach alpha; its band is scaled before
+    # it is rounded to float32, so no weight the float64 matrix holds
+    # overflows the factor.  The penalty then pins gamma to its start,
+    # and the first update ends the run
+    out = str(tmp_path / "artifacts")
+    assert main(["run", "--preset", "example1", "--out", out, "--n", "6",
+                 "--iterations", "3", "picard.alpha=" + alpha]) == EXIT_OK
+    endings = re.findall(r"^(?:converged|stopped without lowering the "
+                         r"residual|stalled|outer loop not converged):.*",
+                         capsys.readouterr().out, re.M)
+    assert len(endings) == 1
+    assert endings[0].startswith("converged: iteration 1 of 3 ")
+
+
 @pytest.mark.parametrize("adaptive", ["true", "false"])
 def test_run_reports_an_unconverged_inner_loop(tmp_path, capsys,
                                               monkeypatch, adaptive):

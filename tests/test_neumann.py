@@ -1,6 +1,4 @@
-import errno
 import io
-import mmap
 import weakref
 
 import numpy as np
@@ -124,13 +122,6 @@ def _perturbed_systems(n=12, count=4):
             * np.sin(2 * np.pi * p[:, 1]))
         out.append(assemble(mesh, D1, gamma))
     return out
-
-
-def _mapping_of(band):
-    """The buffer under a band's chain of views."""
-    while isinstance(band, np.ndarray):
-        band = band.base
-    return band.obj                     # through a memoryview
 
 
 def _assert_close(vals, ref):
@@ -355,7 +346,7 @@ def test_band_cholesky_solves_the_neumann_and_normal_matrices(builder, n,
         assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
 
 
-def test_band_is_a_mapped_single_precision_array_and_solves_in_float64(
+def test_band_is_a_single_precision_array_and_solves_in_float64(
         monkeypatch):
     mesh = build_unit_square(6)
     K = assemble(mesh, D1, _ones(mesh)).matrix[1:, 1:]
@@ -364,7 +355,6 @@ def test_band_is_a_mapped_single_precision_array_and_solves_in_float64(
     band = factor.band
     assert band.dtype == np.float32 and band.flags.f_contiguous
     assert band.shape == (bw + 1, n) and band.nbytes == (bw + 1) * n * 4
-    assert isinstance(_mapping_of(band), mmap.mmap)  # factored in place
     # a float64 right-hand side would make scipy solve with a float64
     # copy of the band
     handed = []
@@ -379,17 +369,19 @@ def test_band_is_a_mapped_single_precision_array_and_solves_in_float64(
     assert x.dtype == np.float64
 
 
-@pytest.mark.parametrize("power", [-120, -100, 60])
+@pytest.mark.parametrize("power", [-200, -120, -100, 60, 200])
 def test_band_is_factored_at_a_fixed_scale(power):
-    # the factor of 2^p A is 2^(p/2) times that of A wherever the latter
-    # stays in float32's normal range: factored as is, 2^-100 A would put
-    # the decaying fill-in into the subnormal range and round it there
+    # A is scaled by a power of two before it is rounded to float32, so
+    # 2^p A has the same factor as A, entry for entry, and the same solves
+    # bit for bit: factored as is, 2^-100 A would put the decaying fill-in
+    # into the subnormal range and round it there, 2^-200 A would round
+    # to zero and 2^200 A to infinity
     mesh = build_unit_square(16)
     K = assemble(mesh, D1, _ones(mesh)).matrix[1:, 1:]
-    ref = spd_factor(K).band
-    got = spd_factor(K * 2.0 ** power).band
-    normal = np.abs(ref) >= 2.0 ** -60
-    assert np.array_equal(got[normal], ref[normal] * 2.0 ** (power // 2))
+    b = np.random.default_rng(6).standard_normal(K.shape[0])
+    ref, got = spd_factor(K), spd_factor(K * 2.0 ** power)
+    assert np.array_equal(got.band, ref.band)
+    assert np.array_equal(got.solve(b * 2.0 ** power), ref.solve(b))
 
 
 def test_single_precision_breakdown_is_named_and_not_retried(monkeypatch):
@@ -414,37 +406,42 @@ def test_single_precision_breakdown_is_named_and_not_retried(monkeypatch):
     assert factored == [np.float32, np.float32]
 
 
-@pytest.mark.parametrize("failure", [OSError(errno.ENOMEM, "Cannot allocate "
-                                             "memory"), MemoryError()])
-def test_a_band_that_cannot_be_mapped_is_a_solver_error(monkeypatch,
-                                                        failure):
-    def refusing(*args, **kwargs):
-        raise failure
-    monkeypatch.setattr(neumann.mmap, "mmap", refusing)
+def _float32_zeros(monkeypatch, allocate):
+    """Route every float32 np.zeros call through allocate(shape); the
+    band is the one float32 array spd_factor allocates."""
+    real = np.zeros
+
+    def zeros(shape, dtype=float, *args, **kwargs):
+        if dtype is np.float32:
+            allocate(shape)
+        return real(shape, dtype, *args, **kwargs)
+    monkeypatch.setattr(neumann.np, "zeros", zeros)
+
+
+def test_a_band_that_cannot_be_allocated_is_a_solver_error(monkeypatch):
+    def refusing(shape):
+        raise MemoryError("Unable to allocate")
+    _float32_zeros(monkeypatch, refusing)
     mesh = build_unit_square(6)
     system = assemble(mesh, D1, _ones(mesh))
     K = system.matrix[1:, 1:]
     n, bw = K.shape[0], 8
     size = r"the %d x %d single-precision band \(%d bytes\)" % (
         bw + 1, n, (bw + 1) * n * 4)
-    with pytest.raises(SolverError, match="cannot map " + size):
+    with pytest.raises(SolverError, match="cannot allocate " + size
+                       + ": Unable to allocate"):
         spd_factor(K)
     with pytest.raises(SolverError, match="pinned Neumann system: "
-                       "factorization failed: cannot map " + size):
+                       "factorization failed: cannot allocate " + size):
         solve_mean_zero(system)
 
 
 def test_a_band_larger_than_the_available_memory_is_refused_unmapped(
         monkeypatch):
     # the probe reports less memory than the small band needs; nothing
-    # is mapped, and an unreadable probe (None) leaves the check out
-    mapped = []
-    real_mmap = neumann.mmap.mmap
-
-    def recording(*args, **kwargs):
-        mapped.append(args)
-        return real_mmap(*args, **kwargs)
-    monkeypatch.setattr(neumann.mmap, "mmap", recording)
+    # is allocated, and an unreadable probe (None) leaves the check out
+    allocated = []
+    _float32_zeros(monkeypatch, allocated.append)
     mesh = build_unit_square(6)
     system = assemble(mesh, D1, _ones(mesh))
     K = system.matrix[1:, 1:]
@@ -459,11 +456,11 @@ def test_a_band_larger_than_the_available_memory_is_refused_unmapped(
     with pytest.raises(SolverError, match="pinned Neumann system: "
                        "factorization failed: " + message):
         solve_mean_zero(system)
-    assert mapped == []
+    assert allocated == []
     for probe in (lambda: need, lambda: None):
         monkeypatch.setattr(neumann, "_available_bytes", probe)
         assert spd_factor(K).shape == K.shape
-    assert len(mapped) == 2
+    assert allocated == [(n, bw + 1)] * 2
 
 
 def test_the_memory_probe_reads_a_size_or_nothing(monkeypatch):
@@ -494,17 +491,15 @@ def test_band_cholesky_reads_only_the_lower_triangle():
     assert np.array_equal(spd_factor(skewed).solve(b), spd_factor(K).solve(b))
 
 
-def test_band_sums_duplicates_into_its_own_mapping():
+def test_band_sums_duplicates():
     mesh = build_unit_square(5)
     K = sp.tril(assemble(mesh, D1, _ones(mesh)).matrix).tocoo()
     doubled = sp.coo_matrix((np.r_[K.data, K.data], (np.r_[K.row, K.row],
                                                      np.r_[K.col, K.col])),
                             shape=K.shape)
-    band = neumann._lower_band(doubled)
+    band = neumann._lower_band(doubled, 0)
     assert band.flags.f_contiguous and band.flags.writeable
-    assert np.array_equal(band, 2 * neumann._lower_band(K))
-    # the band's memory is an anonymous mapping, not a malloc block
-    assert isinstance(_mapping_of(band), mmap.mmap)
+    assert np.array_equal(band, 2 * neumann._lower_band(K, 0))
 
 
 def test_band_of_a_csr_with_duplicates_leaves_it_as_it_is():
@@ -521,8 +516,8 @@ def test_band_of_a_csr_with_duplicates_leaves_it_as_it_is():
     assert not doubled.has_canonical_format
     before = [a.copy() for a in (doubled.data, doubled.indices,
                                  doubled.indptr)]
-    band = neumann._lower_band(doubled)
-    assert np.array_equal(band, 2 * neumann._lower_band(K))
+    band = neumann._lower_band(doubled, 0)
+    assert np.array_equal(band, 2 * neumann._lower_band(K, 0))
     for a, b in zip((doubled.data, doubled.indices, doubled.indptr), before):
         assert np.array_equal(a, b)
 
