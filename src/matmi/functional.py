@@ -29,7 +29,6 @@ __all__ = [
     "weak_p1_from_flux",
     "field_data",
     "synthesize",
-    "eval_p1",
     "save_functional_data",
     "load_functional_data",
 ]
@@ -168,36 +167,6 @@ def weak_p1_from_flux(mesh, q):
     return scatter_p1(mesh, weak_p1_rows(mesh, q.T))
 
 
-def eval_p1(field, points):
-    """Evaluate a NodalField on a structured mesh at arbitrary points.
-
-    Each point is located among the cells of its grid box: the first
-    cell whose barycentric coordinates are all >= -1e-10 holds it.
-    """
-    mesh = field.mesh
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, dim = mesh.n, mesh.dim
-    idx = np.minimum((pts * n).astype(int), n - 1)
-    box = idx[:, 0]
-    for d in range(1, dim):
-        box = box * n + idx[:, d]
-    per_box = 2 if dim == 2 else 6
-    cand = box[:, None] * per_box + np.arange(per_box)   # (np, per_box)
-    x = mesh.vertices[mesh.cells[cand]]       # (np, per_box, dim+1, dim)
-    T = np.swapaxes(x[:, :, 1:] - x[:, :, :1], 2, 3)
-    lam = np.linalg.solve(T, (pts[:, None] - x[:, :, 0])[..., None])[..., 0]
-    bary = np.concatenate([1.0 - lam.sum(axis=2, keepdims=True), lam], axis=2)
-    inside = np.all(bary >= -1e-10, axis=2)
-    located = inside.any(axis=1)
-    if not located.all():
-        raise ValueError("point %s not located in mesh"
-                         % (pts[np.argmin(located)],))
-    rows = np.arange(len(pts))
-    first = inside.argmax(axis=1)
-    vals = field.values[mesh.cells[cand[rows, first]]]
-    return (bary[rows, first][:, None, :] @ vals[:, :, None])[:, 0, 0]
-
-
 def _mass_solve(mesh, rhs):
     """Nodal values of the L2 projection with P1-weak vector rhs: M x = rhs
     for M = mesh.mass by Jacobi-preconditioned CG, without a factor."""
@@ -228,8 +197,9 @@ def synthesize(family, gamma_star, mesh, refine=1):
     gamma_star is a callable of the vertex coordinates or, at refine=1
     only, a NodalField on `mesh`.  With refine > 1 the Neumann solve runs
     on a refine-times finer mesh, on which the callable is interpolated,
-    and the nodal projection of F is restricted to `mesh` by P1
-    interpolation at the coarse vertices, avoiding the inverse crime.
+    avoiding the inverse crime, and the nodal projection of F is
+    restricted to `mesh` by injection: every vertex of `mesh` is a vertex
+    of the finer mesh and takes its value there.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
@@ -248,7 +218,9 @@ def synthesize(family, gamma_star, mesh, refine=1):
     data = field_data(fine, family, gamma, E)
     if fine is mesh:
         return data
-    F_coarse = NodalField(mesh, eval_p1(data.nodal_projection, mesh.vertices))
+    coarse = (slice(None, None, refine),) * mesh.dim
+    F_coarse = NodalField(mesh, fine.grid_view(
+        data.nodal_projection.values)[coarse].ravel())
     return FunctionalData(mesh, mesh.mass @ F_coarse.values, F_coarse, fine.n)
 
 

@@ -201,6 +201,13 @@ class Mesh:
         h.update(np.ascontiguousarray(self.cells.astype(np.int64)).tobytes())
         return h.hexdigest()
 
+    def grid_view(self, values):
+        """Per-vertex `values` of a structured mesh as its grid of
+        vertices, shape (n+1,)*dim: the vertices are numbered
+        lexicographically, x slowest, so entry [i, j(, k)] is the vertex
+        at (i, j(, k)) / n.  A view where `values` is contiguous."""
+        return np.reshape(values, (self.n + 1,) * self.dim)
+
     @functools.cached_property
     def _boundary_vertices(self):
         return _frozen(np.unique(self.facet_vertices))
@@ -321,23 +328,20 @@ def build_unit_cube(n):
     return Mesh(3, n, _grid_vertices(n, 3), _grid_cells(n, _CUBE_PATTERN))
 
 
-def classify_inflow(mesh, v, tol=1e-12):
+def classify_inflow(mesh, v):
     """Boundary facets where the advective flux enters the domain.
 
     Parameters
     ----------
     v : CellField-like
         Per-cell velocity, evaluated on each facet's adjacent cell.
-    tol : float
-        Facets with |v . nu| <= tol are characteristic, not inflow.
+        Facets with |v . nu| <= 1e-12 are characteristic, not inflow.
 
     Returns
     -------
     (k,) int array
         Ascending indices into the mesh's boundary-facet arrays.
     """
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
     vec = np.asarray(v.values, dtype=float)[mesh.facet_cells]
     vn = _rowdot(np.ascontiguousarray(vec[:, :mesh.dim]), mesh.facet_normals)
-    return np.flatnonzero(vn < -tol)
+    return np.flatnonzero(vn < -1e-12)

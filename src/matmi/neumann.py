@@ -127,13 +127,16 @@ class _BandCholesky:
 
     def solve(self, b):
         """A^-1 b through the factor of 2^exponent A, for a float64 b and
-        as float64: b is scaled by 2^exponent, exactly, and then rounded
-        to float32 (a float64 b would make scipy solve with a float64
-        copy of the band)."""
-        b = np.ldexp(b, self.exponent).astype(np.float32)
+        as float64: b is scaled by its own power of two 2^s, exactly,
+        which lifts max|b| to about 2^100, where the band's diagonal
+        sits, and then rounded to float32 (a float64 b would make scipy
+        solve with a float64 copy of the band); the result is scaled
+        back by 2^(exponent - s).  Any finite b is in range."""
+        s = 100 - np.frexp(np.abs(b).max(initial=0.0))[1]
+        b = np.ldexp(b, s).astype(np.float32)
         x = sla.cho_solve_banded((self.band, True), b, overwrite_b=True,
                                  check_finite=False)
-        return x.astype(float)
+        return np.ldexp(x.astype(float), self.exponent - s)
 
 
 def _lower_band(A, exponent):

@@ -51,18 +51,27 @@ def write_nodal_csv(field, path):
 
 
 def write_slice_csv(field, z, path):
-    """Sample a 3D nodal field on the plane of constant z and write a
-    CSV with columns x, y, value on a regular (n+1)^2 grid."""
-    from .functional import eval_p1
+    """Sample a 3D nodal field on the plane of constant z, 0 <= z <= 1,
+    and write a CSV with columns x, y, value on the (n+1)^2 grid of the
+    mesh's vertical edges.  Each vertical grid edge is an edge of the
+    mesh, along which the P1 field is linear: its value at height z is
+    interpolated between the edge's two vertices, and on a grid plane
+    it is that plane's nodal value."""
     mesh = field.mesh
     if mesh.dim != 3:
         raise ValueError("slice export requires a 3D mesh")
-    ticks = np.linspace(0.0, 1.0, mesh.n + 1)
+    z = float(z)
+    if not 0.0 <= z <= 1.0:
+        raise ValueError("slice level z must lie in [0, 1], got %r" % z)
+    n = mesh.n
+    k = min(int(z * n), n - 1)
+    theta = z * n - k
+    g = mesh.grid_view(field.values)
+    vals = (1.0 - theta) * g[:, :, k] + theta * g[:, :, k + 1]
+    ticks = np.linspace(0.0, 1.0, n + 1)
     xs, ys = np.meshgrid(ticks, ticks, indexing="ij")
-    pts = np.column_stack([xs.ravel(), ys.ravel(),
-                           np.full(xs.size, float(z))])
-    vals = eval_p1(field, pts)
     with open(path, "w", newline="") as fh:
         fh.write("x,y,value\n")
         fh.write(_block("%.17g,%.17g,%.17g\n",
-                        np.column_stack([pts[:, :2], vals])))
+                        np.column_stack([xs.ravel(), ys.ravel(),
+                                         vals.ravel()])))

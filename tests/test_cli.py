@@ -333,6 +333,27 @@ def _data_config(tmp_path, data_n):
     return ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
 
 
+def test_data_in_large_units_run_like_any_other(tmp_path, capsys):
+    # the least-squares right-hand side grows with the data, 1e12 times
+    # the band's entries here; the band solve scales it on its own, so it
+    # neither overflows float32 nor fails the run, and the run ends as
+    # it does on any data it cannot improve
+    preset = get_preset("example1")
+    mesh = build_unit_square(16)
+    data = synthesize(preset.family(),
+                      interpolate_nodal(mesh, preset.gamma_star), mesh)
+    data.p1_weak *= 1e12
+    data.nodal_projection.values *= 1e12
+    save_functional_data(data, str(tmp_path / "data.bin"))
+    cfg = tmp_path / "large.txt"
+    cfg.write_text("family = D1\ndata = %s\nn = 16\niterations = 4\n"
+                   "t_lo = 0.5\nt_hi = 2.5\n" % (tmp_path / "data.bin"))
+    assert main(["run", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert ("stalled: iteration 2 of 4 rejected every candidate step"
+            in capsys.readouterr().out)
+
+
 def test_data_file_for_another_mesh_exits_2(tmp_path, capsys):
     assert main(_data_config(tmp_path, 6)) == EXIT_CONFIG
     assert "descriptor does not match" in capsys.readouterr().err

@@ -13,13 +13,14 @@ from matmi import functional
 from matmi.anisotropy import builtin
 from matmi.fields import (NodalField, interpolate_nodal, l2_norm_nodal,
                           mass_matrix)
-from matmi.functional import (FunctionalData, cross_b0, eval_p1, flux_field,
+from matmi.functional import (FunctionalData, cross_b0, flux_field,
                               load_functional_data, save_functional_data,
                               synthesize, weak_p1_from_flux, weak_p1_rows)
 from matmi.mesh import Mesh, build_unit_cube, build_unit_square
 from matmi.neumann import SolverError, solve_field
 from matmi.oracles import weak_dg0_from_flux
-from matmi.vtkio import write_nodal_csv
+from matmi.presets import SLICE_LEVELS
+from matmi.vtkio import write_nodal_csv, write_slice_csv
 
 D1 = builtin("D1").with_t_range(0.25, 4.0)
 
@@ -192,16 +193,10 @@ def test_load_rejects_bad_magic(tmp_path):
         load_functional_data(build_unit_square(4), path)
 
 
-def test_eval_p1_reproduces_linear_field():
-    mesh = build_unit_square(6)
-    f = interpolate_nodal(mesh, lambda p: 2 * p[:, 0] - p[:, 1] + 0.5)
-    pts = np.array([[0.13, 0.77], [0.5, 0.5], [1.0, 0.0]])
-    want = 2 * pts[:, 0] - pts[:, 1] + 0.5
-    assert np.allclose(eval_p1(f, pts), want, atol=1e-12)
-
-
 def _eval_p1_loop(field, points):
-    """eval_p1 locating and evaluating one point at a time."""
+    """A P1 field's values at arbitrary points, each located among the
+    cells of its grid box by a barycentric solve, one point at a time:
+    the reference for refined data's injection and for slice export."""
     mesh = field.mesh
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = mesh.n
@@ -228,26 +223,44 @@ def _eval_p1_loop(field, points):
     return out
 
 
-@pytest.mark.parametrize("builder, n", [(build_unit_square, 5),
-                                        (build_unit_cube, 3)])
-def test_eval_p1_matches_point_loop(builder, n):
-    # random points, grid vertices, and points on edges and faces shared
-    # by several cells, where the first candidate cell must win
+@pytest.mark.parametrize("builder, n, refine", [(build_unit_square, 5, 3),
+                                                (build_unit_cube, 3, 2)])
+def test_refined_data_are_the_fine_projection_at_the_coarse_vertices(
+        builder, n, refine):
+    # every coarse vertex is a fine vertex, so injection gives the fine
+    # projection's value there, as locating the vertex would
     mesh = builder(n)
-    rng = np.random.default_rng(5)
-    field = NodalField(mesh, rng.standard_normal(mesh.num_vertices))
-    x = mesh.vertices[mesh.cells]
-    nloc = mesh.dim + 1
-    shared = [0.5 * (x[:, i] + x[:, j])
-              for i in range(nloc) for j in range(i + 1, nloc)]
-    shared += [(x.sum(axis=1) - x[:, j]) / mesh.dim for j in range(nloc)]
-    pts = np.concatenate([rng.random((300, mesh.dim)), mesh.vertices]
-                         + shared)
-    assert np.array_equal(eval_p1(field, pts), _eval_p1_loop(field, pts))
-    outside = np.full((2, mesh.dim), 0.5)
-    outside[1, 0] = 1.5
-    with pytest.raises(ValueError, match="not located"):
-        eval_p1(field, outside)
+    data = synthesize(D1, _gamma, mesh, refine=refine)
+    fine = synthesize(D1, _gamma, builder(n * refine)).nodal_projection
+    want = _eval_p1_loop(fine, mesh.vertices)
+    got = data.nodal_projection.values
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(data.p1_weak, mesh.mass @ got)
+    assert data.source_mesh_resolution == n * refine
+
+
+@pytest.mark.parametrize("z", SLICE_LEVELS + (0.5, 1.0))
+def test_slice_csv_samples_the_field_on_the_plane(tmp_path, z):
+    # the P1 field along a vertical grid edge, evaluated at height z, is
+    # the field at that point; on a grid plane (z n an integer) it is
+    # the plane's nodal values, bit for bit
+    mesh = build_unit_cube(4)
+    field = NodalField(mesh, np.random.default_rng(7).standard_normal(
+        mesh.num_vertices))
+    path = tmp_path / "slice.csv"
+    write_slice_csv(field, z, str(path))
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    ticks = np.linspace(0.0, 1.0, mesh.n + 1)
+    xs, ys = np.meshgrid(ticks, ticks, indexing="ij")
+    assert np.array_equal(table[:, :2], np.column_stack([xs.ravel(),
+                                                         ys.ravel()]))
+    want = _eval_p1_loop(field, np.column_stack([table[:, :2],
+                                                 np.full(xs.size, z)]))
+    if float(z * mesh.n).is_integer():
+        assert np.array_equal(table[:, 2], want)
+    else:
+        assert np.abs(table[:, 2] - want).max() <= 1e-15 * np.abs(
+            field.values).max()
 
 
 def test_write_nodal_csv(tmp_path):

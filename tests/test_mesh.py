@@ -289,8 +289,20 @@ def test_classify_inflow_of_a_cell_field():
     v = CellField(mesh, np.tile([1.0, 0.0], (mesh.num_cells, 1)))
     # facets parallel to the flow are characteristic, not inflow
     assert np.array_equal(classify_inflow(mesh, v), west)
-    with pytest.raises(ValueError):
-        classify_inflow(mesh, v, tol=-1.0)
+
+
+@pytest.mark.parametrize("builder, n", [(build_unit_square, 4),
+                                        (build_unit_cube, 3)])
+def test_grid_view_puts_each_coordinate_on_its_own_axis(builder, n):
+    mesh = builder(n)
+    ticks = np.linspace(0.0, 1.0, n + 1)
+    for d in range(mesh.dim):
+        axis = [1] * mesh.dim
+        axis[d] = n + 1
+        g = mesh.grid_view(mesh.vertices[:, d])
+        assert g.shape == (n + 1,) * mesh.dim
+        assert np.array_equal(g, np.broadcast_to(ticks.reshape(axis),
+                                                 g.shape))
 
 
 def test_gradients_reproduce_linear_functions():

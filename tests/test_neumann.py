@@ -375,13 +375,17 @@ def test_band_is_factored_at_a_fixed_scale(power):
     # 2^p A has the same factor as A, entry for entry, and the same solves
     # bit for bit: factored as is, 2^-100 A would put the decaying fill-in
     # into the subnormal range and round it there, 2^-200 A would round
-    # to zero and 2^200 A to infinity
+    # to zero and 2^200 A to infinity.  The right-hand side has a scale
+    # of its own, so 2^(p + d) b solves to 2^d times the solve of b: a b
+    # far above or below A's entries neither overflows nor loses bits
     mesh = build_unit_square(16)
     K = assemble(mesh, D1, _ones(mesh)).matrix[1:, 1:]
     b = np.random.default_rng(6).standard_normal(K.shape[0])
     ref, got = spd_factor(K), spd_factor(K * 2.0 ** power)
     assert np.array_equal(got.band, ref.band)
-    assert np.array_equal(got.solve(b * 2.0 ** power), ref.solve(b))
+    for d in (-180, -60, 0, 30, 60):
+        assert np.array_equal(got.solve(b * 2.0 ** (power + d)),
+                              2.0 ** d * ref.solve(b))
 
 
 def test_single_precision_breakdown_is_named_and_not_retried(monkeypatch):

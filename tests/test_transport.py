@@ -40,9 +40,13 @@ def test_dg0_linear_advection_oracle(n):
 def test_dg0_inflow_tolerance_insensitive(monkeypatch):
     mesh, prob = _uniform_advection_problem(16)
     a = oracles.solve_linear_dg(prob).values
-    real = oracles.classify_inflow
-    monkeypatch.setattr(oracles, "classify_inflow",
-                        lambda mesh, v: real(mesh, v, tol=1e-6))
+
+    def wider(mesh, v):
+        # classify_inflow with 1e-6 in place of its 1e-12
+        vec = v.values[mesh.facet_cells, :mesh.dim]
+        vn = np.einsum("fd,fd->f", vec, mesh.facet_normals)
+        return np.flatnonzero(vn < -1e-6)
+    monkeypatch.setattr(oracles, "classify_inflow", wider)
     b = oracles.solve_linear_dg(prob).values
     assert np.allclose(a, b, atol=1e-12)
 
