@@ -37,8 +37,7 @@ def main():
     outdir = "demo_output"
     os.makedirs(outdir, exist_ok=True)
     final = trace.iterates[-1]
-    write_vtk(os.path.join(outdir, "gaussian_final.vtk"), final.mesh,
-              point_data={"gamma": final.values})
+    write_vtk(final, os.path.join(outdir, "gaussian_final.vtk"))
     write_nodal_csv(final, os.path.join(outdir, "gaussian_final.csv"))
     print("final iterate written to %s/" % outdir)
 

@@ -88,13 +88,11 @@ def _write_artifacts(outdir, config, trace, dump_fields=False):
     if not trace.iterates:
         return
     final = trace.iterates[-1]
-    write_vtk(os.path.join(outdir, "final.vtk"), final.mesh,
-              point_data={"gamma": final.values})
+    write_vtk(final, os.path.join(outdir, "final.vtk"))
     write_nodal_csv(final, os.path.join(outdir, "final.csv"))
     if dump_fields:
         for k, it in enumerate(trace.iterates):
-            write_vtk(os.path.join(outdir, "iterate_%02d.vtk" % (k + 1)),
-                      it.mesh, point_data={"gamma": it.values})
+            write_vtk(it, os.path.join(outdir, "iterate_%02d.vtk" % (k + 1)))
     if final.mesh.dim == 3:
         for z in SLICE_LEVELS:
             write_slice_csv(final, z,

@@ -253,7 +253,8 @@ def load_functional_data(mesh, path):
     """Read a container written by save_functional_data.  The payload
     must be intact, its stored dim and n must match the supplied mesh,
     and so must the mesh hash, checked in that order; each vector must
-    then hold one value per mesh vertex, with no bytes after them."""
+    then hold one finite value per mesh vertex, with no bytes after
+    them."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic == b"MATMIFN1":    # the earlier, larger container
@@ -288,7 +289,10 @@ def load_functional_data(mesh, path):
             if size != mesh.num_vertices:
                 raise ValueError("container %s has %d values for %d mesh "
                                  "vertices" % (what, size, mesh.num_vertices))
-            return np.frombuffer(take(8 * size, what), dtype="<f8").copy()
+            vec = np.frombuffer(take(8 * size, what), dtype="<f8").copy()
+            if not np.all(np.isfinite(vec)):
+                raise ValueError("container %s has non-finite values" % what)
+            return vec
 
         p1 = read_vec("p1_weak")
         nodal = read_vec("nodal projection")

@@ -158,19 +158,15 @@ def solve_linear_dg(problem):
             "advective flux vanishes through every cell (first cells: %s)"
             % dead[:10].tolist())
     if dead.size:
-        nbrs = {int(c): [] for c in dead}
-        for l, r in zip(L, R):
-            if int(l) in nbrs:
-                nbrs[int(l)].append(int(r))
-            if int(r) in nbrs:
-                nbrs[int(r)].append(int(l))
-        A = A.tolil()
-        for c, nb in nbrs.items():
-            A.rows[c] = sorted([c] + nb)
-            A.data[c] = [1.0 if j == c else -1.0 / len(nb)
-                         for j in A.rows[c]]
-            rhs[c] = 0.0
-        A = A.tocsr()
+        ends = np.r_[L, R]
+        adj = sp.csr_matrix((np.ones(ends.size), (ends, np.r_[R, L])),
+                            shape=(nc, nc))
+        avg = sp.identity(nc) - sp.diags(1.0 / np.bincount(
+            ends, minlength=nc)) @ adj
+        keep = np.ones(nc)
+        keep[dead] = 0.0
+        A = sp.diags(keep) @ A + sp.diags(1.0 - keep) @ avg
+        rhs[dead] = 0.0
     sol = spla.spsolve(A.tocsc(), rhs)
     return CellField(mesh, sol)
 

@@ -149,7 +149,8 @@ class ReconConfig:
     Recognized keys: preset, family, dim, n, iterations, refine, lambda,
     t_lo, t_hi, data, boundary_value, and the update's controls
     picard.alpha and picard.adaptive.  `values` holds the keys a caller
-    set; preset values fill any key left unset.
+    set; preset values fill any key left unset.  A preset run refuses
+    data and boundary_value, and a run on a data file refuses refine.
     """
 
     def __init__(self, **values):
@@ -183,12 +184,23 @@ class ReconConfig:
                                   % (val, key, lineno))
         return cls(**kwargs)
 
+    def _unread(self):
+        """The kind of run and the keys it does not read: a preset run
+        synthesizes its data from the target, whose trace gives the
+        boundary values; a run on a data file uses the data as loaded."""
+        if self["preset"] is not None:
+            return "a preset run", ("data", "boundary_value")
+        return "a run on a data file", ("refine",)
+
     def to_text(self):
         """The resolved configuration as `key = value` lines, one per key
-        that has a value, so a run of the text repeats this one."""
+        the run reads that has a value, so a run of the text repeats this
+        one."""
         cfg = self.resolve()
+        unread = self._unread()[1]
         return "".join("%s = %s\n" % (key, cfg[key])
-                       for key in sorted(_DEFAULTS) if cfg[key] is not None)
+                       for key in sorted(_DEFAULTS)
+                       if cfg[key] is not None and key not in unread)
 
     def resolve(self):
         """Layer the defaults, the preset's values and the keys set, then
@@ -213,6 +225,10 @@ class ReconConfig:
         elif self["data"] is None:
             raise ConfigError("custom configs need a data file (the "
                               "target is otherwise unknown)")
+        kind, unread = self._unread()
+        for key in unread:
+            if key in self.values:
+                raise ConfigError("%s is not read by %s" % (key, kind))
         out.update(self.values)
         if out["dim"] not in (2, 3):
             raise ConfigError("dim must be 2 or 3, got %d" % out["dim"])

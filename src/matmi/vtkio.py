@@ -10,9 +10,10 @@ __all__ = ["write_vtk", "write_nodal_csv", "write_slice_csv"]
 _CELL_TYPE = {2: 5, 3: 10}        # VTK_TRIANGLE, VTK_TETRA
 
 
-def write_vtk(path, mesh, point_data):
-    """Write an unstructured-grid VTK file; point_data maps a name to a
-    scalar array of vertex values."""
+def write_vtk(field, path):
+    """Write a nodal field as an unstructured-grid VTK file of its mesh,
+    with the field's values as the point scalars `gamma`."""
+    mesh = field.mesh
     nloc = mesh.dim + 1
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nmatmi\nASCII\n")
@@ -28,9 +29,8 @@ def write_vtk(path, mesh, point_data):
         fh.write("CELL_TYPES %d\n" % mesh.num_cells)
         fh.write(("%d\n" % _CELL_TYPE[mesh.dim]) * mesh.num_cells)
         fh.write("POINT_DATA %d\n" % mesh.num_vertices)
-        for name, vals in point_data.items():
-            fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
-            fh.write(_block("%.17g\n", np.asarray(vals, dtype=float)))
+        fh.write("SCALARS gamma double 1\nLOOKUP_TABLE default\n")
+        fh.write(_block("%.17g\n", field.values))
 
 
 def _block(row, values):

@@ -384,6 +384,21 @@ def test_data_vector_for_another_mesh_exits_2(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_non_finite_data_vector_exits_2(tmp_path, capsys, write_container):
+    # a valid payload hash around a p1_weak holding one NaN
+    argv = _data_config(tmp_path, 8)
+    mesh = build_unit_square(8)
+    p1 = np.ones(81)
+    p1[40] = np.nan
+    payload = (struct.pack("<iiiq", 2, 8, 8, 81) + p1.tobytes()
+               + struct.pack("<q", 81) + np.ones(81).tobytes())
+    write_container(mesh, payload, str(tmp_path / "data.bin"))
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot prepare the data" in err
+    assert "p1_weak has non-finite values" in err
+
+
 @pytest.mark.parametrize("override,message", [
     ("dim=0", "dim must be 2 or 3, got 0"),
     ("dim=5", "dim must be 2 or 3, got 5"),
@@ -403,6 +418,20 @@ def test_preset_with_another_dim_exits_2(tmp_path, capsys, preset, dim):
                  "--n", "4", "--iterations", "1", "dim=%d" % dim])
     assert code == EXIT_CONFIG
     assert "preset %s is" % preset in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, extra, message", [
+    (True, ["data=does_not_exist.bin"], "data is not read by a preset run"),
+    (True, ["boundary_value=5"], "boundary_value is not read by a preset run"),
+    (False, ["--refine", "3"], "refine is not read by a run on a data file"),
+], ids=["preset-data", "preset-boundary_value", "data-refine"])
+def test_a_key_the_run_does_not_read_exits_2(tmp_path, capsys, preset, extra,
+                                             message):
+    argv = (["run", "--preset", "example1", "--out", str(tmp_path / "out")]
+            if preset else _data_config(tmp_path, 8))
+    assert main(argv + extra) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: %s\n" % message
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_data_file_exits_2(tmp_path, capsys):

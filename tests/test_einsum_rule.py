@@ -12,6 +12,8 @@ import pathlib
 
 import pytest
 
+from astrules import callee, renamed, scoped
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmi"
 
 MAX_OPERANDS = 2
@@ -42,30 +44,14 @@ def _violations(source, module):
     list outside EXEMPT; an import that renames einsum is one too, since
     its calls would go unseen."""
     out = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                inner = scope + (child.name,)
-            elif isinstance(child, ast.Call):
-                f = child.func
-                name = f.attr if isinstance(f, ast.Attribute) \
-                    else getattr(f, "id", None)
-                where = ".".join(scope)
-                if name == "einsum" and (module, where) not in EXEMPT:
-                    count = _operands(child)
-                    if count is None or count > MAX_OPERANDS:
-                        out.append((where, count, child.lineno))
-            elif isinstance(child, (ast.Import, ast.ImportFrom)):
-                out.extend((".".join(scope), None, child.lineno)
-                           for a in child.names
-                           if a.name.rsplit(".", 1)[-1] == "einsum"
-                           and a.asname not in (None, "einsum"))
-            visit(child, inner)
-
-    visit(ast.parse(source), ())
+    for node, scope in scoped(source):
+        if (isinstance(node, ast.Call) and callee(node) == "einsum"
+                and (module, scope) not in EXEMPT):
+            count = _operands(node)
+            if count is None or count > MAX_OPERANDS:
+                out.append((scope, count, node.lineno))
+        if "einsum" in renamed(node):
+            out.append((scope, None, node.lineno))
     return out
 
 

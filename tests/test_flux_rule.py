@@ -14,6 +14,8 @@ import pathlib
 
 import pytest
 
+from astrules import scoped
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmi"
 
 # attribute -> the (module, scope) pairs allowed to read it; a scope of
@@ -40,31 +42,21 @@ def _violations(source, module):
     without a call), a bare name (`weak_p1_rows(mesh, q)`) or an import
     of it -- outside the places allowed to read it."""
     out = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            names = []
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                inner = scope + (child.name,)
-            elif isinstance(child, ast.Attribute):
-                names = [child.attr]
-            elif isinstance(child, ast.Name):
-                names = [child.id]
-            elif isinstance(child, (ast.Import, ast.ImportFrom)):
-                names = [a.name.rsplit(".", 1)[-1] for a in child.names]
-            where = ".".join(scope)
-            for name in names:
-                if name in ONLY:
-                    bad = not ({(module, where), (module, None)} & ONLY[name])
-                else:
-                    bad = module in NEVER.get(name, ())
-                if bad:
-                    out.append((name, where, child.lineno))
-            visit(child, inner)
-
-    visit(ast.parse(source), ())
+    for node, scope in scoped(source):
+        names = []
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.rsplit(".", 1)[-1] for a in node.names]
+        for name in names:
+            if name in ONLY:
+                bad = not ({(module, scope), (module, None)} & ONLY[name])
+            else:
+                bad = module in NEVER.get(name, ())
+            if bad:
+                out.append((name, scope, node.lineno))
     return out
 
 

@@ -107,19 +107,21 @@ def test_config_text_round_trip():
 
 
 def test_config_text_round_trip_keeps_every_keys_value_and_type():
-    # every key set to a value other than its default, so the text holds
-    # a line for each key of the table and each is parsed back
-    cfg = ReconConfig(**{
-        "preset": "example1", "family": "D1", "dim": 2, "n": 12,
-        "iterations": 3, "refine": 2, "lambda": 3.0, "t_lo": 0.75,
-        "t_hi": 2.25, "data": "data.bin", "boundary_value": 1.5,
-        "picard.alpha": 5e-3, "picard.adaptive": False})
-    assert set(cfg.values) == set(_DEFAULTS)
-    back = ReconConfig.from_text(cfg.to_text())
-    assert set(back.values) == set(_DEFAULTS)
-    for key in _DEFAULTS:
-        assert back[key] == cfg[key], key
-        assert type(back[key]) is type(cfg[key]), key
+    # every key a run reads set to a value other than its default, so the
+    # text holds a line for each and each is parsed back; a preset run
+    # and a run on a data file together read every key of the table
+    shared = {"family": "D1", "dim": 2, "n": 12, "iterations": 3,
+              "lambda": 3.0, "t_lo": 0.75, "t_hi": 2.25,
+              "picard.alpha": 5e-3, "picard.adaptive": False}
+    configs = [ReconConfig(preset="example1", refine=2, **shared),
+               ReconConfig(data="data.bin", boundary_value=1.5, **shared)]
+    assert set(configs[0].values) | set(configs[1].values) == set(_DEFAULTS)
+    for cfg in configs:
+        back = ReconConfig.from_text(cfg.to_text())
+        assert set(back.values) == set(cfg.values)
+        for key in cfg.values:
+            assert back[key] == cfg[key], key
+            assert type(back[key]) is type(cfg[key]), key
 
 
 def test_resolve_requires_family_or_preset():

@@ -13,7 +13,8 @@ from matmi.vtkio import write_nodal_csv, write_slice_csv, write_vtk
 _CELL_TYPE = {2: 5, 3: 10}
 
 
-def _write_vtk_per_value(path, mesh, point_data):
+def _write_vtk_per_value(field, path):
+    mesh = field.mesh
     nloc = mesh.dim + 1
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nmatmi\nASCII\n")
@@ -29,10 +30,9 @@ def _write_vtk_per_value(path, mesh, point_data):
         fh.write("CELL_TYPES %d\n" % mesh.num_cells)
         fh.write(("%d\n" % _CELL_TYPE[mesh.dim]) * mesh.num_cells)
         fh.write("POINT_DATA %d\n" % mesh.num_vertices)
-        for name, vals in point_data.items():
-            fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
-            for v in np.asarray(vals, dtype=float):
-                fh.write("%.17g\n" % v)
+        fh.write("SCALARS gamma double 1\nLOOKUP_TABLE default\n")
+        for v in field.values:
+            fh.write("%.17g\n" % v)
 
 
 def _write_nodal_csv_per_value(field, path):
@@ -74,10 +74,9 @@ def _values(size, seed):
 @pytest.mark.parametrize("mesh", [build_unit_square(5), build_unit_cube(3)],
                          ids=["2d", "3d"])
 def test_vtk_is_byte_identical_to_the_per_value_writer(tmp_path, mesh):
-    point_data = {"gamma": _values(mesh.num_vertices, 1),
-                  "other": _values(mesh.num_vertices, 2)[::-1]}
-    write_vtk(str(tmp_path / "a.vtk"), mesh, point_data)
-    _write_vtk_per_value(str(tmp_path / "b.vtk"), mesh, point_data)
+    field = NodalField(mesh, _values(mesh.num_vertices, 1))
+    write_vtk(field, str(tmp_path / "a.vtk"))
+    _write_vtk_per_value(field, str(tmp_path / "b.vtk"))
     a, b = (tmp_path / "a.vtk").read_bytes(), (tmp_path / "b.vtk").read_bytes()
     assert b"-0\n" in a and b"\n1e-300\n" in a
     assert a == b
