@@ -265,10 +265,10 @@ def pcg(matvec, b, x0, rtol, maxiter, precondition, history=None):
 # needs more is replaced by the solve's own (about what one factorization
 # costs in iterations), and that one needs three or four.
 _LAG_MAXITER = 20
-# Relative residual a Neumann solve reaches, whatever looser tol the
-# caller asked for.  With its own single-precision factor, CG reads about
-# 1e-6 and 1e-11 after one and two iterations and gets there after three
-# or four; stopping a lagged solve at tol (1e-10) instead would make
+# Relative residual a Neumann solve reaches, and its default tol: a
+# looser tol is clamped to it.  With its own single-precision factor, CG
+# reads about 1e-6 and 1e-11 after one and two iterations and gets there
+# after three or four; stopping a lagged solve at 1e-10 instead would make
 # results depend on which factor a holder kept, e.g. a field sweep's
 # ratio on the order of its pairs (by 1e-9 relative).  The two extra
 # iterations this takes cost far less than a factor.
@@ -326,7 +326,7 @@ class LaggedFactor:
                           "a fresh factor (%s)" % (rtol, maxiter, detail))
 
 
-def solve_mean_zero(system, tol=1e-10, factor=None):
+def solve_mean_zero(system, tol=_LAG_RTOL, factor=None):
     """Solve the singular Neumann system; the returned vector has zero
     Euclidean mean over the vertices.
 
@@ -335,7 +335,8 @@ def solve_mean_zero(system, tol=1e-10, factor=None):
     positive definite, and its solution (with vertex 0 set to 0) solves
     the singular system exactly.  That block is solved through `factor`,
     a LaggedFactor (see LaggedFactor.solve), to a relative residual of
-    min(tol, _LAG_RTOL) within _LAG_MAXITER CG iterations per attempt.
+    min(tol, _LAG_RTOL) within _LAG_MAXITER CG iterations per attempt: a
+    tol looser than the default _LAG_RTOL = 1e-13 is clamped to it.
     Without a holder the factor lives only for this call.  Returns the
     values and the residual history: 1.0, then the relative residual of
     the pinned block after every CG iteration, as CG's recurrence
@@ -351,9 +352,11 @@ def solve_mean_zero(system, tol=1e-10, factor=None):
 
     history = [1.0]
     holder = factor if factor is not None else LaggedFactor()
-    K1 = K[1:, 1:]
+    # the pinned block is formed only to be factored; its product is K's
+    # with x_0 = 0, bitwise, since column 0 leads each sorted CSR row
     try:
-        x1 = holder.solve(K1.dot, lambda: K1, b[1:], None,
+        x1 = holder.solve(lambda x: K.dot(np.r_[0.0, x])[1:],
+                          lambda: K[1:, 1:], b[1:], None,
                           min(tol, _LAG_RTOL), _LAG_MAXITER, history=history)
     except SolverError as exc:
         raise SolverError("pinned Neumann system: %s" % exc)
@@ -369,12 +372,14 @@ def electric_field(mesh, u):
     return CellField(mesh, E)
 
 
-def solve_field(mesh, family, gamma, tol=1e-10, factor=None):
+def solve_field(mesh, family, gamma, tol=_LAG_RTOL, factor=None):
     """Assemble and solve the Neumann problem; return (u, E).
 
     The potential u is normalized to zero L2 mean using the mesh's mass
-    matrix.  `factor` is an optional LaggedFactor shared with other
-    solves (see solve_mean_zero).
+    matrix.  The pinned system is solved to a relative residual of
+    min(tol, _LAG_RTOL), so a tol looser than the default is clamped to
+    it.  `factor` is an optional LaggedFactor shared with other solves
+    (see solve_mean_zero).
     """
     system = assemble(mesh, family, gamma)
     vals, _ = solve_mean_zero(system, tol=tol, factor=factor)

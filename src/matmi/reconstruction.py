@@ -164,7 +164,8 @@ class ReconConfig:
 
     @classmethod
     def from_text(cls, text):
-        kwargs = {}
+        """The config of `key = value` lines; a key set twice is refused."""
+        kwargs, lines = {}, {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -177,6 +178,10 @@ class ReconConfig:
             if key not in _DEFAULTS:
                 raise ConfigError("unknown config key %r (line %d)"
                                   % (key, lineno))
+            if key in lines:
+                raise ConfigError("config key %r is set twice (lines %d "
+                                  "and %d)" % (key, lines[key], lineno))
+            lines[key] = lineno
             try:
                 kwargs[key] = _DEFAULTS[key][1](val)
             except ValueError:

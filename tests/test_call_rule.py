@@ -1,5 +1,5 @@
-"""Who may call what: `CALLERS` is one allow-list of the scopes, per
-module of matmi, that may call each guarded name.
+"""Who may call, read or name what: `CALLERS` is one allow-list of the
+scopes, per module of matmi, allowed the guarded use of each name.
 
 - One solve path: only neumann.LaggedFactor.solve factors an SPD system
   (`spd_factor`) and runs CG with that factor; the other CG is the
@@ -16,60 +16,106 @@ module of matmi, that may call each guarded name.
   and the sweeps computed and calls none of the forward-solve entry
   points (the Neumann solve and its assembly, the data map, or a held
   factor).
+- One flux route: the in-plane flux A(x_c, gamma_c) (E x B0) of the
+  data and of the least-squares update comes from functional.FluxSplit.
+  So `transport` reads none of the family's evaluators (`poly_coeffs`,
+  `eval_many`, `rational`) and takes no weak divergence of its own
+  (`weak_p1_rows`, `weak_p1_from_flux`): its operator comes from the
+  split's cached per-power rows.  `functional` evaluates no full matrix
+  (`eval_many`), and the polynomial coefficients are read only by the
+  split, by the in-plane conductivity of the Neumann problem
+  (`neumann.conductivity_blocks`), by anisotropy's own evaluators and
+  by the independent checks in `oracles`.
+- One update path: the adaptive and plain outer updates differ only in
+  the candidate set and the accept rule, so outside the configuration
+  tables the key "picard.adaptive" is named by
+  reconstruction._ls_update alone.
 
-A call is seen bare (`cg(...)`) or as an attribute (`spla.cg(...)`); an
-import that renames a guarded name is a violation wherever the name is
-guarded, since its calls would go unseen.  Importing or naming a guarded
-function is not a call."""
+Each guarded name has one kind of use.  A call is seen bare (`cg(...)`)
+or as an attribute (`spla.cg(...)`); an import that renames a called
+name is a violation wherever the name is guarded, since its calls would
+go unseen, but importing or naming a called function is not a call.  A
+read is an attribute (`family.poly_coeffs(xs)`, or the bound method
+taken without a call), a bare name (`weak_p1_rows(mesh, q)`) or an
+import of the name.  A string is a constant equal to the name
+(`cfg["picard.adaptive"]`).  A module-level assignment to one name is
+the scope of what it holds (`_DEFAULTS = {...}`), as a def or class is
+of its body."""
 
 import ast
-import pathlib
 
 import pytest
 
-from astrules import callee, renamed, scoped
+from astrules import SRC, callee, renamed, scoped
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmi"
-
-# callee -> {module: the scopes allowed to call it}; "*" stands for every
-# module the entry does not name, and a module the entry does not cover
-# may call the callee anywhere
+# name -> (kind of use, {module: the scopes allowed that use}); "*" stands
+# for every module the entry does not name, and a module the entry does
+# not cover, or maps to None, may use the name anywhere
 CALLERS = {
-    "spd_factor": {"neumann": {"LaggedFactor.solve"}, "*": set()},
-    "pcg": {"neumann": {"LaggedFactor.solve"},
-            "functional": {"_mass_solve"}, "*": set()},
-    "cholesky_banded": {"neumann": {"spd_factor"}, "*": set()},
-    "cho_solve_banded": {"neumann": {"_BandCholesky.solve"}, "*": set()},
-    "cg": {"*": set()},
-    "LinearOperator": {"*": set()},
-    "splu": {"*": set()},
-    "solve_field": {"stability": {"_solved_field"}, "cli": set()},
-    "synthesize": {"stability": set(), "cli": set()},
-    "solve_mean_zero": {"cli": set()},
-    "assemble": {"cli": set()},
-    "field_data": {"cli": set()},
-    "LaggedFactor": {"cli": set()},
+    "spd_factor": ("call", {"neumann": {"LaggedFactor.solve"}, "*": set()}),
+    "pcg": ("call", {"neumann": {"LaggedFactor.solve"},
+                     "functional": {"_mass_solve"}, "*": set()}),
+    "cholesky_banded": ("call", {"neumann": {"spd_factor"}, "*": set()}),
+    "cho_solve_banded": ("call", {"neumann": {"_BandCholesky.solve"},
+                                  "*": set()}),
+    "cg": ("call", {"*": set()}),
+    "LinearOperator": ("call", {"*": set()}),
+    "splu": ("call", {"*": set()}),
+    "solve_field": ("call", {"stability": {"_solved_field"}, "cli": set()}),
+    "synthesize": ("call", {"stability": set(), "cli": set()}),
+    "solve_mean_zero": ("call", {"cli": set()}),
+    "assemble": ("call", {"cli": set()}),
+    "field_data": ("call", {"cli": set()}),
+    "LaggedFactor": ("call", {"cli": set()}),
+    "poly_coeffs": ("read", {
+        "functional": {"FluxSplit.__init__"},
+        "neumann": {"conductivity_blocks"},
+        "anisotropy": {"AnisotropyFamily.eval_many",
+                       "AnisotropyFamily.deriv_t_many"},
+        "oracles": None, "*": set()}),
+    "eval_many": ("read", {"transport": set(), "functional": set()}),
+    "rational": ("read", {"transport": set()}),
+    "weak_p1_rows": ("read", {"transport": set()}),
+    "weak_p1_from_flux": ("read", {"transport": set()}),
+    "picard.adaptive": ("string", {
+        "reconstruction": {"_ls_update", "_DEFAULTS"},
+        "presets": {"PRESETS"}, "*": set()}),
 }
 
 
 def _allowed(name, module):
-    """The scopes of `module` allowed to call `name`; None if free."""
-    entry = CALLERS.get(name, {})
-    return entry.get(module, entry.get("*"))
+    """The scopes of `module` allowed the guarded use of `name`; None if
+    free."""
+    scopes = CALLERS.get(name, ("", {}))[1]
+    return scopes.get(module, scopes.get("*"))
+
+
+def _uses(node):
+    """(name, kind of use) of each name `node` uses."""
+    if isinstance(node, ast.Call):
+        return [(callee(node), "call")]
+    if isinstance(node, ast.Attribute):
+        return [(node.attr, "read")]
+    if isinstance(node, ast.Name):
+        return [(node.id, "read")]
+    if isinstance(node, ast.Constant):
+        return [(node.value, "string")]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return ([(a.name.rsplit(".", 1)[-1], "read") for a in node.names]
+                + [(name, "call") for name in renamed(node)])
+    return []
 
 
 def _violations(source, module):
-    """(callee, enclosing scope, line) of each guarded call made outside
-    its allowed scopes, and of each import renaming a guarded name."""
+    """(name, enclosing scope, line) of each guarded use of a name made
+    outside the scopes allowed it."""
     out = []
     for node, scope in scoped(source):
-        if isinstance(node, ast.Call):
-            name = callee(node)
+        for name, kind in _uses(node):
             allowed = _allowed(name, module)
-            if allowed is not None and scope not in allowed:
+            if (CALLERS.get(name, ("",))[0] == kind and allowed is not None
+                    and scope not in allowed):
                 out.append((name, scope, node.lineno))
-        out.extend((name, scope, node.lineno) for name in renamed(node)
-                   if _allowed(name, module) is not None)
     return out
 
 
@@ -101,7 +147,7 @@ def test_the_rule_sees_solver_calls_by_scope_and_module():
                        "    return lu.solve(r)", "transport") == [
         ("spd_factor", "step", 2)]
     assert _violations("x = scipy.sparse.linalg.cg(A, b)", "fields") == [
-        ("cg", "", 1)]
+        ("cg", "x", 1)]
     assert _violations("def f(A):\n    return g(lambda: spla.splu(A))",
                        "neumann") == [("splu", "f", 2)]
     assert _violations("def spd_factor(A):\n"
@@ -138,7 +184,7 @@ def test_the_rule_sees_sweep_calls_by_scope():
                        "    return synthesize(f, g, m).field\n",
                        "stability") == [("synthesize", "_solved_field", 2)]
     assert _violations("x = functional.synthesize(f, g, m)",
-                       "stability") == [("synthesize", "", 1)]
+                       "stability") == [("synthesize", "x", 1)]
     assert _violations("from .neumann import solve_field as solve",
                        "stability") == [("solve_field", "", 1)]
     assert _violations("from .neumann import LaggedFactor, solve_field\n"
@@ -159,14 +205,84 @@ def test_the_rule_sees_every_guarded_cli_call():
         ("LaggedFactor", "verify", 2), ("synthesize", "verify.one", 4)]
     assert _violations("x = field_data(m, f, g, E)\n"
                        "y = solve_mean_zero(assemble(m, f, g))", "cli") == [
-        ("field_data", "", 1), ("solve_mean_zero", "", 2),
-        ("assemble", "", 2)]
+        ("field_data", "x", 1), ("solve_mean_zero", "y", 2),
+        ("assemble", "y", 2)]
     assert _violations("from .neumann import solve_field as solve",
                        "cli") == [("solve_field", "", 1)]
     # importing or naming a guarded function is not a call
     assert _violations("from .neumann import SolverError, etilde\n"
                        "from .functional import synthesize\n"
                        "handler = synthesize", "cli") == []
+
+
+_SPLIT = """
+class FluxSplit:
+    def __init__(self, mesh, family, E):
+        P = family.poly_coeffs(mesh.centroid_points)
+
+    def __call__(self, gamma_c):
+        return self.family.rational(self.mesh.centroid_points, gamma_c)
+"""
+
+
+def test_the_rule_sees_flux_reads_by_scope_and_module():
+    assert _violations(_SPLIT, "functional") == []
+    assert _violations(_SPLIT, "transport") == [
+        ("poly_coeffs", "FluxSplit.__init__", 4),
+        ("rational", "FluxSplit.__call__", 7)]
+    assert _violations(_SPLIT, "oracles") == []
+    assert _violations("def flux_field(mesh, family, t):\n"
+                       "    return family.eval_many(mesh.x, t)",
+                       "functional") == [("eval_many", "flux_field", 2)]
+    assert _violations("def assemble(mesh, family, t):\n"
+                       "    return family.eval_many(mesh.x, t)",
+                       "neumann") == []
+    assert _violations("def f(family, xs):\n"
+                       "    coeffs = family.poly_coeffs\n"
+                       "    return coeffs(xs)", "neumann") == [
+        ("poly_coeffs", "f", 2)]
+    assert _violations("class AnisotropyFamily:\n"
+                       "    def rational(self, xs, ts):\n"
+                       "        return self.poly_coeffs(xs)",
+                       "anisotropy") == [
+        ("poly_coeffs", "AnisotropyFamily.rational", 3)]
+    assert _violations("x = fam.rational_dt(xs, ts)", "transport") == []
+    assert _violations("from .functional import FluxSplit, weak_p1_rows\n"
+                       "def _flux_operator(mesh, g):\n"
+                       "    return weak_p1_rows(mesh, g)", "transport") == [
+        ("weak_p1_rows", "", 1), ("weak_p1_rows", "_flux_operator", 3)]
+    assert _violations("def f(mesh, h):\n"
+                       "    return functional.weak_p1_from_flux(mesh, h)",
+                       "transport") == [("weak_p1_from_flux", "f", 2)]
+    assert _violations("def weak_divergence(self, t):\n"
+                       "    return weak_p1_rows(self.mesh, t)",
+                       "functional") == []
+
+
+_UPDATE = """
+_DEFAULTS = {"picard.adaptive": True}
+
+def _ls_update(problem, cfg):
+    return cfg["picard.adaptive"]
+
+def reconstruct(config):
+    cfg = config.resolve()
+    adaptive = cfg.get("picard.adaptive")
+"""
+
+
+def test_the_rule_sees_the_adaptive_key_by_scope_and_module():
+    key = "picard.adaptive"
+    assert _violations(_UPDATE, "reconstruction") == [(key, "reconstruct", 9)]
+    assert _violations(_UPDATE, "cli") == [
+        (key, "_DEFAULTS", 2), (key, "_ls_update", 5),
+        (key, "reconstruct", 9)]
+    assert _violations('def f(cfg):\n    """reads `picard.adaptive`"""\n',
+                       "reconstruction") == []
+    assert _violations('PRESETS = {"a": dict(picard={"picard.adaptive": 0})}',
+                       "presets") == []
+    assert _violations('KEYS = ("picard.adaptive",)', "presets") == [
+        (key, "KEYS", 1)]
 
 
 def test_the_cli_drives_no_solver():
@@ -184,7 +300,19 @@ def test_only_the_memo_solves_in_the_sweeps():
     assert _violations((SRC / "stability.py").read_text(), "stability") == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+def violations_of(kind, path):
+    """The guarded uses of `kind` in the matmi module at `path` made
+    outside the scopes allowed them."""
+    return [v for v in _violations(path.read_text(), path.stem)
+            if CALLERS[v[0]][0] == kind]
+
+
+# every matmi module; the read and string rows are checked over it in
+# test_flux_rule.py and test_update_rule.py
+MODULES = pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                                  ids=lambda p: p.name)
+
+
+@MODULES
 def test_calls_stay_in_their_allowed_scopes(path):
-    assert _violations(path.read_text(), path.stem) == []
+    assert violations_of("call", path) == []

@@ -621,6 +621,22 @@ def test_config_file_then_overrides_then_flags(tmp_path):
     assert "n = 4\n" in text and "iterations = 2\n" in text
 
 
+def test_a_key_set_twice_in_a_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "case.txt"
+    cfg.write_text("preset = example1\nn = 10\n# finer\nn = 20\n")
+    out = tmp_path / "artifacts"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: config key 'n' "
+                                       "is set twice (lines 2 and 4)\n")
+    assert not out.exists()
+    # a key=value override given twice still layers, the later one winning
+    cfg.write_text("preset = example1\nn = 10\n")
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--iterations", "1", "n=5", "n=4"]) == EXIT_OK
+    assert "n = 4\n" in (out / "case" / "config.txt").read_text()
+
+
 def test_preset_flag_wins_over_a_preset_override(tmp_path):
     out = tmp_path / "artifacts"
     assert main(["run", "--preset", "example1", "--out", str(out), "--n",

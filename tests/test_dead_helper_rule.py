@@ -6,11 +6,10 @@ a test still does with it.  A read inside the helper's own definition
 (a recursive call) does not count."""
 
 import ast
-import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmi"
+from astrules import SRC
 
 
 def _private(name):

@@ -3,11 +3,10 @@ its __all__, and every name in its __all__ is defined there."""
 
 import ast
 import importlib
-import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmi"
+from astrules import SRC, exported
 
 
 def _unused_imports(path):
@@ -18,13 +17,7 @@ def _unused_imports(path):
             for alias in node.names:
                 imported.add((alias.asname or alias.name).split(".")[0])
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            exported = set(ast.literal_eval(node.value))
-    return sorted(imported - used - exported)
+    return sorted(imported - used - exported(tree))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

@@ -181,6 +181,40 @@ def test_shared_holder_refactors_on_a_size_change(monkeypatch):
     assert holder.factor.shape == (nv - 1, nv - 1)
 
 
+def _sliced_solve(system, holder):
+    """solve_mean_zero's values and history with the pinned block sliced
+    out of the matrix and multiplied as a matrix of its own."""
+    K1 = system.matrix[1:, 1:]
+    b = system.rhs - system.rhs.mean()
+    history = [1.0]
+    x1 = holder.solve(K1.dot, lambda: K1, b[1:], None, neumann._LAG_RTOL,
+                      neumann._LAG_MAXITER, history=history)
+    x = np.r_[0.0, x1]
+    return x - x.mean(), history
+
+
+@pytest.mark.parametrize("builder, n, preset",
+                         [(build_unit_square, 12, "example4"),
+                          (build_unit_cube, 4, "example6")])
+def test_pinned_products_match_the_sliced_block_bitwise(builder, n, preset):
+    # K x with x_0 = 0 adds K[i, 0] * 0.0 first in each sorted CSR row,
+    # so every CG iterate, fresh or lagged, is the sliced block's
+    p = get_preset(preset)
+    mesh = builder(n)
+    systems = [assemble(mesh, p.family(), interpolate_nodal(
+        mesh, lambda x, a=amp: p.gamma_star(x) + a * np.sin(np.pi * x[:, 0])))
+        for amp in (0.0, 0.1, 0.2)]
+    holder, ref_holder = neumann.LaggedFactor(), neumann.LaggedFactor()
+    for s in systems:
+        fresh = solve_mean_zero(s)
+        ref = _sliced_solve(s, neumann.LaggedFactor())
+        assert np.array_equal(fresh[0], ref[0]) and fresh[1] == ref[1]
+        # the first solve factors; the later ones lag
+        lagged = solve_mean_zero(s, factor=holder)
+        ref = _sliced_solve(s, ref_holder)
+        assert np.array_equal(lagged[0], ref[0]) and lagged[1] == ref[1]
+
+
 def test_lagged_factor_forms_the_matrix_only_to_factor_it(monkeypatch):
     # matrix() is called once per factorization -- on an empty holder, a
     # size change and a CG miss -- and never when the lagged factor

@@ -5,11 +5,10 @@ names it re-exports through its __all__ and never uses itself; and
 reconstruction (`transport`, `reconstruction`, `cli`)."""
 
 import ast
-import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmi"
+from astrules import SRC, exported
 
 # modules that oracles must not import
 RUNNERS = {"transport", "reconstruction", "cli"}
@@ -38,15 +37,6 @@ def _imports(tree):
     return out
 
 
-def _exported(tree):
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def _violations(source, module):
     """(reason, line) of each import that breaks the rule in `module`."""
     tree = ast.parse(source)
@@ -64,11 +54,11 @@ def _violations(source, module):
         _, names, line = found[0]
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        exported = _exported(tree)
+        listed = exported(tree)
         if not names:
             out.append(("oracles imported as a module", line))
         out.extend(("%s is not re-exported" % n, line)
-                   for n in names if n not in exported)
+                   for n in names if n not in listed)
         out.extend(("%s is used in transport" % n, line)
                    for n in names if n in used)
     return out

@@ -3,11 +3,10 @@ np.add.at / np.subtract.at indexed by mesh.cells: vectors go through
 fields.scatter_p1 and matrices through fields.assemble_p1."""
 
 import ast
-import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "matmi"
+from astrules import SRC
 
 
 def _reads_cells(node, names):
